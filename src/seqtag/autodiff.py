@@ -7,7 +7,11 @@ reverse topological order, accumulating adjoints over all paths.
 
 Conventions:
   * everything is float64, row-major;
-  * any operation producing a non-finite value raises ``NumericError``;
+  * finite checks: every op checks its output in ``make_node`` and
+    raises ``NumericError`` naming the op; fused ops (the recurrent
+    layers in ``network``, ``crf_log_z``) are one node each and may check
+    intermediates too, e.g. the stacked pre-activations; ``backward()``
+    checks each node's adjoint before pushing it to the parents;
   * parameters are leaf tensors created with ``parameter()``; their
     ``grad`` persists across graphs and must be reset by the caller;
   * dropout is a plain multiplication with a precomputed mask, so it
@@ -38,7 +42,7 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def check_finite(data: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite value produced by op '{op}'")
 
@@ -48,7 +52,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, "leaf")
+        check_finite(arr, "leaf")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -183,8 +187,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], backward: Callable, op: str) -> Tensor:
-    _check_finite(data, op)
+def make_node(data: np.ndarray, parents: Iterable[Tensor], backward: Callable, op: str) -> Tensor:
+    check_finite(data, op)
     parents = tuple(p for p in parents if p.requires_grad)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -228,7 +232,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
 
-    return _make(data, (a, b), backward, "add")
+    return make_node(data, (a, b), backward, "add")
 
 
 def mul(a, b) -> Tensor:
@@ -244,7 +248,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-    return _make(data, (a, b), backward, "mul")
+    return make_node(data, (a, b), backward, "mul")
 
 
 def power(a, exponent) -> Tensor:
@@ -256,7 +260,7 @@ def power(a, exponent) -> Tensor:
         if a.requires_grad:
             a._accum(g * exponent * a.data ** (exponent - 1.0))
 
-    return _make(data, (a,), backward, "pow")
+    return make_node(data, (a,), backward, "pow")
 
 
 def matmul(a, b) -> Tensor:
@@ -273,7 +277,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(a.data.T @ g)
 
-    return _make(data, (a, b), backward, "matmul")
+    return make_node(data, (a, b), backward, "matmul")
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -288,7 +292,7 @@ def sigmoid(a) -> Tensor:
         if a.requires_grad:
             a._accum(g * data * (1.0 - data))
 
-    return _make(data, (a,), backward, "sigmoid")
+    return make_node(data, (a,), backward, "sigmoid")
 
 
 def tanh(a) -> Tensor:
@@ -299,7 +303,7 @@ def tanh(a) -> Tensor:
         if a.requires_grad:
             a._accum(g * (1.0 - data * data))
 
-    return _make(data, (a,), backward, "tanh")
+    return make_node(data, (a,), backward, "tanh")
 
 
 def relu(a) -> Tensor:
@@ -310,7 +314,7 @@ def relu(a) -> Tensor:
         if a.requires_grad:
             a._accum(g * (a.data > 0.0))
 
-    return _make(data, (a,), backward, "relu")
+    return make_node(data, (a,), backward, "relu")
 
 
 def exp(a) -> Tensor:
@@ -322,7 +326,7 @@ def exp(a) -> Tensor:
         if a.requires_grad:
             a._accum(g * data)
 
-    return _make(data, (a,), backward, "exp")
+    return make_node(data, (a,), backward, "exp")
 
 
 def log(a) -> Tensor:
@@ -333,7 +337,7 @@ def log(a) -> Tensor:
         if a.requires_grad:
             a._accum(g / a.data)
 
-    return _make(data, (a,), backward, "log")
+    return make_node(data, (a,), backward, "log")
 
 
 # -- structural ops -----------------------------------------------------------
@@ -357,7 +361,7 @@ def getitem(a: Tensor, key) -> Tensor:
         else:
             a.grad[key] += g
 
-    return _make(np.array(data, dtype=np.float64), (a,), backward, "getitem")
+    return make_node(np.array(data, dtype=np.float64), (a,), backward, "getitem")
 
 
 def _has_index_arrays(key) -> bool:
@@ -379,7 +383,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             a._accum(g.reshape(original))
 
-    return _make(data, (a,), backward, "reshape")
+    return make_node(data, (a,), backward, "reshape")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -399,7 +403,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accum(piece)
 
-    return _make(data, tensors, backward, "concat")
+    return make_node(data, tensors, backward, "concat")
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -415,7 +419,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             a._accum(np.broadcast_to(gg, a.data.shape).copy())
 
-    return _make(np.asarray(data, dtype=np.float64), (a,), backward, "sum")
+    return make_node(np.asarray(data, dtype=np.float64), (a,), backward, "sum")
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
@@ -448,7 +452,7 @@ def logsumexp(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             a._accum(soft * gg)
 
-    return _make(np.asarray(data, dtype=np.float64), (a,), backward, "logsumexp")
+    return make_node(np.asarray(data, dtype=np.float64), (a,), backward, "logsumexp")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -462,7 +466,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             inner = (g * data).sum(axis=axis, keepdims=True)
             a._accum(data * (g - inner))
 
-    return _make(data, (a,), backward, "softmax")
+    return make_node(data, (a,), backward, "softmax")
 
 
 # -- verification --------------------------------------------------------------

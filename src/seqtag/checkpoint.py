@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from seqtag.corpus import Vocabulary
-from seqtag.exceptions import DataError
+from seqtag.exceptions import ConfigError, DataError
 from seqtag.network import Model, NetworkConfig
 
 MAGIC = b"SQTG"
@@ -66,7 +66,11 @@ def load_model(path: str | Path) -> Model:
     manifest_end = 16 + manifest_len
     if len(blob) < manifest_end:
         raise CheckpointError(f"truncated checkpoint manifest: {path}")
-    manifest = json.loads(blob[16:manifest_end].decode("utf-8"))
+    try:
+        manifest = json.loads(blob[16:manifest_end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CheckpointError(f"corrupt checkpoint manifest in {path}: {err}") from err
+    _check_manifest(manifest, path)
     payload = blob[manifest_end:]
     if len(payload) != manifest["payload_bytes"]:
         raise CheckpointError(
@@ -74,8 +78,13 @@ def load_model(path: str | Path) -> Model:
             f"({manifest['payload_bytes']} bytes declared)"
         )
 
-    config = NetworkConfig.from_json(manifest["config"])
-    vocab = Vocabulary.from_json(manifest["vocab"])
+    try:
+        config = NetworkConfig.from_json(manifest["config"])
+        vocab = Vocabulary.from_json(manifest["vocab"])
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as err:
+        raise CheckpointError(
+            f"corrupt checkpoint manifest in {path}: bad config or vocabulary ({err!r})"
+        ) from err
     model = Model(config, vocab, np.random.default_rng(0))
 
     declared = {entry["name"] for entry in manifest["tensors"]}
@@ -88,17 +97,44 @@ def load_model(path: str | Path) -> Model:
             f"(missing: {missing}, unexpected: {extra})"
         )
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * size
-        if end > len(payload):
-            raise CheckpointError(f"tensor {entry['name']!r} exceeds the payload")
-        tensor = model.params[entry["name"]]
+        name, shape = entry["name"], tuple(entry["shape"])
+        tensor = model.params[name]
         if tensor.data.shape != shape:
             raise CheckpointError(
-                f"tensor {entry['name']!r} has shape {shape} in the checkpoint "
+                f"tensor {name!r} has shape {shape} in the checkpoint "
                 f"but {tensor.data.shape} in the configuration"
             )
-        tensor.data = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        start = entry["offset"]
+        end = start + 8 * tensor.data.size
+        if end > len(payload):
+            raise CheckpointError(f"tensor {name!r} exceeds the payload")
+        data = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+        tensor.data = data
     return model
+
+
+def _check_manifest(manifest, path: Path) -> None:
+    """Reject a manifest whose top-level layout is not the one save_model writes."""
+
+    def fail(what: str):
+        raise CheckpointError(f"corrupt checkpoint manifest in {path}: {what}")
+
+    if not isinstance(manifest, dict):
+        fail("not a JSON object")
+    for key, kind in (("config", dict), ("vocab", dict), ("tensors", list), ("payload_bytes", int)):
+        if key not in manifest:
+            fail(f"missing key {key!r}")
+        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
+            fail(f"{key!r} is not a {kind.__name__}")
+    for entry in manifest["tensors"]:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and type(entry.get("offset")) is int
+            and entry["offset"] >= 0
+        ):
+            fail(f"malformed tensor entry {entry!r}")

@@ -28,7 +28,7 @@ from seqtag.config import (
     load_yaml,
     split_search_section,
 )
-from seqtag.corpus import Token, parse_conll_file
+from seqtag.corpus import Token, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
 from seqtag.hyperopt import SearchSpace, derive_seed, parse_interval, run_search
 from seqtag.labels import SUBTASK_KINDS, derive_subtask, parse_am_sequence
@@ -122,7 +122,7 @@ def cmd_predict(args) -> int:
             out_lines.append("\t".join([line, *(col[i] for col in columns)]))
         block.clear()
 
-    for raw_line in in_path.read_text(encoding="utf-8").splitlines():
+    for raw_line in read_text(in_path).splitlines():
         if raw_line.strip():
             block.append(raw_line.rstrip("\n"))
         else:

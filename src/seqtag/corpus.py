@@ -78,12 +78,13 @@ def parse_conll(source: str | bytes | IO, token_col: int, label_cols: Mapping[st
     number. An empty input yields an empty corpus.
     """
     if isinstance(source, bytes):
-        text = source.decode("utf-8")
+        text = decode_utf8(source, "<bytes>")
     elif isinstance(source, str):
         text = source
     else:
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        name = str(getattr(source, "name", "<stream>"))
+        text = decode_utf8(raw, name) if isinstance(raw, bytes) else raw
 
     needed = max([token_col, *label_cols.values()]) + 1 if label_cols else token_col + 1
     tasks = tuple(label_cols.keys())
@@ -112,7 +113,23 @@ def parse_conll_file(path: str | Path, token_col: int, label_cols: Mapping[str, 
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    return parse_conll(path.read_text(encoding="utf-8"), token_col, label_cols)
+    return parse_conll(read_text(path), token_col, label_cols)
+
+
+def decode_utf8(raw: bytes, name: str) -> str:
+    """Decode UTF-8 input; a decode failure becomes a DataError that
+    names the input and the byte offset."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(
+            f"{name}: not valid UTF-8 at byte offset {err.start} ({err.reason})"
+        ) from err
+
+
+def read_text(path: Path) -> str:
+    """A whole UTF-8 text file, decode failures reported as DataError."""
+    return decode_utf8(path.read_bytes(), str(path))
 
 
 def corpus_to_conll(corpus: Corpus, tasks: Iterable[str] | None = None) -> str:

@@ -3,9 +3,9 @@
 Scores are per-sequence normalized. A path through labels y_1..y_T
 scores sum_t logits[t, y_t] + sum_t transitions[y_{t-1}, y_t]
 + begin[y_1] + end[y_T]; the partition function is computed by the
-forward algorithm in log space (log-sum-exp with max subtraction), so
-the loss is differentiable through the tape like any other op chain.
-Only first-order dependencies are modeled.
+forward algorithm in log space (log-sum-exp with max subtraction) as a
+single tape node, whose backward pass uses the beta recursion and the
+resulting marginals. Only first-order dependencies are modeled.
 """
 
 from __future__ import annotations
@@ -34,14 +34,41 @@ def crf_score(
 
 
 def crf_log_z(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor) -> Tensor:
-    """Log partition function via the forward algorithm."""
-    T, L = logits.shape
-    alpha = logits[0:1, :] + begin.reshape(1, L)
+    """Log partition function via the forward algorithm, as one tape
+    node. Its backward pass runs the beta recursion and pushes the
+    unary and pairwise marginals to the inputs."""
+    x, trans = logits.data, transitions.data
+    T, L = x.shape
+    alphas = np.empty((T, L))
+    alphas[0] = x[0] + begin.data
     for t in range(1, T):
-        # alpha[1, L] -> column of sources; transitions[src, dst]
-        scores = alpha.reshape(L, 1) + transitions
-        alpha = ad.logsumexp(scores, axis=0, keepdims=True) + logits[t : t + 1, :]
-    return ad.logsumexp(alpha + end.reshape(1, L))
+        scores = alphas[t - 1][:, None] + trans  # [src, dst]
+        m = scores.max(axis=0)
+        alphas[t] = (m + np.log(np.exp(scores - m).sum(axis=0))) + x[t]
+    final = alphas[T - 1] + end.data
+    m = final.max()
+    log_z = m + np.log(np.exp(final - m).sum())
+
+    def backward(g):
+        betas = np.empty((T, L))
+        betas[T - 1] = end.data
+        for t in range(T - 1, 0, -1):
+            scores = trans + (x[t] + betas[t])  # [src, dst]
+            m = scores.max(axis=1)
+            betas[t - 1] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+        unary = g * np.exp(alphas + betas - log_z)
+        if logits.requires_grad:
+            logits._accum(unary)
+        if begin.requires_grad:
+            begin._accum(unary[0])
+        if end.requires_grad:
+            end._accum(unary[T - 1])
+        if transitions.requires_grad and T > 1:
+            pairs = alphas[:-1, :, None] + trans + (x[1:] + betas[1:])[:, None, :]
+            transitions._accum(g * np.exp(pairs - log_z).sum(axis=0))
+
+    parents = (logits, transitions, begin, end)
+    return ad.make_node(np.asarray(log_z, dtype=np.float64), parents, backward, "crf_log_z")
 
 
 def crf_nll(

@@ -6,6 +6,13 @@ task terminates at a configurable shared layer, runs through optional
 private feed-forward layers, a projection, and ends in a softmax or CRF
 head. All five dropout sites (word, RNN input/state/output, task) use
 inverted scaling, so evaluation passes need no rescaling.
+
+Each direction of a recurrent layer is one fused tape node
+(``recurrent``): the shared layers run one sentence at a time, the
+character BiLSTM runs all words of a sentence as one padded batch.
+Finite checks happen once per fused node, on its stacked gate
+pre-activations and on its output, and per adjoint in the backward
+pass; the remaining elementary ops check their own outputs.
 """
 
 from __future__ import annotations
@@ -223,77 +230,190 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     return ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
 
 
-def initial_state(params: CellParams) -> tuple[Tensor, ...]:
-    h0 = Tensor(np.zeros((1, params.hidden)))
-    if params.kind == "lstm":
-        return (h0, Tensor(np.zeros((1, params.hidden))))
-    return (h0,)
+# -- fused recurrence ---------------------------------------------------------------
 
 
-def cell_step(
-    kind: str, x: Tensor, state: tuple[Tensor, ...], params: CellParams
-) -> tuple[Tensor, tuple[Tensor, ...]]:
-    """One recurrent step; returns (output, new state)."""
-    h = state[0]
-    n = params.hidden
-    if x.shape[1] != params.W.shape[0]:
-        raise ShapeError(f"cell input dim {x.shape[1]} != weight dim {params.W.shape[0]}")
-    if kind == "simple":
-        new_h = ad.tanh(x @ params.W + h @ params.U + params.b)
-        return new_h, (new_h,)
-    if kind == "lstm":
-        c = state[1]
-        z = x @ params.W + h @ params.U + params.b
-        i = ad.sigmoid(z[:, 0:n])
-        f = ad.sigmoid(z[:, n : 2 * n])
-        o = ad.sigmoid(z[:, 2 * n : 3 * n])
-        c_hat = ad.tanh(z[:, 3 * n : 4 * n])
-        new_c = f * c + i * c_hat
-        new_h = o * ad.tanh(new_c)
-        return new_h, (new_h, new_c)
-    if kind == "gru":
-        g = x @ params.W + h @ params.U + params.b
-        z = ad.sigmoid(g[:, 0:n])
-        r = ad.sigmoid(g[:, n : 2 * n])
-        h_hat = ad.tanh(x @ params.Wc + (r * h) @ params.Uc + params.bc)
-        new_h = (1.0 - z) * h + z * h_hat
-        return new_h, (new_h,)
-    raise ConfigError(f"unknown cell kind {kind!r}")
+def _sigmoid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the tanh form of ad.sigmoid, which saturates instead of overflowing
+    np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-# -- dropout masks -----------------------------------------------------------------
+def _previous(steps: np.ndarray, reverse: bool) -> np.ndarray:
+    """Time-major stacked states shifted by one step in processing
+    order: what each step received, zeros at the first step."""
+    prev = np.zeros_like(steps)
+    if reverse:
+        prev[:-1] = steps[1:]
+    else:
+        prev[1:] = steps[:-1]
+    return prev
 
 
-class MaskStream:
-    """Inverted-dropout keep masks for one site of one sequence pass.
+def recurrent(
+    x: Tensor,
+    cell: CellParams,
+    mask: np.ndarray | None = None,
+    state_mask: np.ndarray | None = None,
+    reverse: bool = False,
+) -> Tensor:
+    """One direction of a recurrent layer over whole sequences, as one
+    tape node named ``rnn/<kind>``.
 
-    In variational mode a single mask is drawn lazily and reused at
-    every time step; otherwise each request draws a fresh mask.
+    ``x`` is a padded (B, T, k) batch, or one (T, k) sequence. ``mask``
+    (B, T) marks the real steps; on a padded step the state carries
+    over unchanged, so the last processed step holds each row's final
+    state. ``state_mask`` (broadcastable to (B, T, H), indexed by input
+    time) multiplies the incoming hidden state at each step: recurrent
+    dropout. ``reverse`` runs t = T-1 .. 0. Returns every step's hidden
+    state in input time order, (B, T, H) or (T, H).
+
+    The forward pass is one ``x @ W`` GEMM (plus ``x @ Wc`` for GRU) and
+    a loop over ``h @ U``; the stacked pre-activations are checked for
+    non-finite values once. The backward pass is one reverse BPTT loop
+    followed by one GEMM each for the weight and input adjoints.
     """
+    kind, H = cell.kind, cell.hidden
+    op = f"rnn/{kind}"
+    X = x.data if x.data.ndim == 3 else x.data[None]
+    B, T, k = X.shape
+    if k != cell.W.shape[0]:
+        raise ShapeError(f"cell input dim {k} != weight dim {cell.W.shape[0]}")
+    # internally time-major: row t of every stacked array is step t, (B, .)
+    Xt = X.transpose(1, 0, 2).reshape(T * B, k)
+    XW = (Xt @ cell.W.data).reshape(T, B, cell.W.shape[1])
+    U, b = cell.U.data, cell.b.data
+    SM = None
+    if state_mask is not None:
+        SM = np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2)
+    keep = None if mask is None else np.asarray(mask, dtype=bool).T[:, :, None]
+    order = range(T - 1, -1, -1) if reverse else range(T)
 
-    def __init__(self, rng, p: float, shape: tuple[int, ...], variational: bool):
-        self.rng = rng
-        self.p = p
-        self.shape = shape
-        self.variational = variational
-        self._held: np.ndarray | None = None
+    Z = np.empty_like(XW)  # gate pre-activations
+    ACT = np.empty_like(XW)  # gate activations
+    OUT = np.empty((T, B, H))
+    if kind == "lstm":
+        C = np.empty((T, B, H))  # cell states
+        TC = np.empty((T, B, H))  # tanh of the new cell state
+    elif kind == "gru":
+        XWc = (Xt @ cell.Wc.data).reshape(T, B, H)
+        Uc, bc = cell.Uc.data, cell.bc.data
+        A = np.empty((T, B, H))  # candidate pre-activations
+        HH = np.empty((T, B, H))  # candidate states
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    for t in order:
+        hm = h if SM is None else h * SM[t]
+        z = np.matmul(hm, U, out=Z[t])
+        z += XW[t]
+        z += b
+        act = ACT[t]
+        if kind == "simple":
+            new_h = np.tanh(z, out=act)
+        elif kind == "lstm":
+            _sigmoid(z[:, : 3 * H], out=act[:, : 3 * H])
+            np.tanh(z[:, 3 * H :], out=act[:, 3 * H :])
+            i, f, o, g = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
+            new_c = f * c
+            new_c += i * g
+            new_h = o * np.tanh(new_c, out=TC[t])
+        else:
+            _sigmoid(z, out=act)
+            zg, r = act[:, :H], act[:, H:]
+            a = np.matmul(r * hm, Uc, out=A[t])
+            a += XWc[t]
+            a += bc
+            new_h = 1.0 - zg
+            new_h *= hm
+            new_h += zg * np.tanh(a, out=HH[t])
+        if keep is not None:
+            new_h = np.where(keep[t], new_h, h)
+            if kind == "lstm":
+                new_c = np.where(keep[t], new_c, c)
+        OUT[t] = h = new_h
+        if kind == "lstm":
+            C[t] = c = new_c
+    ad.check_finite(Z, op)
+    if kind == "gru":
+        ad.check_finite(A, op)
 
-    def _draw(self) -> np.ndarray:
-        keep = (self.rng.random(self.shape) >= self.p).astype(np.float64)
-        return keep / (1.0 - self.p)
+    def backward(g_out):
+        G = (g_out if g_out.ndim == 3 else g_out[None]).transpose(1, 0, 2)
+        HM = _previous(OUT, reverse)
+        if SM is not None:
+            HM *= SM
+        # per-step factors of the BPTT recursion, computed for all steps at once
+        if kind == "simple":
+            D = 1.0 - ACT * ACT
+        elif kind == "lstm":
+            i, f, g = ACT[..., :H], ACT[..., H : 2 * H], ACT[..., 3 * H :]
+            o = ACT[..., 2 * H : 3 * H]
+            slope = ACT[..., : 3 * H] * (1.0 - ACT[..., : 3 * H])
+            COEF = np.empty((T, B, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
+            COEF[:, :, 0] = g * slope[..., :H]
+            COEF[:, :, 1] = _previous(C, reverse) * slope[..., H : 2 * H]
+            COEF[:, :, 2] = TC * slope[..., 2 * H :]
+            COEF[:, :, 3] = i * (1.0 - g * g)
+            DTC = o * (1.0 - TC * TC)
+        else:
+            zg, r = ACT[..., :H], ACT[..., H:]
+            DA = zg * (1.0 - HH * HH)
+            DZG = (HH - HM) * (zg * (1.0 - zg))
+            DR = HM * (r * (1.0 - r))
+            KEEP_H = 1.0 - zg
+            dA = np.empty((T, B, H))
+        dZ = np.empty_like(Z)
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in reversed(order):
+            dh += G[t]
+            dz = dZ[t]
+            if kind == "simple":
+                np.multiply(dh, D[t], out=dz)
+            elif kind == "lstm":
+                dcn = dh * DTC[t]
+                dcn += dc
+                dz4 = dz.reshape(B, 4, H)
+                np.multiply(dcn[:, None, :], COEF[t], out=dz4)
+                np.multiply(dh, COEF[t, :, 2], out=dz4[:, 2])
+                dc = dcn * f[t] if keep is None else np.where(keep[t], dcn * f[t], dc)
+            else:
+                da = np.multiply(dh, DA[t], out=dA[t])
+                if keep is not None:
+                    da *= keep[t]
+                drh = da @ Uc.T
+                np.multiply(dh, DZG[t], out=dz[:, :H])
+                np.multiply(drh, DR[t], out=dz[:, H:])
+            if keep is not None:
+                dz *= keep[t]
+            dhm = dz @ U.T
+            if kind == "gru":
+                dhm += dh * KEEP_H[t]
+                dhm += drh * r[t]
+            if SM is not None:
+                dhm *= SM[t]
+            dh = dhm if keep is None else np.where(keep[t], dhm, dh)
 
-    def next(self) -> np.ndarray | None:
-        if self.p <= 0.0:
-            return None
-        if self.variational:
-            if self._held is None:
-                self._held = self._draw()
-            return self._held
-        return self._draw()
+        # (pre-activation adjoints, the states they multiply, W, U, b)
+        blocks = [(dZ.reshape(T * B, -1), HM, cell.W, cell.U, cell.b)]
+        if kind == "gru":
+            blocks.append((dA.reshape(T * B, H), r * HM, cell.Wc, cell.Uc, cell.bc))
+        for d, states, W, U_, b_ in blocks:
+            if W.requires_grad:
+                W._accum(Xt.T @ d)
+            if U_.requires_grad:
+                U_._accum(states.reshape(T * B, H).T @ d)
+            if b_.requires_grad:
+                b_._accum(d.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            dX = sum(d @ W.data.T for d, _, W, _, _ in blocks)
+            x._accum(dX.reshape(T, B, k).transpose(1, 0, 2).reshape(x.data.shape))
 
-
-def _apply_mask(t: Tensor, mask: np.ndarray | None) -> Tensor:
-    return t if mask is None else t * Tensor(mask)
+    out = OUT.reshape(T, H) if x.data.ndim == 2 else np.ascontiguousarray(OUT.transpose(1, 0, 2))
+    return ad.make_node(out, (x, *(t for _, t in cell.tensors())), backward, op)
 
 
 # -- layers ------------------------------------------------------------------------
@@ -319,24 +439,48 @@ def embed_sentence(
 
 
 def char_features(
-    char_ids: Sequence[int],
+    char_idss: Sequence[Sequence[int]],
     table: Tensor,
     fwd: CellParams,
     bwd: CellParams,
 ) -> Tensor:
-    """Concatenated final forward/backward LSTM states over a word's
-    characters, shape (1, 2*hidden). Empty words yield zeros."""
-    if len(char_ids) == 0:
-        return Tensor(np.zeros((1, 2 * fwd.hidden)))
-    rows = table[np.asarray(char_ids, dtype=np.intp)]
-    T = rows.shape[0]
-    state = initial_state(fwd)
-    for t in range(T):
-        out_f, state = cell_step(fwd.kind, rows[t : t + 1, :], state, fwd)
-    state = initial_state(bwd)
-    for t in reversed(range(T)):
-        out_b, state = cell_step(bwd.kind, rows[t : t + 1, :], state, bwd)
-    return ad.concat([out_f, out_b], axis=1)
+    """Per word of a sentence, the concatenated final forward/backward
+    LSTM states over its characters, shape (n_words, 2*hidden). All
+    words run as one padded batch; the backward direction reads each
+    word from its last character. Empty words yield zeros."""
+    lengths = np.array([len(ids) for ids in char_idss], dtype=np.intp)
+    T = int(lengths.max(initial=0))
+    if T == 0:
+        return Tensor(np.zeros((len(lengths), 2 * fwd.hidden)))
+    mask = np.arange(T) < lengths[:, None]
+    ids = np.full(mask.shape, PAD_INDEX, dtype=np.intp)
+    ids[mask] = [i for word in char_idss for i in word]
+    rows = table[ids]
+    out_f = recurrent(rows, fwd, mask=mask)
+    out_b = recurrent(rows, bwd, mask=mask, reverse=True)
+    return ad.concat([out_f[:, -1, :], out_b[:, 0, :]], axis=1)
+
+
+def _dropout_masks(rng, dropout: DropoutConfig, T: int, k: int, hidden: int, reverse: bool):
+    """Input (., k), state (., hidden) and output (., hidden) keep
+    masks of one direction, rows in input time order; None where the
+    site is off. The draws run in processing order, site by site within
+    a step: one row for all steps when variational, else one per step."""
+    sites = ((dropout.rnn_input, k), (dropout.rnn_state, hidden), (dropout.rnn_output, hidden))
+    width = sum(w for p, w in sites if p > 0.0)
+    if width == 0:
+        return None, None, None
+    draws = rng.random((1 if dropout.variational else T, width))
+    if reverse:
+        draws = draws[::-1]
+    masks, col = [], 0
+    for p, w in sites:
+        mask = None
+        if p > 0.0:
+            mask = (draws[:, col : col + w] >= p).astype(np.float64) / (1.0 - p)
+            col += w
+        masks.append(mask)
+    return masks
 
 
 def bidirectional_layer(
@@ -346,46 +490,22 @@ def bidirectional_layer(
     dropout: DropoutConfig,
     training: bool,
     rng: np.random.Generator | None = None,
-    mask_recorder: dict | None = None,
 ) -> Tensor:
     """Run both directions over (T, k) inputs and concatenate per step
     into (T, 2*hidden). RNN input/state/output dropout applies inside;
     variational mode reuses one mask per sequence and direction."""
-    T = inputs.shape[0]
-    outs_f = _run_direction(inputs, fwd, range(T), dropout, training, rng, mask_recorder, "fwd")
-    outs_b = _run_direction(
-        inputs, bwd, reversed(range(T)), dropout, training, rng, mask_recorder, "bwd"
-    )
-    rows = [ad.concat([outs_f[t], outs_b[t]], axis=1) for t in range(T)]
-    return ad.concat(rows, axis=0)
-
-
-def _run_direction(inputs, cell, order, dropout, training, rng, recorder, tag):
-    T = inputs.shape[0]
-    k = inputs.shape[1]
-    active = training
-    input_masks = MaskStream(rng, dropout.rnn_input if active else 0.0, (1, k), dropout.variational)
-    state_masks = MaskStream(
-        rng, dropout.rnn_state if active else 0.0, (1, cell.hidden), dropout.variational
-    )
-    output_masks = MaskStream(
-        rng, dropout.rnn_output if active else 0.0, (1, cell.hidden), dropout.variational
-    )
-    outs: list[Tensor | None] = [None] * T
-    state = initial_state(cell)
-    for t in order:
-        x = _apply_mask(inputs[t : t + 1, :], _record(recorder, tag, "input", t, input_masks))
-        h_prev = _apply_mask(state[0], _record(recorder, tag, "state", t, state_masks))
-        out, state = cell_step(cell.kind, x, (h_prev, *state[1:]), cell)
-        outs[t] = _apply_mask(out, _record(recorder, tag, "output", t, output_masks))
-    return outs
-
-
-def _record(recorder, tag, site, t, stream: MaskStream):
-    mask = stream.next()
-    if recorder is not None and mask is not None:
-        recorder.setdefault((tag, site), {})[t] = mask
-    return mask
+    T, k = inputs.shape
+    halves = []
+    for cell, reverse in ((fwd, False), (bwd, True)):
+        in_mask, state_mask, out_mask = (
+            _dropout_masks(rng, dropout, T, k, cell.hidden, reverse)
+            if training
+            else (None, None, None)
+        )
+        x = inputs if in_mask is None else inputs * Tensor(in_mask)
+        out = recurrent(x, cell, state_mask=state_mask, reverse=reverse)
+        halves.append(out if out_mask is None else out * Tensor(out_mask))
+    return ad.concat(halves, axis=1)
 
 
 def shared_stack_forward(
@@ -583,10 +703,8 @@ class Model:
         )
         if self.config.char.enabled:
             fwd, bwd = self._char_cells
-            feats = [
-                char_features(ids, self.params["embed/char"], fwd, bwd) for ids in char_idss
-            ]
-            emb = ad.concat([emb, ad.concat(feats, axis=0)], axis=1)
+            feats = char_features(char_idss, self.params["embed/char"], fwd, bwd)
+            emb = ad.concat([emb, feats], axis=1)
         return emb
 
     def forward_logits(self, task_name: str, word_ids, char_idss, training: bool, rng=None):

@@ -208,6 +208,34 @@ def test_cli_stats_single_label_kurtosis_flagged(tmp_path, capsys):
     assert "\t0.000000\t" in row  # entropy 0
 
 
+def test_cli_stats_non_utf8_exits_2_with_one_line(tmp_path, capsys):
+    corpus_path = tmp_path / "bad.conll"
+    corpus_path.write_bytes(b"a\tX\nb\xff\tY\n")
+    assert main(["stats", str(corpus_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(corpus_path) in err and "byte offset 5" in err
+
+
+def test_cli_predict_bad_input_or_checkpoint_exits_2(workspace, tmp_path, capsys):
+    ws_tmp, config_path, _ = workspace
+    assert main(["train", str(config_path), "--quiet"]) == 0
+    checkpoint = ws_tmp / "out" / "model.ckpt"
+    bad_input = tmp_path / "plain.conll"
+    bad_input.write_bytes(b"alpha\n\xffthe\n")
+    bad_model = tmp_path / "bad.ckpt"
+    blob = bytearray(checkpoint.read_bytes())
+    blob[18] ^= 0x01  # a byte of the manifest's first key
+    bad_model.write_bytes(bytes(blob))
+    good_input = tmp_path / "good.conll"
+    good_input.write_text("alpha\nthe\n", encoding="utf-8")
+    capsys.readouterr()
+    for model, data in ((checkpoint, bad_input), (bad_model, good_input)):
+        assert main(["predict", "--model", str(model), "--input", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_cli_derive_subtasks(tmp_path, capsys):
     src = tmp_path / "am.conll"
     src.write_text(

@@ -136,3 +136,21 @@ def test_load_corpus_cached_invalidates_on_change(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_corpus_cached(tmp_path / "absent.conll", 0, {"t": 1})
+
+
+def test_non_utf8_input_raises_data_error_with_offset(tmp_path):
+    import io
+
+    from seqtag.corpus import parse_conll_file
+
+    raw = b"a\tX\n\xc3\tY\n"
+    path = tmp_path / "bad.conll"
+    path.write_bytes(raw)
+    for source, name in (
+        (raw, "<bytes>"),
+        (io.BytesIO(raw), "<stream>"),
+    ):
+        with pytest.raises(DataError, match=f"{name}: not valid UTF-8 at byte offset 4"):
+            parse_conll(source, 0, {"t": 1})
+    with pytest.raises(DataError, match="bad.conll: not valid UTF-8 at byte offset 4"):
+        parse_conll_file(path, 0, {"t": 1})

@@ -9,6 +9,8 @@ from seqtag.autodiff import Tensor
 from seqtag.crf import crf_log_z, crf_nll, crf_score, crf_viterbi
 from seqtag.network import softmax_nll
 
+from reference_rnn import crf_log_z_reference
+
 
 def brute_force_paths(T, L):
     return itertools.product(range(L), repeat=T)
@@ -158,3 +160,42 @@ def test_crf_score_gold_only():
     got = crf_score(Tensor(logits), Tensor(transitions), Tensor(begin), Tensor(end), gold)
     want = path_score(logits, transitions, begin, end, gold)
     assert float(got.data) == pytest.approx(want, abs=1e-12)
+
+
+def test_single_token_log_z_matches_enumeration_and_gradients():
+    rng = np.random.default_rng(9)
+    logits, transitions, begin, end = random_instance(rng, 1, 4)
+    got = crf_log_z(Tensor(logits), Tensor(transitions), Tensor(begin), Tensor(end))
+    assert float(got.data) == pytest.approx(
+        brute_force_log_z(logits, transitions, begin, end), abs=1e-12
+    )
+    params = [ad.parameter(a) for a in (logits, transitions, begin, end)]
+    assert ad.check_gradients(lambda: crf_log_z(*params), params) <= 1e-6
+    params[1].grad = None
+    crf_log_z(*params).backward()
+    assert params[1].grad is None  # one token has no transition
+
+
+def test_fused_log_z_op_gradients():
+    rng = np.random.default_rng(10)
+    for T in (2, 5):
+        params = [ad.parameter(a) for a in random_instance(rng, T, 3)]
+        assert ad.check_gradients(lambda: crf_log_z(*params), params) <= 1e-6
+
+
+def test_fused_log_z_matches_per_step_reference():
+    rng = np.random.default_rng(11)
+    for T in (1, 2, 4, 7):
+        params = [ad.parameter(a) for a in random_instance(rng, T, 4, scale=3.0)]
+        results = []
+        for fn in (crf_log_z, crf_log_z_reference):
+            for p in params:
+                p.grad = None
+            log_z = fn(*params)
+            log_z.backward()
+            grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+            results.append((float(log_z.data), grads))
+        (z_fused, g_fused), (z_ref, g_ref) = results
+        assert abs(z_fused - z_ref) <= 1e-12 * abs(z_ref)
+        for a, b in zip(g_fused, g_ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)

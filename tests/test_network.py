@@ -15,13 +15,22 @@ from seqtag.network import (
     PrivateLayerSpec,
     TaskSpec,
     bidirectional_layer,
-    cell_step,
     char_features,
     embed_sentence,
     init_cell,
-    initial_state,
+    recurrent,
     shared_stack_forward,
     softmax_nll,
+)
+from seqtag import network
+from seqtag.exceptions import NumericError
+
+from reference_rnn import (
+    bidirectional_reference,
+    cell_step,
+    char_features_reference,
+    initial_state,
+    run_direction,
 )
 
 
@@ -98,9 +107,8 @@ def test_config_json_roundtrip():
 def test_lstm_zero_weights_gives_zero_output():
     cell = zero_cell("lstm", 2, 3)
     x = Tensor(np.ones((1, 2)))
-    out, (h, c) = cell_step("lstm", x, initial_state(cell), cell)
+    out = recurrent(x, cell)
     assert np.allclose(out.data, 0.0)
-    assert np.allclose(c.data, 0.0)
     # gates all sigmoid(0) = 0.5: check via the pre-activation identity
     z = x.data @ cell.W.data + np.zeros((1, 3)) @ cell.U.data
     assert np.allclose(0.5 * (1 + np.tanh(0.5 * z)), 0.5)
@@ -108,18 +116,19 @@ def test_lstm_zero_weights_gives_zero_output():
 
 def test_gru_zero_weights_gives_zero_output():
     cell = zero_cell("gru", 2, 3)
-    out, _ = cell_step("gru", Tensor(np.ones((1, 2))), initial_state(cell), cell)
+    out = recurrent(Tensor(np.ones((1, 2))), cell)
     assert np.allclose(out.data, 0.0)
 
 
 def test_simple_cell_formula():
     rng = np.random.default_rng(1)
     cell = init_cell("simple", 2, 3, rng)
-    x = rng.normal(size=(1, 2))
-    h = rng.normal(size=(1, 3))
-    out, _ = cell_step("simple", Tensor(x), (Tensor(h),), cell)
-    want = np.tanh(x @ cell.W.data + h @ cell.U.data + cell.b.data)
-    assert np.allclose(out.data, want)
+    x = rng.normal(size=(2, 2))
+    out = recurrent(Tensor(x), cell).data
+    h = np.tanh(x[0:1] @ cell.W.data + cell.b.data)
+    want = np.tanh(x[1:2] @ cell.W.data + h @ cell.U.data + cell.b.data)
+    assert np.allclose(out[0:1], h)
+    assert np.allclose(out[1:2], want)
 
 
 @pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
@@ -130,7 +139,7 @@ def test_cell_step_gradients(kind):
     params = [t for _, t in cell.tensors()]
 
     def build():
-        out, _ = cell_step(kind, x, initial_state(cell), cell)
+        out = recurrent(x, cell)
         return (out * out).sum()
 
     assert ad.check_gradients(build, params) <= 1e-6
@@ -181,7 +190,8 @@ def test_char_feature_dimension():
     fwd = init_cell("lstm", 4, 5, rng)
     bwd = init_cell("lstm", 4, 5, rng)
     for ids in ([2], [2, 3, 4], [5, 5]):
-        assert char_features(ids, table, fwd, bwd).shape == (1, 10)
+        assert char_features([ids], table, fwd, bwd).shape == (1, 10)
+    assert char_features([[2], [2, 3, 4], [], [5, 5]], table, fwd, bwd).shape == (4, 10)
 
 
 def test_char_empty_word_is_zero_vector():
@@ -189,7 +199,10 @@ def test_char_empty_word_is_zero_vector():
     table = ad.parameter(rng.normal(size=(6, 4)))
     fwd = init_cell("lstm", 4, 3, rng)
     bwd = init_cell("lstm", 4, 3, rng)
-    assert np.allclose(char_features([], table, fwd, bwd).data, 0.0)
+    assert np.allclose(char_features([[]], table, fwd, bwd).data, 0.0)
+    mixed = char_features([[2, 3], [], [4]], table, fwd, bwd).data
+    assert np.array_equal(mixed[1], np.zeros(6))
+    assert np.all(mixed[[0, 2]] != 0.0)
 
 
 def test_char_single_char_directions_agree_with_tied_weights():
@@ -199,7 +212,7 @@ def test_char_single_char_directions_agree_with_tied_weights():
     bwd = init_cell("lstm", 4, 3, rng)
     for (_, src), (_, dst) in zip(fwd.tensors(), bwd.tensors()):
         dst.data[...] = src.data
-    out = char_features([2], table, fwd, bwd).data
+    out = char_features([[2]], table, fwd, bwd).data
     assert np.allclose(out[0, :3], out[0, 3:])
 
 
@@ -211,7 +224,7 @@ def test_char_path_gradient():
     params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
 
     def build():
-        return (char_features([1, 4, 2], table, fwd, bwd) ** 2).sum()
+        return (char_features([[1, 4, 2], [], [3, 5]], table, fwd, bwd) ** 2).sum()
 
     assert ad.check_gradients(build, params) <= 1e-6
 
@@ -256,12 +269,25 @@ def test_bidi_palindrome_with_tied_weights_swaps_halves():
         assert np.allclose(out[t, :h], out[T - 1 - t, h:], atol=1e-12)
 
 
-def test_variational_state_dropout_reuses_one_mask():
+def record_recurrent_calls(monkeypatch):
+    """Capture the arguments of every fused recurrent call."""
+    calls = []
+    fused = network.recurrent
+
+    def spy(x, cell, mask=None, state_mask=None, reverse=False):
+        calls.append({"x": x.data.copy(), "state_mask": state_mask, "reverse": reverse})
+        return fused(x, cell, mask, state_mask, reverse)
+
+    monkeypatch.setattr(network, "recurrent", spy)
+    return calls
+
+
+def test_variational_state_dropout_reuses_one_mask(monkeypatch):
     rng = np.random.default_rng(10)
     fwd = init_cell("simple", 2, 4, rng)
     bwd = init_cell("simple", 2, 4, rng)
     cfg = DropoutConfig(rnn_state=0.5, variational=True)
-    recorder = {}
+    calls = record_recurrent_calls(monkeypatch)
     bidirectional_layer(
         Tensor(rng.normal(size=(5, 2))),
         fwd,
@@ -269,33 +295,168 @@ def test_variational_state_dropout_reuses_one_mask():
         cfg,
         training=True,
         rng=np.random.default_rng(11),
-        mask_recorder=recorder,
     )
-    for direction in ("fwd", "bwd"):
-        masks = recorder[(direction, "state")]
-        assert len(masks) == 5
-        first = masks[min(masks)]
-        for mask in masks.values():
-            assert np.array_equal(mask, first)
+    assert [call["reverse"] for call in calls] == [False, True]
+    for call in calls:
+        steps = np.broadcast_to(call["state_mask"], (5, 4))
+        assert call["state_mask"].shape == (1, 4)
+        for mask in steps:
+            assert np.array_equal(mask, steps[0])
+    # one draw per direction, each a fresh mask
+    assert not np.array_equal(calls[0]["state_mask"], calls[1]["state_mask"])
 
 
-def test_non_variational_dropout_draws_fresh_masks():
+def test_non_variational_dropout_draws_fresh_masks(monkeypatch):
     rng = np.random.default_rng(12)
     fwd = init_cell("simple", 2, 8, rng)
     bwd = init_cell("simple", 2, 8, rng)
-    cfg = DropoutConfig(rnn_input=0.5, variational=False)
-    recorder = {}
+    cfg = DropoutConfig(rnn_input=0.5, rnn_state=0.5, variational=False)
+    calls = record_recurrent_calls(monkeypatch)
     bidirectional_layer(
-        Tensor(rng.normal(size=(6, 2))),
+        Tensor(np.ones((6, 2))),
         fwd,
         bwd,
         cfg,
         training=True,
         rng=np.random.default_rng(13),
-        mask_recorder=recorder,
     )
-    masks = list(recorder[("fwd", "input")].values())
-    assert any(not np.array_equal(masks[0], m) for m in masks[1:])
+    for call in calls:
+        # the inputs are all ones, so the fused op sees the input masks
+        input_masks = call["x"]
+        state_masks = call["state_mask"]
+        assert state_masks.shape == (6, 8)
+        assert any(not np.array_equal(input_masks[0], m) for m in input_masks[1:])
+        assert any(not np.array_equal(state_masks[0], m) for m in state_masks[1:])
+
+
+# -- fused recurrence against the per-step reference -------------------------------------
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def assert_same_outputs_and_grads(build_fused, build_reference, params, bound=1e-12):
+    results = []
+    for build in (build_fused, build_reference):
+        for p in params:
+            p.grad = None
+        out = build()
+        weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
+        (ad.tanh(out) * weights).sum().backward()
+        results.append((out.data.copy(), [p.grad.copy() for p in params]))
+    (out_f, grads_f), (out_r, grads_r) = results
+    assert max_rel(out_f, out_r) <= bound
+    for g_f, g_r in zip(grads_f, grads_r):
+        assert max_rel(g_f, g_r) <= bound
+
+
+def random_cell(kind, in_dim, hidden, rng):
+    cell = init_cell(kind, in_dim, hidden, rng)
+    for _, t in cell.tensors():
+        t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
+    return cell
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+@pytest.mark.parametrize("variational", [None, True, False])
+def test_fused_layer_matches_per_step_reference(kind, variational):
+    rng = np.random.default_rng(30)
+    fwd = random_cell(kind, 3, 4, rng)
+    bwd = random_cell(kind, 3, 4, rng)
+    inputs = ad.parameter(rng.normal(size=(6, 3)))
+    params = [inputs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+    if variational is None:
+        cfg, training = DropoutConfig(), False
+    else:
+        cfg = DropoutConfig(rnn_input=0.3, rnn_state=0.4, rnn_output=0.2, variational=variational)
+        training = True
+    fused_rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
+    assert_same_outputs_and_grads(
+        lambda: bidirectional_layer(inputs, fwd, bwd, cfg, training, np.random.default_rng(31)),
+        lambda: bidirectional_reference(
+            inputs, fwd, bwd, cfg if training else None, np.random.default_rng(31)
+        ),
+        params,
+    )
+    # the masks come from the same draws in the same order
+    bidirectional_layer(inputs, fwd, bwd, cfg, training, fused_rng)
+    bidirectional_reference(inputs, fwd, bwd, cfg if training else None, reference_rng)
+    assert fused_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+def test_fused_state_masks_match_per_step_reference(kind):
+    rng = np.random.default_rng(32)
+    cell = random_cell(kind, 2, 3, rng)
+    inputs = ad.parameter(rng.normal(size=(5, 2)))
+    state_masks = (rng.random((5, 3)) >= 0.4) / 0.6
+    params = [inputs] + [t for _, t in cell.tensors()]
+
+    def state_only(site, t):
+        return state_masks[t : t + 1] if site == "state" else None
+
+    for reverse in (False, True):
+        order = range(4, -1, -1) if reverse else range(5)
+
+        def reference():
+            return ad.concat(run_direction(inputs, cell, order, state_only), axis=0)
+
+        assert_same_outputs_and_grads(
+            lambda: recurrent(inputs, cell, state_mask=state_masks, reverse=reverse),
+            reference,
+            params,
+        )
+
+
+def test_fused_char_batch_matches_per_step_reference():
+    rng = np.random.default_rng(33)
+    table = ad.parameter(rng.uniform(-0.8, 0.8, size=(7, 3)))
+    fwd = random_cell("lstm", 3, 4, rng)
+    bwd = random_cell("lstm", 3, 4, rng)
+    words = [[2, 3, 4, 5, 6], [], [4], [6, 2, 2]]
+    params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+    assert_same_outputs_and_grads(
+        lambda: char_features(words, table, fwd, bwd),
+        lambda: char_features_reference(words, table, fwd, bwd),
+        params,
+    )
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+def test_fused_recurrent_op_gradients(kind):
+    rng = np.random.default_rng(34)
+    cell = random_cell(kind, 3, 2, rng)
+    x = ad.parameter(rng.normal(size=(3, 4, 3)))
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0]], dtype=bool)
+    state_masks = (rng.random((3, 4, 2)) >= 0.3) / 0.7
+    params = [x] + [t for _, t in cell.tensors()]
+    for reverse in (False, True):
+
+        def build():
+            out = recurrent(x, cell, mask=mask, state_mask=state_masks, reverse=reverse)
+            return ad.tanh(out).sum()
+
+        assert ad.check_gradients(build, params) <= 1e-6
+
+
+def test_nonfinite_recurrent_weight_raises_numeric_error():
+    config = tiny_config(shared_layers=[3], cell="lstm")
+    model = Model(config, small_vocab(), np.random.default_rng(35))
+    model.params["shared/1/fwd/U"].data[0, 0] = np.nan
+    with pytest.raises(NumericError, match="rnn/lstm"):
+        model.sentence_loss("t", [2, 3], [[], []], [0, 1], training=False)
+    with pytest.raises(NumericError, match="rnn/lstm"):
+        model.predict_ids("t", [2, 3], [[], []])
+
+
+def test_overflowing_preactivation_raises_although_tanh_saturates():
+    cell = init_cell("simple", 2, 3, np.random.default_rng(36))
+    cell.W.data[...] = 1e308
+    x = Tensor(np.full((2, 2), 10.0))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="rnn/simple"):
+            recurrent(x, cell)
 
 
 # -- shared stack -----------------------------------------------------------------------
@@ -471,8 +632,8 @@ def test_composite_op_gradients_ten_seeds():
                 t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
             x = Tensor(rng.normal(size=(1, 2)))
 
-            def cell_loss(kind=kind, cell=cell, x=x):
-                out, _ = cell_step(kind, x, initial_state(cell), cell)
+            def cell_loss(cell=cell, x=x):
+                out = recurrent(x, cell)
                 return (out * out).sum()
 
             assert ad.check_gradients(cell_loss, [t for _, t in cell.tensors()]) <= 1e-6
@@ -482,7 +643,7 @@ def test_composite_op_gradients_ten_seeds():
         bwd = init_cell("lstm", 2, 2, rng)
 
         def char_loss():
-            return (char_features([1, 3, 2], table, fwd, bwd) ** 2).sum()
+            return (char_features([[1, 3, 2]], table, fwd, bwd) ** 2).sum()
 
         char_params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
         assert ad.check_gradients(char_loss, char_params) <= 1e-6

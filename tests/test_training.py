@@ -347,6 +347,85 @@ def test_checkpoint_rejects_registry_mismatch(tmp_path, bio_corpus):
         load_model(path)
 
 
+def saved_checkpoint(tmp_path, bio_corpus):
+    import json
+    import struct
+
+    model, _ = small_model(bio_corpus)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    blob = path.read_bytes()
+    (manifest_len,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16 : 16 + manifest_len].decode())
+    return path, blob, manifest_len, manifest
+
+
+def rewrite_manifest(path, blob, manifest_len, manifest_bytes):
+    import struct
+
+    path.write_bytes(
+        blob[:8]
+        + struct.pack("<Q", len(manifest_bytes))
+        + manifest_bytes
+        + blob[16 + manifest_len :]
+    )
+
+
+def test_checkpoint_rejects_non_utf8_manifest(tmp_path, bio_corpus):
+    path, blob, manifest_len, _ = saved_checkpoint(tmp_path, bio_corpus)
+    corrupt = bytearray(blob)
+    corrupt[20] = 0xFF
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint manifest"):
+        load_model(path)
+
+
+def test_checkpoint_rejects_invalid_json_manifest(tmp_path, bio_corpus):
+    path, blob, manifest_len, _ = saved_checkpoint(tmp_path, bio_corpus)
+    corrupt = bytearray(blob)
+    corrupt[16] = ord("[")  # the opening brace
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint manifest"):
+        load_model(path)
+
+
+def test_checkpoint_rejects_missing_manifest_key(tmp_path, bio_corpus):
+    import json
+
+    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    del manifest["config"]
+    rewrite_manifest(path, blob, manifest_len, json.dumps(manifest).encode())
+    with pytest.raises(CheckpointError, match="missing key 'config'"):
+        load_model(path)
+
+
+def test_checkpoint_rejects_wrong_manifest_types(tmp_path, bio_corpus):
+    import json
+
+    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    for key, bad in (("tensors", "all"), ("payload_bytes", "12"), ("config", [])):
+        broken = dict(manifest, **{key: bad})
+        rewrite_manifest(path, blob, manifest_len, json.dumps(broken).encode())
+        with pytest.raises(CheckpointError, match=key):
+            load_model(path)
+    broken = json.loads(json.dumps(manifest))
+    broken["config"]["shared_layers"] = "many"
+    rewrite_manifest(path, blob, manifest_len, json.dumps(broken).encode())
+    with pytest.raises(CheckpointError, match="bad config"):
+        load_model(path)
+
+
+def test_checkpoint_rejects_non_finite_tensor(tmp_path, bio_corpus):
+    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    entry = next(e for e in manifest["tensors"] if e["name"] == "shared/1/fwd/U")
+    start = 16 + manifest_len + entry["offset"]
+    corrupt = bytearray(blob)
+    corrupt[start : start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(CheckpointError, match="'shared/1/fwd/U' holds non-finite"):
+        load_model(path)
+
+
 def test_dev_score_uses_requested_metric(bio_corpus):
     model, _ = small_model(bio_corpus)
     acc = dev_score(model, "tag", bio_corpus, "accuracy")
