@@ -21,11 +21,13 @@ import yaml
 from seqtag import checkpoint as ckpt
 from seqtag import experiment
 from seqtag.config import (
-    KNOWN_METRICS,
     POSTPROCESS_VARIANTS,
+    EvalConfig,
+    Reader,
     apply_overrides,
     build_run_config,
     load_yaml,
+    read,
     split_search_section,
 )
 from seqtag.corpus import Token, parse_conll_file, read_text
@@ -50,6 +52,15 @@ def _resolve_output(path: str) -> Path:
         p = Path(root) / p
     p.mkdir(parents=True, exist_ok=True)
     return p
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write to ``path``, creating its directory, or to stdout without a path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_config(path: str, overrides: list[str]):
@@ -129,28 +140,19 @@ def cmd_predict(args) -> int:
             flush_block()
             out_lines.append("")
     flush_block()
-    text = "\n".join(out_lines).rstrip("\n") + "\n"
-    if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(out_lines).rstrip("\n") + "\n", args.output)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    metrics = args.metrics.split(",") if args.metrics else ["accuracy", "f1"]
-    for metric in metrics:
-        if metric not in KNOWN_METRICS:
-            raise ConfigError(f"unknown metric {metric!r} (known: {list(KNOWN_METRICS)})")
-    from seqtag.config import EvalConfig
-
-    evaluation = EvalConfig(
-        metrics=metrics,
+    evaluation = read(
+        EvalConfig,
+        Reader({"metrics": args.metrics.split(",")} if args.metrics else {}, ""),
         postprocess=args.postprocess,
         empty_symbol=args.empty_symbol,
         join_symbol=args.join_symbol,
     )
+    metrics = evaluation.metrics
 
     if args.model:
         if not args.input:
@@ -205,8 +207,7 @@ def _write_overlap_profile(results: ResultList, path: str) -> None:
         ]
         for length, overlap in span_overlap_profile(gold_spans, pred_spans):
             lines.append(f"{length},{overlap}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def cmd_stats(args) -> int:
@@ -234,10 +235,13 @@ def cmd_search(args) -> int:
     search, template = split_search_section(raw)
     space = SearchSpace(
         variables={
-            name: parse_interval(spec) for name, spec in search["variables"].items()
+            name: parse_interval(spec, f"search.variables.{name}")
+            for name, spec in search["variables"].items()
         }
     )
-    out_dir = _resolve_output(args.output or template.get("output", {}).get("dir", "search"))
+    out_dir = _resolve_output(
+        args.output or Reader(template.get("output", {}), "output").take("dir", str, "search")
+    )
     runs_dir = out_dir / "runs"
     run_log: dict[int, dict] = {}
 
@@ -312,12 +316,7 @@ def cmd_derive_subtasks(args) -> int:
         for j, token in enumerate(sentence):
             cells = [token.surface, token.labels["am"], *(derived[k][j] for k in kinds)]
             out_lines.append("\t".join(cells))
-    text = "\n".join(out_lines) + "\n"
-    if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(out_lines) + "\n", args.output)
     return 0
 
 
@@ -331,12 +330,7 @@ def cmd_postprocess(args) -> int:
         fixed = experiment.postprocess_labels(labels, args.variant)
         for token, label in zip(sentence, fixed):
             out_lines.append(f"{token.surface}\t{label}")
-    text = "\n".join(out_lines) + "\n"
-    if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(out_lines) + "\n", args.output)
     return 0
 
 
@@ -376,8 +370,8 @@ def build_parser() -> _Parser:
     p.add_argument("--pred-column", type=int, default=2, help="predicted label column")
     p.add_argument("--metrics", help="comma-separated metric names")
     p.add_argument("--postprocess", default="none", choices=POSTPROCESS_VARIANTS)
-    p.add_argument("--empty-symbol", default="ε")
-    p.add_argument("--join-symbol", default="_")
+    p.add_argument("--empty-symbol", default=EvalConfig.empty_symbol)
+    p.add_argument("--join-symbol", default=EvalConfig.join_symbol)
     p.add_argument("--overlap-profile", metavar="CSV", help="write span overlap pairs")
     p.set_defaults(fn=cmd_evaluate)
 

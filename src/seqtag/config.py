@@ -3,28 +3,29 @@
 One structured file drives everything: the training process, the
 tasks and their input files, pre-trained embeddings, the network
 architecture with shared and private layers, regularization, and the
-evaluation setup. Unknown keys are rejected with their location, and
-scalar leaves can be overridden from the command line with
-``section.key=value`` assignments.
+evaluation setup. The config dataclasses are the schema: ``fill``
+reads a mapping into one of them, taking each key's type from the
+field's annotation, its default from the field and its allowed values
+from ``field(metadata={"choices": ...})``. Unknown keys are rejected
+with their location, and scalar leaves can be overridden from the
+command line with ``section.key=value`` assignments.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import yaml
 
+from seqtag.corpus import read_text
 from seqtag.exceptions import ConfigError
-from seqtag.network import (
-    CharConfig,
-    DropoutConfig,
-    NetworkConfig,
-    PrivateLayerSpec,
-    TaskSpec,
-)
-from seqtag.training import EarlyStoppingConfig, OptimizerConfig, TrainConfig
+from seqtag.network import DropoutConfig, NetworkConfig, TaskSpec
+from seqtag.training import TrainConfig
 
 KNOWN_METRICS = (
     "accuracy",
@@ -42,76 +43,123 @@ KNOWN_METRICS = (
 POSTPROCESS_VARIANTS = ("none", "to_outside", "to_begin", "am")
 
 
-class _Reader:
+class Reader:
     """Reads keys out of a mapping, tracking location and leftovers."""
 
-    def __init__(self, data: Mapping, path: str):
+    def __init__(self, data, path: str):
         if not isinstance(data, Mapping):
-            raise ConfigError(f"{path or 'config'}: expected a mapping")
+            raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(data).__name__}")
         self.data = dict(data)
         self.path = path
 
-    def _at(self, key: str) -> str:
+    def at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def take(self, key, kind, default=..., choices=None):
+    def take(self, key: str, kind, default=..., choices=None):
+        """``key``'s value checked against the annotation ``kind``, else ``default``."""
         if key in self.data:
-            value = self.data.pop(key)
-        elif default is not ...:
-            value = default
-        else:
-            raise ConfigError(f"missing required key {self._at(key)}")
-        if value is None and default is None:
-            return None
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is not None:
-            wrong_type = not isinstance(value, kind)
-            bool_for_int = kind is int and isinstance(value, bool)
-            if wrong_type or bool_for_int:
-                raise ConfigError(
-                    f"{self._at(key)}: expected {getattr(kind, '__name__', kind)}, "
-                    f"got {type(value).__name__}"
-                )
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{self._at(key)}: must be one of {list(choices)}, got {value!r}")
-        return value
-
-    def section(self, key, default=...) -> "_Reader | None":
-        if key in self.data:
-            return _Reader(self.take(key, dict), self._at(key))
+            return _converter(kind, choices)(self.data.pop(key), self.at(key))
         if default is ...:
-            raise ConfigError(f"missing required section {self._at(key)}")
-        return None
+            raise ConfigError(f"missing required key {self.at(key)}")
+        return default
+
+    def section(self, key: str) -> "Reader":
+        """A reader over the sub-mapping ``key``, empty when it is absent."""
+        return Reader(self.data.pop(key, {}), self.at(key))
 
     def finish(self) -> None:
         if self.data:
-            key = sorted(self.data)[0]
-            raise ConfigError(f"unknown key {self._at(key)}")
+            raise ConfigError(f"unknown key {self.at(min(self.data, key=str))}")
+
+
+def fill(cls, reader: Reader, **given):
+    """Build the config dataclass ``cls`` from one key of ``reader`` per field
+    not in ``given``; an absent key takes the field's default, and keys
+    that belong to no field stay in the reader."""
+    for name, required, convert in _schema(cls):
+        if name in given:
+            continue
+        if name in reader.data:
+            given[name] = convert(reader.data.pop(name), reader.at(name))
+        elif required:
+            raise ConfigError(f"missing required key {reader.at(name)}")
+    return cls(**given)
+
+
+def read(cls, reader: Reader, **given):
+    """``fill``, then reject the keys left over in ``reader``."""
+    config = fill(cls, reader, **given)
+    reader.finish()
+    return config
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, required, converter) per field, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            _converter(hints[f.name], f.metadata.get("choices")),
+        )
+        for f in dataclasses.fields(cls)
+    )
+
+
+@functools.cache
+def _converter(kind, choices: tuple | None = None):
+    """A function ``(value, location) -> value`` checking a value against
+    the annotation ``kind``: a scalar, ``X | None``, ``list[X]`` or a config
+    dataclass. ``choices`` limits the scalars; an int passes as a float."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        convert_inner = _converter(inner, choices)
+        return lambda value, at: None if value is None else convert_inner(value, at)
+    if typing.get_origin(kind) is list:
+        check_list, convert_item = _converter(list), _converter(args[0], choices)
+        return lambda value, at: [
+            convert_item(item, f"{at}[{i}]") for i, item in enumerate(check_list(value, at))
+        ]
+    if dataclasses.is_dataclass(kind):
+        return lambda value, at: read(kind, Reader(value, at))
+
+    def convert(value, at):
+        if type(value) is not kind:
+            if kind is float and type(value) is int:
+                value = float(value)
+            elif not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"{at}: expected {kind.__name__}, got {type(value).__name__}")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{at}: must be one of {list(choices)}, got {value!r}")
+        return value
+
+    return convert
 
 
 @dataclass
 class TaskFiles:
     name: str
-    train: str | None
-    dev: str | None
-    test: str | None
-    token_column: int
-    label_column: int
-    train_fraction: float
+    train: str | None = None
+    dev: str | None = None
+    test: str | None = None
+    token_column: int = 0
+    label_column: int = 1
+    train_fraction: float = 1.0
 
 
 @dataclass
 class EmbeddingsConfig:
     files: list[str] = field(default_factory=list)
-    fine_tune: bool = True
-    word_dim: int = 16
 
 
 @dataclass
 class EvalConfig:
-    metrics: list[str] = field(default_factory=lambda: ["accuracy", "f1"])
-    postprocess: str = "none"
+    metrics: list[str] = field(
+        default_factory=lambda: ["accuracy", "f1"], metadata={"choices": KNOWN_METRICS}
+    )
+    postprocess: str = field(default="none", metadata={"choices": POSTPROCESS_VARIANTS})
     empty_symbol: str = "ε"
     join_symbol: str = "_"
 
@@ -125,19 +173,13 @@ class RunConfig:
     evaluation: EvalConfig
     output_dir: str = "runs"
 
-    def task_files_of(self, name: str) -> TaskFiles:
-        for tf in self.task_files:
-            if tf.name == name:
-                return tf
-        raise ConfigError(f"unknown task {name!r}")
-
 
 def load_yaml(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = yaml.safe_load(read_text(path))
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     if not isinstance(data, dict):
@@ -146,185 +188,52 @@ def load_yaml(path: str | Path) -> dict:
 
 
 def build_run_config(raw: Mapping) -> RunConfig:
-    root = _Reader(raw, "")
-
-    tasks_raw = root.take("tasks", list)
-    if not tasks_raw:
+    """Read and check a run configuration: ``fill`` reads each section into
+    its dataclass; only keys laid out differently in the file are read here."""
+    root = Reader(raw, "")
+    tasks = root.take("tasks", list)
+    if not tasks:
         raise ConfigError("tasks: at least one task is required")
-    task_specs: list[TaskSpec] = []
-    task_files: list[TaskFiles] = []
-    for i, entry in enumerate(tasks_raw):
-        reader = _Reader(entry, f"tasks[{i}]")
-        name = reader.take("name", str)
-        private_raw = reader.take("private_layers", list, default=[])
-        private = []
-        for j, layer in enumerate(private_raw):
-            lr = _Reader(layer, f"tasks[{i}].private_layers[{j}]")
-            private.append(
-                PrivateLayerSpec(
-                    units=lr.take("units", int),
-                    activation=lr.take("activation", str, default="tanh"),
-                )
-            )
-            lr.finish()
-        task_specs.append(
-            TaskSpec(
-                name=name,
-                labels=[],  # filled from the data by the experiment setup
-                termination_layer=reader.take("termination_layer", int, default=1),
-                head=reader.take("head", str, default="softmax", choices=("softmax", "crf")),
-                private_layers=private,
-                dropout=reader.take("dropout", float, default=0.0),
-            )
-        )
-        task_files.append(
-            TaskFiles(
-                name=name,
-                train=reader.take("train", str, default=None),
-                dev=reader.take("dev", str, default=None),
-                test=reader.take("test", str, default=None),
-                token_column=reader.take("token_column", int, default=0),
-                label_column=reader.take("label_column", int, default=1),
-                train_fraction=reader.take("train_fraction", float, default=1.0),
-            )
-        )
-        reader.finish()
+    readers = [Reader(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
+    # the label inventories are filled from the data by the experiment setup
+    task_specs = [fill(TaskSpec, reader, labels=[]) for reader in readers]
+    task_files = [read(TaskFiles, r, name=t.name) for r, t in zip(readers, task_specs)]
 
-    arch = root.section("architecture", default=None)
-    if arch is None:
-        arch = _Reader({}, "architecture")
-    char_reader = arch.section("char", default=None)
-    if char_reader is None:
-        char = CharConfig()
-    else:
-        char = CharConfig(
-            enabled=char_reader.take("enabled", bool, default=False),
-            embedding_dim=char_reader.take("embedding_dim", int, default=8),
-            hidden=char_reader.take("hidden", int, default=8),
-        )
-        char_reader.finish()
-    cell = arch.take("cell", str, default="lstm", choices=("simple", "lstm", "gru"))
-    shared_layers = arch.take("shared_layers", list, default=[32])
-    use_shortcuts = arch.take("use_shortcuts", bool, default=False)
-    arch.finish()
-
-    reg = root.section("regularization", default=None)
-    dropout = DropoutConfig()
-    if reg is not None:
-        drop_reader = reg.section("dropout", default=None)
-        if drop_reader is not None:
-            dropout = DropoutConfig(
-                word=drop_reader.take("word", float, default=0.0),
-                rnn_input=drop_reader.take("rnn_input", float, default=0.0),
-                rnn_state=drop_reader.take("rnn_state", float, default=0.0),
-                rnn_output=drop_reader.take("rnn_output", float, default=0.0),
-                variational=drop_reader.take("variational", bool, default=True),
-            )
-            drop_reader.finish()
-        reg.finish()
-
-    emb = root.section("embeddings", default=None)
-    if emb is None:
-        embeddings = EmbeddingsConfig()
-    else:
-        embeddings = EmbeddingsConfig(
-            files=[str(f) for f in emb.take("files", list, default=[])],
-            fine_tune=emb.take("fine_tune", bool, default=True),
-            word_dim=emb.take("word_dim", int, default=16),
-        )
-        emb.finish()
-
-    training_reader = root.section("training")
-    opt_reader = training_reader.section("optimizer", default=None)
-    if opt_reader is None:
-        optimizer = OptimizerConfig()
-    else:
-        optimizer = OptimizerConfig(
-            kind=opt_reader.take("kind", str, default="adam", choices=("sgd", "adam")),
-            learning_rate=opt_reader.take("learning_rate", float, default=0.001),
-            beta1=opt_reader.take("beta1", float, default=0.9),
-            beta2=opt_reader.take("beta2", float, default=0.999),
-            epsilon=opt_reader.take("epsilon", float, default=1e-8),
-        )
-        opt_reader.finish()
-    es_reader = training_reader.section("early_stopping", default=None)
-    early_stopping = None
-    if es_reader is not None:
-        early_stopping = EarlyStoppingConfig(
-            task=es_reader.take("task", str),
-            metric=es_reader.take("metric", str, default="accuracy", choices=("accuracy", "f1")),
-            patience=es_reader.take("patience", int, default=5),
-        )
-        es_reader.finish()
-    training = TrainConfig(
-        epochs=training_reader.take("epochs", int, default=20),
-        batch_size=training_reader.take("batch_size", int, default=8),
-        optimizer=optimizer,
-        clip_norm=training_reader.take("clip_norm", float, default=None),
-        early_stopping=early_stopping,
-        main_task=training_reader.take("main_task", str, default=task_specs[0].name),
-        seed=training_reader.take("seed", int, default=0),
-    )
-    training_reader.finish()
-
-    eval_reader = root.section("evaluation", default=None)
-    if eval_reader is None:
-        evaluation = EvalConfig()
-    else:
-        symbols = eval_reader.section("special_symbols", default=None)
-        empty_symbol, join_symbol = "ε", "_"
-        if symbols is not None:
-            empty_symbol = symbols.take("empty", str, default="ε")
-            join_symbol = symbols.take("join", str, default="_")
-            symbols.finish()
-        evaluation = EvalConfig(
-            metrics=[str(m) for m in eval_reader.take("metrics", list, default=["accuracy", "f1"])],
-            postprocess=eval_reader.take(
-                "postprocess", str, default="none", choices=POSTPROCESS_VARIANTS
-            ),
-            empty_symbol=empty_symbol,
-            join_symbol=join_symbol,
-        )
-        eval_reader.finish()
-    for metric in evaluation.metrics:
-        if metric not in KNOWN_METRICS:
-            raise ConfigError(
-                f"evaluation.metrics: unknown metric {metric!r} (known: {list(KNOWN_METRICS)})"
-            )
-
-    out_reader = root.section("output", default=None)
-    output_dir = "runs"
-    if out_reader is not None:
-        output_dir = out_reader.take("dir", str, default="runs")
-        out_reader.finish()
-
-    root.finish()
-
-    if not isinstance(shared_layers, list) or not all(
-        isinstance(h, int) and not isinstance(h, bool) for h in shared_layers
-    ):
-        raise ConfigError("architecture.shared_layers: expected a list of integers")
-
-    network = NetworkConfig(
-        cell=cell,
-        shared_layers=[int(h) for h in shared_layers],
-        use_shortcuts=use_shortcuts,
-        char=char,
+    regularization = root.section("regularization")
+    dropout = read(DropoutConfig, regularization.section("dropout"))
+    regularization.finish()
+    embeddings_reader = root.section("embeddings")
+    network = read(
+        NetworkConfig,
+        root.section("architecture"),
         dropout=dropout,
         tasks=task_specs,
-        word_dim=embeddings.word_dim,
-        fine_tune_embeddings=embeddings.fine_tune,
+        word_dim=embeddings_reader.take("word_dim", int, NetworkConfig.word_dim),
+        fine_tune_embeddings=embeddings_reader.take(
+            "fine_tune", bool, NetworkConfig.fine_tune_embeddings
+        ),
     )
+    embeddings = read(EmbeddingsConfig, embeddings_reader)
+    training = read(TrainConfig, Reader(root.take("training", dict), "training"))
+    training.main_task = training.main_task or task_specs[0].name
+
+    evaluation_reader = root.section("evaluation")
+    symbols = evaluation_reader.section("special_symbols")
+    evaluation = read(
+        EvalConfig,
+        evaluation_reader,
+        empty_symbol=symbols.take("empty", str, EvalConfig.empty_symbol),
+        join_symbol=symbols.take("join", str, EvalConfig.join_symbol),
+    )
+    symbols.finish()
+    output = root.section("output")
+    output_dir = output.take("dir", str, RunConfig.output_dir)
+    output.finish()
+    root.finish()
+
     # label inventories and the final network validation happen once the
     # data is loaded; validate what is checkable now
-    for name, p in (
-        ("word", dropout.word),
-        ("rnn_input", dropout.rnn_input),
-        ("rnn_state", dropout.rnn_state),
-        ("rnn_output", dropout.rnn_output),
-    ):
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"regularization.dropout.{name} must be in [0, 1)")
+    dropout.validate()
     training.validate([t.name for t in task_specs])
     for tf in task_files:
         if not 0.0 < tf.train_fraction <= 1.0:
@@ -376,7 +285,7 @@ def split_search_section(raw: dict) -> tuple[dict, dict]:
         raise ConfigError("config has no 'search' section")
     template = _deep_copy(raw)
     search = template.pop("search")
-    reader = _Reader(search, "search")
+    reader = Reader(search, "search")
     parsed = {
         "trials": reader.take("trials", int, default=10),
         "seeds_per_trial": reader.take("seeds_per_trial", int, default=3),

@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -24,7 +26,7 @@ PAD_INDEX = 0
 UNK_INDEX = 1
 
 _CACHE_MAGIC = b"SQTC"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 class ConllParseError(DataError):
@@ -236,11 +238,13 @@ def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
 
 # -- binary cache ---------------------------------------------------------------
 #
-# Layout: magic "SQTC", u32 version, then length-prefixed sections
-# (u64 byte length + payload): 1) JSON header with source fingerprint,
-# column declaration, and the string tables, 2) packed sentence data:
-# per sentence u32 token count, then per token one u32 surface id and
-# one u32 label id per task (task order from the header).
+# Layout: magic "SQTC", u32 version, u32 CRC-32 of the rest of the file,
+# then length-prefixed sections (u64 byte length + payload): 1) JSON
+# header with source fingerprint, column declaration, and the string
+# tables, 2) packed sentence data: per sentence u32 token count, then per
+# token one u32 surface id and one u32 label id per task (task order from
+# the header). The CRC catches any damaged run of up to 32 bits, which
+# would otherwise decode to a different corpus.
 
 
 def _file_fingerprint(path: Path) -> dict:
@@ -254,14 +258,8 @@ def _write_section(out: IO[bytes], payload: bytes) -> None:
 
 
 def _read_section(buf: IO[bytes]) -> bytes:
-    header = buf.read(8)
-    if len(header) != 8:
-        raise DataError("corpus cache truncated")
-    (length,) = struct.unpack("<Q", header)
-    payload = buf.read(length)
-    if len(payload) != length:
-        raise DataError("corpus cache truncated")
-    return payload
+    (length,) = struct.unpack("<Q", buf.read(8))
+    return buf.read(length)
 
 
 def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> None:
@@ -285,41 +283,51 @@ def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> N
         "labels": {task: list(table.keys()) for task, table in label_tables.items()},
         "sentence_count": len(corpus.sentences),
     }
-    with open(path, "wb") as out:
-        out.write(_CACHE_MAGIC)
-        out.write(struct.pack("<I", _CACHE_VERSION))
-        _write_section(out, json.dumps(header).encode("utf-8"))
-        _write_section(out, packed.getvalue())
+    body = io.BytesIO()
+    _write_section(body, json.dumps(header).encode("utf-8"))
+    _write_section(body, packed.getvalue())
+    blob = body.getvalue()
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(_CACHE_MAGIC + struct.pack("<II", _CACHE_VERSION, zlib.crc32(blob)) + blob)
+        os.replace(tmp, path)  # a reader never sees a half-written cache
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    buf = io.BytesIO(blob)
-    if buf.read(4) != _CACHE_MAGIC:
+    """The cached corpus and its source metadata; a damaged file raises DataError."""
+    blob = Path(path).read_bytes()
+    if blob[:4] != _CACHE_MAGIC:
         raise DataError(f"not a corpus cache file: {path}")
-    (version,) = struct.unpack("<I", buf.read(4))
-    if version != _CACHE_VERSION:
-        raise DataError(f"unsupported corpus cache version {version}")
-    header = json.loads(_read_section(buf).decode("utf-8"))
-    packed = io.BytesIO(_read_section(buf))
+    try:
+        version, crc = struct.unpack("<II", blob[4:12])
+        if version != _CACHE_VERSION:
+            raise DataError(f"unsupported corpus cache version {version}")
+        if zlib.crc32(blob[12:]) != crc:
+            raise DataError(f"corpus cache {path} fails its checksum")
+        buf = io.BytesIO(blob[12:])
+        header = json.loads(_read_section(buf).decode("utf-8"))
+        packed = io.BytesIO(_read_section(buf))
 
-    tasks = tuple(header["tasks"])
-    surfaces = header["surfaces"]
-    labels = {task: header["labels"][task] for task in tasks}
-    sentences = []
-    for _ in range(header["sentence_count"]):
-        (n_tokens,) = struct.unpack("<I", packed.read(4))
-        tokens = []
-        for _ in range(n_tokens):
-            (sid,) = struct.unpack("<I", packed.read(4))
-            token_labels = {}
-            for task in tasks:
-                (lid,) = struct.unpack("<I", packed.read(4))
-                token_labels[task] = labels[task][lid]
-            tokens.append(Token(surface=surfaces[sid], labels=token_labels))
-        sentences.append(tuple(tokens))
-    return Corpus(sentences=tuple(sentences), tasks=tasks), header["source"]
+        tasks = tuple(header["tasks"])
+        surfaces = header["surfaces"]
+        labels = {task: header["labels"][task] for task in tasks}
+        sentences = []
+        for _ in range(header["sentence_count"]):
+            (n_tokens,) = struct.unpack("<I", packed.read(4))
+            tokens = []
+            for _ in range(n_tokens):
+                (sid,) = struct.unpack("<I", packed.read(4))
+                token_labels = {}
+                for task in tasks:
+                    (lid,) = struct.unpack("<I", packed.read(4))
+                    token_labels[task] = labels[task][lid]
+                tokens.append(Token(surface=surfaces[sid], labels=token_labels))
+            sentences.append(tuple(tokens))
+        return Corpus(sentences=tuple(sentences), tasks=tasks), header["source"]
+    except (ValueError, LookupError, TypeError, struct.error, OverflowError) as err:
+        raise DataError(f"corrupt corpus cache {path}: {err!r}") from err
 
 
 def load_corpus_cached(

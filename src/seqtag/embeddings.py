@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from seqtag.corpus import Corpus
+from seqtag.corpus import Corpus, read_text
 from seqtag.exceptions import DataError
 
 
@@ -49,27 +49,31 @@ def load_embedding_file(path: str | Path) -> EmbeddingSet:
         raise DataError(f"embedding file not found: {path}")
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and _all_ints(parts):
-                continue  # header line
-            word, values = parts[0], parts[1:]
-            if not values:
-                raise EmbeddingFormatError(f"{path}, line {lineno}: no vector components")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as err:
-                raise EmbeddingFormatError(f"{path}, line {lineno}: bad float") from err
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise EmbeddingFormatError(
-                    f"{path}, line {lineno}: dimension {vec.size} != {dim}"
-                )
-            vectors[word] = vec
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split()
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2 and _all_ints(parts):
+                    continue  # header line
+                word, values = parts[0], parts[1:]
+                if not values:
+                    raise EmbeddingFormatError(f"{path}, line {lineno}: no vector components")
+                try:
+                    vec = np.array([float(v) for v in values], dtype=np.float64)
+                except ValueError as err:
+                    raise EmbeddingFormatError(f"{path}, line {lineno}: bad float") from err
+                if dim is None:
+                    dim = vec.size
+                elif vec.size != dim:
+                    raise EmbeddingFormatError(
+                        f"{path}, line {lineno}: dimension {vec.size} != {dim}"
+                    )
+                vectors[word] = vec
+    except UnicodeDecodeError:
+        read_text(path)  # raises the DataError that names the bad byte's file offset
+        raise
     if dim is None:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
     return EmbeddingSet(dim=dim, vectors=vectors)

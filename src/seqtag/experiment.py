@@ -74,7 +74,6 @@ class ExperimentData:
             emb = build_embedding_set(config.embeddings.files)
             emb = prune_embeddings(emb, all_corpora)
             config.network.word_dim = emb.dim
-            config.embeddings.word_dim = emb.dim
             for word in emb.vectors:
                 self.vocab.add_word(word)
             matrix = np.zeros((self.vocab.word_count, emb.dim))

@@ -16,6 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from seqtag.config import Reader, read
 from seqtag.exceptions import ConfigError
 
 _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
@@ -71,15 +72,19 @@ class SearchSpace:
             raise ConfigError("empty search space")
 
 
-def parse_interval(spec: Mapping) -> Interval:
-    kind = spec.get("kind")
-    if kind == "list":
-        return ListInterval(values=list(spec["values"]))
-    if kind == "discrete":
-        return DiscreteInterval(start=int(spec["start"]), end=int(spec["end"]))
-    if kind == "continuous":
-        return ContinuousInterval(start=float(spec["start"]), end=float(spec["end"]))
-    raise ConfigError(f"unknown interval kind {kind!r}")
+INTERVAL_KINDS = {
+    "list": ListInterval,
+    "discrete": DiscreteInterval,
+    "continuous": ContinuousInterval,
+}
+
+
+def parse_interval(spec: Mapping, path: str = "interval") -> Interval:
+    """Read one variable's interval like a config section; ``path``
+    locates it in error messages."""
+    reader = Reader(spec, path)
+    kind = reader.take("kind", str, choices=tuple(INTERVAL_KINDS))
+    return read(INTERVAL_KINDS[kind], reader)
 
 
 def sample_trial(space: SearchSpace, rng: np.random.Generator) -> dict:

@@ -17,6 +17,7 @@ pass; the remaining elementary ops check their own outputs.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,6 +54,11 @@ class DropoutConfig:
     rnn_output: float = 0.0
     variational: bool = True
 
+    def validate(self) -> None:
+        for name in ("word", "rnn_input", "rnn_state", "rnn_output"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"regularization.dropout.{name} must be in [0, 1)")
+
 
 @dataclass
 class PrivateLayerSpec:
@@ -65,14 +71,14 @@ class TaskSpec:
     name: str
     labels: list[str]
     termination_layer: int = 1
-    head: str = "softmax"
+    head: str = field(default="softmax", metadata={"choices": HEAD_KINDS})
     private_layers: list[PrivateLayerSpec] = field(default_factory=list)
     dropout: float = 0.0
 
 
 @dataclass
 class NetworkConfig:
-    cell: str = "lstm"
+    cell: str = field(default="lstm", metadata={"choices": CELL_KINDS})
     shared_layers: list[int] = field(default_factory=lambda: [32])
     use_shortcuts: bool = False
     char: CharConfig = field(default_factory=CharConfig)
@@ -118,15 +124,7 @@ class NetworkConfig:
                 f"{len(self.shared_layers)} shared layers configured but the highest "
                 f"termination layer is {top}; they must be equal"
             )
-        d = self.dropout
-        for name, p in (
-            ("word", d.word),
-            ("rnn_input", d.rnn_input),
-            ("rnn_state", d.rnn_state),
-            ("rnn_output", d.rnn_output),
-        ):
-            if not 0.0 <= p < 1.0:
-                raise ConfigError(f"dropout probability {name} must be in [0, 1)")
+        self.dropout.validate()
 
     def task(self, name: str) -> TaskSpec:
         for task in self.tasks:
@@ -135,49 +133,14 @@ class NetworkConfig:
         raise ConfigError(f"unknown task {name!r}")
 
     def to_json(self) -> dict:
-        return {
-            "cell": self.cell,
-            "shared_layers": list(self.shared_layers),
-            "use_shortcuts": self.use_shortcuts,
-            "char": vars(self.char).copy(),
-            "dropout": vars(self.dropout).copy(),
-            "tasks": [
-                {
-                    "name": t.name,
-                    "labels": list(t.labels),
-                    "termination_layer": t.termination_layer,
-                    "head": t.head,
-                    "private_layers": [vars(p).copy() for p in t.private_layers],
-                    "dropout": t.dropout,
-                }
-                for t in self.tasks
-            ],
-            "word_dim": self.word_dim,
-            "fine_tune_embeddings": self.fine_tune_embeddings,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "NetworkConfig":
-        config = cls(
-            cell=payload["cell"],
-            shared_layers=list(payload["shared_layers"]),
-            use_shortcuts=payload["use_shortcuts"],
-            char=CharConfig(**payload["char"]),
-            dropout=DropoutConfig(**payload["dropout"]),
-            tasks=[
-                TaskSpec(
-                    name=t["name"],
-                    labels=list(t["labels"]),
-                    termination_layer=t["termination_layer"],
-                    head=t["head"],
-                    private_layers=[PrivateLayerSpec(**p) for p in t["private_layers"]],
-                    dropout=t["dropout"],
-                )
-                for t in payload["tasks"]
-            ],
-            word_dim=payload["word_dim"],
-            fine_tune_embeddings=payload["fine_tune_embeddings"],
-        )
+        """Read a checkpoint's config echo with the checks of a config file."""
+        from seqtag.config import Reader, read  # config imports this module
+
+        config = read(cls, Reader(payload, "config"))
         config.validate()
         return config
 

@@ -24,11 +24,12 @@ from seqtag.metrics import ResultList, token_prf
 from seqtag.network import Model
 
 DEV_METRICS = ("accuracy", "f1")
+OPTIMIZER_KINDS = ("sgd", "adam")
 
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"
+    kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -38,7 +39,7 @@ class OptimizerConfig:
 @dataclass
 class EarlyStoppingConfig:
     task: str
-    metric: str = "accuracy"
+    metric: str = field(default="accuracy", metadata={"choices": DEV_METRICS})
     patience: int = 5
 
 
@@ -57,7 +58,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.optimizer.kind not in ("sgd", "adam"):
+        if self.optimizer.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.optimizer.kind!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError("clip threshold must be positive")

@@ -100,6 +100,142 @@ def test_split_search_section():
         split_search_section({"training": {}})
 
 
+def _valid_config():
+    """A config touching every section; it builds without reading any file."""
+    return {
+        "training": {
+            "epochs": 2,
+            "batch_size": 4,
+            "seed": 1,
+            "main_task": "tag",
+            "clip_norm": 5.0,
+            "optimizer": {"kind": "adam", "learning_rate": 0.01},
+            "early_stopping": {"task": "tag", "metric": "f1", "patience": 2},
+        },
+        "tasks": [
+            {
+                "name": "tag",
+                "train": "train.conll",
+                "head": "crf",
+                "private_layers": [{"units": 4, "activation": "relu"}],
+            }
+        ],
+        "architecture": {"cell": "gru", "shared_layers": [6], "char": {"enabled": False}},
+        "regularization": {"dropout": {"word": 0.1, "variational": True}},
+        "embeddings": {"files": [], "word_dim": 6},
+        "evaluation": {
+            "metrics": ["accuracy"],
+            "postprocess": "none",
+            "special_symbols": {"empty": "ε", "join": "_"},
+        },
+        "output": {"dir": "out"},
+    }
+
+
+_DROP = object()
+
+# (path to the changed key, its new value or _DROP, pattern the error must match)
+_REJECTED = [
+    (("training", "epochs"), "2", r"^training\.epochs: expected int"),
+    (("training", "epochs"), True, r"^training\.epochs: expected int"),
+    (("training", "batch_size"), 2.5, r"^training\.batch_size: expected int"),
+    (("training", "clip_norm"), "high", r"^training\.clip_norm: expected float"),
+    (("training", "seed"), None, r"^training\.seed: expected int"),
+    (("training", "optimizer", "kind"), "rmsprop", r"^training\.optimizer\.kind: must be one of"),
+    (("training", "optimizer", "beta1"), True, r"^training\.optimizer\.beta1: expected float"),
+    (("training", "optimizer", "momentum"), 0.9, r"^unknown key training\.optimizer\.momentum"),
+    (("training", "optimizer"), [], r"^training\.optimizer: expected"),
+    (("training", "early_stopping", "metric"), "bleu",
+     r"^training\.early_stopping\.metric: must be one of"),
+    (("training", "early_stopping", "task"), _DROP,
+     r"^missing required key training\.early_stopping\.task"),
+    (("training", "early_stopping", "patience"), 0, r"patience must be >= 1"),
+    (("training", "main_task"), "absent", r"main task 'absent'"),
+    (("training", "optimzer"), {}, r"^unknown key training\.optimzer"),
+    (("training",), _DROP, r"^missing required \w+ training"),
+    (("training",), [1], r"^training: expected"),
+    (("tasks",), _DROP, r"^missing required key tasks"),
+    (("tasks",), [], r"^tasks: at least one task"),
+    (("tasks",), {"name": "tag"}, r"^tasks: expected list"),
+    (("tasks", 0), "tag", r"^tasks\[0\]: expected"),
+    (("tasks", 0, "name"), _DROP, r"^missing required key tasks\[0\]\.name"),
+    (("tasks", 0, "head"), "hmm", r"^tasks\[0\]\.head: must be one of"),
+    (("tasks", 0, "termination_layer"), "1", r"^tasks\[0\]\.termination_layer: expected int"),
+    (("tasks", 0, "dropout"), "none", r"^tasks\[0\]\.dropout: expected float"),
+    (("tasks", 0, "label_column"), False, r"^tasks\[0\]\.label_column: expected int"),
+    (("tasks", 0, "train_fraction"), 0.0, r"^tasks: train_fraction of 'tag'"),
+    (("tasks", 0, "labels"), ["O"], r"^unknown key tasks\[0\]\.labels"),
+    (("tasks", 0, "private_layers"), [5], r"^tasks\[0\]\.private_layers\[0\]: expected"),
+    (("tasks", 0, "private_layers", 0, "units"), _DROP,
+     r"^missing required key tasks\[0\]\.private_layers\[0\]\.units"),
+    (("tasks", 0, "private_layers", 0, "size"), 4,
+     r"^unknown key tasks\[0\]\.private_layers\[0\]\.size"),
+    (("architecture", "cell"), "transformer", r"^architecture\.cell: must be one of"),
+    (("architecture", "shared_layers"), 6, r"^architecture\.shared_layers: expected"),
+    (("architecture", "shared_layers"), [6, True], r"^architecture\.shared_layers"),
+    (("architecture", "shared_layers"), ["6"], r"^architecture\.shared_layers"),
+    (("architecture", "char", "hidden"), 8.5, r"^architecture\.char\.hidden: expected int"),
+    (("architecture", "char", "size"), 8, r"^unknown key architecture\.char\.size"),
+    (("architecture", "word_dim"), 6, r"^unknown key architecture\.word_dim"),
+    (("architecture", "dropout"), {}, r"^unknown key architecture\.dropout"),
+    (("regularization", "dropout", "word"), 1.0,
+     r"^regularization\.dropout\.word must be in \[0, 1\)"),
+    (("regularization", "dropout", "rnn_state"), -0.1,
+     r"^regularization\.dropout\.rnn_state must be in \[0, 1\)"),
+    (("regularization", "dropout", "variational"), "yes",
+     r"^regularization\.dropout\.variational: expected bool"),
+    (("regularization", "l2"), 0.1, r"^unknown key regularization\.l2"),
+    (("regularization",), 3, r"^regularization: expected"),
+    (("embeddings", "word_dim"), 6.0, r"^embeddings\.word_dim: expected int"),
+    (("embeddings", "files"), "glove.txt", r"^embeddings\.files: expected list"),
+    (("embeddings", "fine_tune"), "yes", r"^embeddings\.fine_tune: expected bool"),
+    (("evaluation", "metrics"), ["accuracy", "bogus"], r"^evaluation\.metrics.*'bogus'"),
+    (("evaluation", "postprocess"), "fix", r"^evaluation\.postprocess: must be one of"),
+    (("evaluation", "special_symbols", "empty"), 1,
+     r"^evaluation\.special_symbols\.empty: expected str"),
+    (("evaluation", "special_symbols", "pad"), "#",
+     r"^unknown key evaluation\.special_symbols\.pad"),
+    (("evaluation", "empty_symbol"), "#", r"^unknown key evaluation\.empty_symbol"),
+    (("output", "dir"), 5, r"^output\.dir: expected str"),
+    (("output", "path"), "x", r"^unknown key output\.path"),
+    (("model",), {}, r"^unknown key model"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,pattern",
+    _REJECTED,
+    ids=[".".join(map(str, p)) + f"={'DROP' if v is _DROP else repr(v)}" for p, v, _ in _REJECTED],
+)
+def test_build_run_config_rejects_with_location(path, value, pattern):
+    build_run_config(_valid_config())  # the unchanged config is accepted
+    config = _valid_config()
+    *parents, leaf = path
+    node = config
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    with pytest.raises(ConfigError, match=pattern):
+        build_run_config(config)
+
+
+def test_null_early_stopping_and_empty_main_task_take_the_defaults():
+    config = _valid_config()
+    config["training"]["early_stopping"] = None
+    config["training"]["main_task"] = ""
+    training = build_run_config(config).training
+    assert training.early_stopping is None
+    assert training.main_task == "tag"
+
+
+def test_build_run_config_rejects_a_non_mapping():
+    with pytest.raises(ConfigError, match=r"^config: expected a mapping"):
+        build_run_config([_valid_config()])
+
+
 # -- CLI end to end --------------------------------------------------------------------
 
 
@@ -148,6 +284,36 @@ def test_cli_rerun_same_seed_is_deterministic(workspace, capsys):
     a = (tmp_path / "a" / "model.ckpt").read_bytes()
     b = (tmp_path / "b" / "model.ckpt").read_bytes()
     assert a == b
+
+
+def test_cli_non_utf8_config_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"training:\n  epochs: 2\n  seed: \xff\n")
+    assert main(["train", str(bad), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(bad) in err and "byte offset 30" in err
+
+
+@pytest.mark.parametrize(
+    "spec,output,location",
+    [
+        ({"kind": "discrete", "start": 2}, {}, "search.variables.u.end"),
+        (5, {}, "search.variables.u"),
+        ({"kind": "discrete", "start": 2, "end": 3}, "runs", "output: expected a mapping"),
+    ],
+    ids=["variable_missing_end", "variable_not_a_mapping", "output_not_a_mapping"],
+)
+def test_cli_search_malformed_spec_exits_1(workspace, capsys, spec, output, location):
+    tmp_path, _, config = workspace
+    config["architecture"]["shared_layers"] = ["${u}"]
+    config["output"] = output or {"dir": str(tmp_path / "searchout")}
+    config["search"] = {"trials": 1, "seeds_per_trial": 1, "variables": {"u": spec}}
+    path = tmp_path / "search.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    assert main(["search", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and location in err
 
 
 def test_cli_missing_train_file_exits_2(workspace, capsys):

@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 
 from seqtag.corpus import (
@@ -9,6 +11,7 @@ from seqtag.corpus import (
     corpus_to_conll,
     load_corpus_cached,
     parse_conll,
+    parse_conll_file,
     read_corpus_cache,
     write_corpus_cache,
 )
@@ -154,3 +157,32 @@ def test_non_utf8_input_raises_data_error_with_offset(tmp_path):
             parse_conll(source, 0, {"t": 1})
     with pytest.raises(DataError, match="bad.conll: not valid UTF-8 at byte offset 4"):
         parse_conll_file(path, 0, {"t": 1})
+
+
+@pytest.mark.parametrize("mask", [0xFF, 0x01])
+def test_damaged_cache_falls_back_to_parsing(tmp_path, mask):
+    src = tmp_path / "data.conll"
+    src.write_text("a\tX\nb\tY\n\nc\tX\n", encoding="utf-8")
+    expected = parse_conll_file(src, 0, {"t": 1})
+    cache_dir = tmp_path / "cache"
+    assert load_corpus_cached(src, 0, {"t": 1}, cache_dir) == expected
+    cache = cache_dir / "data.conll.cache"
+    blob = cache.read_bytes()
+    damaged = [blob[:n] for n in range(len(blob))]
+    damaged += [blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:] for i in range(len(blob))]
+    for case in damaged:
+        cache.write_bytes(case)
+        assert load_corpus_cached(src, 0, {"t": 1}, cache_dir) == expected
+        assert cache.read_bytes() == blob  # the re-parse rewrote the cache
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["data.conll.cache"]
+
+
+def test_cache_with_valid_checksum_but_bad_ids_is_data_error(tmp_path):
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, parse_conll("a\tX\n", 0, {"t": 1}), {"size": 1})
+    blob = bytearray(cache.read_bytes())
+    blob[-8:-4] = (7).to_bytes(4, "little")  # surface id 7 of a one-word table
+    blob[8:12] = zlib.crc32(bytes(blob[12:])).to_bytes(4, "little")
+    cache.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="corrupt corpus cache"):
+        read_corpus_cache(cache)

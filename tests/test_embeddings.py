@@ -54,6 +54,13 @@ def test_inconsistent_dimension_is_error(tmp_path):
         load_embedding_file(f1)
 
 
+def test_non_utf8_file_is_data_error_naming_the_byte(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a 0.1\n\xff 0.2\n")
+    with pytest.raises(DataError, match=r"bad\.txt: not valid UTF-8 at byte offset 6"):
+        load_embedding_file(path)
+
+
 def test_header_line_is_skipped(tmp_path):
     f1 = write(tmp_path / "hdr.txt", "2 3\na 1 2 3\nb 4 5 6\n")
     emb = load_embedding_file(f1)

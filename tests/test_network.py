@@ -101,6 +101,22 @@ def test_config_json_roundtrip():
     assert clone == config
 
 
+@pytest.mark.parametrize(
+    "key,value,pattern",
+    [
+        ("cell", 5, r"^config\.cell: expected str"),
+        ("cell", "tree", r"^config\.cell: must be one of"),
+        ("shared_layers", [4.5], r"^config\.shared_layers\[0\]: expected int"),
+        ("hidden", 8, r"^unknown key config\.hidden"),
+    ],
+)
+def test_config_json_is_checked_like_a_config_file(key, value, pattern):
+    payload = tiny_config().to_json()
+    payload[key] = value
+    with pytest.raises(ConfigError, match=pattern):
+        NetworkConfig.from_json(payload)
+
+
 # -- cells -------------------------------------------------------------------------
 
 
