@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from seqtag.corpus import Vocabulary
+from seqtag.corpus import Vocabulary, read_bytes, write_atomic
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.network import Model, NetworkConfig
 
@@ -42,19 +42,14 @@ def save_model(model: Model, path: str | Path) -> None:
         "payload_bytes": len(payload),
     }
     blob = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<I", VERSION))
-        out.write(struct.pack("<Q", len(blob)))
-        out.write(blob)
-        out.write(payload)
+    write_atomic(path, b"".join((MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob, payload)))
 
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
+    blob = read_bytes(path)
     if blob[:4] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
     if len(blob) < 16:

@@ -129,9 +129,29 @@ def decode_utf8(raw: bytes, name: str) -> str:
         ) from err
 
 
+def read_bytes(path: Path) -> bytes:
+    """A whole file; a directory or an unreadable file raises DataError."""
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror or err}") from err
+
+
 def read_text(path: Path) -> str:
     """A whole UTF-8 text file, decode failures reported as DataError."""
-    return decode_utf8(path.read_bytes(), str(path))
+    return decode_utf8(read_bytes(path), str(path))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write a whole file through a temporary file and ``os.replace``:
+    a reader never sees a half-written file, and a failed write leaves
+    the previous file as it was."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def corpus_to_conll(corpus: Corpus, tasks: Iterable[str] | None = None) -> str:
@@ -248,7 +268,7 @@ def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
 
 
 def _file_fingerprint(path: Path) -> dict:
-    data = path.read_bytes()
+    data = read_bytes(path)
     return {"size": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
@@ -287,12 +307,7 @@ def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> N
     _write_section(body, json.dumps(header).encode("utf-8"))
     _write_section(body, packed.getvalue())
     blob = body.getvalue()
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(_CACHE_MAGIC + struct.pack("<II", _CACHE_VERSION, zlib.crc32(blob)) + blob)
-        os.replace(tmp, path)  # a reader never sees a half-written cache
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, _CACHE_MAGIC + struct.pack("<II", _CACHE_VERSION, zlib.crc32(blob)) + blob)
 
 
 def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from seqtag.corpus import Corpus, read_text
+from seqtag.corpus import Corpus, read_text, write_atomic
 from seqtag.exceptions import DataError
 
 
@@ -74,6 +74,8 @@ def load_embedding_file(path: str | Path) -> EmbeddingSet:
     except UnicodeDecodeError:
         read_text(path)  # raises the DataError that names the bad byte's file offset
         raise
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror or err}") from err
     if dim is None:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
     return EmbeddingSet(dim=dim, vectors=vectors)
@@ -125,9 +127,7 @@ def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingS
 
 def save_embedding_file(emb: EmbeddingSet, path: str | Path) -> None:
     """Persist an (optimized) embedding set in the plain text format."""
-    with open(path, "w", encoding="utf-8") as out:
-        for word, vec in emb.vectors.items():
-            out.write(word)
-            for v in vec:
-                out.write(f" {float(v)!r}")
-            out.write("\n")
+    lines = (
+        word + "".join(f" {float(v)!r}" for v in vec) + "\n" for word, vec in emb.vectors.items()
+    )
+    write_atomic(path, "".join(lines).encode("utf-8"))

@@ -212,6 +212,8 @@ def run_search(
         raise ConfigError("need at least one trial")
     if seeds_per_trial < 1:
         raise ConfigError("need at least one seed per trial")
+    if master_seed < 0:
+        raise ConfigError("search master seed must be >= 0")
     unbound = find_placeholders(template) - set(space.variables.keys())
     if unbound:
         raise ConfigError(f"template variables not in the search space: {sorted(unbound)}")

@@ -18,6 +18,7 @@ pass; the remaining elementary ops check their own outputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -196,13 +197,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
 # -- fused recurrence ---------------------------------------------------------------
 
 
-def _sigmoid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # the tanh form of ad.sigmoid, which saturates instead of overflowing
-    np.multiply(a, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
+@functools.cache
+def _lstm_halves(hidden: int) -> np.ndarray:
+    """Column factors of an LSTM's pre-activations: 0.5 for the sigmoid
+    gates i, f, o and 1.0 for the candidate. Cached, so read-only."""
+    halves = np.repeat([0.5, 1.0], [3 * hidden, hidden])
+    halves.flags.writeable = False
+    return halves
 
 
 def _previous(steps: np.ndarray, reverse: bool) -> np.ndarray:
@@ -236,126 +237,143 @@ def recurrent(
 
     The forward pass is one ``x @ W`` GEMM (plus ``x @ Wc`` for GRU) and
     a loop over ``h @ U``; the stacked pre-activations are checked for
-    non-finite values once. The backward pass is one reverse BPTT loop
-    followed by one GEMM each for the weight and input adjoints.
+    non-finite values once. A sigmoid gate is computed as
+    ``0.5 * (1 + tanh(z / 2))``: its columns of ``x @ W``, U and b are
+    halved once per call (exact in binary floating point), so one
+    ``tanh`` covers all gates of a step and the stored pre-activations
+    of those columns are ``z / 2``. The backward pass is one reverse
+    BPTT loop followed by one GEMM each for the weight and input
+    adjoints.
     """
     kind, H = cell.kind, cell.hidden
     op = f"rnn/{kind}"
-    X = x.data if x.data.ndim == 3 else x.data[None]
-    B, T, k = X.shape
-    if k != cell.W.shape[0]:
-        raise ShapeError(f"cell input dim {k} != weight dim {cell.W.shape[0]}")
-    # internally time-major: row t of every stacked array is step t, (B, .)
-    Xt = X.transpose(1, 0, 2).reshape(T * B, k)
-    XW = (Xt @ cell.W.data).reshape(T, B, cell.W.shape[1])
-    U, b = cell.U.data, cell.b.data
+    if x.data.shape[-1] != cell.W.shape[0]:
+        raise ShapeError(f"cell input dim {x.data.shape[-1]} != weight dim {cell.W.shape[0]}")
+    # internally time-major: row t of every stacked array is step t, of
+    # shape (B, .) for a batch and (.) for a single sequence
+    if x.data.ndim == 3:
+        B, T, k = x.data.shape
+        lead = (B,)
+        Xt = x.data.transpose(1, 0, 2).reshape(T * B, k)
+    else:
+        (T, k), B, lead = x.data.shape, 1, ()
+        Xt = x.data
+    U, b = cell.U.data, cell.b.data[0]
+    XW = (Xt @ cell.W.data).reshape(T, *lead, U.shape[1])
+    if kind != "simple":
+        half = 0.5 if kind == "gru" else _lstm_halves(H)
+        XW *= half
+        U, b = U * half, b * half
     SM = None
     if state_mask is not None:
-        SM = np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2)
-    keep = None if mask is None else np.asarray(mask, dtype=bool).T[:, :, None]
+        SM = np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2).reshape(T, *lead, H)
+    keep = drop = None
+    if mask is not None:
+        keep = np.asarray(mask, dtype=bool).reshape(B, T).T.reshape(T, *lead, 1)
+        drop = ~keep
     order = range(T - 1, -1, -1) if reverse else range(T)
 
-    Z = np.empty_like(XW)  # gate pre-activations
-    ACT = np.empty_like(XW)  # gate activations
-    OUT = np.empty((T, B, H))
+    Z = np.empty_like(XW)  # gate pre-activations (halved for the sigmoid gates)
+    OUT = np.empty((T, *lead, H))
+    ACT = OUT if kind == "simple" else np.empty_like(XW)  # gate activations
     if kind == "lstm":
-        C = np.empty((T, B, H))  # cell states
-        TC = np.empty((T, B, H))  # tanh of the new cell state
+        C = np.empty_like(OUT)  # cell states
+        TC = np.empty_like(OUT)  # tanh of the new cell state
+        SIG = ACT[..., : 3 * H]
+        I, F, O, GC = (ACT[..., j * H : (j + 1) * H] for j in range(4))
     elif kind == "gru":
-        XWc = (Xt @ cell.Wc.data).reshape(T, B, H)
-        Uc, bc = cell.Uc.data, cell.bc.data
-        A = np.empty((T, B, H))  # candidate pre-activations
-        HH = np.empty((T, B, H))  # candidate states
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+        XWc = (Xt @ cell.Wc.data).reshape(T, *lead, H)
+        Uc, bc = cell.Uc.data, cell.bc.data[0]
+        A = np.empty_like(OUT)  # candidate pre-activations
+        HH = np.empty_like(OUT)  # candidate states
+        ZG, R = ACT[..., :H], ACT[..., H:]
+    h = np.zeros(OUT.shape[1:])
+    c = np.zeros(OUT.shape[1:])
     for t in order:
         hm = h if SM is None else h * SM[t]
         z = np.matmul(hm, U, out=Z[t])
         z += XW[t]
         z += b
-        act = ACT[t]
-        if kind == "simple":
-            new_h = np.tanh(z, out=act)
-        elif kind == "lstm":
-            _sigmoid(z[:, : 3 * H], out=act[:, : 3 * H])
-            np.tanh(z[:, 3 * H :], out=act[:, 3 * H :])
-            i, f, o, g = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
-            new_c = f * c
-            new_c += i * g
-            new_h = o * np.tanh(new_c, out=TC[t])
-        else:
-            _sigmoid(z, out=act)
-            zg, r = act[:, :H], act[:, H:]
-            a = np.matmul(r * hm, Uc, out=A[t])
+        new_h = act = np.tanh(z, out=ACT[t])
+        if kind == "lstm":
+            sig = SIG[t]
+            sig += 1.0
+            sig *= 0.5
+            new_c = np.multiply(F[t], c, out=C[t])
+            new_c += I[t] * GC[t]
+            new_h = np.multiply(O[t], np.tanh(new_c, out=TC[t]), out=OUT[t])
+        elif kind == "gru":
+            act += 1.0
+            act *= 0.5
+            zg = ZG[t]
+            a = np.matmul(R[t] * hm, Uc, out=A[t])
             a += XWc[t]
             a += bc
-            new_h = 1.0 - zg
+            new_h = np.subtract(1.0, zg, out=OUT[t])
             new_h *= hm
             new_h += zg * np.tanh(a, out=HH[t])
         if keep is not None:
-            new_h = np.where(keep[t], new_h, h)
+            np.copyto(new_h, h, where=drop[t])
             if kind == "lstm":
-                new_c = np.where(keep[t], new_c, c)
-        OUT[t] = h = new_h
+                np.copyto(new_c, c, where=drop[t])
+        h = new_h
         if kind == "lstm":
-            C[t] = c = new_c
+            c = new_c
     ad.check_finite(Z, op)
     if kind == "gru":
         ad.check_finite(A, op)
 
     def backward(g_out):
-        G = (g_out if g_out.ndim == 3 else g_out[None]).transpose(1, 0, 2)
+        dOUT = g_out.transpose(1, 0, 2) if lead else g_out
         HM = _previous(OUT, reverse)
         if SM is not None:
             HM *= SM
         # per-step factors of the BPTT recursion, computed for all steps at once
         if kind == "simple":
-            D = 1.0 - ACT * ACT
+            D = 1.0 - ACT * ACT  # ACT is OUT: a padded step's factor is masked below
         elif kind == "lstm":
-            i, f, g = ACT[..., :H], ACT[..., H : 2 * H], ACT[..., 3 * H :]
-            o = ACT[..., 2 * H : 3 * H]
-            slope = ACT[..., : 3 * H] * (1.0 - ACT[..., : 3 * H])
-            COEF = np.empty((T, B, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
-            COEF[:, :, 0] = g * slope[..., :H]
-            COEF[:, :, 1] = _previous(C, reverse) * slope[..., H : 2 * H]
-            COEF[:, :, 2] = TC * slope[..., 2 * H :]
-            COEF[:, :, 3] = i * (1.0 - g * g)
-            DTC = o * (1.0 - TC * TC)
+            slope = SIG * (1.0 - SIG)
+            COEF = np.empty((T, *lead, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
+            COEF[..., 0, :] = GC * slope[..., :H]
+            COEF[..., 1, :] = _previous(C, reverse) * slope[..., H : 2 * H]
+            COEF[..., 2, :] = TC * slope[..., 2 * H :]
+            COEF[..., 3, :] = I * (1.0 - GC * GC)
+            DTC = O * (1.0 - TC * TC)
         else:
-            zg, r = ACT[..., :H], ACT[..., H:]
-            DA = zg * (1.0 - HH * HH)
-            DZG = (HH - HM) * (zg * (1.0 - zg))
-            DR = HM * (r * (1.0 - r))
-            KEEP_H = 1.0 - zg
-            dA = np.empty((T, B, H))
+            DA = ZG * (1.0 - HH * HH)
+            DZG = (HH - HM) * (ZG * (1.0 - ZG))
+            DR = HM * (R * (1.0 - R))
+            KEEP_H = 1.0 - ZG
+            dA = np.empty_like(OUT)
+        U = cell.U.data  # not halved: dZ is the adjoint of the full pre-activations
         dZ = np.empty_like(Z)
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
+        dh = np.zeros(OUT.shape[1:])
+        dc = np.zeros(OUT.shape[1:])
         for t in reversed(order):
-            dh += G[t]
+            dh += dOUT[t]
             dz = dZ[t]
             if kind == "simple":
                 np.multiply(dh, D[t], out=dz)
             elif kind == "lstm":
                 dcn = dh * DTC[t]
                 dcn += dc
-                dz4 = dz.reshape(B, 4, H)
-                np.multiply(dcn[:, None, :], COEF[t], out=dz4)
-                np.multiply(dh, COEF[t, :, 2], out=dz4[:, 2])
-                dc = dcn * f[t] if keep is None else np.where(keep[t], dcn * f[t], dc)
+                dz4 = dz.reshape(*lead, 4, H)
+                np.multiply(dcn[..., None, :], COEF[t], out=dz4)
+                np.multiply(dh, COEF[t, ..., 2, :], out=dz4[..., 2, :])
+                dc = dcn * F[t] if keep is None else np.where(keep[t], dcn * F[t], dc)
             else:
                 da = np.multiply(dh, DA[t], out=dA[t])
                 if keep is not None:
                     da *= keep[t]
                 drh = da @ Uc.T
-                np.multiply(dh, DZG[t], out=dz[:, :H])
-                np.multiply(drh, DR[t], out=dz[:, H:])
+                np.multiply(dh, DZG[t], out=dz[..., :H])
+                np.multiply(drh, DR[t], out=dz[..., H:])
             if keep is not None:
                 dz *= keep[t]
             dhm = dz @ U.T
             if kind == "gru":
                 dhm += dh * KEEP_H[t]
-                dhm += drh * r[t]
+                dhm += drh * R[t]
             if SM is not None:
                 dhm *= SM[t]
             dh = dhm if keep is None else np.where(keep[t], dhm, dh)
@@ -363,7 +381,7 @@ def recurrent(
         # (pre-activation adjoints, the states they multiply, W, U, b)
         blocks = [(dZ.reshape(T * B, -1), HM, cell.W, cell.U, cell.b)]
         if kind == "gru":
-            blocks.append((dA.reshape(T * B, H), r * HM, cell.Wc, cell.Uc, cell.bc))
+            blocks.append((dA.reshape(T * B, H), R * HM, cell.Wc, cell.Uc, cell.bc))
         for d, states, W, U_, b_ in blocks:
             if W.requires_grad:
                 W._accum(Xt.T @ d)
@@ -373,9 +391,9 @@ def recurrent(
                 b_._accum(d.sum(axis=0, keepdims=True))
         if x.requires_grad:
             dX = sum(d @ W.data.T for d, _, W, _, _ in blocks)
-            x._accum(dX.reshape(T, B, k).transpose(1, 0, 2).reshape(x.data.shape))
+            x._accum(dX.reshape(T, B, k).transpose(1, 0, 2) if lead else dX)
 
-    out = OUT.reshape(T, H) if x.data.ndim == 2 else np.ascontiguousarray(OUT.transpose(1, 0, 2))
+    out = np.ascontiguousarray(OUT.transpose(1, 0, 2)) if lead else OUT
     return ad.make_node(out, (x, *(t for _, t in cell.tensors())), backward, op)
 
 
@@ -649,6 +667,8 @@ class Model:
 
     def encode_sentence(self, sentence: Sentence) -> tuple[list[int], list[list[int]]]:
         word_ids = [self.vocab.lookup_word(tok.surface) for tok in sentence]
+        if not self.config.char.enabled:
+            return word_ids, [[] for _ in sentence]
         char_idss = [
             [self.vocab.lookup_char(ch) for ch in tok.surface] for tok in sentence
         ]
@@ -671,11 +691,19 @@ class Model:
         return emb
 
     def forward_logits(self, task_name: str, word_ids, char_idss, training: bool, rng=None):
+        """Logits of one task; the shared stack runs (and draws dropout
+        masks) only up to the task's termination layer."""
+        task = self._tasks[task_name]
         emb = self.embedded(word_ids, char_idss, training, rng)
         outputs = shared_stack_forward(
-            emb, self._cells, self.config.use_shortcuts, self.config.dropout, training, rng
+            emb,
+            self._cells[: task.spec.termination_layer],
+            self.config.use_shortcuts,
+            self.config.dropout,
+            training,
+            rng,
         )
-        return task_head_forward(outputs, self._tasks[task_name], training, rng)
+        return task_head_forward(outputs, task, training, rng)
 
     def sentence_loss(self, task_name: str, word_ids, char_idss, gold, training=True, rng=None):
         logits = self.forward_logits(task_name, word_ids, char_idss, training, rng)

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer.kind!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError("clip threshold must be positive")
+        if self.seed < 0:
+            raise ConfigError("training seed must be >= 0")
         if self.main_task and self.main_task not in task_names:
             raise ConfigError(f"main task {self.main_task!r} is not a declared task")
         if self.early_stopping is not None:

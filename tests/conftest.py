@@ -1,5 +1,7 @@
 """Shared fixtures: synthetic corpora and small model builders."""
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,11 @@ def small_model(corpus, task="tag", seed=3, head="softmax", **config_kw):
     config = NetworkConfig(**defaults)
     rng = np.random.default_rng(seed)
     return Model(config, vocab, rng), rng
+
+
+def write_half_then_fail(path, data):
+    """A stand-in for ``Path.write_bytes`` that writes half of the data
+    and then fails as a full disk would."""
+    with open(path, "wb") as out:
+        out.write(data[: len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")

@@ -316,6 +316,41 @@ def test_cli_search_malformed_spec_exits_1(workspace, capsys, spec, output, loca
     assert len(err.strip().splitlines()) == 1 and location in err
 
 
+@pytest.mark.parametrize("command", ["train", "stats", "predict"])
+def test_cli_directory_instead_of_a_file_exits_2(workspace, capsys, command):
+    tmp_path, _, config = workspace
+    args = {
+        "train": ["train", str(tmp_path), "--quiet"],
+        "stats": ["stats", str(tmp_path)],
+        "predict": ["predict", "--model", str(tmp_path), "--input", config["tasks"][0]["test"]],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(tmp_path) in err and "directory" in err
+
+
+@pytest.mark.parametrize("command", ["train", "search"])
+def test_cli_negative_seed_exits_1(workspace, capsys, command):
+    tmp_path, _, config = workspace
+    if command == "train":
+        config["training"]["seed"] = -1
+    else:
+        config["architecture"]["shared_layers"] = ["${u}"]
+        config["output"] = {"dir": str(tmp_path / "searchout")}
+        config["search"] = {
+            "trials": 1,
+            "seeds_per_trial": 1,
+            "master_seed": -1,
+            "variables": {"u": {"kind": "discrete", "start": 2, "end": 3}},
+        }
+    path = tmp_path / "negative.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "seed must be >= 0" in err
+
+
 def test_cli_missing_train_file_exits_2(workspace, capsys):
     tmp_path, config_path, config = workspace
     config["tasks"][0]["train"] = str(tmp_path / "absent.conll")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from seqtag.embeddings import (
     save_embedding_file,
 )
 from seqtag.exceptions import DataError
+
+from conftest import write_half_then_fail
 
 
 def write(path, text):
@@ -98,6 +102,25 @@ def test_pruned_subset_property(tmp_path):
     emb = build_embedding_set([f1])
     corpus = parse_conll("b\tX\nq\tX\n", 0, {"t": 1})
     assert prune_embeddings(emb, [corpus]).words <= emb.words
+
+
+def test_directory_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read .*: Is a directory"):
+        load_embedding_file(tmp_path)
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    save_embedding_file(EmbeddingSet(dim=1, vectors={"a": np.array([0.5])}), path)
+    before = path.read_bytes()
+
+    bigger = EmbeddingSet(dim=1, vectors={w: np.array([1.0]) for w in "abcdef"})
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_embedding_file(bigger, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_save_load_roundtrip(tmp_path):

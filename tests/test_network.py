@@ -467,12 +467,38 @@ def test_nonfinite_recurrent_weight_raises_numeric_error():
 
 
 def test_overflowing_preactivation_raises_although_tanh_saturates():
-    cell = init_cell("simple", 2, 3, np.random.default_rng(36))
-    cell.W.data[...] = 1e308
-    x = Tensor(np.full((2, 2), 10.0))
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match="rnn/simple"):
-            recurrent(x, cell)
+    # column 0 is a sigmoid gate of lstm and gru, whose pre-activations run halved
+    for kind in ("simple", "lstm", "gru"):
+        for columns in (slice(None), slice(0, 1)):
+            cell = init_cell(kind, 2, 3, np.random.default_rng(36))
+            cell.W.data[:, columns] = 1e308
+            x = Tensor(np.full((2, 2), 10.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericError, match=f"rnn/{kind}"):
+                    recurrent(x, cell)
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+def test_single_sequence_equals_batch_of_one(kind):
+    rng = np.random.default_rng(37)
+    cell = random_cell(kind, 3, 4, rng)
+    x = rng.normal(size=(5, 3))
+    state_masks = (rng.random((5, 4)) >= 0.3) / 0.7
+    for reverse in (False, True):
+        results = []
+        for data in (x, x[None]):
+            inputs = ad.parameter(data.copy())
+            for _, t in cell.tensors():
+                t.grad = None
+            out = recurrent(inputs, cell, state_mask=state_masks, reverse=reverse)
+            weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
+            (ad.tanh(out) * weights).sum().backward()
+            grads = [inputs.grad.reshape(x.shape)] + [t.grad.copy() for _, t in cell.tensors()]
+            results.append((out.data.reshape(5, 4), grads))
+        (out_1, grads_1), (out_b, grads_b) = results
+        assert np.array_equal(out_1, out_b)
+        for g_1, g_b in zip(grads_1, grads_b):
+            assert np.array_equal(g_1, g_b)
 
 
 # -- shared stack -----------------------------------------------------------------------
@@ -606,6 +632,38 @@ def test_task_param_names_exclude_other_tasks():
     assert any(n.startswith("shared/") for n in names)
     assert any(n.startswith("task/main/") for n in names)
     assert not any(n.startswith("task/aux/") for n in names)
+
+
+def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
+    config = tiny_config(
+        shared_layers=[3, 4],
+        dropout=DropoutConfig(rnn_input=0.2, rnn_state=0.2, rnn_output=0.2),
+        tasks=[
+            TaskSpec(name="low", labels=["A", "O"], termination_layer=1, head="crf"),
+            TaskSpec(name="top", labels=["X", "O"], termination_layer=2),
+        ],
+    )
+    model = Model(config, small_vocab(), np.random.default_rng(24))
+    word_ids, char_idss = [2, 3, 4], [[], [], []]
+    emb = model.embedded(word_ids, char_idss, training=False)
+    full = shared_stack_forward(emb, model._cells, False, config.dropout, training=False)
+    read_from_full = network.task_head_forward(full, model._tasks["low"], training=False)
+
+    layer_calls = []
+    layer = network.bidirectional_layer
+    monkeypatch.setattr(
+        network, "bidirectional_layer", lambda *a, **kw: layer_calls.append(1) or layer(*a, **kw)
+    )
+    for task, layers in (("low", 1), ("top", 2)):
+        layer_calls.clear()
+        model.predict_ids(task, word_ids, char_idss)
+        assert len(layer_calls) == layers
+        layer_calls.clear()
+        gold = [0, 1, 0]
+        model.sentence_loss(task, word_ids, char_idss, gold, rng=np.random.default_rng(25))
+        assert len(layer_calls) == layers
+    logits = model.forward_logits("low", word_ids, char_idss, training=False)
+    assert np.array_equal(logits.data, read_from_full.data)
 
 
 def test_frozen_embeddings_not_trainable():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from seqtag.training import (
     train,
 )
 
-from conftest import derive_acs_corpus, small_model, synthetic_bio_corpus, vocab_for
+from conftest import (
+    derive_acs_corpus,
+    small_model,
+    synthetic_bio_corpus,
+    vocab_for,
+    write_half_then_fail,
+)
 
 
 # -- clipping -----------------------------------------------------------------------
@@ -305,6 +313,20 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, bio_corpus):
             for _ in range(n)
         )
         assert model.predict_labels("tag", sentence) == loaded.predict_labels("tag", sentence)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, bio_corpus, monkeypatch):
+    model, _ = small_model(bio_corpus)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    before = path.read_bytes()
+    model.params["task/tag/proj/b"].data += 1.0
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_model(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_corrupt_magic(tmp_path, bio_corpus):
