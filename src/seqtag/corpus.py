@@ -353,7 +353,9 @@ def load_corpus_cached(
 ) -> Corpus:
     """Parse a CoNLL file, going through a binary cache when possible.
 
-    The cache is keyed by file size and content hash plus the column
+    The cache file is named after the file and a hash of its absolute
+    path, so same-named files in different directories keep separate
+    caches. It is keyed by file size and content hash plus the column
     declaration; any change invalidates it.
     """
     path = Path(path)
@@ -364,7 +366,8 @@ def load_corpus_cached(
 
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_path = cache_dir / (path.name + ".cache")
+    where = hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()[:12]
+    cache_path = cache_dir / f"{path.name}.{where}.cache"
     meta = _file_fingerprint(path)
     meta["token_col"] = token_col
     meta["label_cols"] = {task: idx for task, idx in label_cols.items()}

@@ -95,6 +95,13 @@ class NetworkConfig:
             raise ConfigError("at least one shared layer is required")
         if any(h < 1 for h in self.shared_layers):
             raise ConfigError("shared layer sizes must be positive")
+        for key, size in (
+            ("embeddings.word_dim", self.word_dim),
+            ("architecture.char.embedding_dim", self.char.embedding_dim),
+            ("architecture.char.hidden", self.char.hidden),
+        ):
+            if size < 1:
+                raise ConfigError(f"{key} must be >= 1, got {size}")
         if not self.tasks:
             raise ConfigError("at least one task is required")
         names = [t.name for t in self.tasks]
@@ -732,19 +739,6 @@ class Model:
 
     def trainable(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.params.items() if t.requires_grad}
-
-    def task_param_names(self, task_name: str) -> list[str]:
-        """Parameters a batch of this task reaches: everything shared
-        plus the task's own head, in registry order."""
-        own_prefix = f"task/{task_name}/"
-        names = []
-        for name, tensor in self.params.items():
-            if not tensor.requires_grad:
-                continue
-            if name.startswith("task/") and not name.startswith(own_prefix):
-                continue
-            names.append(name)
-        return names
 
     def zero_grads(self) -> None:
         for tensor in self.params.values():

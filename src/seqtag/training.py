@@ -4,8 +4,9 @@ early stopping.
 Every epoch, each task contributes all of its batches over its own
 shuffled training data; the combined (task, batch) list is shuffled
 again and processed sequentially. A batch backpropagates only its own
-task's loss, through the shared parameters and that task's private
-parameters. The run is driven by a single PRNG stream (also used for
+task's loss, and a batch updates the parameters its graph reached: the
+shared layers up to the task's termination layer and the task's own
+head. The run is driven by a single PRNG stream (also used for
 parameter init and dropout masks), which makes whole runs bit-for-bit
 reproducible from the seed.
 """
@@ -58,8 +59,19 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.optimizer.kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer {self.optimizer.kind!r}")
+        opt = self.optimizer
+        if opt.kind not in OPTIMIZER_KINDS:
+            raise ConfigError(f"unknown optimizer {opt.kind!r}")
+        for key, ok, rule in (
+            ("learning_rate", opt.learning_rate > 0, "> 0"),
+            ("beta1", 0.0 <= opt.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= opt.beta2 < 1.0, "in [0, 1)"),
+            ("epsilon", opt.epsilon > 0, "> 0"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"training.optimizer.{key} must be {rule}, got {getattr(opt, key)}"
+                )
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError("clip threshold must be positive")
         if self.seed < 0:
@@ -79,32 +91,24 @@ class TrainConfig:
 # -- gradients ---------------------------------------------------------------------
 
 
-class GradientSet:
-    """Named gradient arrays; the global norm is recomputed on demand."""
-
-    def __init__(self, grads: dict[str, np.ndarray]):
-        self.grads = grads
-
-    def global_norm(self) -> float:
-        total = 0.0
-        for g in self.grads.values():
-            total += float(np.sum(g * g))
-        return float(np.sqrt(total))
-
-    def items(self):
-        return self.grads.items()
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """The Euclidean norm of all gradients taken together."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return float(np.sqrt(total))
 
 
-def clip_global_norm(grads: GradientSet, threshold: float) -> GradientSet:
+def clip_global_norm(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
     """Rescale all gradients when their joint norm exceeds the
-    threshold; below it the set passes through unchanged."""
+    threshold; below it the same dict is returned."""
     if threshold <= 0:
         raise ConfigError("clip threshold must be positive")
-    norm = grads.global_norm()
+    norm = global_norm(grads)
     scale = threshold / max(threshold, norm)
     if scale == 1.0:
-        return GradientSet(dict(grads.grads))
-    return GradientSet({name: g * scale for name, g in grads.items()})
+        return grads
+    return {name: g * scale for name, g in grads.items()}
 
 
 # -- optimizers ---------------------------------------------------------------------
@@ -114,7 +118,7 @@ class SgdOptimizer:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, params, grads: GradientSet) -> None:
+    def step(self, params, grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
             params[name].data -= self.learning_rate * g
 
@@ -131,7 +135,7 @@ class AdamOptimizer:
         self.epsilon = epsilon
         self.state: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
-    def step(self, params, grads: GradientSet) -> None:
+    def step(self, params, grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
             m, v, t = self.state.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
             t += 1
@@ -279,14 +283,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, task {task_name!r}, "
                     f"batch {int(b)}: {err}"
                 ) from err
-            names = model.task_param_names(task_name)
-            grads = GradientSet(
-                {
-                    n: (model.params[n].grad if model.params[n].grad is not None
-                        else np.zeros_like(model.params[n].data))
-                    for n in names
-                }
-            )
+            grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
             if config.clip_norm is not None:
                 grads = clip_global_norm(grads, config.clip_norm)
             optimizer.step(model.params, grads)

@@ -351,6 +351,49 @@ def test_cli_negative_seed_exits_1(workspace, capsys, command):
     assert len(err.strip().splitlines()) == 1 and "seed must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"embeddings.word_dim": -1}, "embeddings.word_dim must be >= 1, got -1"),
+        (
+            {"architecture.char": {"enabled": True, "embedding_dim": -3}},
+            "architecture.char.embedding_dim must be >= 1, got -3",
+        ),
+        (
+            {"architecture.char": {"enabled": True, "hidden": -2}},
+            "architecture.char.hidden must be >= 1, got -2",
+        ),
+        ({"training.optimizer.beta1": 1.0}, "training.optimizer.beta1 must be in [0, 1), got 1.0"),
+        (
+            {"training.optimizer.beta2": 1.0, "training.optimizer.epsilon": 0.0},
+            "training.optimizer.beta2 must be in [0, 1), got 1.0",
+        ),
+        ({"training.optimizer.epsilon": 0.0}, "training.optimizer.epsilon must be > 0, got 0.0"),
+        (
+            {"training.optimizer.learning_rate": -0.5},
+            "training.optimizer.learning_rate must be > 0, got -0.5",
+        ),
+    ],
+    ids=["word_dim", "char_embedding_dim", "char_hidden", "beta1", "beta2", "epsilon",
+         "learning_rate"],
+)
+def test_cli_bad_numeric_value_exits_1_with_one_line(workspace, capsys, changes, message):
+    tmp_path, _, config = workspace
+    for path, value in changes.items():
+        *parents, leaf = path.split(".")
+        node = config
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["train", str(bad), "--quiet"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
 def test_cli_missing_train_file_exits_2(workspace, capsys):
     tmp_path, config_path, config = workspace
     config["tasks"][0]["train"] = str(tmp_path / "absent.conll")

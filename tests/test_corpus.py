@@ -1,3 +1,5 @@
+import hashlib
+import os
 import zlib
 
 import pytest
@@ -16,6 +18,13 @@ from seqtag.corpus import (
     write_corpus_cache,
 )
 from seqtag.exceptions import DataError
+
+
+def cache_name(src):
+    """The cache file name README documents: the file name, the first 12
+    hex digits of the sha256 of its absolute path, then ``.cache``."""
+    digest = hashlib.sha256(os.fsencode(os.path.abspath(src))).hexdigest()
+    return f"{src.name}.{digest[:12]}.cache"
 
 
 def test_parse_two_token_sentence():
@@ -126,7 +135,7 @@ def test_load_corpus_cached_invalidates_on_change(tmp_path):
     src.write_text("a\tX\n")
     cache_dir = tmp_path / "cache"
     first = load_corpus_cached(src, 0, {"t": 1}, cache_dir)
-    assert (cache_dir / "data.conll.cache").exists()
+    assert (cache_dir / cache_name(src)).exists()
 
     again = load_corpus_cached(src, 0, {"t": 1}, cache_dir)
     assert again.sentences == first.sentences
@@ -134,6 +143,31 @@ def test_load_corpus_cached_invalidates_on_change(tmp_path):
     src.write_text("b\tY\n")
     changed = load_corpus_cached(src, 0, {"t": 1}, cache_dir)
     assert changed.sentences[0][0].surface == "b"
+
+
+def test_same_named_files_keep_separate_caches(tmp_path, monkeypatch):
+    import seqtag.corpus
+
+    parses = []
+    parse = seqtag.corpus.parse_conll_file
+
+    def counting_parse(path, *args):
+        parses.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(seqtag.corpus, "parse_conll_file", counting_parse)
+    sources = []
+    for sub, word in (("a", "x"), ("b", "y")):
+        (tmp_path / sub).mkdir()
+        sources.append(tmp_path / sub / "train.conll")
+        sources[-1].write_text(f"{word}\tX\n", encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+    for _ in range(2):
+        for src, word in zip(sources, ("x", "y")):
+            corpus = load_corpus_cached(src, 0, {"t": 1}, cache_dir)
+            assert corpus.sentences[0][0].surface == word
+    assert parses == sources
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(map(cache_name, sources))
 
 
 def test_missing_file_is_data_error(tmp_path):
@@ -166,7 +200,7 @@ def test_damaged_cache_falls_back_to_parsing(tmp_path, mask):
     expected = parse_conll_file(src, 0, {"t": 1})
     cache_dir = tmp_path / "cache"
     assert load_corpus_cached(src, 0, {"t": 1}, cache_dir) == expected
-    cache = cache_dir / "data.conll.cache"
+    cache = cache_dir / cache_name(src)
     blob = cache.read_bytes()
     damaged = [blob[:n] for n in range(len(blob))]
     damaged += [blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:] for i in range(len(blob))]
@@ -174,7 +208,7 @@ def test_damaged_cache_falls_back_to_parsing(tmp_path, mask):
         cache.write_bytes(case)
         assert load_corpus_cached(src, 0, {"t": 1}, cache_dir) == expected
         assert cache.read_bytes() == blob  # the re-parse rewrote the cache
-    assert sorted(p.name for p in cache_dir.iterdir()) == ["data.conll.cache"]
+    assert sorted(p.name for p in cache_dir.iterdir()) == [cache_name(src)]
 
 
 def test_cache_with_valid_checksum_but_bad_ids_is_data_error(tmp_path):

@@ -620,20 +620,6 @@ def test_model_predicts_known_labels():
     assert set(labels) <= {"A", "B", "O"}
 
 
-def test_task_param_names_exclude_other_tasks():
-    config = tiny_config(
-        tasks=[
-            TaskSpec(name="main", labels=["A", "O"]),
-            TaskSpec(name="aux", labels=["X", "O"], head="crf"),
-        ]
-    )
-    model = Model(config, small_vocab(), np.random.default_rng(22))
-    names = model.task_param_names("main")
-    assert any(n.startswith("shared/") for n in names)
-    assert any(n.startswith("task/main/") for n in names)
-    assert not any(n.startswith("task/aux/") for n in names)
-
-
 def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
     config = tiny_config(
         shared_layers=[3, 4],

@@ -11,12 +11,12 @@ from seqtag.network import Model
 from seqtag.training import (
     AdamOptimizer,
     EarlyStoppingConfig,
-    GradientSet,
     OptimizerConfig,
     SgdOptimizer,
     TrainConfig,
     clip_global_norm,
     dev_score,
+    global_norm,
     subsample,
     train,
 )
@@ -34,48 +34,48 @@ from conftest import (
 
 
 def test_clip_identity_at_threshold():
-    grads = GradientSet({"a": np.array([3.0]), "b": np.array([4.0])})
-    assert grads.global_norm() == pytest.approx(5.0)
+    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    assert global_norm(grads) == pytest.approx(5.0)
     clipped = clip_global_norm(grads, 5.0)
-    assert np.array_equal(clipped.grads["a"], [3.0])
-    assert np.array_equal(clipped.grads["b"], [4.0])
+    assert np.array_equal(clipped["a"], [3.0])
+    assert np.array_equal(clipped["b"], [4.0])
 
 
 def test_clip_scales_to_threshold():
-    grads = GradientSet({"a": np.array([3.0]), "b": np.array([4.0])})
+    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
     clipped = clip_global_norm(grads, 2.5)
-    assert np.allclose(clipped.grads["a"], [1.5])
-    assert np.allclose(clipped.grads["b"], [2.0])
-    assert clipped.global_norm() == pytest.approx(2.5)
+    assert np.allclose(clipped["a"], [1.5])
+    assert np.allclose(clipped["b"], [2.0])
+    assert global_norm(clipped) == pytest.approx(2.5)
 
 
 def test_clip_zero_gradients_pass_through():
-    grads = GradientSet({"a": np.zeros(3)})
+    grads = {"a": np.zeros(3)}
     clipped = clip_global_norm(grads, 1.0)
-    assert np.array_equal(clipped.grads["a"], np.zeros(3))
+    assert np.array_equal(clipped["a"], np.zeros(3))
 
 
 def test_clip_properties_fuzz():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         n_tensors = int(rng.integers(1, 4))
-        grads = GradientSet(
-            {f"g{i}": rng.normal(size=rng.integers(1, 5)) * 10.0 ** float(rng.integers(-2, 3))
-             for i in range(n_tensors)}
-        )
+        grads = {
+            f"g{i}": rng.normal(size=rng.integers(1, 5)) * 10.0 ** float(rng.integers(-2, 3))
+            for i in range(n_tensors)
+        }
         threshold = float(rng.uniform(0.01, 10.0))
-        before = grads.global_norm()
+        before = global_norm(grads)
         clipped = clip_global_norm(grads, threshold)
-        after = clipped.global_norm()
+        after = global_norm(clipped)
         assert after <= threshold + 1e-12 or after <= before + 1e-12
         assert after <= max(threshold, before) + 1e-12
         if before <= threshold:
             for name, g in grads.items():
-                assert np.array_equal(clipped.grads[name], g)
+                assert np.array_equal(clipped[name], g)
         elif before > 0:
             # direction preserved: cosine similarity 1
             dot = sum(
-                float(np.sum(g * clipped.grads[name])) for name, g in grads.items()
+                float(np.sum(g * clipped[name])) for name, g in grads.items()
             )
             assert dot / (before * after) == pytest.approx(1.0, abs=1e-12)
             assert after <= threshold + 1e-12
@@ -86,7 +86,7 @@ def test_clip_properties_fuzz():
 
 def test_sgd_step():
     theta = ad.parameter(np.array([1.0]))
-    SgdOptimizer(0.1).step({"w": theta}, GradientSet({"w": np.array([2.0])}))
+    SgdOptimizer(0.1).step({"w": theta}, {"w": np.array([2.0])})
     assert np.allclose(theta.data, [0.8])
 
 
@@ -94,7 +94,7 @@ def test_adam_first_step_magnitude():
     for g in (np.array([0.001]), np.array([5.0]), np.array([-42.0])):
         theta = ad.parameter(np.array([1.0]))
         adam = AdamOptimizer(learning_rate=0.01)
-        adam.step({"w": theta}, GradientSet({"w": g.copy()}))
+        adam.step({"w": theta}, {"w": g.copy()})
         delta = theta.data - 1.0
         # bias-corrected m/sqrt(v) = sign(g) up to epsilon effects
         assert np.allclose(np.abs(delta), 0.01, rtol=1e-2)
@@ -104,7 +104,7 @@ def test_adam_first_step_magnitude():
 def test_zero_gradient_changes_nothing():
     for opt in (SgdOptimizer(0.5), AdamOptimizer(0.5)):
         theta = ad.parameter(np.array([1.0, -2.0]))
-        opt.step({"w": theta}, GradientSet({"w": np.zeros(2)}))
+        opt.step({"w": theta}, {"w": np.zeros(2)})
         assert np.array_equal(theta.data, [1.0, -2.0])
 
 
@@ -125,7 +125,7 @@ def scripted_dev_train(monkeypatch, scores, patience, epochs=10):
     config = TrainConfig(
         epochs=epochs,
         batch_size=2,
-        optimizer=OptimizerConfig(kind="sgd", learning_rate=0.0),
+        optimizer=OptimizerConfig(kind="sgd", learning_rate=0.01),
         early_stopping=EarlyStoppingConfig(task="tag", metric="accuracy", patience=patience),
         main_task="tag",
     )
@@ -189,40 +189,67 @@ def test_training_reduces_loss(bio_corpus):
     assert result.records[-1].task_losses["tag"] < result.records[0].task_losses["tag"]
 
 
-def test_aux_batch_leaves_other_task_heads_untouched():
+def test_lower_task_batch_steps_only_the_parameters_it_reached(monkeypatch):
+    """A `seg` batch (termination layer 1) hands the optimizer neither
+    the shared layer above it nor the `tag` head, and leaves them as
+    they were, Adam state included."""
     corpus = synthetic_bio_corpus(n_sentences=6)
     aux = derive_acs_corpus(corpus)
     vocab = vocab_for([corpus, aux], {"tag": [corpus], "seg": [aux]})
     from seqtag.network import DropoutConfig, NetworkConfig, TaskSpec
 
     config = NetworkConfig(
-        cell="gru",
-        shared_layers=[6],
+        cell="lstm",
+        shared_layers=[6, 6],
         dropout=DropoutConfig(),
         tasks=[
-            TaskSpec(name="tag", labels=vocab.labels_of("tag")),
+            TaskSpec(name="tag", labels=vocab.labels_of("tag"), termination_layer=2),
             TaskSpec(name="seg", labels=vocab.labels_of("seg"), head="crf"),
         ],
         word_dim=6,
     )
     rng = np.random.default_rng(5)
     model = Model(config, vocab, rng)
-    tag_head_before = model.params["task/tag/proj/W"].data.copy()
-    shared_before = model.params["shared/1/fwd/W"].data.copy()
+    above = [n for n in model.params if n.startswith(("shared/2/", "task/tag/"))]
 
-    # one aux-task batch by hand
-    from seqtag.training import GradientSet, make_optimizer
+    tasks = []
+    sentence_loss = Model.sentence_loss
 
-    sentence = aux.sentences[0]
-    word_ids, char_idss = model.encode_sentence(sentence)
-    loss = model.sentence_loss("seg", word_ids, char_idss, model.gold_ids("seg", sentence))
-    loss.backward()
-    names = model.task_param_names("seg")
-    grads = GradientSet({n: model.params[n].grad for n in names if model.params[n].grad is not None})
-    make_optimizer(OptimizerConfig(kind="sgd", learning_rate=0.1)).step(model.params, grads)
+    def spy_loss(self, task_name, *args, **kwargs):
+        tasks.append(task_name)
+        return sentence_loss(self, task_name, *args, **kwargs)
 
-    assert np.array_equal(model.params["task/tag/proj/W"].data, tag_head_before)
-    assert not np.array_equal(model.params["shared/1/fwd/W"].data, shared_before)
+    steps = {"tag": 0, "seg": 0}
+    optimizers = []
+    adam_step = AdamOptimizer.step
+
+    def spy_step(self, params, grads):
+        task = tasks[-1]
+        steps[task] += 1
+        optimizers.append(self)
+        before = {n: params[n].data.tobytes() for n in above}
+        adam_step(self, params, grads)
+        if task == "seg":
+            names = [n for n, _ in grads.items()]
+            assert not [n for n in names if n in above]
+            assert all(params[n].data.tobytes() == before[n] for n in above)
+            assert any(n.startswith("task/seg/") for n in names)
+            assert any(n.startswith("shared/1/") for n in names)
+
+    monkeypatch.setattr(Model, "sentence_loss", spy_loss)
+    monkeypatch.setattr(AdamOptimizer, "step", spy_step)
+    train_config = TrainConfig(
+        epochs=2,
+        batch_size=2,
+        optimizer=OptimizerConfig(kind="adam", learning_rate=0.01),
+        clip_norm=1.0,
+        main_task="tag",
+    )
+    train(model, {"tag": corpus, "seg": aux}, {}, train_config, rng)
+
+    assert steps == {"tag": 6, "seg": 6}
+    assert optimizers[0].state["shared/2/fwd/U"][2] == steps["tag"]
+    assert optimizers[0].state["shared/1/fwd/U"][2] == steps["tag"] + steps["seg"]
 
 
 def test_single_task_training_is_reproducible_as_stl():
