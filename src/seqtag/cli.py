@@ -244,11 +244,17 @@ def cmd_search(args) -> int:
     )
     runs_dir = out_dir / "runs"
     run_log: dict[int, dict] = {}
+    builds: dict[tuple, experiment.ExperimentData] = {}  # one per distinct data section
 
     def train_fn(config_dict: dict, seed: int) -> float:
         config = build_run_config(config_dict)
         config.training.seed = seed
-        data = experiment.ExperimentData(config, cache_dir=str(out_dir / "cache"))
+        key = experiment.data_key(config)
+        data = builds.get(key)
+        if data is None:
+            data = builds[key] = experiment.ExperimentData(
+                config, cache_dir=str(out_dir / "cache")
+            )
         run_dir = runs_dir / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         lines: list[str] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import struct
@@ -323,23 +324,30 @@ def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
             raise DataError(f"corpus cache {path} fails its checksum")
         buf = io.BytesIO(blob[12:])
         header = json.loads(_read_section(buf).decode("utf-8"))
-        packed = io.BytesIO(_read_section(buf))
+        packed = _read_section(buf)
+        ids = struct.unpack(f"<{len(packed) // 4}I", packed)
 
         tasks = tuple(header["tasks"])
-        surfaces = header["surfaces"]
-        labels = {task: header["labels"][task] for task in tasks}
-        sentences = []
+        width = 1 + len(tasks)
+        # split the ids into per-sentence token counts and the token rows
+        counts, body, pos = [], [], 0
         for _ in range(header["sentence_count"]):
-            (n_tokens,) = struct.unpack("<I", packed.read(4))
-            tokens = []
-            for _ in range(n_tokens):
-                (sid,) = struct.unpack("<I", packed.read(4))
-                token_labels = {}
-                for task in tasks:
-                    (lid,) = struct.unpack("<I", packed.read(4))
-                    token_labels[task] = labels[task][lid]
-                tokens.append(Token(surface=surfaces[sid], labels=token_labels))
-            sentences.append(tuple(tokens))
+            start, pos = pos + 1, pos + 1 + ids[pos] * width
+            counts.append(ids[start - 1])
+            body += ids[start:pos]
+        if pos != len(ids):
+            raise DataError(
+                f"corrupt corpus cache {path}: body holds {len(ids)} ids, its sentences {pos}"
+            )
+        words = map(header["surfaces"].__getitem__, body[::width])
+        columns = [
+            map(header["labels"][task].__getitem__, body[k::width])
+            for k, task in enumerate(tasks, 1)
+        ]
+        rows = zip(*columns) if columns else itertools.repeat(())
+        labels = map(dict, map(zip, itertools.repeat(tasks), rows))
+        tokens = map(Token, words, labels)
+        sentences = [tuple(itertools.islice(tokens, n)) for n in counts]
         return Corpus(sentences=tuple(sentences), tasks=tasks), header["source"]
     except (ValueError, LookupError, TypeError, struct.error, OverflowError) as err:
         raise DataError(f"corrupt corpus cache {path}: {err!r}") from err
@@ -354,7 +362,8 @@ def load_corpus_cached(
     """Parse a CoNLL file, going through a binary cache when possible.
 
     The cache file is named after the file and a hash of its absolute
-    path, so same-named files in different directories keep separate
+    path and column declaration, so same-named files in different
+    directories, and one file read with two column layouts, keep separate
     caches. It is keyed by file size and content hash plus the column
     declaration; any change invalidates it.
     """
@@ -366,7 +375,10 @@ def load_corpus_cached(
 
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    where = hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()[:12]
+    columns = f"{token_col}" + "".join(f"\t{t}={c}" for t, c in sorted(label_cols.items()))
+    where = hashlib.sha256(
+        os.fsencode(os.path.abspath(path)) + b"\0" + columns.encode("utf-8")
+    ).hexdigest()[:12]
     cache_path = cache_dir / f"{path.name}.{where}.cache"
     meta = _file_fingerprint(path)
     meta["token_col"] = token_col

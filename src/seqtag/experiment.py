@@ -44,11 +44,26 @@ from seqtag.network import Model
 from seqtag.training import TrainResult, predict_results, subsample, train
 
 
+def data_key(config: RunConfig) -> tuple:
+    """What an ``ExperimentData`` build reads of a run configuration: each
+    task's files and columns, and the embedding files. Runs with equal
+    keys can share one build; ``train_fraction`` is applied per run."""
+    files = tuple(
+        (tf.name, tf.train, tf.dev, tf.test, tf.token_column, tf.label_column)
+        for tf in config.task_files
+    )
+    return files, tuple(config.embeddings.files)
+
+
 class ExperimentData:
-    """Loaded corpora plus the artifacts derived from them."""
+    """Loaded corpora plus the artifacts derived from them.
+
+    A build depends only on ``data_key(config)`` and keeps no reference to
+    the config; ``configure`` writes what the data determines into a run's
+    config.
+    """
 
     def __init__(self, config: RunConfig, cache_dir: str | None = None):
-        self.config = config
         self.train: dict[str, Corpus] = {}
         self.dev: dict[str, Corpus] = {}
         self.test: dict[str, Corpus] = {}
@@ -73,7 +88,6 @@ class ExperimentData:
         if config.embeddings.files:
             emb = build_embedding_set(config.embeddings.files)
             emb = prune_embeddings(emb, all_corpora)
-            config.network.word_dim = emb.dim
             for word in emb.vectors:
                 self.vocab.add_word(word)
             matrix = np.zeros((self.vocab.word_count, emb.dim))
@@ -88,19 +102,23 @@ class ExperimentData:
             self.pruned_embeddings = None
         self.vocab.char_index = build_char_index(all_corpora)
 
-        for task in config.network.tasks:
+        for tf in config.task_files:
             corpora = [
                 c
-                for c in (
-                    self.train.get(task.name),
-                    self.dev.get(task.name),
-                    self.test.get(task.name),
-                )
+                for c in (self.train.get(tf.name), self.dev.get(tf.name), self.test.get(tf.name))
                 if c is not None
             ]
             if not corpora:
-                raise ConfigError(f"task {task.name!r} has no input files")
-            self.vocab.label_index[task.name] = build_label_index(corpora, task.name)
+                raise ConfigError(f"task {tf.name!r} has no input files")
+            self.vocab.label_index[tf.name] = build_label_index(corpora, tf.name)
+        self.configure(config)
+
+    def configure(self, config: RunConfig) -> None:
+        """Write the embedding dimension and each task's label inventory
+        into ``config``, then validate its network."""
+        if self.word_matrix is not None:
+            config.network.word_dim = self.word_matrix.shape[1]
+        for task in config.network.tasks:
             task.labels = self.vocab.labels_of(task.name)
         config.network.validate()
 
@@ -124,10 +142,13 @@ def run_training(
 
     One PRNG stream seeded with ``training.seed`` drives, in order:
     parameter initialization, training-fraction subsampling, per-epoch
-    shuffling, and dropout masks.
+    shuffling, and dropout masks. A ``data`` passed in may be shared with
+    other runs of the same ``data_key``; it is read, never changed.
     """
     if data is None:
         data = ExperimentData(config, cache_dir=cache_dir)
+    else:
+        data.configure(config)
     if cache_dir is not None and data.pruned_embeddings is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         data.save_pruned_embeddings(Path(cache_dir) / "embeddings.pruned.txt")

@@ -11,6 +11,7 @@ whole search replays bit-for-bit from the master seed.
 from __future__ import annotations
 
 import re
+import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -171,16 +172,17 @@ class SearchReport:
         return sorted(scored, key=lambda t: (-t.mean, t.index))
 
     def to_tsv(self) -> str:
-        lines = ["trial\tstatus\tmean\tseed_scores\tassignment"]
+        lines = ["trial\tstatus\tmean\tseed_scores\tassignment\tseed_std"]
         for trial in self.trials:
             if trial.error is not None:
-                status, mean, scores = "failed", "-", trial.error
+                status, mean, scores, spread = "failed", "-", trial.error, "-"
             else:
                 status = "ok"
                 mean = f"{trial.mean:.6f}"
                 scores = ",".join(f"{s:.6f}" for s in trial.seed_scores)
+                spread = f"{statistics.pstdev(trial.seed_scores):.6f}"
             assignment = ",".join(f"{k}={v}" for k, v in trial.assignment.items())
-            lines.append(f"{trial.index}\t{status}\t{mean}\t{scores}\t{assignment}")
+            lines.append(f"{trial.index}\t{status}\t{mean}\t{scores}\t{assignment}\t{spread}")
         if self.winner is not None:
             lines.append(f"winner\t{self.winner}")
             if self.final_scores:

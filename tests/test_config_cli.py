@@ -661,3 +661,120 @@ def test_cli_search_smoke(workspace, capsys):
     assert (out_dir / "trial_000" / "config.yaml").exists()
     assert (out_dir / "trial_000" / "best.ckpt").exists()
     assert (out_dir / "trial_000" / "seed_0.log").exists()
+
+
+@pytest.fixture
+def search_setup(workspace, monkeypatch):
+    """A search template over ``units`` with pretrained embeddings, and a
+    spy that records each ``ExperimentData`` build with a snapshot of its
+    word matrix and vocabulary."""
+    import copy
+
+    from seqtag import experiment
+
+    tmp_path, _, config = workspace
+    words = sorted(synthetic_bio_corpus(n_sentences=12, seed=4).surfaces())
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} {len(w) / 10} -0.5 0.25\n" for w in words), encoding="utf-8")
+    config["embeddings"] = {"files": [str(vectors)]}
+    config["training"]["epochs"] = 2
+    config["architecture"]["shared_layers"] = ["${units}"]
+    config["search"] = {
+        "trials": 2,
+        "seeds_per_trial": 2,
+        "final_seeds": 1,
+        "master_seed": 5,
+        "variables": {"units": {"kind": "discrete", "start": 3, "end": 6}},
+    }
+    builds = []
+    init = experiment.ExperimentData.__init__
+
+    def spy(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+        self.snapshot = (self.word_matrix.copy(), copy.deepcopy(self.vocab))
+
+    monkeypatch.setattr(experiment.ExperimentData, "__init__", spy)
+
+    def run():
+        path = tmp_path / "search.yaml"
+        path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+        out_dir = tmp_path / "searchout"
+        assert main(["search", str(path), "--output", str(out_dir)]) == 0
+        rows = [line.split("\t") for line in (out_dir / "report.tsv").read_text().splitlines()]
+        return out_dir, {int(r[0]): r for r in rows[1:] if r[0].isdigit()}
+
+    return tmp_path, config, builds, run
+
+
+def test_search_builds_data_once(search_setup):
+    _, _, builds, run = search_setup
+    out_dir, trials = run()
+    assert [r[1] for r in trials.values()] == ["ok", "ok"]
+    assert len(list((out_dir / "runs").glob("seed_*/model.ckpt"))) == 5
+    assert len(builds) == 1
+
+
+def test_search_builds_once_per_corpus_value(search_setup):
+    tmp_path, config, builds, run = search_setup
+    second = write_corpus(tmp_path / "train2.conll", synthetic_bio_corpus(12, seed=7))
+    config["tasks"][0]["train"] = "${corpus}"
+    config["search"]["trials"] = 4
+    values = [config["tasks"][0]["dev"], second]
+    config["search"]["variables"]["corpus"] = {"kind": "list", "values": values}
+    _, trials = run()
+    sampled = {r[4].split(",corpus=")[1] for r in trials.values()}
+    assert len(sampled) == 2 and len(trials) == 4
+    assert [r[1] for r in trials.values()] == ["ok"] * 4
+    assert len(builds) == 2
+
+
+def test_search_trial_with_missing_corpus_fails_alone(search_setup):
+    tmp_path, config, builds, run = search_setup
+    missing = str(tmp_path / "absent.conll")
+    config["tasks"][0]["train"] = "${corpus}"
+    config["search"]["trials"] = 4
+    values = [config["tasks"][0]["dev"], missing]
+    config["search"]["variables"]["corpus"] = {"kind": "list", "values": values}
+    out_dir, trials = run()
+    failed = [i for i, r in trials.items() if r[1] == "failed"]
+    ok = [i for i, r in trials.items() if r[1] == "ok"]
+    assert failed and ok
+    for i in failed:
+        assert trials[i][4].endswith(f"corpus={missing}")
+        assert "input file not found" in (out_dir / f"trial_{i:03d}" / "FAILED").read_text()
+    assert not any(trials[i][4].endswith(f"corpus={missing}") for i in ok)
+    winner = (out_dir / "report.tsv").read_text().splitlines()[len(trials) + 1]
+    assert winner.split("\t")[0] == "winner" and int(winner.split("\t")[1]) in ok
+    # the good corpus is built once; a failed build is not kept, so each
+    # failed trial tries its own
+    assert len([d for d in builds if hasattr(d, "snapshot")]) == 1
+    assert len(builds) == 1 + len(failed)
+
+
+def test_search_run_equals_run_with_its_own_data(search_setup, tmp_path):
+    from seqtag import experiment
+    from seqtag.hyperopt import derive_seed
+
+    _, config, builds, run = search_setup
+    out_dir, trials = run()
+    assert len(builds) == 1
+    for index in trials:
+        rendered = load_yaml(out_dir / f"trial_{index:03d}" / "config.yaml")
+        for j in range(2):
+            seed = derive_seed(config["search"]["master_seed"], index, j)
+            own = build_run_config(rendered)
+            own.training.seed = seed
+            checkpoint = tmp_path / f"own_{seed}.ckpt"
+            experiment.run_training(own, checkpoint_path=str(checkpoint))
+            shared = out_dir / "runs" / f"seed_{seed}" / "model.ckpt"
+            assert shared.read_bytes() == checkpoint.read_bytes()
+
+
+def test_search_runs_leave_shared_data_unchanged(search_setup):
+    _, _, builds, run = search_setup
+    run()
+    (data,) = builds
+    matrix, vocab = data.snapshot
+    assert data.word_matrix.tobytes() == matrix.tobytes()
+    assert data.vocab == vocab

@@ -20,11 +20,14 @@ from seqtag.corpus import (
 from seqtag.exceptions import DataError
 
 
-def cache_name(src):
+def cache_name(src, token_col=0, label_cols=None):
     """The cache file name README documents: the file name, the first 12
-    hex digits of the sha256 of its absolute path, then ``.cache``."""
-    digest = hashlib.sha256(os.fsencode(os.path.abspath(src))).hexdigest()
-    return f"{src.name}.{digest[:12]}.cache"
+    hex digits of the sha256 of its absolute path, a NUL byte and the
+    column declaration, then ``.cache``."""
+    label_cols = label_cols or {"t": 1}
+    columns = f"{token_col}" + "".join(f"\t{t}={c}" for t, c in sorted(label_cols.items()))
+    key = os.fsencode(os.path.abspath(src)) + b"\0" + columns.encode("utf-8")
+    return f"{src.name}.{hashlib.sha256(key).hexdigest()[:12]}.cache"
 
 
 def test_parse_two_token_sentence():
@@ -123,6 +126,17 @@ def test_cache_roundtrip(tmp_path):
     assert meta == {"size": 1}
 
 
+@pytest.mark.parametrize("label_cols", [{}, {"t": 1, "u": 2}])
+def test_cache_roundtrip_with_no_or_two_tasks(tmp_path, label_cols):
+    corpus = parse_conll("a\tX\tP\nb\tY\tQ\n\nc\tX\tP\n", 0, label_cols)
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, corpus, {"size": 1})
+    loaded, _ = read_corpus_cache(cache)
+    assert loaded.sentences == corpus.sentences
+    assert [len(s) for s in loaded.sentences] == [2, 1]
+    assert loaded.tasks == corpus.tasks
+
+
 def test_cache_rejects_bad_magic(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_bytes(b"WXYZ" + b"\x00" * 16)
@@ -168,6 +182,44 @@ def test_same_named_files_keep_separate_caches(tmp_path, monkeypatch):
             assert corpus.sentences[0][0].surface == word
     assert parses == sources
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(map(cache_name, sources))
+
+
+def test_one_file_with_two_label_columns_keeps_two_caches(tmp_path, monkeypatch):
+    import seqtag.corpus
+
+    parses = []
+    parse = seqtag.corpus.parse_conll_file
+
+    def counting_parse(path, *args):
+        parses.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(seqtag.corpus, "parse_conll_file", counting_parse)
+    src = tmp_path / "multi.conll"
+    src.write_text("a\tX\tP\nb\tY\tQ\n", encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+    for _ in range(3):
+        for col, labels in ((1, ["X", "Y"]), (2, ["P", "Q"])):
+            corpus = load_corpus_cached(src, 0, {"t": col}, cache_dir)
+            assert [tok.labels["t"] for tok in corpus.sentences[0]] == labels
+    assert parses == [src, src]
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+        cache_name(src, 0, {"t": col}) for col in (1, 2)
+    )
+
+
+def test_cache_body_with_ids_left_over_is_data_error(tmp_path):
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, parse_conll("a\tX\n", 0, {"t": 1}), {"size": 1})
+    # append one id to the packed section and re-seal the checksum
+    blob = bytearray(cache.read_bytes() + (0).to_bytes(4, "little"))
+    offset = 20 + int.from_bytes(blob[12:20], "little")
+    packed_len = int.from_bytes(blob[offset:offset + 8], "little")
+    blob[offset:offset + 8] = (packed_len + 4).to_bytes(8, "little")
+    blob[8:12] = zlib.crc32(bytes(blob[12:])).to_bytes(4, "little")
+    cache.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="body holds 4 ids, its sentences 3"):
+        read_corpus_cache(cache)
 
 
 def test_missing_file_is_data_error(tmp_path):

@@ -132,6 +132,38 @@ def test_mean_is_arithmetic_mean_of_seed_scores():
     assert report.trials[0].mean == pytest.approx((0.2 + 0.4 + 0.9) / 3, abs=1e-12)
 
 
+def test_report_appends_population_seed_spread():
+    def train_fn(config, seed):
+        if config["x"] == "bad":
+            raise RuntimeError("injected failure")
+        return seed % 7 / 7
+
+    report = run_search(
+        {"x": "${x}"},
+        SearchSpace(variables={"x": ListInterval(["a", "bad"])}),
+        n_trials=4,
+        seeds_per_trial=3,
+        master_seed=2,
+        train_fn=train_fn,
+        final_seeds=1,
+    )
+    rows = [line.split("\t") for line in report.to_tsv().splitlines()]
+    assert rows[0] == ["trial", "status", "mean", "seed_scores", "assignment", "seed_std"]
+    trials = {int(r[0]): r for r in rows[1:] if r[0].isdigit()}
+    ok = [t for t in report.trials if t.error is None]
+    failed = [t for t in report.trials if t.error is not None]
+    assert ok and failed
+    for trial in ok:
+        mean = sum(trial.seed_scores) / 3
+        spread = (sum((s - mean) ** 2 for s in trial.seed_scores) / 3) ** 0.5
+        assert spread > 0
+        assert trials[trial.index][5] == f"{spread:.6f}"
+    for trial in failed:
+        assert trials[trial.index][1:3] + trials[trial.index][5:] == ["failed", "-", "-"]
+    # the winner and final rows keep their two and three columns
+    assert [len(r) for r in rows if r[0] in ("winner", "final")] == [2, 3]
+
+
 def test_single_trial_wins_trivially():
     report = run_search(
         {"x": "${x}"},
