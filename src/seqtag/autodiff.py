@@ -9,7 +9,8 @@ Conventions:
   * everything is float64, row-major;
   * finite checks: every op checks its output in ``make_node`` and
     raises ``NumericError`` naming the op; fused ops (the recurrent
-    layers in ``network``, ``crf_log_z``) are one node each and may check
+    layers and ``softmax_nll`` in ``network``, ``crf_log_z`` and
+    ``crf_nll`` in ``crf``) are one node each and may check
     intermediates too, e.g. the stacked pre-activations; ``backward()``
     checks each node's adjoint before pushing it to the parents;
   * parameters are leaf tensors created with ``parameter()``; their

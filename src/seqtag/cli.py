@@ -33,8 +33,8 @@ from seqtag.config import (
 from seqtag.corpus import Token, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
 from seqtag.hyperopt import SearchSpace, derive_seed, parse_interval, run_search
-from seqtag.labels import SUBTASK_KINDS, derive_subtask, parse_am_sequence
-from seqtag.metrics import ResultList
+from seqtag.labels import SUBTASK_KINDS, components_from_labels, derive_subtask, parse_am_sequence
+from seqtag.metrics import ResultList, span_overlap_profile
 from seqtag.stats import LabelDistribution, StatsError, label_entropy, label_kurtosis
 
 RESULTS_ENV = "SEQTAG_RESULTS"
@@ -192,21 +192,14 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_overlap_profile(results: ResultList, path: str) -> None:
-    from seqtag.labels import components_from_labels
-    from seqtag.metrics import span_overlap_profile
+    def spans(labels):
+        components = components_from_labels(parse_am_sequence(labels))
+        return [(c.start, c.end + 1, c.ctype) for c in components]
 
     lines = ["length,overlap"]
     for sentence in results:
-        gold_spans = [
-            (c.start, c.end + 1, c.ctype)
-            for c in components_from_labels(parse_am_sequence(sentence.gold))
-        ]
-        pred_spans = [
-            (c.start, c.end + 1, c.ctype)
-            for c in components_from_labels(parse_am_sequence(sentence.predicted))
-        ]
-        for length, overlap in span_overlap_profile(gold_spans, pred_spans):
-            lines.append(f"{length},{overlap}")
+        profile = span_overlap_profile(spans(sentence.gold), spans(sentence.predicted))
+        lines.extend(f"{length},{overlap}" for length, overlap in profile)
     _write_text("\n".join(lines) + "\n", path)
 
 

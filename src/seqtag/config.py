@@ -13,6 +13,7 @@ command line with ``section.key=value`` assignments.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import typing
@@ -251,7 +252,7 @@ def build_run_config(raw: Mapping) -> RunConfig:
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     """Apply ``dotted.path=value`` overrides to scalar config leaves."""
-    result = _deep_copy(raw)
+    result = copy.deepcopy(raw)
     for assignment in assignments:
         if "=" not in assignment:
             raise ConfigError(f"override {assignment!r} is not of the form path=value")
@@ -271,19 +272,11 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     return result
 
 
-def _deep_copy(node):
-    if isinstance(node, dict):
-        return {k: _deep_copy(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_deep_copy(v) for v in node]
-    return node
-
-
 def split_search_section(raw: dict) -> tuple[dict, dict]:
     """Separate the search declaration from the config template."""
     if "search" not in raw:
         raise ConfigError("config has no 'search' section")
-    template = _deep_copy(raw)
+    template = copy.deepcopy(raw)
     search = template.pop("search")
     reader = Reader(search, "search")
     parsed = {

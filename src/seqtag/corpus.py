@@ -17,7 +17,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from seqtag.exceptions import DataError
 
@@ -34,8 +34,7 @@ class ConllParseError(DataError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     labels: Mapping[str, str]
 

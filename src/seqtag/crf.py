@@ -5,7 +5,10 @@ scores sum_t logits[t, y_t] + sum_t transitions[y_{t-1}, y_t]
 + begin[y_1] + end[y_T]; the partition function is computed by the
 forward algorithm in log space (log-sum-exp with max subtraction) as a
 single tape node, whose backward pass uses the beta recursion and the
-resulting marginals. Only first-order dependencies are modeled.
+resulting marginals. The training loss, log Z minus the gold path's
+score, is that same node given the gold path: its backward pass takes
+the gold path's indicators off the marginals. Only first-order
+dependencies are modeled.
 """
 
 from __future__ import annotations
@@ -19,24 +22,18 @@ from seqtag.autodiff import Tensor
 from seqtag.exceptions import ShapeError
 
 
-def crf_score(
-    logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, path: Sequence[int]
+def crf_log_z(
+    logits: Tensor,
+    transitions: Tensor,
+    begin: Tensor,
+    end: Tensor,
+    gold: Sequence[int] | None = None,
 ) -> Tensor:
-    """Unnormalized score of one label path."""
-    path = np.asarray(path, dtype=np.intp)
-    T = logits.shape[0]
-    if path.size != T:
-        raise ShapeError(f"path length {path.size} != sequence length {T}")
-    score = logits[np.arange(T), path].sum() + begin[int(path[0])] + end[int(path[-1])]
-    if T > 1:
-        score = score + transitions[path[:-1], path[1:]].sum()
-    return score
-
-
-def crf_log_z(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor) -> Tensor:
     """Log partition function via the forward algorithm, as one tape
     node. Its backward pass runs the beta recursion and pushes the
-    unary and pairwise marginals to the inputs."""
+    unary and pairwise marginals to the inputs. With a ``gold`` path
+    the node returns log Z - score(gold), and the backward pass takes
+    the gold path's indicators off the marginals."""
     x, trans = logits.data, transitions.data
     T, L = x.shape
     alphas = np.empty((T, L))
@@ -48,6 +45,14 @@ def crf_log_z(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor) -
     final = alphas[T - 1] + end.data
     m = final.max()
     log_z = m + np.log(np.exp(final - m).sum())
+    out = log_z
+    if gold is not None:
+        steps = np.arange(T)
+        src, dst = gold[:-1], gold[1:]
+        score = x[steps, gold].sum() + begin.data[gold[0]] + end.data[gold[-1]]
+        if T > 1:
+            score = score + trans[src, dst].sum()
+        out = log_z - score
 
     def backward(g):
         betas = np.empty((T, L))
@@ -57,29 +62,45 @@ def crf_log_z(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor) -
             m = scores.max(axis=1)
             betas[t - 1] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
         unary = g * np.exp(alphas + betas - log_z)
-        if logits.requires_grad:
-            logits._accum(unary)
+        # begin, end and transitions may already hold earlier sentences'
+        # gradients: adding the marginals first and taking the gold
+        # indicators off after gives the sums of log Z and a separately
+        # differentiated path score, bit for bit
         if begin.requires_grad:
             begin._accum(unary[0])
+            if gold is not None:
+                begin.grad[gold[0]] -= g
         if end.requires_grad:
             end._accum(unary[T - 1])
+            if gold is not None:
+                end.grad[gold[-1]] -= g
         if transitions.requires_grad and T > 1:
             pairs = alphas[:-1, :, None] + trans + (x[1:] + betas[1:])[:, None, :]
             transitions._accum(g * np.exp(pairs - log_z).sum(axis=0))
+            if gold is not None:
+                np.subtract.at(transitions.grad, (src, dst), g)
+        if logits.requires_grad:
+            if gold is not None:
+                unary[steps, gold] -= g
+            logits._accum(unary)
 
     parents = (logits, transitions, begin, end)
-    return ad.make_node(np.asarray(log_z, dtype=np.float64), parents, backward, "crf_log_z")
+    op = "crf_log_z" if gold is None else "crf_nll"
+    return ad.make_node(np.asarray(out, dtype=np.float64), parents, backward, op)
 
 
 def crf_nll(
     logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, gold: Sequence[int]
 ) -> Tensor:
-    """Sequence negative log-likelihood: log Z - score(gold)."""
-    if logits.shape[0] < 1:
+    """Sequence negative log-likelihood, log Z - score(gold), as one
+    ``crf_log_z`` node."""
+    T = logits.shape[0]
+    if T < 1:
         raise ShapeError("CRF needs at least one token")
-    return crf_log_z(logits, transitions, begin, end) - crf_score(
-        logits, transitions, begin, end, gold
-    )
+    gold = np.asarray(gold, dtype=np.intp)
+    if gold.size != T:
+        raise ShapeError(f"path length {gold.size} != sequence length {T}")
+    return crf_log_z(logits, transitions, begin, end, gold)
 
 
 def crf_viterbi(

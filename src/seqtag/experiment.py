@@ -41,7 +41,7 @@ from seqtag.metrics import (
     word_accuracy,
 )
 from seqtag.network import Model
-from seqtag.training import TrainResult, predict_results, subsample, train
+from seqtag.training import TrainResult, dev_score, predict_results, subsample, train
 
 
 def data_key(config: RunConfig) -> tuple:
@@ -67,18 +67,12 @@ class ExperimentData:
         self.train: dict[str, Corpus] = {}
         self.dev: dict[str, Corpus] = {}
         self.test: dict[str, Corpus] = {}
+        splits = (self.train, self.dev, self.test)
         for tf in config.task_files:
             cols = {tf.name: tf.label_column}
-            if tf.train:
-                self.train[tf.name] = load_corpus_cached(
-                    tf.train, tf.token_column, cols, cache_dir
-                )
-            if tf.dev:
-                self.dev[tf.name] = load_corpus_cached(tf.dev, tf.token_column, cols, cache_dir)
-            if tf.test:
-                self.test[tf.name] = load_corpus_cached(
-                    tf.test, tf.token_column, cols, cache_dir
-                )
+            for split, path in zip(splits, (tf.train, tf.dev, tf.test)):
+                if path:
+                    split[tf.name] = load_corpus_cached(path, tf.token_column, cols, cache_dir)
 
         all_corpora = [*self.train.values(), *self.dev.values(), *self.test.values()]
         if not all_corpora:
@@ -103,11 +97,7 @@ class ExperimentData:
         self.vocab.char_index = build_char_index(all_corpora)
 
         for tf in config.task_files:
-            corpora = [
-                c
-                for c in (self.train.get(tf.name), self.dev.get(tf.name), self.test.get(tf.name))
-                if c is not None
-            ]
+            corpora = [split[tf.name] for split in splits if tf.name in split]
             if not corpora:
                 raise ConfigError(f"task {tf.name!r} has no input files")
             self.vocab.label_index[tf.name] = build_label_index(corpora, tf.name)
@@ -267,6 +257,4 @@ def search_score(config: RunConfig, result: TrainResult, model: Model, data) -> 
         raise DataError(
             f"main task {main!r} needs a dev file to score hyper-parameter trials"
         )
-    from seqtag.training import dev_score
-
     return dev_score(model, main, data.dev[main], "accuracy")

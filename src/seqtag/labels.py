@@ -286,20 +286,7 @@ def components_from_labels(seq: Sequence[AMLabel]) -> list[ComponentSpan]:
     if validate_bio(bio):
         raise AmStructureError("invalid BIO structure; run am_postprocess first")
 
-    spans: list[ComponentSpan] = []
-    start = None
-    for i, label in enumerate(seq):
-        if label.b == "B":
-            if start is not None:
-                spans.append(_close_span(seq, start, i - 1))
-            start = i
-        elif label.b == "O":
-            if start is not None:
-                spans.append(_close_span(seq, start, i - 1))
-            start = None
-    if start is not None:
-        spans.append(_close_span(seq, start, len(seq) - 1))
-    return spans
+    return [_close_span(seq, start, end) for start, end in _component_runs(seq)]
 
 
 def _close_span(seq: Sequence[AMLabel], start: int, end: int) -> ComponentSpan:

@@ -167,6 +167,19 @@ def am_f1(results: ResultList, target: str = "component", level: str = LEVEL_APP
     """
     if target not in ("component", "relation"):
         raise MetricError(f"unknown AM metric target {target!r}")
+
+    def component_match(g: ComponentSpan, p: ComponentSpan) -> bool:
+        return p.ctype == g.ctype and am_match(g, p, level)
+
+    def relation_match(g: _Relation, p: _Relation) -> bool:
+        return (
+            p.source.ctype == g.source.ctype
+            and p.stance == g.stance
+            and p.target.ctype == g.target.ctype
+            and am_match(g.source, p.source, level)
+            and am_match(g.target, p.target, level)
+        )
+
     counts = MatchCounts()
     for sentence in results:
         try:
@@ -177,50 +190,25 @@ def am_f1(results: ResultList, target: str = "component", level: str = LEVEL_APP
                 f"invalid AM structure; run am_postprocess on predictions first ({err})"
             ) from err
         if target == "component":
-            _match_components(gold_comps, pred_comps, level, counts)
+            _greedy_match(gold_comps, pred_comps, component_match, counts)
         else:
-            _match_relations(_relations(gold_comps), _relations(pred_comps), level, counts)
+            _greedy_match(_relations(gold_comps), _relations(pred_comps), relation_match, counts)
     return counts.f1()
 
 
-def _match_components(gold, pred, level, counts: MatchCounts) -> None:
+def _greedy_match(gold, pred, matches, counts: MatchCounts) -> None:
+    """Each gold item takes the first unused prediction that
+    ``matches(g, p)``; unused predictions are false positives."""
     used = [False] * len(pred)
     for g in gold:
-        hit = False
         for i, p in enumerate(pred):
-            if used[i] or p.ctype != g.ctype:
-                continue
-            if am_match(g, p, level):
+            if not used[i] and matches(g, p):
                 used[i] = True
-                hit = True
+                counts.tp += 1
                 break
-        if hit:
-            counts.tp += 1
         else:
             counts.fn += 1
-    counts.fp += sum(1 for flag in used if not flag)
-
-
-def _match_relations(gold, pred, level, counts: MatchCounts) -> None:
-    used = [False] * len(pred)
-    for g in gold:
-        hit = False
-        for i, p in enumerate(pred):
-            if used[i]:
-                continue
-            if p.source.ctype != g.source.ctype or p.stance != g.stance:
-                continue
-            if p.target.ctype != g.target.ctype:
-                continue
-            if am_match(g.source, p.source, level) and am_match(g.target, p.target, level):
-                used[i] = True
-                hit = True
-                break
-        if hit:
-            counts.tp += 1
-        else:
-            counts.fn += 1
-    counts.fp += sum(1 for flag in used if not flag)
+    counts.fp += used.count(False)
 
 
 # -- sequence-to-sequence metrics -------------------------------------------------------

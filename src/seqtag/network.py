@@ -10,9 +10,11 @@ inverted scaling, so evaluation passes need no rescaling.
 Each direction of a recurrent layer is one fused tape node
 (``recurrent``): the shared layers run one sentence at a time, the
 character BiLSTM runs all words of a sentence as one padded batch.
-Finite checks happen once per fused node, on its stacked gate
-pre-activations and on its output, and per adjoint in the backward
-pass; the remaining elementary ops check their own outputs.
+Each sentence's task loss is one node as well: ``softmax_nll`` here,
+``crf.crf_nll`` for a CRF head. Finite checks happen once per fused
+node, on its stacked gate pre-activations and on its output, and per
+adjoint in the backward pass; the remaining elementary ops check their
+own outputs.
 """
 
 from __future__ import annotations
@@ -548,13 +550,27 @@ def task_head_forward(
 
 
 def softmax_nll(logits: Tensor, gold: Sequence[int]) -> Tensor:
-    """Mean over tokens of the negative log softmax probability."""
+    """Mean over tokens of the negative log softmax probability, as one
+    tape node; its backward pass pushes g * (softmax - one_hot) / n."""
     gold = np.asarray(gold, dtype=np.intp)
-    if gold.size != logits.shape[0]:
-        raise ShapeError(f"{gold.size} gold labels for {logits.shape[0]} tokens")
-    log_sm = logits - ad.logsumexp(logits, axis=1, keepdims=True)
-    picked = log_sm[np.arange(gold.size), gold]
-    return -picked.mean()
+    n = gold.size
+    if n != logits.shape[0]:
+        raise ShapeError(f"{n} gold labels for {logits.shape[0]} tokens")
+    x = logits.data
+    rows = np.arange(n)
+    m = x.max(axis=1, keepdims=True)
+    shifted = np.exp(x - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    picked = x[rows, gold] - (m + np.log(total))[:, 0]
+    loss = -(picked.sum() * (1.0 / n))
+
+    def backward(g):
+        scale = g * (1.0 / n)
+        grad = (shifted / total) * scale
+        grad[rows, gold] -= scale
+        logits._accum(grad)
+
+    return ad.make_node(np.asarray(loss, dtype=np.float64), (logits,), backward, "softmax_nll")
 
 
 # -- the assembled model -------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from seqtag import checkpoint as ckpt
 from seqtag.corpus import Corpus
 from seqtag.exceptions import ConfigError, NumericError
 from seqtag.metrics import ResultList, token_prf
@@ -226,8 +227,6 @@ def train(
     model are the best-scoring epoch's; otherwise the checkpoint tracks
     every epoch and the final parameters are returned.
     """
-    from seqtag import checkpoint as ckpt
-
     task_names = [t.name for t in model.config.tasks]
     config.validate(task_names)
     for name in task_names:
@@ -238,10 +237,7 @@ def train(
         raise ConfigError(f"early stopping task {es.task!r} has no dev data")
 
     encoded = {
-        name: [
-            (model.encode_sentence(s), model.gold_ids(name, s), len(s))
-            for s in train_data[name]
-        ]
+        name: [(model.encode_sentence(s), model.gold_ids(name, s)) for s in train_data[name]]
         for name in task_names
     }
 
@@ -268,7 +264,7 @@ def train(
             try:
                 losses = []
                 for j in sentence_ids:
-                    (word_ids, char_idss), gold, _ = encoded[task_name][j]
+                    (word_ids, char_idss), gold = encoded[task_name][j]
                     losses.append(
                         model.sentence_loss(
                             task_name, word_ids, char_idss, gold, training=True, rng=rng

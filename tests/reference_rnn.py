@@ -2,9 +2,9 @@
 
 Each time step of each direction is built from elementary tape ops, one
 node per arithmetic operation, exactly as the network was assembled
-before the recurrent layers and the CRF forward algorithm became single
-fused nodes. The fused ops in ``seqtag.network`` and ``seqtag.crf`` are
-tested against these.
+before the recurrent layers, the CRF forward algorithm and the task
+losses became single fused nodes. The fused ops in ``seqtag.network``
+and ``seqtag.crf`` are tested against these.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 from seqtag import autodiff as ad
 from seqtag.autodiff import Tensor
+from seqtag.crf import crf_log_z
 
 
 def initial_state(params) -> tuple[Tensor, ...]:
@@ -134,3 +135,29 @@ def crf_log_z_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end:
         scores = alpha.reshape(L, 1) + transitions
         alpha = ad.logsumexp(scores, axis=0, keepdims=True) + logits[t : t + 1, :]
     return ad.logsumexp(alpha + end.reshape(1, L))
+
+
+def crf_score_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, path):
+    """Unnormalized score of one label path, from getitem and sum nodes."""
+    path = np.asarray(path, dtype=np.intp)
+    T = logits.shape[0]
+    score = logits[np.arange(T), path].sum() + begin[int(path[0])] + end[int(path[-1])]
+    if T > 1:
+        score = score + transitions[path[:-1], path[1:]].sum()
+    return score
+
+
+def crf_nll_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, gold):
+    """log Z - score(gold) as a fused log-Z node minus the composed score."""
+    return crf_log_z(logits, transitions, begin, end) - crf_score_reference(
+        logits, transitions, begin, end, gold
+    )
+
+
+def softmax_nll_reference(logits: Tensor, gold) -> Tensor:
+    """Mean negative log softmax probability from logsumexp, getitem and
+    mean nodes."""
+    gold = np.asarray(gold, dtype=np.intp)
+    log_sm = logits - ad.logsumexp(logits, axis=1, keepdims=True)
+    picked = log_sm[np.arange(gold.size), gold]
+    return -picked.mean()

@@ -83,6 +83,13 @@ def test_apply_overrides_typed():
     assert raw["training"]["epochs"] == 2  # original untouched
 
 
+def test_apply_overrides_on_a_yaml_alias_changes_every_use():
+    raw = yaml.safe_load("a: &shared {units: 8}\nb: *shared\n")
+    out = apply_overrides(raw, ["a.units=16"])
+    assert out == {"a": {"units": 16}, "b": {"units": 16}}
+    assert raw == {"a": {"units": 8}, "b": {"units": 8}}
+
+
 def test_apply_overrides_bad_path():
     with pytest.raises(ConfigError):
         apply_overrides({"a": {}}, ["a.b.c=1"])

@@ -6,10 +6,11 @@ import pytest
 
 from seqtag import autodiff as ad
 from seqtag.autodiff import Tensor
-from seqtag.crf import crf_log_z, crf_nll, crf_score, crf_viterbi
+from seqtag.crf import crf_log_z, crf_nll, crf_viterbi
+from seqtag.exceptions import ShapeError
 from seqtag.network import softmax_nll
 
-from reference_rnn import crf_log_z_reference
+from reference_rnn import crf_log_z_reference, crf_nll_reference
 
 
 def brute_force_paths(T, L):
@@ -157,7 +158,8 @@ def test_crf_score_gold_only():
     rng = np.random.default_rng(8)
     logits, transitions, begin, end = random_instance(rng, 3, 2)
     gold = [1, 1, 0]
-    got = crf_score(Tensor(logits), Tensor(transitions), Tensor(begin), Tensor(end), gold)
+    inputs = [Tensor(a) for a in (logits, transitions, begin, end)]
+    got = crf_log_z(*inputs) - crf_nll(*inputs, gold)
     want = path_score(logits, transitions, begin, end, gold)
     assert float(got.data) == pytest.approx(want, abs=1e-12)
 
@@ -199,3 +201,83 @@ def test_fused_log_z_matches_per_step_reference():
         assert abs(z_fused - z_ref) <= 1e-12 * abs(z_ref)
         for a, b in zip(g_fused, g_ref):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+
+
+def batch_loss_and_grads(loss_fn, sentences, shared, W):
+    """Mean of per-sentence losses over logits ``x @ W`` with the
+    ``shared`` arrays as parameters, as a training batch builds it;
+    returns the loss bytes and every parameter's gradient bytes (None
+    for a parameter the graph did not reach)."""
+    params = [ad.parameter(a) for a in (W, *shared)]
+    losses = [loss_fn(Tensor(x) @ params[0], *params[1:], gold) for x, gold in sentences]
+    loss = sum(losses[1:], start=losses[0]) / float(len(losses))
+    loss.backward()
+    return loss.data.tobytes(), [None if p.grad is None else p.grad.tobytes() for p in params]
+
+
+def random_gold(rng, T, L):
+    gold = rng.integers(0, L, size=T)
+    if T > 2 and rng.random() < 0.3:
+        gold[:] = gold[0]  # one transition pair, repeated
+    return gold
+
+
+def test_fused_crf_nll_bitwise_equals_composed_reference():
+    rng = np.random.default_rng(12)
+    shapes = [(1, 1), (1, 3), (4, 1), (5, 2)]
+    shapes += [(int(rng.integers(1, 7)), int(rng.integers(1, 5))) for _ in range(200)]
+    for T, L in shapes:
+        logits, transitions, begin, end = random_instance(rng, T, L, scale=2.0)
+        params = [ad.parameter(a) for a in (logits, transitions, begin, end)]
+        gold = random_gold(rng, T, L)
+        results = []
+        for fn in (crf_nll, crf_nll_reference):
+            for p in params:
+                p.grad = None
+            loss = fn(*params, gold)
+            loss.backward()
+            grads = [None if p.grad is None else p.grad.tobytes() for p in params]
+            results.append((loss.data.tobytes(), grads))
+        assert results[0] == results[1], (T, L, gold)
+
+
+def test_fused_crf_nll_batch_accumulates_like_composed_reference():
+    # transitions, begin and end already hold earlier sentences'
+    # gradients when a later sentence's backward runs
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        L, k = int(rng.integers(1, 5)), 3
+        shared = random_instance(rng, 1, L, scale=2.0)[1:]
+        W = rng.normal(size=(k, L))
+        sentences = []
+        for _ in range(int(rng.integers(1, 5))):
+            T = int(rng.integers(1, 7))
+            sentences.append((rng.normal(size=(T, k)), random_gold(rng, T, L)))
+        fused = batch_loss_and_grads(crf_nll, sentences, shared, W)
+        assert fused == batch_loss_and_grads(crf_nll_reference, sentences, shared, W)
+
+
+def test_one_token_crf_nll_gives_transitions_no_gradient():
+    rng = np.random.default_rng(14)
+    params = [ad.parameter(a) for a in random_instance(rng, 1, 3)]
+    crf_nll(*params, [2]).backward()
+    assert params[1].grad is None
+    assert all(p.grad is not None for p in (params[0], params[2], params[3]))
+
+
+def test_crf_nll_is_one_node_over_its_inputs():
+    rng = np.random.default_rng(15)
+    params = [ad.parameter(a) for a in random_instance(rng, 3, 2)]
+    loss = crf_nll(*params, [0, 1, 1])
+    assert loss._parents == tuple(params)
+    assert loss.op == "crf_nll"
+    frozen = Tensor(params[1].data)
+    loss = crf_nll(params[0], frozen, params[2], params[3], [0, 1, 1])
+    assert loss._parents == (params[0], params[2], params[3])
+
+
+def test_crf_nll_rejects_a_gold_path_of_the_wrong_length():
+    rng = np.random.default_rng(16)
+    inputs = [Tensor(a) for a in random_instance(rng, 3, 2)]
+    with pytest.raises(ShapeError):
+        crf_nll(*inputs, [0, 1])

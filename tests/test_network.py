@@ -31,7 +31,9 @@ from reference_rnn import (
     char_features_reference,
     initial_state,
     run_direction,
+    softmax_nll_reference,
 )
+from test_crf import batch_loss_and_grads, random_gold
 
 
 def zero_cell(kind, in_dim, hidden):
@@ -561,6 +563,42 @@ def test_softmax_nll_gradient():
     rng = np.random.default_rng(17)
     logits = ad.parameter(rng.normal(size=(4, 3)))
     assert ad.check_gradients(lambda: softmax_nll(logits, [0, 2, 1, 1]), [logits], eps=1e-5) <= 1e-8
+
+
+def test_fused_softmax_nll_bitwise_equals_composed_reference():
+    rng = np.random.default_rng(18)
+    shapes = [(1, 1), (1, 3), (4, 1)]
+    shapes += [(int(rng.integers(1, 9)), int(rng.integers(1, 6))) for _ in range(200)]
+    for T, L in shapes:
+        logits = ad.parameter(rng.normal(size=(T, L)) * 3.0)
+        gold = random_gold(rng, T, L)
+        results = []
+        for fn in (softmax_nll, softmax_nll_reference):
+            logits.grad = None
+            loss = fn(logits, gold)
+            loss.backward()
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert results[0] == results[1], (T, L, gold)
+
+
+def test_fused_softmax_nll_batch_equals_composed_reference():
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        L, k = int(rng.integers(1, 6)), 3
+        W = rng.normal(size=(k, L))
+        sentences = []
+        for _ in range(int(rng.integers(1, 5))):
+            T = int(rng.integers(1, 9))
+            sentences.append((rng.normal(size=(T, k)), random_gold(rng, T, L)))
+        fused = batch_loss_and_grads(softmax_nll, sentences, (), W)
+        assert fused == batch_loss_and_grads(softmax_nll_reference, sentences, (), W)
+
+
+def test_softmax_nll_is_one_node_over_its_logits():
+    logits = ad.parameter(np.random.default_rng(20).normal(size=(3, 4)))
+    loss = softmax_nll(logits, [0, 3, 1])
+    assert loss._parents == (logits,)
+    assert loss.op == "softmax_nll"
 
 
 def test_model_uniform_distribution_with_zero_projection():

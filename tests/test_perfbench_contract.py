@@ -1,0 +1,40 @@
+"""The benchmark wraps the program's public functions at their module
+and class attributes. Installing its wrappers here makes a rename or a
+removal of a wrapped function fail this suite, not a traced benchmark
+run."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import layers, workloads  # noqa: E402
+from perfbench.trace import Patches, Tracer  # noqa: E402
+
+from seqtag import autodiff as ad  # noqa: E402
+from seqtag import crf  # noqa: E402
+
+
+def test_benchmark_wrappers_install_and_restore():
+    patches = Patches()
+    tracer = Tracer()
+    originals = {}
+    try:
+        layers.install(tracer, patches)
+        workloads.Probe().install(patches)
+        for owner, attr, fn in patches._undo:  # the first wrap of an attribute holds its original
+            originals.setdefault((id(owner), attr), (owner, attr, fn))
+        # the training loss reaches the CRF forward algorithm through the
+        # wrapped module attribute, so crf.log_z is measured in training
+        params = [ad.parameter(np.zeros(shape)) for shape in ((3, 2), (2, 2), (2,), (2,))]
+        crf.crf_nll(*params, [0, 1, 1]).backward()
+    finally:
+        patches.restore()
+    assert originals
+    assert [s.name for s in tracer.spans].count("crf.log_z") == 1
+    for owner, attr, fn in originals.values():
+        assert getattr(owner, attr) is fn, attr
