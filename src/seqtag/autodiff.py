@@ -8,15 +8,21 @@ reverse topological order, accumulating adjoints over all paths.
 Conventions:
   * everything is float64, row-major;
   * finite checks: every op checks its output in ``make_node`` and
-    raises ``NumericError`` naming the op; fused ops (the recurrent
-    layers and ``softmax_nll`` in ``network``, ``crf_log_z`` and
-    ``crf_nll`` in ``crf``) are one node each and may check
-    intermediates too, e.g. the stacked pre-activations; ``backward()``
-    checks each node's adjoint before pushing it to the parents;
+    raises ``NumericError`` naming the op; fused ops (a whole
+    bidirectional layer or character BiLSTM and ``softmax_nll`` in
+    ``network``, ``crf_log_z`` and ``crf_nll`` in ``crf``) are one node
+    each and may check intermediates too, e.g. the stacked
+    pre-activations; ``backward()`` checks each node's adjoint before
+    pushing it to the parents;
   * parameters are leaf tensors created with ``parameter()``; their
     ``grad`` persists across graphs and must be reset by the caller;
-  * dropout is a plain multiplication with a precomputed mask, so it
-    needs no dedicated op.
+  * dropout multiplies by a precomputed mask, so it needs no dedicated
+    op: a ``mul`` node for word and task dropout, and inside the
+    recurrent node for the RNN sites.
+
+The finite-difference gradient check and the ``logsumexp`` op that only
+the composed test references use live with the tests
+(``tests/gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -429,33 +435,6 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return mul(tsum(a, axis), 1.0 / count)
 
 
-def logsumexp(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(a))) with the max-subtraction trick."""
-    a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    data_keep = m + np.log(total)
-    soft = shifted / total  # softmax(a) along axis, keepdims layout
-    if keepdims:
-        data = data_keep
-    elif axis is None:
-        data = data_keep.reshape(())
-    else:
-        data = np.squeeze(data_keep, axis=axis)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accum(soft * g)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(soft * gg)
-
-    return make_node(np.asarray(data, dtype=np.float64), (a,), backward, "logsumexp")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)
@@ -468,38 +447,3 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             a._accum(data * (g - inner))
 
     return make_node(data, (a,), backward, "softmax")
-
-
-# -- verification --------------------------------------------------------------
-
-
-def check_gradients(build_loss: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    ``build_loss`` must rebuild the graph from the current parameter data
-    each call. Returns the maximum relative error
-    ``|a - n| / max(|a|, |n|, 1e-8)`` over all parameter components.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    for p in params:
-        p.grad = None
-    loss = build_loss()
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.data.ravel()
-        ana_flat = ana.ravel()
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            f_plus = float(build_loss().data)
-            flat[i] = saved - eps
-            f_minus = float(build_loss().data)
-            flat[i] = saved
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(ana_flat[i] - numeric) / max(abs(ana_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

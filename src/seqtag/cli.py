@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def column_index(text: str) -> int:
+    """An argparse type: a CoNLL column index, counted from 0."""
+    index = int(text)
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"column indices count from 0, got {index}")
+    return index
+
+
 def _resolve_output(path: str) -> Path:
     root = os.environ.get(RESULTS_ENV)
     p = Path(path)
@@ -296,6 +304,7 @@ def cmd_search(args) -> int:
 
     report_text = report.to_tsv()
     (out_dir / "report.tsv").write_text(report_text, encoding="utf-8")
+    (out_dir / "timing.tsv").write_text(report.timing_tsv(), encoding="utf-8")
     sys.stdout.write(report_text)
     return 0
 
@@ -352,7 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="CoNLL input (labeled or unlabeled)")
     p.add_argument("--output", help="output path (stdout when omitted)")
     p.add_argument("--tasks", help="comma-separated task names (default: all)")
-    p.add_argument("--token-column", type=int, default=0)
+    p.add_argument("--token-column", type=column_index, default=0)
     p.add_argument(
         "--postprocess", default="none", choices=POSTPROCESS_VARIANTS,
         help="repair predictions before writing",
@@ -364,9 +373,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", help="labeled CoNLL input for --model")
     p.add_argument("--task", help="task to evaluate (default: first task)")
     p.add_argument("--predictions", help="CoNLL file with gold and predicted columns")
-    p.add_argument("--token-column", type=int, default=0)
-    p.add_argument("--label-column", type=int, default=1, help="gold label column")
-    p.add_argument("--pred-column", type=int, default=2, help="predicted label column")
+    p.add_argument("--token-column", type=column_index, default=0)
+    p.add_argument("--label-column", type=column_index, default=1, help="gold label column")
+    p.add_argument("--pred-column", type=column_index, default=2, help="predicted label column")
     p.add_argument("--metrics", help="comma-separated metric names")
     p.add_argument("--postprocess", default="none", choices=POSTPROCESS_VARIANTS)
     p.add_argument("--empty-symbol", default=EvalConfig.empty_symbol)
@@ -376,8 +385,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="corpus statistics: docs, tokens, entropy, kurtosis")
     p.add_argument("inputs", nargs="+", help="CoNLL files")
-    p.add_argument("--token-column", type=int, default=0)
-    p.add_argument("--label-column", type=int, default=1)
+    p.add_argument("--token-column", type=column_index, default=0)
+    p.add_argument("--label-column", type=column_index, default=1)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("search", help="random hyper-parameter search")
@@ -390,16 +399,16 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--kinds", default="ACS,ACI,ARS,ARI")
-    p.add_argument("--token-column", type=int, default=0)
-    p.add_argument("--label-column", type=int, default=1)
+    p.add_argument("--token-column", type=column_index, default=0)
+    p.add_argument("--label-column", type=column_index, default=1)
     p.set_defaults(fn=cmd_derive_subtasks)
 
     p = sub.add_parser("postprocess", help="repair a label column")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--variant", required=True, choices=POSTPROCESS_VARIANTS)
-    p.add_argument("--token-column", type=int, default=0)
-    p.add_argument("--label-column", type=int, default=1)
+    p.add_argument("--token-column", type=column_index, default=0)
+    p.add_argument("--label-column", type=column_index, default=1)
     p.set_defaults(fn=cmd_postprocess)
 
     return parser

@@ -239,6 +239,9 @@ def build_run_config(raw: Mapping) -> RunConfig:
     for tf in task_files:
         if not 0.0 < tf.train_fraction <= 1.0:
             raise ConfigError(f"tasks: train_fraction of {tf.name!r} must be in (0, 1]")
+        for key, column in (("token_column", tf.token_column), ("label_column", tf.label_column)):
+            if column < 0:
+                raise ConfigError(f"tasks: {key} of {tf.name!r} must be >= 0, got {column}")
 
     return RunConfig(
         network=network,

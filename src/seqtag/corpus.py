@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from seqtag.exceptions import DataError
+from seqtag.exceptions import ConfigError, DataError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -77,8 +77,12 @@ def parse_conll(source: str | bytes | IO, token_col: int, label_cols: Mapping[st
     ``label_cols`` maps task names to column indices; pass an empty
     mapping for unlabeled input. A line with fewer columns than the
     maximum declared index is a parse error reported with its line
-    number. An empty input yields an empty corpus.
+    number; a negative index is a ConfigError. An empty input yields an
+    empty corpus.
     """
+    for col in (token_col, *label_cols.values()):
+        if col < 0:
+            raise ConfigError(f"column indices count from 0, got {col}")
     if isinstance(source, bytes):
         text = decode_utf8(source, "<bytes>")
     elif isinstance(source, str):

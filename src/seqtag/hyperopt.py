@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import statistics
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -166,6 +167,8 @@ class SearchReport:
     trials: list[TrialRecord]
     winner: int | None  # trial index
     final_scores: list[float] = field(default_factory=list)
+    # (trial, seed index, seed, wall seconds) of every run, in run order
+    run_seconds: list[tuple[int, int, int, float]] = field(default_factory=list)
 
     def ranking(self) -> list[TrialRecord]:
         scored = [t for t in self.trials if t.mean is not None]
@@ -191,6 +194,11 @@ class SearchReport:
                     "final\t" + f"{final_mean:.6f}\t"
                     + ",".join(f"{s:.6f}" for s in self.final_scores)
                 )
+        return "\n".join(lines) + "\n"
+
+    def timing_tsv(self) -> str:
+        lines = ["trial\tseed_index\tseed\tseconds"]
+        lines += [f"{t}\t{j}\t{seed}\t{sec:.6f}" for t, j, seed, sec in self.run_seconds]
         return "\n".join(lines) + "\n"
 
 
@@ -220,27 +228,35 @@ def run_search(
     if unbound:
         raise ConfigError(f"template variables not in the search space: {sorted(unbound)}")
 
+    report = SearchReport(trials=[], winner=None)
+
+    def timed_run(config: dict, trial_index: int, seed_index: int) -> float:
+        seed = derive_seed(master_seed, trial_index, seed_index)
+        start = time.perf_counter()
+        try:
+            return float(train_fn(config, seed))
+        finally:
+            report.run_seconds.append(
+                (trial_index, seed_index, seed, time.perf_counter() - start)
+            )
+
     sampler = np.random.default_rng(master_seed)
-    trials = []
     for index in range(n_trials):
         assignment = sample_trial(space, sampler)
         config = render_template(template, assignment)
         trial = TrialRecord(index=index, assignment=assignment, config=config)
         try:
             for seed_index in range(seeds_per_trial):
-                seed = derive_seed(master_seed, index, seed_index)
-                trial.seed_scores.append(float(train_fn(config, seed)))
+                trial.seed_scores.append(timed_run(config, index, seed_index))
         except Exception as err:  # deliberate: one trial must not sink the rest
             trial.error = f"{type(err).__name__}: {err}"
             trial.seed_scores = []
-        trials.append(trial)
+        report.trials.append(trial)
 
-    report = SearchReport(trials=trials, winner=None)
     ranking = report.ranking()
     if ranking:
         winner = ranking[0]
         report.winner = winner.index
         for j in range(final_seeds):
-            seed = derive_seed(master_seed, winner.index, seeds_per_trial + j)
-            report.final_scores.append(float(train_fn(winner.config, seed)))
+            report.final_scores.append(timed_run(winner.config, winner.index, seeds_per_trial + j))
     return report

@@ -7,10 +7,11 @@ private feed-forward layers, a projection, and ends in a softmax or CRF
 head. All five dropout sites (word, RNN input/state/output, task) use
 inverted scaling, so evaluation passes need no rescaling.
 
-Each direction of a recurrent layer is one fused tape node
-(``recurrent``): the shared layers run one sentence at a time, the
-character BiLSTM runs all words of a sentence as one padded batch.
-Each sentence's task loss is one node as well: ``softmax_nll`` here,
+Each bidirectional layer is one fused tape node (``recurrent``) whose
+directions step together in one loop, with the layer's RNN dropout
+masks applied inside: the shared layers run one sentence at a time, and
+each sentence's character BiLSTM is one node that runs all its words as
+one padded batch. Each sentence's task loss is one node as well: ``softmax_nll`` here,
 ``crf.crf_nll`` for a CRF head. Finite checks happen once per fused
 node, on its stacked gate pre-activations and on its output, and per
 adjoint in the backward pass; the remaining elementary ops check their
@@ -215,75 +216,96 @@ def _lstm_halves(hidden: int) -> np.ndarray:
     return halves
 
 
-def _previous(steps: np.ndarray, reverse: bool) -> np.ndarray:
-    """Time-major stacked states shifted by one step in processing
-    order: what each step received, zeros at the first step."""
+def _previous(steps: np.ndarray) -> np.ndarray:
+    """Step-major stacked states shifted by one step: what each step
+    received, zeros at the first step."""
     prev = np.zeros_like(steps)
-    if reverse:
-        prev[:-1] = steps[1:]
-    else:
-        prev[1:] = steps[:-1]
+    prev[1:] = steps[:-1]
     return prev
 
 
 def recurrent(
     x: Tensor,
-    cell: CellParams,
+    cells: Sequence[CellParams],
+    reverse: Sequence[bool],
     mask: np.ndarray | None = None,
-    state_mask: np.ndarray | None = None,
-    reverse: bool = False,
+    masks: Sequence[tuple] | None = None,
+    final: bool = False,
 ) -> Tensor:
-    """One direction of a recurrent layer over whole sequences, as one
-    tape node named ``rnn/<kind>``.
+    """The directions of a recurrent layer over whole sequences, as one
+    tape node named ``rnn/<kind>``; the cells share kind and size.
 
-    ``x`` is a padded (B, T, k) batch, or one (T, k) sequence. ``mask``
-    (B, T) marks the real steps; on a padded step the state carries
-    over unchanged, so the last processed step holds each row's final
-    state. ``state_mask`` (broadcastable to (B, T, H), indexed by input
-    time) multiplies the incoming hidden state at each step: recurrent
-    dropout. ``reverse`` runs t = T-1 .. 0. Returns every step's hidden
-    state in input time order, (B, T, H) or (T, H).
+    ``x`` is a padded (B, T, k) batch, or one (T, k) sequence, read by
+    every direction. Direction d runs ``cells[d]`` over t = 0 .. T-1, or
+    over t = T-1 .. 0 if ``reverse[d]``. ``mask`` (B, T) marks the real
+    steps; on a padded step the state carries over unchanged, so the
+    last processed step holds each row's final state. ``masks[d]`` holds
+    direction d's dropout keep masks (input, state, output), each None
+    or indexed by input time: the input mask multiplies ``x``, the state
+    mask (broadcastable to (B, T, H)) the incoming hidden state of each
+    step, the output mask the returned states. Returns the directions'
+    hidden states concatenated per step in input time order, (B, T, D*H)
+    or (T, D*H); with ``final``, only the last processed step of each
+    direction, (B, D*H) or (D*H,).
 
-    The forward pass is one ``x @ W`` GEMM (plus ``x @ Wc`` for GRU) and
-    a loop over ``h @ U``; the stacked pre-activations are checked for
-    non-finite values once. A sigmoid gate is computed as
-    ``0.5 * (1 + tanh(z / 2))``: its columns of ``x @ W``, U and b are
-    halved once per call (exact in binary floating point), so one
-    ``tanh`` covers all gates of a step and the stored pre-activations
-    of those columns are ``z / 2``. The backward pass is one reverse
-    BPTT loop followed by one GEMM each for the weight and input
-    adjoints.
+    Internally every array is step-major with a direction axis, (T, D,
+    B, .), so step s of direction d is time s, or T-1-s when reversed,
+    and one loop steps all directions together: ``h @ U`` is one stacked
+    ``np.matmul`` per step, which makes one BLAS call per direction. The
+    forward pass is one ``x @ W`` GEMM per direction (plus ``x @ Wc`` for
+    GRU); the stacked pre-activations are checked for non-finite values
+    once. A sigmoid gate is computed as ``0.5 * (1 + tanh(z / 2))``: its
+    columns of ``x @ W``, U and b are halved once per call (exact in
+    binary floating point), so one ``tanh`` covers all gates of a step
+    and the stored pre-activations of those columns are ``z / 2``. The
+    backward pass is one reverse BPTT loop over all directions followed,
+    per direction, by one GEMM each for the weight and input adjoints;
+    the input adjoints are added to ``x`` direction by direction.
     """
-    kind, H = cell.kind, cell.hidden
+    kind, H, D = cells[0].kind, cells[0].hidden, len(cells)
     op = f"rnn/{kind}"
-    if x.data.shape[-1] != cell.W.shape[0]:
-        raise ShapeError(f"cell input dim {x.data.shape[-1]} != weight dim {cell.W.shape[0]}")
-    # internally time-major: row t of every stacked array is step t, of
-    # shape (B, .) for a batch and (.) for a single sequence
+    for cell in cells:
+        if x.data.shape[-1] != cell.W.shape[0]:
+            raise ShapeError(f"cell input dim {x.data.shape[-1]} != weight dim {cell.W.shape[0]}")
     if x.data.ndim == 3:
         B, T, k = x.data.shape
         lead = (B,)
-        Xt = x.data.transpose(1, 0, 2).reshape(T * B, k)
     else:
         (T, k), B, lead = x.data.shape, 1, ()
-        Xt = x.data
-    U, b = cell.U.data, cell.b.data[0]
-    XW = (Xt @ cell.W.data).reshape(T, *lead, U.shape[1])
+    masks = masks or [(None, None, None)] * D
+
+    def steps(a: np.ndarray, d: int) -> np.ndarray:
+        """Direction d's view of a time-major array, in its step order."""
+        return a[::-1] if reverse[d] else a
+
+    # per direction: its time-major (T*B, k) input rows and x @ W
+    Xts = []
+    G = cells[0].U.shape[1]
+    XW = np.empty((T, D, B, G))
+    for d, (cell, (in_mask, _, _)) in enumerate(zip(cells, masks)):
+        xd = x.data if in_mask is None else x.data * in_mask
+        Xts.append(xd.transpose(1, 0, 2).reshape(T * B, k) if lead else xd)
+        XW[:, d] = steps((Xts[d] @ cell.W.data).reshape(T, B, G), d)
+    U = np.stack([cell.U.data for cell in cells])
+    b = np.stack([cell.b.data for cell in cells])  # (D, 1, G)
     if kind != "simple":
         half = 0.5 if kind == "gru" else _lstm_halves(H)
         XW *= half
         U, b = U * half, b * half
     SM = None
-    if state_mask is not None:
-        SM = np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2).reshape(T, *lead, H)
+    if any(state_mask is not None for _, state_mask, _ in masks):
+        SM = np.ones((T, D, B, H))
+        for d, (_, state_mask, _) in enumerate(masks):
+            if state_mask is not None:
+                SM[:, d] = steps(np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2), d)
     keep = drop = None
     if mask is not None:
-        keep = np.asarray(mask, dtype=bool).reshape(B, T).T.reshape(T, *lead, 1)
+        by_time = np.asarray(mask, dtype=bool).reshape(B, T).T
+        keep = np.stack([steps(by_time, d) for d in range(D)], axis=1)[..., None]
         drop = ~keep
-    order = range(T - 1, -1, -1) if reverse else range(T)
 
     Z = np.empty_like(XW)  # gate pre-activations (halved for the sigmoid gates)
-    OUT = np.empty((T, *lead, H))
+    OUT = np.empty((T, D, B, H))
     ACT = OUT if kind == "simple" else np.empty_like(XW)  # gate activations
     if kind == "lstm":
         C = np.empty_like(OUT)  # cell states
@@ -291,40 +313,43 @@ def recurrent(
         SIG = ACT[..., : 3 * H]
         I, F, O, GC = (ACT[..., j * H : (j + 1) * H] for j in range(4))
     elif kind == "gru":
-        XWc = (Xt @ cell.Wc.data).reshape(T, *lead, H)
-        Uc, bc = cell.Uc.data, cell.bc.data[0]
+        XWc = np.empty_like(OUT)
+        for d, cell in enumerate(cells):
+            XWc[:, d] = steps((Xts[d] @ cell.Wc.data).reshape(T, B, H), d)
+        Uc = np.stack([cell.Uc.data for cell in cells])
+        bc = np.stack([cell.bc.data for cell in cells])
         A = np.empty_like(OUT)  # candidate pre-activations
         HH = np.empty_like(OUT)  # candidate states
         ZG, R = ACT[..., :H], ACT[..., H:]
     h = np.zeros(OUT.shape[1:])
     c = np.zeros(OUT.shape[1:])
-    for t in order:
-        hm = h if SM is None else h * SM[t]
-        z = np.matmul(hm, U, out=Z[t])
-        z += XW[t]
+    for s in range(T):
+        hm = h if SM is None else h * SM[s]
+        z = np.matmul(hm, U, out=Z[s])
+        z += XW[s]
         z += b
-        new_h = act = np.tanh(z, out=ACT[t])
+        new_h = act = np.tanh(z, out=ACT[s])
         if kind == "lstm":
-            sig = SIG[t]
+            sig = SIG[s]
             sig += 1.0
             sig *= 0.5
-            new_c = np.multiply(F[t], c, out=C[t])
-            new_c += I[t] * GC[t]
-            new_h = np.multiply(O[t], np.tanh(new_c, out=TC[t]), out=OUT[t])
+            new_c = np.multiply(F[s], c, out=C[s])
+            new_c += I[s] * GC[s]
+            new_h = np.multiply(O[s], np.tanh(new_c, out=TC[s]), out=OUT[s])
         elif kind == "gru":
             act += 1.0
             act *= 0.5
-            zg = ZG[t]
-            a = np.matmul(R[t] * hm, Uc, out=A[t])
-            a += XWc[t]
+            zg = ZG[s]
+            a = np.matmul(R[s] * hm, Uc, out=A[s])
+            a += XWc[s]
             a += bc
-            new_h = np.subtract(1.0, zg, out=OUT[t])
+            new_h = np.subtract(1.0, zg, out=OUT[s])
             new_h *= hm
-            new_h += zg * np.tanh(a, out=HH[t])
+            new_h += zg * np.tanh(a, out=HH[s])
         if keep is not None:
-            np.copyto(new_h, h, where=drop[t])
+            np.copyto(new_h, h, where=drop[s])
             if kind == "lstm":
-                np.copyto(new_c, c, where=drop[t])
+                np.copyto(new_c, c, where=drop[s])
         h = new_h
         if kind == "lstm":
             c = new_c
@@ -333,18 +358,27 @@ def recurrent(
         ad.check_finite(A, op)
 
     def backward(g_out):
-        dOUT = g_out.transpose(1, 0, 2) if lead else g_out
-        HM = _previous(OUT, reverse)
+        if final:
+            dOUT = np.zeros_like(OUT)
+            dOUT[-1] = g_out.reshape(B, D, H).transpose(1, 0, 2)
+        else:
+            dOUT = np.empty_like(OUT)
+            for d, (_, _, out_mask) in enumerate(masks):
+                g = g_out[..., d * H : (d + 1) * H]
+                if out_mask is not None:
+                    g = g * out_mask
+                dOUT[:, d] = steps(g.transpose(1, 0, 2) if lead else g[:, None], d)
+        HM = _previous(OUT)
         if SM is not None:
             HM *= SM
         # per-step factors of the BPTT recursion, computed for all steps at once
         if kind == "simple":
-            D = 1.0 - ACT * ACT  # ACT is OUT: a padded step's factor is masked below
+            DF = 1.0 - ACT * ACT  # ACT is OUT: a padded step's factor is masked below
         elif kind == "lstm":
             slope = SIG * (1.0 - SIG)
-            COEF = np.empty((T, *lead, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
+            COEF = np.empty((T, D, B, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
             COEF[..., 0, :] = GC * slope[..., :H]
-            COEF[..., 1, :] = _previous(C, reverse) * slope[..., H : 2 * H]
+            COEF[..., 1, :] = _previous(C) * slope[..., H : 2 * H]
             COEF[..., 2, :] = TC * slope[..., 2 * H :]
             COEF[..., 3, :] = I * (1.0 - GC * GC)
             DTC = O * (1.0 - TC * TC)
@@ -354,56 +388,75 @@ def recurrent(
             DR = HM * (R * (1.0 - R))
             KEEP_H = 1.0 - ZG
             dA = np.empty_like(OUT)
-        U = cell.U.data  # not halved: dZ is the adjoint of the full pre-activations
+            UcT = Uc.transpose(0, 2, 1)
+            RHM = R * HM  # the states the candidate's U multiplies
+        # not halved: dZ is the adjoint of the full pre-activations
+        UT = np.stack([cell.U.data for cell in cells]).transpose(0, 2, 1)
         dZ = np.empty_like(Z)
         dh = np.zeros(OUT.shape[1:])
         dc = np.zeros(OUT.shape[1:])
-        for t in reversed(order):
-            dh += dOUT[t]
-            dz = dZ[t]
+        for s in range(T - 1, -1, -1):
+            dh += dOUT[s]
+            dz = dZ[s]
             if kind == "simple":
-                np.multiply(dh, D[t], out=dz)
+                np.multiply(dh, DF[s], out=dz)
             elif kind == "lstm":
-                dcn = dh * DTC[t]
+                dcn = dh * DTC[s]
                 dcn += dc
-                dz4 = dz.reshape(*lead, 4, H)
-                np.multiply(dcn[..., None, :], COEF[t], out=dz4)
-                np.multiply(dh, COEF[t, ..., 2, :], out=dz4[..., 2, :])
-                dc = dcn * F[t] if keep is None else np.where(keep[t], dcn * F[t], dc)
+                dz4 = dz.reshape(D, B, 4, H)
+                np.multiply(dcn[..., None, :], COEF[s], out=dz4)
+                np.multiply(dh, COEF[s, ..., 2, :], out=dz4[..., 2, :])
+                dc = dcn * F[s] if keep is None else np.where(keep[s], dcn * F[s], dc)
             else:
-                da = np.multiply(dh, DA[t], out=dA[t])
+                da = np.multiply(dh, DA[s], out=dA[s])
                 if keep is not None:
-                    da *= keep[t]
-                drh = da @ Uc.T
-                np.multiply(dh, DZG[t], out=dz[..., :H])
-                np.multiply(drh, DR[t], out=dz[..., H:])
+                    da *= keep[s]
+                drh = np.matmul(da, UcT)
+                np.multiply(dh, DZG[s], out=dz[..., :H])
+                np.multiply(drh, DR[s], out=dz[..., H:])
             if keep is not None:
-                dz *= keep[t]
-            dhm = dz @ U.T
+                dz *= keep[s]
+            dhm = np.matmul(dz, UT)
             if kind == "gru":
-                dhm += dh * KEEP_H[t]
-                dhm += drh * R[t]
+                dhm += dh * KEEP_H[s]
+                dhm += drh * R[s]
             if SM is not None:
-                dhm *= SM[t]
-            dh = dhm if keep is None else np.where(keep[t], dhm, dh)
+                dhm *= SM[s]
+            dh = dhm if keep is None else np.where(keep[s], dhm, dh)
 
-        # (pre-activation adjoints, the states they multiply, W, U, b)
-        blocks = [(dZ.reshape(T * B, -1), HM, cell.W, cell.U, cell.b)]
-        if kind == "gru":
-            blocks.append((dA.reshape(T * B, H), R * HM, cell.Wc, cell.Uc, cell.bc))
-        for d, states, W, U_, b_ in blocks:
-            if W.requires_grad:
-                W._accum(Xt.T @ d)
-            if U_.requires_grad:
-                U_._accum(states.reshape(T * B, H).T @ d)
-            if b_.requires_grad:
-                b_._accum(d.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            dX = sum(d @ W.data.T for d, _, W, _, _ in blocks)
-            x._accum(dX.reshape(T, B, k).transpose(1, 0, 2) if lead else dX)
+        for d, (cell, (in_mask, _, _)) in enumerate(zip(cells, masks)):
 
-    out = np.ascontiguousarray(OUT.transpose(1, 0, 2)) if lead else OUT
-    return ad.make_node(out, (x, *(t for _, t in cell.tensors())), backward, op)
+            def rows(a: np.ndarray) -> np.ndarray:
+                """Direction d's slice of a stacked array as time-major rows."""
+                return np.ascontiguousarray(steps(a[:, d], d)).reshape(T * B, -1)
+
+            # (pre-activation adjoints, the states they multiply, W, U, b)
+            blocks = [(rows(dZ), rows(HM), cell.W, cell.U, cell.b)]
+            if kind == "gru":
+                blocks.append((rows(dA), rows(RHM), cell.Wc, cell.Uc, cell.bc))
+            for dd, states, W, U_, b_ in blocks:
+                if W.requires_grad:
+                    W._accum(Xts[d].T @ dd)
+                if U_.requires_grad:
+                    U_._accum(states.T @ dd)
+                if b_.requires_grad:
+                    b_._accum(dd.sum(axis=0, keepdims=True))
+            if x.requires_grad:
+                dX = sum(dd @ W.data.T for dd, _, W, _, _ in blocks)
+                dX = dX.reshape(T, B, k).transpose(1, 0, 2) if lead else dX
+                x._accum(dX if in_mask is None else dX * in_mask)
+
+    if final:
+        out = OUT[-1].transpose(1, 0, 2).reshape(*lead, D * H)
+    else:
+        halves = []
+        for d, (_, _, out_mask) in enumerate(masks):
+            y = steps(OUT[:, d], d)
+            y = y.transpose(1, 0, 2) if lead else y[:, 0]
+            halves.append(y if out_mask is None else y * out_mask)
+        out = np.concatenate(halves, axis=-1)
+    params = (t for cell in cells for _, t in cell.tensors())
+    return ad.make_node(out, (x, *params), backward, op)
 
 
 # -- layers ------------------------------------------------------------------------
@@ -445,10 +498,7 @@ def char_features(
     mask = np.arange(T) < lengths[:, None]
     ids = np.full(mask.shape, PAD_INDEX, dtype=np.intp)
     ids[mask] = [i for word in char_idss for i in word]
-    rows = table[ids]
-    out_f = recurrent(rows, fwd, mask=mask)
-    out_b = recurrent(rows, bwd, mask=mask, reverse=True)
-    return ad.concat([out_f[:, -1, :], out_b[:, 0, :]], axis=1)
+    return recurrent(table[ids], (fwd, bwd), (False, True), mask=mask, final=True)
 
 
 def _dropout_masks(rng, dropout: DropoutConfig, T: int, k: int, hidden: int, reverse: bool):
@@ -485,17 +535,13 @@ def bidirectional_layer(
     into (T, 2*hidden). RNN input/state/output dropout applies inside;
     variational mode reuses one mask per sequence and direction."""
     T, k = inputs.shape
-    halves = []
-    for cell, reverse in ((fwd, False), (bwd, True)):
-        in_mask, state_mask, out_mask = (
+    masks = None
+    if training:
+        masks = [
             _dropout_masks(rng, dropout, T, k, cell.hidden, reverse)
-            if training
-            else (None, None, None)
-        )
-        x = inputs if in_mask is None else inputs * Tensor(in_mask)
-        out = recurrent(x, cell, state_mask=state_mask, reverse=reverse)
-        halves.append(out if out_mask is None else out * Tensor(out_mask))
-    return ad.concat(halves, axis=1)
+            for cell, reverse in ((fwd, False), (bwd, True))
+        ]
+    return recurrent(inputs, (fwd, bwd), (False, True), masks=masks)
 
 
 def shared_stack_forward(

@@ -401,6 +401,43 @@ def test_cli_bad_numeric_value_exits_1_with_one_line(workspace, capsys, changes,
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("key", ["token_column", "label_column"])
+def test_cli_negative_column_in_config_exits_1_with_one_line(workspace, capsys, key):
+    tmp_path, _, config = workspace
+    config["tasks"][0][key] = -1
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["train", str(bad), "--quiet"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: tasks: {key} of 'tag' must be >= 0, got -1"]
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--model", "m.ckpt", "--input", "in.conll", "--token-column", "-1"],
+        ["evaluate", "--predictions", "p.conll", "--token-column", "-1"],
+        ["evaluate", "--predictions", "p.conll", "--label-column", "-2"],
+        ["evaluate", "--predictions", "p.conll", "--pred-column=-1"],
+        ["stats", "c.conll", "--token-column", "-1"],
+        ["stats", "c.conll", "--label-column", "-1"],
+        ["derive-subtasks", "--input", "c.conll", "--label-column", "-1"],
+        ["postprocess", "--input", "c.conll", "--variant", "none", "--token-column", "-3"],
+    ],
+    ids=["predict-token", "evaluate-token", "evaluate-label", "evaluate-pred", "stats-token",
+         "stats-label", "derive-subtasks-label", "postprocess-token"],
+)
+def test_cli_negative_column_flag_exits_1_with_one_line(tmp_path, capsys, argv):
+    two_columns = tmp_path / "c.conll"
+    two_columns.write_text("a\tB-X\nb\tO\n", encoding="utf-8")
+    argv = [str(two_columns) if a == "c.conll" else a for a in argv]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: argument --") and "column indices count from 0" in lines[0]
+
+
 def test_cli_missing_train_file_exits_2(workspace, capsys):
     tmp_path, config_path, config = workspace
     config["tasks"][0]["train"] = str(tmp_path / "absent.conll")
@@ -720,6 +757,24 @@ def test_search_builds_data_once(search_setup):
     assert [r[1] for r in trials.values()] == ["ok", "ok"]
     assert len(list((out_dir / "runs").glob("seed_*/model.ckpt"))) == 5
     assert len(builds) == 1
+
+
+def test_search_writes_one_timing_row_per_run(search_setup):
+    from seqtag.hyperopt import derive_seed
+
+    _, _, _, run = search_setup
+    out_dir, trials = run()
+    report = (out_dir / "report.tsv").read_text()
+    rows = [line.split("\t") for line in (out_dir / "timing.tsv").read_text().splitlines()]
+    assert rows[0] == ["trial", "seed_index", "seed", "seconds"]
+    # 2 trials x 2 seeds, then the winner's final seed as its seed index 2
+    winner = int(next(line for line in report.splitlines() if line.startswith("winner")).split()[1])
+    expected = [(t, j) for t in range(2) for j in range(2)] + [(winner, 2)]
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == expected
+    for trial, seed_index, seed, seconds in rows[1:]:
+        assert int(seed) == derive_seed(5, int(trial), int(seed_index))
+        assert float(seconds) > 0.0
+    assert "seconds" not in report
 
 
 def test_search_builds_once_per_corpus_value(search_setup):

@@ -17,7 +17,7 @@ from seqtag.corpus import (
     read_corpus_cache,
     write_corpus_cache,
 )
-from seqtag.exceptions import DataError
+from seqtag.exceptions import ConfigError, DataError
 
 
 def cache_name(src, token_col=0, label_cols=None):
@@ -36,6 +36,14 @@ def test_parse_two_token_sentence():
     (sentence,) = corpus.sentences
     assert [t.surface for t in sentence] == ["The", "fox"]
     assert [t.labels["chunk"] for t in sentence] == ["B-NP", "I-NP"]
+
+
+@pytest.mark.parametrize("token_col, label_cols", [(0, {"t": -2}), (-1, {"t": 1}), (-1, {})])
+def test_parse_rejects_negative_columns(token_col, label_cols):
+    # Python would index from the end of the row: on two columns, label
+    # column -2 reads the tokens and token column -1 the labels
+    with pytest.raises(ConfigError, match="column indices count from 0"):
+        parse_conll("a\tB\nb\tO\n", token_col, label_cols)
 
 
 def test_parse_empty_input():

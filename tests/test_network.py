@@ -25,10 +25,13 @@ from seqtag.network import (
 from seqtag import network
 from seqtag.exceptions import NumericError
 
+from gradcheck import check_gradients
 from reference_rnn import (
     bidirectional_reference,
+    bidirectional_two_calls,
     cell_step,
     char_features_reference,
+    char_features_two_calls,
     initial_state,
     run_direction,
     softmax_nll_reference,
@@ -125,7 +128,7 @@ def test_config_json_is_checked_like_a_config_file(key, value, pattern):
 def test_lstm_zero_weights_gives_zero_output():
     cell = zero_cell("lstm", 2, 3)
     x = Tensor(np.ones((1, 2)))
-    out = recurrent(x, cell)
+    out = recurrent(x, [cell], [False])
     assert np.allclose(out.data, 0.0)
     # gates all sigmoid(0) = 0.5: check via the pre-activation identity
     z = x.data @ cell.W.data + np.zeros((1, 3)) @ cell.U.data
@@ -134,7 +137,7 @@ def test_lstm_zero_weights_gives_zero_output():
 
 def test_gru_zero_weights_gives_zero_output():
     cell = zero_cell("gru", 2, 3)
-    out = recurrent(Tensor(np.ones((1, 2))), cell)
+    out = recurrent(Tensor(np.ones((1, 2))), [cell], [False])
     assert np.allclose(out.data, 0.0)
 
 
@@ -142,7 +145,7 @@ def test_simple_cell_formula():
     rng = np.random.default_rng(1)
     cell = init_cell("simple", 2, 3, rng)
     x = rng.normal(size=(2, 2))
-    out = recurrent(Tensor(x), cell).data
+    out = recurrent(Tensor(x), [cell], [False]).data
     h = np.tanh(x[0:1] @ cell.W.data + cell.b.data)
     want = np.tanh(x[1:2] @ cell.W.data + h @ cell.U.data + cell.b.data)
     assert np.allclose(out[0:1], h)
@@ -157,10 +160,10 @@ def test_cell_step_gradients(kind):
     params = [t for _, t in cell.tensors()]
 
     def build():
-        out = recurrent(x, cell)
+        out = recurrent(x, [cell], [False])
         return (out * out).sum()
 
-    assert ad.check_gradients(build, params) <= 1e-6
+    assert check_gradients(build, params) <= 1e-6
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -244,7 +247,7 @@ def test_char_path_gradient():
     def build():
         return (char_features([[1, 4, 2], [], [3, 5]], table, fwd, bwd) ** 2).sum()
 
-    assert ad.check_gradients(build, params) <= 1e-6
+    assert check_gradients(build, params) <= 1e-6
 
 
 # -- bidirectional layer ----------------------------------------------------------------
@@ -288,13 +291,17 @@ def test_bidi_palindrome_with_tied_weights_swaps_halves():
 
 
 def record_recurrent_calls(monkeypatch):
-    """Capture the arguments of every fused recurrent call."""
+    """Capture, per direction of every fused recurrent call, the inputs
+    the direction reads, its state mask and its order."""
     calls = []
     fused = network.recurrent
 
-    def spy(x, cell, mask=None, state_mask=None, reverse=False):
-        calls.append({"x": x.data.copy(), "state_mask": state_mask, "reverse": reverse})
-        return fused(x, cell, mask, state_mask, reverse)
+    def spy(x, cells, reverse, mask=None, masks=None, final=False):
+        for d in range(len(cells)):
+            in_mask, state_mask, _ = masks[d] if masks else (None, None, None)
+            x_d = x.data if in_mask is None else x.data * in_mask
+            calls.append({"x": x_d, "state_mask": state_mask, "reverse": reverse[d]})
+        return fused(x, cells, reverse, mask, masks, final)
 
     monkeypatch.setattr(network, "recurrent", spy)
     return calls
@@ -421,7 +428,7 @@ def test_fused_state_masks_match_per_step_reference(kind):
             return ad.concat(run_direction(inputs, cell, order, state_only), axis=0)
 
         assert_same_outputs_and_grads(
-            lambda: recurrent(inputs, cell, state_mask=state_masks, reverse=reverse),
+            lambda: recurrent(inputs, [cell], [reverse], masks=[(None, state_masks, None)]),
             reference,
             params,
         )
@@ -452,10 +459,10 @@ def test_fused_recurrent_op_gradients(kind):
     for reverse in (False, True):
 
         def build():
-            out = recurrent(x, cell, mask=mask, state_mask=state_masks, reverse=reverse)
+            out = recurrent(x, [cell], [reverse], mask=mask, masks=[(None, state_masks, None)])
             return ad.tanh(out).sum()
 
-        assert ad.check_gradients(build, params) <= 1e-6
+        assert check_gradients(build, params) <= 1e-6
 
 
 def test_nonfinite_recurrent_weight_raises_numeric_error():
@@ -477,7 +484,7 @@ def test_overflowing_preactivation_raises_although_tanh_saturates():
             x = Tensor(np.full((2, 2), 10.0))
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericError, match=f"rnn/{kind}"):
-                    recurrent(x, cell)
+                    recurrent(x, [cell], [False])
 
 
 @pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
@@ -492,7 +499,7 @@ def test_single_sequence_equals_batch_of_one(kind):
             inputs = ad.parameter(data.copy())
             for _, t in cell.tensors():
                 t.grad = None
-            out = recurrent(inputs, cell, state_mask=state_masks, reverse=reverse)
+            out = recurrent(inputs, [cell], [reverse], masks=[(None, state_masks, None)])
             weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
             (ad.tanh(out) * weights).sum().backward()
             grads = [inputs.grad.reshape(x.shape)] + [t.grad.copy() for _, t in cell.tensors()]
@@ -501,6 +508,132 @@ def test_single_sequence_equals_batch_of_one(kind):
         assert np.array_equal(out_1, out_b)
         for g_1, g_b in zip(grads_1, grads_b):
             assert np.array_equal(g_1, g_b)
+
+
+# -- both directions in one node against two single-direction nodes ---------------------
+
+
+def outputs_and_grads(build, params, rng):
+    """The output and every parameter's gradient after a backward pass
+    from a weighted loss, each parameter starting from a random prior
+    gradient, so the order of adding adjoints into a shared input shows."""
+    priors = [rng.normal(size=p.data.shape) for p in params]
+    for p, prior in zip(params, priors):
+        p.grad = prior.copy()
+    out = build()
+    weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
+    (ad.tanh(out) * weights).sum().backward()
+    return out.data.copy(), [p.grad.copy() for p in params]
+
+
+def assert_bitwise_equal(first, second):
+    (out_1, grads_1), (out_2, grads_2) = first, second
+    assert np.array_equal(out_1, out_2)
+    assert len(grads_1) == len(grads_2)
+    for g_1, g_2 in zip(grads_1, grads_2):
+        assert np.array_equal(g_1, g_2)
+
+
+DROPOUT_MODES = {
+    "eval": None,
+    "variational": DropoutConfig(rnn_input=0.3, rnn_state=0.4, rnn_output=0.2),
+    "per-step": DropoutConfig(rnn_input=0.3, rnn_state=0.4, rnn_output=0.2, variational=False),
+}
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+@pytest.mark.parametrize("mode", list(DROPOUT_MODES))
+def test_fused_layer_bitwise_equals_two_single_direction_calls(kind, mode):
+    cfg = DROPOUT_MODES[mode]
+    training = cfg is not None
+    cfg = cfg or DropoutConfig()
+    for T in (1, 2, 7, 20):
+        rng = np.random.default_rng(40 + T)
+        fwd = random_cell(kind, 5, 6, rng)
+        bwd = random_cell(kind, 5, 6, rng)
+        inputs = ad.parameter(rng.normal(size=(T, 5)))
+        params = [inputs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+        fused_rng, reference_rng = np.random.default_rng(41), np.random.default_rng(41)
+        fused = outputs_and_grads(
+            lambda: bidirectional_layer(inputs, fwd, bwd, cfg, training, fused_rng),
+            params,
+            np.random.default_rng(42),
+        )
+        reference = outputs_and_grads(
+            lambda: bidirectional_two_calls(inputs, fwd, bwd, cfg, training, reference_rng),
+            params,
+            np.random.default_rng(42),
+        )
+        assert_bitwise_equal(fused, reference)
+        assert fused_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_fused_char_features_bitwise_equal_two_single_direction_calls():
+    rng = np.random.default_rng(43)
+    table = ad.parameter(rng.uniform(-0.8, 0.8, size=(9, 4)))
+    fwd = random_cell("lstm", 4, 5, rng)
+    bwd = random_cell("lstm", 4, 5, rng)
+    params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+    for words in ([[2, 3, 4, 5, 6, 7], [], [4], [8, 2, 2]], [[3]], [[1, 2, 3, 4, 5, 6, 7]] * 3):
+        fused = outputs_and_grads(
+            lambda: char_features(words, table, fwd, bwd), params, np.random.default_rng(44)
+        )
+        reference = outputs_and_grads(
+            lambda: char_features_two_calls(words, table, fwd, bwd),
+            params,
+            np.random.default_rng(44),
+        )
+        assert_bitwise_equal(fused, reference)
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+def test_fused_shortcut_stack_bitwise_equals_two_single_direction_calls(kind, monkeypatch):
+    # with shortcuts the word representations feed every layer, so their
+    # gradient sums the adjoints of several consumers in tape order
+    rng = np.random.default_rng(45)
+    cells = build_stack(rng, kind, [4, 3, 5], in_dim=6, shortcuts=True)
+    for pair in cells:
+        for cell in pair:
+            for _, t in cell.tensors():
+                t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
+    embedded = ad.parameter(rng.normal(size=(6, 6)))
+    params = [embedded] + [t for pair in cells for cell in pair for _, t in cell.tensors()]
+    cfg = DropoutConfig(rnn_input=0.2, rnn_state=0.3, rnn_output=0.1, variational=False)
+
+    def top():
+        layers = shared_stack_forward(embedded, cells, True, cfg, True, np.random.default_rng(46))
+        return layers[-1]
+
+    fused = outputs_and_grads(top, params, np.random.default_rng(47))
+    monkeypatch.setattr(network, "bidirectional_layer", bidirectional_two_calls)
+    assert_bitwise_equal(fused, outputs_and_grads(top, params, np.random.default_rng(47)))
+
+
+def test_each_layer_and_char_bilstm_is_one_tape_node():
+    config = tiny_config(
+        shared_layers=[3, 4],
+        use_shortcuts=True,
+        char=CharConfig(enabled=True, embedding_dim=3, hidden=2),
+        dropout=DropoutConfig(rnn_input=0.2, rnn_state=0.2, rnn_output=0.2),
+        tasks=[TaskSpec(name="t", labels=["A", "B", "O"], termination_layer=2)],
+    )
+    model = Model(config, small_vocab(("ab", "bca", "c")), np.random.default_rng(48))
+    loss = model.sentence_loss(
+        "t", [2, 3, 4], [[2, 3], [3, 4, 2], [4]], [0, 1, 2], rng=np.random.default_rng(49)
+    )
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    rnn = [node for node in nodes if node.op.startswith("rnn/")]
+    # the char BiLSTM (2 x 2 units) and the two shared layers
+    assert sorted(node.data.shape for node in rnn) == [(3, 4), (3, 6), (3, 8)]
+    for node in rnn:
+        assert node.op == "rnn/lstm"
+        assert len(node._parents) == 1 + 2 * 3  # the input, W, U and b per direction
 
 
 # -- shared stack -----------------------------------------------------------------------
@@ -562,7 +695,7 @@ def test_softmax_nll_confident_correct():
 def test_softmax_nll_gradient():
     rng = np.random.default_rng(17)
     logits = ad.parameter(rng.normal(size=(4, 3)))
-    assert ad.check_gradients(lambda: softmax_nll(logits, [0, 2, 1, 1]), [logits], eps=1e-5) <= 1e-8
+    assert check_gradients(lambda: softmax_nll(logits, [0, 2, 1, 1]), [logits], eps=1e-5) <= 1e-8
 
 
 def test_fused_softmax_nll_bitwise_equals_composed_reference():
@@ -731,10 +864,10 @@ def test_composite_op_gradients_ten_seeds():
             x = Tensor(rng.normal(size=(1, 2)))
 
             def cell_loss(cell=cell, x=x):
-                out = recurrent(x, cell)
+                out = recurrent(x, [cell], [False])
                 return (out * out).sum()
 
-            assert ad.check_gradients(cell_loss, [t for _, t in cell.tensors()]) <= 1e-6
+            assert check_gradients(cell_loss, [t for _, t in cell.tensors()]) <= 1e-6
 
         table = ad.parameter(rng.uniform(-0.8, 0.8, size=(5, 2)))
         fwd = init_cell("lstm", 2, 2, rng)
@@ -744,7 +877,7 @@ def test_composite_op_gradients_ten_seeds():
             return (char_features([[1, 3, 2]], table, fwd, bwd) ** 2).sum()
 
         char_params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
-        assert ad.check_gradients(char_loss, char_params) <= 1e-6
+        assert check_gradients(char_loss, char_params) <= 1e-6
 
         inputs = Tensor(rng.normal(size=(3, 2)))
         bf = init_cell("gru", 2, 2, rng)
@@ -764,7 +897,7 @@ def test_composite_op_gradients_ten_seeds():
         _layer_gradcheck_at_resolution(layer_loss, layer_params)
 
         logits = ad.parameter(rng.normal(size=(3, 3)))
-        assert ad.check_gradients(lambda: softmax_nll(logits, [0, 2, 1]), [logits]) <= 1e-6
+        assert check_gradients(lambda: softmax_nll(logits, [0, 2, 1]), [logits]) <= 1e-6
 
         crf_logits = ad.parameter(rng.normal(size=(3, 2)))
         transitions = ad.parameter(rng.normal(size=(2, 2)))
@@ -774,4 +907,4 @@ def test_composite_op_gradients_ten_seeds():
         def crf_loss():
             return crf_nll(crf_logits, transitions, begin, end, [1, 0, 1])
 
-        assert ad.check_gradients(crf_loss, [crf_logits, transitions, begin, end]) <= 1e-6
+        assert check_gradients(crf_loss, [crf_logits, transitions, begin, end]) <= 1e-6

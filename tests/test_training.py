@@ -7,7 +7,8 @@ from seqtag import autodiff as ad
 from seqtag.checkpoint import CheckpointError, load_model, save_model
 from seqtag.corpus import Token
 from seqtag.exceptions import ConfigError
-from seqtag.network import Model
+from seqtag import network
+from seqtag.network import CharConfig, DropoutConfig, Model, NetworkConfig, TaskSpec
 from seqtag.training import (
     AdamOptimizer,
     EarlyStoppingConfig,
@@ -28,6 +29,7 @@ from conftest import (
     vocab_for,
     write_half_then_fail,
 )
+from reference_rnn import bidirectional_two_calls, char_features_two_calls
 
 
 # -- clipping -----------------------------------------------------------------------
@@ -196,7 +198,6 @@ def test_lower_task_batch_steps_only_the_parameters_it_reached(monkeypatch):
     corpus = synthetic_bio_corpus(n_sentences=6)
     aux = derive_acs_corpus(corpus)
     vocab = vocab_for([corpus, aux], {"tag": [corpus], "seg": [aux]})
-    from seqtag.network import DropoutConfig, NetworkConfig, TaskSpec
 
     config = NetworkConfig(
         cell="lstm",
@@ -277,7 +278,6 @@ def test_mtl_tasks_terminating_at_different_layers():
     corpus = synthetic_bio_corpus(n_sentences=5)
     aux = derive_acs_corpus(corpus)
     vocab = vocab_for([corpus, aux], {"tag": [corpus], "seg": [aux]})
-    from seqtag.network import DropoutConfig, NetworkConfig, TaskSpec
 
     config = NetworkConfig(
         cell="lstm",
@@ -304,6 +304,50 @@ def test_mtl_tasks_terminating_at_different_layers():
     sentence = corpus.sentences[0]
     assert len(model.predict_labels("seg", sentence)) == len(sentence)
     assert len(model.predict_labels("tag", sentence)) == len(sentence)
+
+
+@pytest.mark.parametrize("cell,variational", [("lstm", True), ("gru", False)])
+def test_fused_directions_write_the_checkpoint_of_single_direction_calls(
+    tmp_path, monkeypatch, cell, variational
+):
+    # two tasks, shortcuts, the char BiLSTM and every dropout site: the
+    # layers whose directions step in one loop train to the same bytes as
+    # one node per direction
+    corpus = synthetic_bio_corpus(n_sentences=6)
+    aux = derive_acs_corpus(corpus)
+    vocab = vocab_for([corpus, aux], {"tag": [corpus], "seg": [aux]})
+    config = NetworkConfig(
+        cell=cell,
+        shared_layers=[5, 4],
+        use_shortcuts=True,
+        char=CharConfig(enabled=True, embedding_dim=4, hidden=3),
+        dropout=DropoutConfig(
+            word=0.1, rnn_input=0.2, rnn_state=0.2, rnn_output=0.2, variational=variational
+        ),
+        tasks=[
+            TaskSpec(name="seg", labels=vocab.labels_of("seg"), termination_layer=1),
+            TaskSpec(name="tag", labels=vocab.labels_of("tag"), termination_layer=2, head="crf"),
+        ],
+        word_dim=6,
+    )
+    tc = TrainConfig(
+        epochs=2,
+        batch_size=2,
+        optimizer=OptimizerConfig(kind="adam", learning_rate=0.01),
+        main_task="tag",
+    )
+
+    def run(path):
+        rng = np.random.default_rng(9)
+        model = Model(config, vocab, rng)
+        return train(model, {"tag": corpus, "seg": aux}, {}, tc, rng, checkpoint_path=str(path))
+
+    fused = run(tmp_path / "fused.ckpt")
+    monkeypatch.setattr(network, "bidirectional_layer", bidirectional_two_calls)
+    monkeypatch.setattr(network, "char_features", char_features_two_calls)
+    reference = run(tmp_path / "reference.ckpt")
+    assert [r.task_losses for r in fused.records] == [r.task_losses for r in reference.records]
+    assert (tmp_path / "fused.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
 
 
 def test_missing_train_data_is_config_error():
