@@ -20,9 +20,10 @@ Conventions:
     op: a ``mul`` node for word and task dropout, and inside the
     recurrent node for the RNN sites.
 
-The finite-difference gradient check and the ``logsumexp`` op that only
-the composed test references use live with the tests
-(``tests/gradcheck.py``).
+The finite-difference gradient check, and the small ops that only the
+tests and the composed references use (``power``, ``exp``,
+``reshape``, ``softmax``, sums, means and ``logsumexp``), live with the
+tests (``tests/gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class Tensor:
             raise ShapeError("tensor/tensor division is not part of the op set")
         return mul(self, 1.0 / float(other))
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -146,21 +144,6 @@ class Tensor:
 
     def relu(self):
         return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
 
 
 def parameter(data, name: str | None = None) -> Tensor:
@@ -258,18 +241,6 @@ def mul(a, b) -> Tensor:
     return make_node(data, (a, b), backward, "mul")
 
 
-def power(a, exponent) -> Tensor:
-    a = as_tensor(a)
-    exponent = float(exponent)
-    data = a.data ** exponent
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * exponent * a.data ** (exponent - 1.0))
-
-    return make_node(data, (a,), backward, "pow")
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -324,29 +295,6 @@ def relu(a) -> Tensor:
     return make_node(data, (a,), backward, "relu")
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * data)
-
-    return make_node(data, (a,), backward, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
-
-    return make_node(data, (a,), backward, "log")
-
-
 # -- structural ops -----------------------------------------------------------
 
 
@@ -379,20 +327,6 @@ def _has_index_arrays(key) -> bool:
     return False
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    original = a.data.shape
-    try:
-        data = a.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeError(f"cannot reshape {original} to {shape}") from err
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g.reshape(original))
-
-    return make_node(data, (a,), backward, "reshape")
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -411,39 +345,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accum(piece)
 
     return make_node(data, tensors, backward, "concat")
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, a.data.shape).copy())
-
-    return make_node(np.asarray(data, dtype=np.float64), (a,), backward, "sum")
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis), 1.0 / count)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a._accum(data * (g - inner))
-
-    return make_node(data, (a,), backward, "softmax")

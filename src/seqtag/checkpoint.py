@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from seqtag.corpus import Vocabulary, read_bytes, write_atomic
+from seqtag.corpus import Vocabulary, read_bytes
 from seqtag.exceptions import ConfigError, DataError
+from seqtag.files import write_atomic
 from seqtag.network import Model, NetworkConfig
 
 MAGIC = b"SQTG"

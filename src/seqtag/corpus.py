@@ -8,18 +8,23 @@ Multiple consecutive blank lines collapse to a single boundary.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 import json
-import os
 import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from seqtag.exceptions import ConfigError, DataError
+from seqtag.files import (
+    cache_path,
+    file_fingerprint,
+    read_cache,
+    section,
+    through_cache,
+    write_cache,
+)
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -146,18 +151,6 @@ def read_text(path: Path) -> str:
     return decode_utf8(read_bytes(path), str(path))
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write a whole file through a temporary file and ``os.replace``:
-    a reader never sees a half-written file, and a failed write leaves
-    the previous file as it was."""
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def corpus_to_conll(corpus: Corpus, tasks: Iterable[str] | None = None) -> str:
     """Render a corpus as normalized tab-separated CoNLL text."""
     tasks = tuple(tasks) if tasks is not None else corpus.tasks
@@ -262,28 +255,11 @@ def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
 
 # -- binary cache ---------------------------------------------------------------
 #
-# Layout: magic "SQTC", u32 version, u32 CRC-32 of the rest of the file,
-# then length-prefixed sections (u64 byte length + payload): 1) JSON
-# header with source fingerprint, column declaration, and the string
-# tables, 2) packed sentence data: per sentence u32 token count, then per
-# token one u32 surface id and one u32 label id per task (task order from
-# the header). The CRC catches any damaged run of up to 32 bits, which
-# would otherwise decode to a different corpus.
-
-
-def _file_fingerprint(path: Path) -> dict:
-    data = read_bytes(path)
-    return {"size": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _write_section(out: IO[bytes], payload: bytes) -> None:
-    out.write(struct.pack("<Q", len(payload)))
-    out.write(payload)
-
-
-def _read_section(buf: IO[bytes]) -> bytes:
-    (length,) = struct.unpack("<Q", buf.read(8))
-    return buf.read(length)
+# Framed as ``seqtag.files`` describes, with magic "SQTC" and two
+# sections: 1) JSON header with source fingerprint, column declaration,
+# and the string tables, 2) packed sentence data: per sentence u32 token
+# count, then per token one u32 surface id and one u32 label id per task
+# (task order from the header).
 
 
 def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> None:
@@ -307,29 +283,17 @@ def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> N
         "labels": {task: list(table.keys()) for task, table in label_tables.items()},
         "sentence_count": len(corpus.sentences),
     }
-    body = io.BytesIO()
-    _write_section(body, json.dumps(header).encode("utf-8"))
-    _write_section(body, packed.getvalue())
-    blob = body.getvalue()
-    write_atomic(path, _CACHE_MAGIC + struct.pack("<II", _CACHE_VERSION, zlib.crc32(blob)) + blob)
+    pieces = (*section(json.dumps(header).encode("utf-8")), *section(packed.getbuffer()))
+    write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, pieces)
 
 
 def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
     """The cached corpus and its source metadata; a damaged file raises DataError."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != _CACHE_MAGIC:
-        raise DataError(f"not a corpus cache file: {path}")
     try:
-        version, crc = struct.unpack("<II", blob[4:12])
-        if version != _CACHE_VERSION:
-            raise DataError(f"unsupported corpus cache version {version}")
-        if zlib.crc32(blob[12:]) != crc:
-            raise DataError(f"corpus cache {path} fails its checksum")
-        buf = io.BytesIO(blob[12:])
-        header = json.loads(_read_section(buf).decode("utf-8"))
-        packed = _read_section(buf)
+        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "corpus") as reader:
+            header, packed = reader.section(), reader.section()
+        header = json.loads(header.decode("utf-8"))
         ids = struct.unpack(f"<{len(packed) // 4}I", packed)
-
         tasks = tuple(header["tasks"])
         width = 1 + len(tasks)
         # split the ids into per-sentence token counts and the token rows
@@ -376,24 +340,15 @@ def load_corpus_cached(
     if cache_dir is None:
         return parse_conll_file(path, token_col, label_cols)
 
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     columns = f"{token_col}" + "".join(f"\t{t}={c}" for t, c in sorted(label_cols.items()))
-    where = hashlib.sha256(
-        os.fsencode(os.path.abspath(path)) + b"\0" + columns.encode("utf-8")
-    ).hexdigest()[:12]
-    cache_path = cache_dir / f"{path.name}.{where}.cache"
-    meta = _file_fingerprint(path)
+    cache = cache_path(cache_dir, path, ".cache", columns)
+    meta = file_fingerprint(path)
     meta["token_col"] = token_col
     meta["label_cols"] = {task: idx for task, idx in label_cols.items()}
-
-    if cache_path.exists():
-        try:
-            corpus, cached_meta = read_corpus_cache(cache_path)
-            if cached_meta == meta:
-                return corpus
-        except DataError:
-            pass
-    corpus = parse_conll_file(path, token_col, label_cols)
-    write_corpus_cache(cache_path, corpus, meta)
-    return corpus
+    return through_cache(
+        cache,
+        meta,
+        read_corpus_cache,
+        lambda: parse_conll_file(path, token_col, label_cols),
+        write_corpus_cache,
+    )

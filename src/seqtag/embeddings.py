@@ -1,21 +1,39 @@
-"""Pre-trained word embeddings: loading, concatenation, pruning.
+"""Pre-trained word embeddings: loading, caching, concatenation, pruning.
 
 Multiple embedding files are combined by intersecting their
 vocabularies and concatenating the per-word vectors, so the combined
 dimension is the sum of the source dimensions. A pruned set restricted
 to the words of the task corpora is what actually feeds the network.
+Given a cache directory, each file is parsed once and read back from a
+binary cache (``<name>.<hash>.emb``) while its content is unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from seqtag.corpus import Corpus, read_text, write_atomic
+from seqtag.corpus import Corpus, read_text
 from seqtag.exceptions import DataError
+from seqtag.files import (
+    cache_path,
+    file_fingerprint,
+    read_cache,
+    section,
+    through_cache,
+    write_atomic,
+    write_cache,
+)
+
+_CACHE_MAGIC = b"SQTE"
+_CACHE_VERSION = 1
+_ROWS_PER_WRITE = 1024  # vectors gathered into one write of the cache
 
 
 class EmbeddingFormatError(DataError):
@@ -42,35 +60,43 @@ def load_embedding_file(path: str | Path) -> EmbeddingSet:
     """Read one text embedding file: a word plus floats per line.
 
     A leading "count dim" header line (two integer fields) is detected
-    and skipped. The dimension must be constant within the file.
+    and skipped; its count must equal the number of vector lines and its
+    dim their dimension. The dimension must be constant within the file,
+    and every component finite. A repeated word keeps the position of its
+    first line and the vector of its last.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"embedding file not found: {path}")
-    vectors: dict[str, np.ndarray] = {}
+    words: list[str] = []
+    flat = array("d")  # the components of every vector line, in file order
+    linenos = array("L")
+    header: list[int] | None = None
     dim: int | None = None
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split()
+                parts = line.split()
                 if not parts:
                     continue
                 if lineno == 1 and len(parts) == 2 and _all_ints(parts):
-                    continue  # header line
-                word, values = parts[0], parts[1:]
+                    header = [int(p) for p in parts]
+                    continue
+                values = parts[1:]
                 if not values:
                     raise EmbeddingFormatError(f"{path}, line {lineno}: no vector components")
                 try:
-                    vec = np.array([float(v) for v in values], dtype=np.float64)
+                    flat.extend(map(float, values))
                 except ValueError as err:
                     raise EmbeddingFormatError(f"{path}, line {lineno}: bad float") from err
                 if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
+                    dim = len(values)
+                elif len(values) != dim:
                     raise EmbeddingFormatError(
-                        f"{path}, line {lineno}: dimension {vec.size} != {dim}"
+                        f"{path}, line {lineno}: dimension {len(values)} != {dim}"
                     )
-                vectors[word] = vec
+                words.append(parts[0])
+                linenos.append(lineno)
     except UnicodeDecodeError:
         read_text(path)  # raises the DataError that names the bad byte's file offset
         raise
@@ -78,7 +104,17 @@ def load_embedding_file(path: str | Path) -> EmbeddingSet:
         raise DataError(f"cannot read {path}: {err.strerror or err}") from err
     if dim is None:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
-    return EmbeddingSet(dim=dim, vectors=vectors)
+    if header is not None and header != [len(words), dim]:
+        raise EmbeddingFormatError(
+            f"{path}: header declares {header[0]} vectors of dimension {header[1]}, "
+            f"the file holds {len(words)} of dimension {dim}"
+        )
+    finite = np.isfinite(flat)
+    if not finite.all():
+        row = int(np.argmin(finite)) // dim
+        raise EmbeddingFormatError(f"{path}, line {linenos[row]}: non-finite value")
+    matrix = np.frombuffer(flat, dtype=np.float64).reshape(len(words), dim)
+    return EmbeddingSet(dim=dim, vectors=dict(zip(words, matrix)))
 
 
 def _all_ints(parts: list[str]) -> bool:
@@ -89,12 +125,67 @@ def _all_ints(parts: list[str]) -> bool:
         return False
 
 
-def build_embedding_set(files: Iterable[str | Path]) -> EmbeddingSet:
+# -- binary cache -----------------------------------------------------------------
+#
+# Framed as ``seqtag.files`` describes, with magic "SQTE", one section
+# holding the JSON header (source size and sha256, ``dim``, and the
+# words in the order of the set), then the float64 vectors, one row per
+# word, up to the end of the file.
+
+
+def write_embedding_cache(path: str | Path, emb: EmbeddingSet, source_meta: dict) -> None:
+    header = {"source": source_meta, "dim": emb.dim, "words": list(emb.vectors)}
+    rows = list(emb.vectors.values())
+    blocks = (
+        np.concatenate(rows[i : i + _ROWS_PER_WRITE]).astype("<f8", copy=False)
+        for i in range(0, len(rows), _ROWS_PER_WRITE)
+    )
+    pieces = itertools.chain(section(json.dumps(header).encode("utf-8")), blocks)
+    write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, pieces)
+
+
+def read_embedding_cache(path: str | Path) -> tuple[EmbeddingSet, dict]:
+    """The cached set and its source metadata; a damaged file raises DataError."""
+    try:
+        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "embedding") as reader:
+            header, values = reader.section(), reader.floats()
+        header = json.loads(header.decode("utf-8"))
+        words, dim = header["words"], header["dim"]
+        matrix = values.reshape(len(words), dim)
+        return EmbeddingSet(dim=dim, vectors=dict(zip(words, matrix))), header["source"]
+    except (ValueError, LookupError, TypeError) as err:
+        raise DataError(f"corrupt embedding cache {path}: {err!r}") from err
+
+
+def load_embedding_file_cached(
+    path: str | Path, cache_dir: str | Path | None = None
+) -> EmbeddingSet:
+    """``load_embedding_file`` through a binary cache in ``cache_dir``.
+
+    The cache is named after the file and a hash of its absolute path,
+    and is used only while the file's size and sha256 match the ones it
+    recorded; a stale or damaged cache is parsed again and rewritten.
+    """
+    path = Path(path)
+    if cache_dir is None or not path.exists():
+        return load_embedding_file(path)
+    return through_cache(
+        cache_path(cache_dir, path, ".emb"),
+        file_fingerprint(path),
+        read_embedding_cache,
+        lambda: load_embedding_file(path),
+        write_embedding_cache,
+    )
+
+
+def build_embedding_set(
+    files: Iterable[str | Path], cache_dir: str | Path | None = None
+) -> EmbeddingSet:
     """Concatenate embedding files over the intersection of their words."""
     paths = [Path(p) for p in files]
     if not paths:
         raise DataError("no embedding files given")
-    sets = [load_embedding_file(p) for p in paths]
+    sets = [load_embedding_file_cached(p, cache_dir) for p in paths]
     if len(sets) == 1:
         return sets[0]
 
@@ -121,7 +212,8 @@ def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingS
         for surface in corpus.surfaces():
             reachable.add(surface)
             reachable.add(surface.lower())
-    kept = {w: v for w, v in emb.vectors.items() if w in reachable}
+    # copies, so the kept vectors do not hold on to a whole file's matrix
+    kept = {w: v.copy() for w, v in emb.vectors.items() if w in reachable}
     return EmbeddingSet(dim=emb.dim, vectors=kept)
 
 

@@ -80,7 +80,7 @@ class ExperimentData:
         self.vocab = Vocabulary()
         self.word_matrix: np.ndarray | None = None
         if config.embeddings.files:
-            emb = build_embedding_set(config.embeddings.files)
+            emb = build_embedding_set(config.embeddings.files, cache_dir)
             emb = prune_embeddings(emb, all_corpora)
             for word in emb.vectors:
                 self.vocab.add_word(word)

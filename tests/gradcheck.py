@@ -1,5 +1,7 @@
-"""Test-only autodiff helpers: a ``logsumexp`` op for the composed
-references and a finite-difference gradient check."""
+"""Test-only autodiff helpers: the small ops that only the tests and
+the composed references use (``power``, ``exp``, ``reshape``,
+``softmax``, ``tsum``, ``tmean`` and ``logsumexp``), and a
+finite-difference gradient check."""
 
 from __future__ import annotations
 
@@ -9,6 +11,81 @@ import numpy as np
 
 from seqtag import autodiff as ad
 from seqtag.autodiff import Tensor
+from seqtag.exceptions import ShapeError
+
+
+def power(a, exponent) -> Tensor:
+    a = ad.as_tensor(a)
+    exponent = float(exponent)
+    data = a.data ** exponent
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g * exponent * a.data ** (exponent - 1.0))
+
+    return ad.make_node(data, (a,), backward, "pow")
+
+
+def exp(a) -> Tensor:
+    a = ad.as_tensor(a)
+    with np.errstate(over="ignore"):
+        data = np.exp(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g * data)
+
+    return ad.make_node(data, (a,), backward, "exp")
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    original = a.data.shape
+    try:
+        data = a.data.reshape(shape)
+    except ValueError as err:
+        raise ShapeError(f"cannot reshape {original} to {shape}") from err
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g.reshape(original))
+
+    return ad.make_node(data, (a,), backward, "reshape")
+
+
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    a = ad.as_tensor(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        if axis is None:
+            a._accum(np.broadcast_to(g, a.data.shape).copy())
+        else:
+            gg = g if keepdims else np.expand_dims(g, axis)
+            a._accum(np.broadcast_to(gg, a.data.shape).copy())
+
+    return ad.make_node(np.asarray(data, dtype=np.float64), (a,), backward, "sum")
+
+
+def tmean(a: Tensor, axis=None) -> Tensor:
+    a = ad.as_tensor(a)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return ad.mul(tsum(a, axis), 1.0 / count)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    a = ad.as_tensor(a)
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        if a.requires_grad:
+            inner = (g * data).sum(axis=axis, keepdims=True)
+            a._accum(data * (g - inner))
+
+    return ad.make_node(data, (a,), backward, "softmax")
 
 
 def logsumexp(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -22,7 +22,7 @@ from seqtag.crf import crf_log_z
 from seqtag.exceptions import ShapeError
 from seqtag.network import _dropout_masks
 
-from gradcheck import logsumexp
+from gradcheck import logsumexp, reshape, tmean, tsum
 
 
 def initial_state(params) -> tuple[Tensor, ...]:
@@ -139,20 +139,20 @@ def char_features_reference(char_idss, table: Tensor, fwd, bwd) -> Tensor:
 def crf_log_z_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor):
     """Forward algorithm with one logsumexp node per step."""
     T, L = logits.shape
-    alpha = logits[0:1, :] + begin.reshape(1, L)
+    alpha = logits[0:1, :] + reshape(begin, (1, L))
     for t in range(1, T):
-        scores = alpha.reshape(L, 1) + transitions
+        scores = reshape(alpha, (L, 1)) + transitions
         alpha = logsumexp(scores, axis=0, keepdims=True) + logits[t : t + 1, :]
-    return logsumexp(alpha + end.reshape(1, L))
+    return logsumexp(alpha + reshape(end, (1, L)))
 
 
 def crf_score_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, path):
     """Unnormalized score of one label path, from getitem and sum nodes."""
     path = np.asarray(path, dtype=np.intp)
     T = logits.shape[0]
-    score = logits[np.arange(T), path].sum() + begin[int(path[0])] + end[int(path[-1])]
+    score = tsum(logits[np.arange(T), path]) + begin[int(path[0])] + end[int(path[-1])]
     if T > 1:
-        score = score + transitions[path[:-1], path[1:]].sum()
+        score = score + tsum(transitions[path[:-1], path[1:]])
     return score
 
 
@@ -169,7 +169,7 @@ def softmax_nll_reference(logits: Tensor, gold) -> Tensor:
     gold = np.asarray(gold, dtype=np.intp)
     log_sm = logits - logsumexp(logits, axis=1, keepdims=True)
     picked = log_sm[np.arange(gold.size), gold]
-    return -picked.mean()
+    return -tmean(picked)
 
 
 # -- one fused node per direction ----------------------------------------------------

@@ -840,3 +840,72 @@ def test_search_runs_leave_shared_data_unchanged(search_setup):
     matrix, vocab = data.snapshot
     assert data.word_matrix.tobytes() == matrix.tobytes()
     assert data.vocab == vocab
+
+
+# -- embedding files through the CLI ---------------------------------------------------
+
+
+def _with_vectors(workspace, head=(), tail=()):
+    """The workspace config with one embedding file: the ``head`` lines,
+    a distinct 3-dim vector per corpus word, then the ``tail`` lines.
+    Returns the file and its line count."""
+    tmp_path, config_path, config = workspace
+    words = sorted(synthetic_bio_corpus(n_sentences=12, seed=4).surfaces())
+    rows = [f"{w} {len(w) / 10} -0.5 {i / 7}" for i, w in enumerate(words)]
+    lines = [*head, *rows, *tail]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config["embeddings"] = {"files": [str(vectors)]}
+    config_path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    return vectors, len(lines)
+
+
+@pytest.mark.parametrize(
+    "head,tail,message",
+    [
+        ((), ["the nan 0.1 0.2"], "line {lines}: non-finite value"),
+        ((), ["zebra 0.1 inf 0.2"], "line {lines}: non-finite value"),
+        (["7 3"], (), "header declares 7 vectors of dimension 3, the file holds {rows} of"),
+    ],
+    ids=["reachable_nan", "unreachable_inf", "header_count"],
+)
+def test_cli_train_rejects_bad_vectors_with_exit_2(workspace, capsys, head, tail, message):
+    tmp_path, config_path, _ = workspace
+    vectors, lines = _with_vectors(workspace, head, tail)
+    assert main(["train", str(config_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(vectors) in err and message.format(lines=lines, rows=lines - len(head)) in err
+    assert not list((tmp_path / "out" / "cache").glob("*.emb"))
+
+
+def test_cli_train_cold_and_warm_embedding_cache_write_one_checkpoint(workspace, capsys):
+    tmp_path, config_path, _ = workspace
+    vectors, _ = _with_vectors(workspace, tail=["unused 1 2 3"])
+    checkpoints = []
+    for _ in range(2):
+        assert main(["train", str(config_path), "--quiet"]) == 0
+        checkpoints.append((tmp_path / "out" / "model.ckpt").read_bytes())
+    (cache,) = (tmp_path / "out" / "cache").glob("*.emb")
+    assert cache.name.startswith(vectors.name + ".")
+    assert checkpoints[0] == checkpoints[1]
+
+
+def test_search_cold_and_warm_embedding_cache_write_identical_outputs(search_setup, monkeypatch):
+    import seqtag.embeddings
+
+    parses = []
+    parse = seqtag.embeddings.load_embedding_file
+    monkeypatch.setattr(
+        seqtag.embeddings, "load_embedding_file", lambda path: parses.append(path) or parse(path)
+    )
+    _, _, _, run = search_setup
+    outputs = []
+    for _ in range(2):
+        out_dir, _ = run()
+        files = [out_dir / "report.tsv", *sorted(out_dir.glob("runs/seed_*/model.ckpt"))]
+        files += sorted(out_dir.glob("trial_*/best.ckpt"))
+        outputs.append({p.relative_to(out_dir): p.read_bytes() for p in files})
+    assert len(outputs[0]) == 1 + 5 + 2
+    assert outputs[0] == outputs[1]
+    assert len(parses) == 1  # the second search read the cache the first one wrote

@@ -280,3 +280,16 @@ def test_cache_with_valid_checksum_but_bad_ids_is_data_error(tmp_path):
     cache.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="corrupt corpus cache"):
         read_corpus_cache(cache)
+
+
+def test_corpus_cache_bytes_are_unchanged(tmp_path):
+    """The corpus cache layout, byte for byte, as the version-2 format
+    has always written it for this fixture."""
+    src = tmp_path / "x.conll"
+    src.write_bytes("The\tB-NP\tX\nfox\tI-NP\tY\n\nnaïve\tO\tZ\n".encode("utf-8"))
+    load_corpus_cached(src, 0, {"t": 1, "u": 2}, tmp_path / "cache")
+    blob = (tmp_path / "cache" / cache_name(src, 0, {"t": 1, "u": 2})).read_bytes()
+    assert len(blob) == 368
+    assert hashlib.sha256(blob).hexdigest() == (
+        "707096b8bb24de94428dba1fa8fb232655efdb8b636932e50622b93fa21aa7c9"
+    )

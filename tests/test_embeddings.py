@@ -1,15 +1,22 @@
+import hashlib
+import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqtag.embeddings
 from seqtag.corpus import parse_conll
 from seqtag.embeddings import (
     EmbeddingFormatError,
     EmbeddingSet,
     build_embedding_set,
     load_embedding_file,
+    load_embedding_file_cached,
     prune_embeddings,
+    read_embedding_cache,
     save_embedding_file,
 )
 from seqtag.exceptions import DataError
@@ -129,3 +136,171 @@ def test_save_load_roundtrip(tmp_path):
     save_embedding_file(emb, path)
     again = load_embedding_file(path)
     assert np.array_equal(again.vectors["a"], emb.vectors["a"])
+
+
+# -- header and finite checks -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,declared,held",
+    [
+        ("3 2\na 1 2\nb 3 4\n", "3 vectors of dimension 2", "2 of dimension 2"),
+        ("2 5\na 1 2\nb 3 4\n", "2 vectors of dimension 5", "2 of dimension 2"),
+    ],
+    ids=["count", "dim"],
+)
+def test_header_that_disagrees_with_the_vectors_is_error(tmp_path, text, declared, held):
+    path = write(tmp_path / "hdr.txt", text)
+    with pytest.raises(EmbeddingFormatError) as info:
+        load_embedding_file(path)
+    message = str(info.value)
+    assert "\n" not in message
+    assert str(path) in message and declared in message and held in message
+
+
+def test_header_less_file_is_unchanged(tmp_path):
+    emb = load_embedding_file(write(tmp_path / "plain.txt", "a 1 2\nb 3 4\n"))
+    assert list(emb.vectors) == ["a", "b"]
+    assert np.array_equal(emb.vectors["b"], [3.0, 4.0])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_component_is_error_naming_the_line(tmp_path, value):
+    path = write(tmp_path / "e.txt", f"2 2\na 1 2\n\ncat {value} 4\n")
+    with pytest.raises(EmbeddingFormatError, match=rf"e\.txt, line 4: non-finite value"):
+        load_embedding_file(path)
+
+
+def test_non_finite_component_of_an_unreachable_word_is_error(tmp_path):
+    path = write(tmp_path / "e.txt", "cat 1 2\nzebra nan 4\n")
+    corpus = parse_conll("cat\tX\n", 0, {"t": 1})
+    with pytest.raises(EmbeddingFormatError, match="line 2: non-finite value"):
+        prune_embeddings(build_embedding_set([path]), [corpus])
+
+
+def test_repeated_word_keeps_first_position_and_last_vector(tmp_path):
+    emb = load_embedding_file(write(tmp_path / "dup.txt", "3 2\na 1 2\nb 3 4\na 5 6\n"))
+    assert list(emb.vectors) == ["a", "b"]
+    assert np.array_equal(emb.vectors["a"], [5.0, 6.0])
+
+
+# -- binary cache -----------------------------------------------------------------------
+
+
+def emb_cache_name(src):
+    """The cache name README documents: the file name, the first 12 hex
+    digits of the sha256 of its absolute path, then ``.emb``."""
+    digest = hashlib.sha256(os.fsencode(os.path.abspath(src))).hexdigest()[:12]
+    return f"{src.name}.{digest}.emb"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths the text parser was called on."""
+    calls = []
+    parse = seqtag.embeddings.load_embedding_file
+
+    def counting(path):
+        calls.append(Path(path))
+        return parse(path)
+
+    monkeypatch.setattr(seqtag.embeddings, "load_embedding_file", counting)
+    return calls
+
+
+def assert_same_set(a, b):
+    assert a.dim == b.dim
+    assert list(a.vectors) == list(b.vectors)
+    assert all(a.vectors[w].tobytes() == b.vectors[w].tobytes() for w in a.vectors)
+
+
+def test_warm_load_equals_cold_bitwise(tmp_path, parses):
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(50, 5))
+    lines = [f"w{i % 40} " + " ".join(map(repr, map(float, row))) for i, row in enumerate(rows)]
+    src = write(tmp_path / "vectors.txt", "50 5\n" + "\n".join(lines) + "\n")
+    cache_dir = tmp_path / "cache"
+    cold = load_embedding_file_cached(src, cache_dir)
+    warm = load_embedding_file_cached(src, cache_dir)
+    assert parses == [src]
+    assert [p.name for p in cache_dir.iterdir()] == [emb_cache_name(src)]
+    assert_same_set(warm, cold)
+    assert_same_set(warm, load_embedding_file(src))
+    assert list(warm.vectors)[:3] == ["w0", "w1", "w2"]
+    assert warm.vectors["w3"].tobytes() == np.array(lines[43].split()[1:], float).tobytes()
+
+
+def test_one_byte_change_of_equal_size_invalidates_the_cache(tmp_path, parses):
+    src = write(tmp_path / "e.txt", "a 1 2\nb 3 4\n")
+    cache_dir = tmp_path / "cache"
+    load_embedding_file_cached(src, cache_dir)
+    write(src, "a 1 2\nb 3 5\n")
+    changed = load_embedding_file_cached(src, cache_dir)
+    assert np.array_equal(changed.vectors["b"], [3.0, 5.0])
+    assert parses == [src, src]
+    assert_same_set(load_embedding_file_cached(src, cache_dir), changed)
+    assert len(parses) == 2
+
+
+def _resealed(blob: bytes, version: int) -> bytes:
+    return blob[:4] + struct.pack("<II", version, zlib.crc32(blob[12:])) + blob[12:]
+
+
+def test_damaged_cache_is_parsed_again_and_rewritten(tmp_path):
+    src = write(tmp_path / "e.txt", "2 2\na 0.5 -1\nb 3 4\n")
+    expected = load_embedding_file(src)
+    cache_dir = tmp_path / "cache"
+    load_embedding_file_cached(src, cache_dir)
+    cache = cache_dir / emb_cache_name(src)
+    blob = cache.read_bytes()
+    damaged = [blob[:n] for n in range(len(blob))]
+    damaged += [blob[:i] + bytes([blob[i] ^ 0x01]) + blob[i + 1 :] for i in range(len(blob))]
+    damaged += [b"SQTC" + blob[4:], _resealed(blob, 2), _resealed(blob, 0), blob + bytes(8)]
+    for case in damaged:
+        cache.write_bytes(case)
+        assert_same_set(load_embedding_file_cached(src, cache_dir), expected)
+        assert cache.read_bytes() == blob  # the re-parse rewrote the cache
+    assert sorted(p.name for p in cache_dir.iterdir()) == [emb_cache_name(src)]
+
+
+def test_read_cache_of_a_damaged_file_is_data_error(tmp_path):
+    src = write(tmp_path / "e.txt", "a 1 2\n")
+    load_embedding_file_cached(src, tmp_path)
+    cache = tmp_path / emb_cache_name(src)
+    blob = bytearray(cache.read_bytes())
+    blob[-1] ^= 0x80
+    cache.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="fails its checksum"):
+        read_embedding_cache(cache)
+
+
+@pytest.mark.parametrize(
+    "text", ["a 1 2\nb x 4\n", "a 1 2\nb nan 4\n", "3 2\na 1 2\n", ""], ids=str
+)
+def test_bad_source_writes_no_cache(tmp_path, text):
+    src = write(tmp_path / "e.txt", text)
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(EmbeddingFormatError):
+        load_embedding_file_cached(src, cache_dir)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [src]
+
+
+def test_same_named_files_keep_separate_embedding_caches(tmp_path, parses):
+    sources = []
+    for sub, word in (("a", "x"), ("b", "y")):
+        (tmp_path / sub).mkdir()
+        sources.append(write(tmp_path / sub / "vectors.txt", f"{word} 1 2\n"))
+    cache_dir = tmp_path / "cache"
+    for _ in range(2):
+        for src, word in zip(sources, ("x", "y")):
+            assert list(load_embedding_file_cached(src, cache_dir).vectors) == [word]
+    assert parses == sources
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(map(emb_cache_name, sources))
+
+
+def test_without_a_cache_dir_every_load_parses(tmp_path, parses):
+    src = write(tmp_path / "e.txt", "a 1 2\n")
+    for _ in range(2):
+        load_embedding_file_cached(src)
+    assert parses == [src, src]
+    assert [p.name for p in tmp_path.iterdir()] == ["e.txt"]

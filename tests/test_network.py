@@ -25,7 +25,7 @@ from seqtag.network import (
 from seqtag import network
 from seqtag.exceptions import NumericError
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, power, softmax, tsum
 from reference_rnn import (
     bidirectional_reference,
     bidirectional_two_calls,
@@ -161,7 +161,7 @@ def test_cell_step_gradients(kind):
 
     def build():
         out = recurrent(x, [cell], [False])
-        return (out * out).sum()
+        return tsum(out * out)
 
     assert check_gradients(build, params) <= 1e-6
 
@@ -245,7 +245,7 @@ def test_char_path_gradient():
     params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
 
     def build():
-        return (char_features([[1, 4, 2], [], [3, 5]], table, fwd, bwd) ** 2).sum()
+        return tsum(power(char_features([[1, 4, 2], [], [3, 5]], table, fwd, bwd), 2))
 
     assert check_gradients(build, params) <= 1e-6
 
@@ -368,7 +368,7 @@ def assert_same_outputs_and_grads(build_fused, build_reference, params, bound=1e
             p.grad = None
         out = build()
         weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
-        (ad.tanh(out) * weights).sum().backward()
+        tsum(ad.tanh(out) * weights).backward()
         results.append((out.data.copy(), [p.grad.copy() for p in params]))
     (out_f, grads_f), (out_r, grads_r) = results
     assert max_rel(out_f, out_r) <= bound
@@ -460,7 +460,7 @@ def test_fused_recurrent_op_gradients(kind):
 
         def build():
             out = recurrent(x, [cell], [reverse], mask=mask, masks=[(None, state_masks, None)])
-            return ad.tanh(out).sum()
+            return tsum(ad.tanh(out))
 
         assert check_gradients(build, params) <= 1e-6
 
@@ -501,7 +501,7 @@ def test_single_sequence_equals_batch_of_one(kind):
                 t.grad = None
             out = recurrent(inputs, [cell], [reverse], masks=[(None, state_masks, None)])
             weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
-            (ad.tanh(out) * weights).sum().backward()
+            tsum(ad.tanh(out) * weights).backward()
             grads = [inputs.grad.reshape(x.shape)] + [t.grad.copy() for _, t in cell.tensors()]
             results.append((out.data.reshape(5, 4), grads))
         (out_1, grads_1), (out_b, grads_b) = results
@@ -522,7 +522,7 @@ def outputs_and_grads(build, params, rng):
         p.grad = prior.copy()
     out = build()
     weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
-    (ad.tanh(out) * weights).sum().backward()
+    tsum(ad.tanh(out) * weights).backward()
     return out.data.copy(), [p.grad.copy() for p in params]
 
 
@@ -739,7 +739,7 @@ def test_model_uniform_distribution_with_zero_projection():
     model = Model(config, small_vocab(), np.random.default_rng(18))
     model.params["task/t/proj/W"].data[...] = 0.0
     logits = model.forward_logits("t", [2, 3], [[], []], training=False)
-    probs = ad.softmax(logits, axis=1).data
+    probs = softmax(logits, axis=1).data
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
@@ -865,7 +865,7 @@ def test_composite_op_gradients_ten_seeds():
 
             def cell_loss(cell=cell, x=x):
                 out = recurrent(x, [cell], [False])
-                return (out * out).sum()
+                return tsum(out * out)
 
             assert check_gradients(cell_loss, [t for _, t in cell.tensors()]) <= 1e-6
 
@@ -874,7 +874,7 @@ def test_composite_op_gradients_ten_seeds():
         bwd = init_cell("lstm", 2, 2, rng)
 
         def char_loss():
-            return (char_features([[1, 3, 2]], table, fwd, bwd) ** 2).sum()
+            return tsum(power(char_features([[1, 3, 2]], table, fwd, bwd), 2))
 
         char_params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
         assert check_gradients(char_loss, char_params) <= 1e-6
@@ -888,7 +888,7 @@ def test_composite_op_gradients_ten_seeds():
 
         def layer_loss():
             out = bidirectional_layer(inputs, bf, bb, DropoutConfig(), training=False)
-            return ad.tanh(out).sum()
+            return tsum(ad.tanh(out))
 
         layer_params = [t for _, t in bf.tensors()] + [t for _, t in bb.tensors()]
         # multi-step recurrence can contain gate components whose true
