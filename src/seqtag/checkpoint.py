@@ -81,6 +81,14 @@ def load_model(path: str | Path) -> Model:
         raise CheckpointError(
             f"corrupt checkpoint manifest in {path}: bad config or vocabulary ({err!r})"
         ) from err
+    except DataError as err:  # the vocabulary's own checks
+        raise CheckpointError(str(err)) from err
+    if sorted(vocab.label_index) != sorted(t.name for t in config.tasks) or any(
+        t.labels != vocab.labels_of(t.name) for t in config.tasks
+    ):
+        raise CheckpointError(
+            f"corrupt checkpoint manifest in {path}: the label maps disagree with the tasks"
+        )
     model = Model(config, vocab, np.random.default_rng(0))
 
     declared = {entry["name"] for entry in manifest["tensors"]}

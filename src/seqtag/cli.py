@@ -112,9 +112,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = ckpt.load_model(args.model)
     tasks = args.tasks.split(",") if args.tasks else [t.name for t in model.config.tasks]
-    for task in tasks:
-        if task not in {t.name for t in model.config.tasks}:
-            raise ConfigError(f"model has no task {task!r}")
+    tasks = [model.config.task(name).name for name in tasks]
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
@@ -166,7 +164,7 @@ def cmd_evaluate(args) -> int:
         if not args.input:
             raise ConfigError("--model needs --input with gold labels")
         model = ckpt.load_model(args.model)
-        task = args.task or model.config.tasks[0].name
+        task = model.config.task(args.task).name if args.task else model.config.tasks[0].name
         corpus = parse_conll_file(args.input, args.token_column, {task: args.label_column})
         report = experiment.evaluate_model(model, corpus, task, evaluation, metrics)
         labels = model.vocab.labels_of(task)

@@ -231,6 +231,10 @@ class Vocabulary:
         for index in (vocab.word_index, vocab.char_index):
             if index.get(PAD_TOKEN) != PAD_INDEX or index.get(UNK_TOKEN) != UNK_INDEX:
                 raise DataError("vocabulary is missing stable pad/unk entries")
+        for index in (vocab.word_index, vocab.char_index, *vocab.label_index.values()):
+            ids = sorted(index.values())
+            if ids != list(range(len(ids))) or any(type(i) is not int for i in ids):
+                raise DataError("vocabulary has a map that does not number its entries 0..n-1")
         return vocab
 
 

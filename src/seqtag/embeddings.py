@@ -1,5 +1,6 @@
 """Pre-trained word embeddings: loading, caching, concatenation, pruning.
 
+A set is a word list and a matrix whose row i is the vector of word i.
 Multiple embedding files are combined by intersecting their
 vocabularies and concatenating the per-word vectors, so the combined
 dimension is the sum of the source dimensions. A pruned set restricted
@@ -10,7 +11,6 @@ binary cache (``<name>.<hash>.emb``) while its content is unchanged.
 
 from __future__ import annotations
 
-import itertools
 import json
 from array import array
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ from seqtag.files import (
 
 _CACHE_MAGIC = b"SQTE"
 _CACHE_VERSION = 1
-_ROWS_PER_WRITE = 1024  # vectors gathered into one write of the cache
 
 
 class EmbeddingFormatError(DataError):
@@ -42,18 +41,15 @@ class EmbeddingFormatError(DataError):
 
 @dataclass
 class EmbeddingSet:
-    dim: int
-    vectors: dict[str, np.ndarray]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+    words: list[str]
+    matrix: np.ndarray  # (len(words), dim) float64; row i is the vector of words[i]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
 
     @property
-    def words(self) -> set[str]:
-        return set(self.vectors.keys())
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def load_embedding_file(path: str | Path) -> EmbeddingSet:
@@ -114,7 +110,10 @@ def load_embedding_file(path: str | Path) -> EmbeddingSet:
         row = int(np.argmin(finite)) // dim
         raise EmbeddingFormatError(f"{path}, line {linenos[row]}: non-finite value")
     matrix = np.frombuffer(flat, dtype=np.float64).reshape(len(words), dim)
-    return EmbeddingSet(dim=dim, vectors=dict(zip(words, matrix)))
+    last = {word: row for row, word in enumerate(words)}  # keys in order of first line
+    if len(last) < len(words):
+        words, matrix = list(last), matrix[list(last.values())]
+    return EmbeddingSet(words, matrix)
 
 
 def _all_ints(parts: list[str]) -> bool:
@@ -129,18 +128,14 @@ def _all_ints(parts: list[str]) -> bool:
 #
 # Framed as ``seqtag.files`` describes, with magic "SQTE", one section
 # holding the JSON header (source size and sha256, ``dim``, and the
-# words in the order of the set), then the float64 vectors, one row per
+# words in the order of the set), then the float64 matrix, one row per
 # word, up to the end of the file.
 
 
 def write_embedding_cache(path: str | Path, emb: EmbeddingSet, source_meta: dict) -> None:
-    header = {"source": source_meta, "dim": emb.dim, "words": list(emb.vectors)}
-    rows = list(emb.vectors.values())
-    blocks = (
-        np.concatenate(rows[i : i + _ROWS_PER_WRITE]).astype("<f8", copy=False)
-        for i in range(0, len(rows), _ROWS_PER_WRITE)
-    )
-    pieces = itertools.chain(section(json.dumps(header).encode("utf-8")), blocks)
+    header = {"source": source_meta, "dim": emb.dim, "words": emb.words}
+    matrix = np.ascontiguousarray(emb.matrix, dtype="<f8")
+    pieces = (*section(json.dumps(header).encode("utf-8")), matrix)
     write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, pieces)
 
 
@@ -150,9 +145,8 @@ def read_embedding_cache(path: str | Path) -> tuple[EmbeddingSet, dict]:
         with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "embedding") as reader:
             header, values = reader.section(), reader.floats()
         header = json.loads(header.decode("utf-8"))
-        words, dim = header["words"], header["dim"]
-        matrix = values.reshape(len(words), dim)
-        return EmbeddingSet(dim=dim, vectors=dict(zip(words, matrix))), header["source"]
+        words = header["words"]
+        return EmbeddingSet(words, values.reshape(len(words), header["dim"])), header["source"]
     except (ValueError, LookupError, TypeError) as err:
         raise DataError(f"corrupt embedding cache {path}: {err!r}") from err
 
@@ -189,16 +183,19 @@ def build_embedding_set(
     if len(sets) == 1:
         return sets[0]
 
-    common = set(sets[0].vectors.keys())
+    common = set(sets[0].words)
     for i, emb in enumerate(sets[1:], start=1):
-        common &= emb.words
+        common.intersection_update(emb.words)
         if not common:
             raise DataError(
                 f"empty intersection of embedding vocabularies between {paths[0]} and {paths[i]}"
             )
-    dim = sum(emb.dim for emb in sets)
-    vectors = {w: np.concatenate([emb.vectors[w] for emb in sets]) for w in sorted(common)}
-    return EmbeddingSet(dim=dim, vectors=vectors)
+    words = sorted(common)
+    blocks = []
+    for emb in sets:
+        row = {word: i for i, word in enumerate(emb.words)}
+        blocks.append(emb.matrix[[row[word] for word in words]])
+    return EmbeddingSet(words, np.hstack(blocks))
 
 
 def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingSet:
@@ -212,14 +209,15 @@ def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingS
         for surface in corpus.surfaces():
             reachable.add(surface)
             reachable.add(surface.lower())
-    # copies, so the kept vectors do not hold on to a whole file's matrix
-    kept = {w: v.copy() for w, v in emb.vectors.items() if w in reachable}
-    return EmbeddingSet(dim=emb.dim, vectors=kept)
+    kept = [i for i, word in enumerate(emb.words) if word in reachable]
+    # indexing with a list copies, so the kept rows do not hold on to a whole file's matrix
+    return EmbeddingSet([emb.words[i] for i in kept], emb.matrix[kept])
 
 
 def save_embedding_file(emb: EmbeddingSet, path: str | Path) -> None:
     """Persist an (optimized) embedding set in the plain text format."""
     lines = (
-        word + "".join(f" {float(v)!r}" for v in vec) + "\n" for word, vec in emb.vectors.items()
+        word + "".join(f" {float(v)!r}" for v in vec) + "\n"
+        for word, vec in zip(emb.words, emb.matrix)
     )
     write_atomic(path, "".join(lines).encode("utf-8"))

@@ -82,12 +82,9 @@ class ExperimentData:
         if config.embeddings.files:
             emb = build_embedding_set(config.embeddings.files, cache_dir)
             emb = prune_embeddings(emb, all_corpora)
-            for word in emb.vectors:
-                self.vocab.add_word(word)
-            matrix = np.zeros((self.vocab.word_count, emb.dim))
-            for word, vector in emb.vectors.items():
-                matrix[self.vocab.word_index[word]] = vector
-            self.word_matrix = matrix
+            rows = [self.vocab.add_word(word) for word in emb.words]
+            self.word_matrix = np.zeros((self.vocab.word_count, emb.dim))
+            self.word_matrix[rows] = emb.matrix
             self.pruned_embeddings = emb
         else:
             for corpus in self.train.values():

@@ -121,20 +121,17 @@ def render_template(node, assignment: Mapping):
     if isinstance(node, list):
         return [render_template(value, assignment) for value in node]
     if isinstance(node, str):
-        whole = _PLACEHOLDER.fullmatch(node)
-        if whole:
-            name = whole.group(1)
+
+        def value(match):
+            name = match.group(1)
             if name not in assignment:
                 raise ConfigError(f"unbound template variable ${{{name}}}")
             return assignment[name]
 
-        def replace(match):
-            name = match.group(1)
-            if name not in assignment:
-                raise ConfigError(f"unbound template variable ${{{name}}}")
-            return str(assignment[name])
-
-        return _PLACEHOLDER.sub(replace, node)
+        whole = _PLACEHOLDER.fullmatch(node)
+        if whole:
+            return value(whole)
+        return _PLACEHOLDER.sub(lambda match: str(value(match)), node)
     return node
 
 

@@ -271,20 +271,6 @@ def coefficient_of_variation(samples: Sequence[float]) -> float:
 OverlapSpan = tuple[int, int, str]  # start a, end b with a < b, component label
 
 
-def _overlap_length(a: int, b: int, c: int, d: int) -> int:
-    if a == c and b == d:
-        return b - a
-    if a >= c and b >= d and a <= d:
-        return d - a
-    if a <= c and b <= d and b >= c:
-        return b - c
-    if a > c and b < d:
-        return b - a
-    if a < c and b > d:
-        return d - c
-    return 0
-
-
 def span_overlap_profile(
     gold: Sequence[OverlapSpan], pred: Sequence[OverlapSpan]
 ) -> list[tuple[int, int]]:
@@ -300,11 +286,7 @@ def span_overlap_profile(
     for a, b, gold_label in gold:
         best = 0
         for c, d, pred_label in pred:
-            length = _overlap_length(a, b, c, d)
-            if length == 0:
-                continue
-            if gold_label != pred_label:
-                continue  # overlap exists but counts zero
-            best = max(best, length)
+            if pred_label == gold_label:  # an overlap with another label counts zero
+                best = max(best, min(b, d) - max(a, c))
         profile.append((b - a, best))
     return profile

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 import yaml
 
+from seqtag.checkpoint import save_model
 from seqtag.cli import main
 from seqtag.config import apply_overrides, build_run_config, load_yaml, split_search_section
-from seqtag.corpus import corpus_to_conll
+from seqtag.corpus import corpus_to_conll, parse_conll
 from seqtag.exceptions import ConfigError
+from seqtag.network import Model, NetworkConfig, TaskSpec
 
-from conftest import synthetic_bio_corpus
+from conftest import synthetic_bio_corpus, vocab_for
 
 
 def write_corpus(path, corpus):
@@ -522,6 +525,43 @@ def test_cli_predict_bad_input_or_checkpoint_exits_2(workspace, tmp_path, capsys
         assert main(["predict", "--model", str(model), "--input", str(data)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["predict", "--tasks", "tag,nope"], ["evaluate", "--task", "nope"]],
+    ids=["predict", "evaluate"],
+)
+def test_cli_unknown_task_exits_1_with_one_line(workspace, capsys, argv):
+    ws_tmp, config_path, config = workspace
+    assert main(["train", str(config_path), "--quiet"]) == 0
+    capsys.readouterr()
+    model = str(ws_tmp / "out" / "model.ckpt")
+    test = config["tasks"][0]["test"]
+    assert main([argv[0], "--model", model, "--input", test, *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: unknown task 'nope'\n"
+
+
+def test_cli_predict_word_index_past_the_vocabulary_exits_2(tmp_path, capsys):
+    """One flipped bit turns "the": 6 into "the": 7 in a 7-word vocabulary."""
+    corpus = parse_conll("a\tO\nfox\tB-X\njumps\tO\nover\tO\nthe\tO\n", 0, {"tag": 1})
+    vocab = vocab_for([corpus], {"tag": [corpus]})
+    assert vocab.word_count == 7 and vocab.word_index["the"] == 6
+    config = NetworkConfig(
+        shared_layers=[2], tasks=[TaskSpec(name="tag", labels=vocab.labels_of("tag"))], word_dim=2
+    )
+    checkpoint = tmp_path / "model.ckpt"
+    save_model(Model(config, vocab, np.random.default_rng(0)), checkpoint)
+    blob = bytearray(checkpoint.read_bytes())
+    digit = blob.index(b'"the": 6') + len(b'"the": ')
+    blob[digit] ^= 0x01
+    checkpoint.write_bytes(bytes(blob))
+    data = tmp_path / "plain.conll"
+    data.write_text("the\nfox\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(checkpoint), "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: vocabulary has a map that does not number its entries 0..n-1\n"
 
 
 def test_cli_derive_subtasks(tmp_path, capsys):

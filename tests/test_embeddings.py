@@ -29,21 +29,31 @@ def write(path, text):
     return path
 
 
+def make_set(vectors):
+    """An embedding set holding ``vectors`` (word -> vector) in dict order."""
+    return EmbeddingSet(list(vectors), np.array(list(vectors.values()), dtype=float))
+
+
+def vector(emb, word):
+    """The row of ``word`` in the set's matrix."""
+    return emb.matrix[emb.words.index(word)]
+
+
 def test_intersection_and_concatenation(tmp_path):
     f1 = write(tmp_path / "e1.txt", "a 1\nb 2\n")
     f2 = write(tmp_path / "e2.txt", "b 3\nc 4\n")
     emb = build_embedding_set([f1, f2])
-    assert emb.words == {"b"}
+    assert set(emb.words) == {"b"}
     assert emb.dim == 2
-    assert np.allclose(emb.vectors["b"], [2.0, 3.0])
+    assert np.allclose(vector(emb, "b"), [2.0, 3.0])
 
 
 def test_single_file_identity(tmp_path):
     f1 = write(tmp_path / "e1.txt", "a 1 2\nb 3 4\n")
     emb = build_embedding_set([f1])
     assert emb.dim == 2
-    assert emb.words == {"a", "b"}
-    assert np.allclose(emb.vectors["a"], [1.0, 2.0])
+    assert set(emb.words) == {"a", "b"}
+    assert np.allclose(vector(emb, "a"), [1.0, 2.0])
 
 
 def test_empty_intersection_is_error(tmp_path):
@@ -56,7 +66,7 @@ def test_empty_intersection_is_error(tmp_path):
 def test_vocabulary_order_insensitive(tmp_path):
     f1 = write(tmp_path / "e1.txt", "a 1\nb 2\nc 5\n")
     f2 = write(tmp_path / "e2.txt", "c 4\nb 3\n")
-    assert build_embedding_set([f1, f2]).words == build_embedding_set([f2, f1]).words
+    assert set(build_embedding_set([f1, f2]).words) == set(build_embedding_set([f2, f1]).words)
 
 
 def test_inconsistent_dimension_is_error(tmp_path):
@@ -75,40 +85,40 @@ def test_non_utf8_file_is_data_error_naming_the_byte(tmp_path):
 def test_header_line_is_skipped(tmp_path):
     f1 = write(tmp_path / "hdr.txt", "2 3\na 1 2 3\nb 4 5 6\n")
     emb = load_embedding_file(f1)
-    assert emb.words == {"a", "b"}
+    assert set(emb.words) == {"a", "b"}
     assert emb.dim == 3
 
 
 def test_prune_keeps_only_used_words(tmp_path):
-    emb = EmbeddingSet(dim=1, vectors={w: np.array([1.0]) for w in ("a", "b", "c")})
+    emb = make_set({w: np.array([1.0]) for w in ("a", "b", "c")})
     corpus = parse_conll("a\tX\nc\tX\nz\tX\n", 0, {"t": 1})
     pruned = prune_embeddings(emb, [corpus])
-    assert pruned.words == {"a", "c"}
+    assert set(pruned.words) == {"a", "c"}
 
 
 def test_prune_empty_corpus_gives_empty_set():
-    emb = EmbeddingSet(dim=1, vectors={"a": np.array([1.0])})
+    emb = make_set({"a": np.array([1.0])})
     corpus = parse_conll("", 0, {"t": 1})
-    assert prune_embeddings(emb, [corpus]).words == set()
+    assert set(prune_embeddings(emb, [corpus]).words) == set()
 
 
 def test_prune_identity_when_all_used(tmp_path):
-    emb = EmbeddingSet(dim=1, vectors={"a": np.array([1.0]), "b": np.array([2.0])})
+    emb = make_set({"a": np.array([1.0]), "b": np.array([2.0])})
     corpus = parse_conll("a\tX\nb\tX\n", 0, {"t": 1})
-    assert prune_embeddings(emb, [corpus]).words == emb.words
+    assert set(prune_embeddings(emb, [corpus]).words) == set(emb.words)
 
 
 def test_prune_respects_lowercase_normalization():
-    emb = EmbeddingSet(dim=1, vectors={"fox": np.array([1.0])})
+    emb = make_set({"fox": np.array([1.0])})
     corpus = parse_conll("Fox\tX\n", 0, {"t": 1})
-    assert prune_embeddings(emb, [corpus]).words == {"fox"}
+    assert set(prune_embeddings(emb, [corpus]).words) == {"fox"}
 
 
 def test_pruned_subset_property(tmp_path):
     f1 = write(tmp_path / "e1.txt", "a 1\nb 2\nc 3\n")
     emb = build_embedding_set([f1])
     corpus = parse_conll("b\tX\nq\tX\n", 0, {"t": 1})
-    assert prune_embeddings(emb, [corpus]).words <= emb.words
+    assert set(prune_embeddings(emb, [corpus]).words) <= set(emb.words)
 
 
 def test_directory_is_data_error(tmp_path):
@@ -118,10 +128,10 @@ def test_directory_is_data_error(tmp_path):
 
 def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "out.txt"
-    save_embedding_file(EmbeddingSet(dim=1, vectors={"a": np.array([0.5])}), path)
+    save_embedding_file(make_set({"a": np.array([0.5])}), path)
     before = path.read_bytes()
 
-    bigger = EmbeddingSet(dim=1, vectors={w: np.array([1.0]) for w in "abcdef"})
+    bigger = make_set({w: np.array([1.0]) for w in "abcdef"})
     with monkeypatch.context() as patch:
         patch.setattr(Path, "write_bytes", write_half_then_fail)
         with pytest.raises(OSError):
@@ -131,11 +141,11 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
 
 
 def test_save_load_roundtrip(tmp_path):
-    emb = EmbeddingSet(dim=2, vectors={"a": np.array([0.1, -0.25])})
+    emb = make_set({"a": np.array([0.1, -0.25])})
     path = tmp_path / "out.txt"
     save_embedding_file(emb, path)
     again = load_embedding_file(path)
-    assert np.array_equal(again.vectors["a"], emb.vectors["a"])
+    assert np.array_equal(vector(again, "a"), vector(emb, "a"))
 
 
 # -- header and finite checks -------------------------------------------------------
@@ -160,8 +170,8 @@ def test_header_that_disagrees_with_the_vectors_is_error(tmp_path, text, declare
 
 def test_header_less_file_is_unchanged(tmp_path):
     emb = load_embedding_file(write(tmp_path / "plain.txt", "a 1 2\nb 3 4\n"))
-    assert list(emb.vectors) == ["a", "b"]
-    assert np.array_equal(emb.vectors["b"], [3.0, 4.0])
+    assert emb.words == ["a", "b"]
+    assert np.array_equal(vector(emb, "b"), [3.0, 4.0])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
@@ -180,8 +190,8 @@ def test_non_finite_component_of_an_unreachable_word_is_error(tmp_path):
 
 def test_repeated_word_keeps_first_position_and_last_vector(tmp_path):
     emb = load_embedding_file(write(tmp_path / "dup.txt", "3 2\na 1 2\nb 3 4\na 5 6\n"))
-    assert list(emb.vectors) == ["a", "b"]
-    assert np.array_equal(emb.vectors["a"], [5.0, 6.0])
+    assert emb.words == ["a", "b"]
+    assert np.array_equal(vector(emb, "a"), [5.0, 6.0])
 
 
 # -- binary cache -----------------------------------------------------------------------
@@ -210,8 +220,8 @@ def parses(monkeypatch):
 
 def assert_same_set(a, b):
     assert a.dim == b.dim
-    assert list(a.vectors) == list(b.vectors)
-    assert all(a.vectors[w].tobytes() == b.vectors[w].tobytes() for w in a.vectors)
+    assert a.words == b.words
+    assert all(vector(a, w).tobytes() == vector(b, w).tobytes() for w in a.words)
 
 
 def test_warm_load_equals_cold_bitwise(tmp_path, parses):
@@ -226,8 +236,8 @@ def test_warm_load_equals_cold_bitwise(tmp_path, parses):
     assert [p.name for p in cache_dir.iterdir()] == [emb_cache_name(src)]
     assert_same_set(warm, cold)
     assert_same_set(warm, load_embedding_file(src))
-    assert list(warm.vectors)[:3] == ["w0", "w1", "w2"]
-    assert warm.vectors["w3"].tobytes() == np.array(lines[43].split()[1:], float).tobytes()
+    assert warm.words[:3] == ["w0", "w1", "w2"]
+    assert vector(warm, "w3").tobytes() == np.array(lines[43].split()[1:], float).tobytes()
 
 
 def test_one_byte_change_of_equal_size_invalidates_the_cache(tmp_path, parses):
@@ -236,7 +246,7 @@ def test_one_byte_change_of_equal_size_invalidates_the_cache(tmp_path, parses):
     load_embedding_file_cached(src, cache_dir)
     write(src, "a 1 2\nb 3 5\n")
     changed = load_embedding_file_cached(src, cache_dir)
-    assert np.array_equal(changed.vectors["b"], [3.0, 5.0])
+    assert np.array_equal(vector(changed, "b"), [3.0, 5.0])
     assert parses == [src, src]
     assert_same_set(load_embedding_file_cached(src, cache_dir), changed)
     assert len(parses) == 2
@@ -293,7 +303,7 @@ def test_same_named_files_keep_separate_embedding_caches(tmp_path, parses):
     cache_dir = tmp_path / "cache"
     for _ in range(2):
         for src, word in zip(sources, ("x", "y")):
-            assert list(load_embedding_file_cached(src, cache_dir).vectors) == [word]
+            assert load_embedding_file_cached(src, cache_dir).words == [word]
     assert parses == sources
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(map(emb_cache_name, sources))
 
@@ -304,3 +314,19 @@ def test_without_a_cache_dir_every_load_parses(tmp_path, parses):
         load_embedding_file_cached(src)
     assert parses == [src, src]
     assert [p.name for p in tmp_path.iterdir()] == ["e.txt"]
+
+
+def test_embedding_cache_bytes_are_unchanged(tmp_path):
+    """The embedding cache layout, byte for byte, as version 1 has always
+    written it for this fixture: more than 1,024 rows, a non-ASCII word
+    and three repeated words."""
+    src = tmp_path / "vectors.txt"
+    lines = [f"w{i % 1027} {i / 8!r} {-i / 3!r} 0.5" for i in range(1030)]
+    src.write_bytes(("naïve 1 2 3\n" + "\n".join(lines) + "\n").encode("utf-8"))
+    emb = load_embedding_file_cached(src, tmp_path / "cache")
+    assert len(emb) == 1028 and emb.dim == 3
+    blob = (tmp_path / "cache" / emb_cache_name(src)).read_bytes()
+    assert len(blob) == 32965
+    assert hashlib.sha256(blob).hexdigest() == (
+        "fcd0fb1449c0d15875a8fd50b2613224336ad48b7b7947e2f124904df6f29865"
+    )

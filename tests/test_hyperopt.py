@@ -90,6 +90,12 @@ def test_find_placeholders():
     assert find_placeholders({"a": "${x}", "b": ["${y} and ${z}"]}) == {"x", "y", "z"}
 
 
+@pytest.mark.parametrize("node", ["${missing}", "run-${missing}-x"], ids=["whole", "embedded"])
+def test_render_template_unbound_variable_is_config_error(node):
+    with pytest.raises(ConfigError, match=r"^unbound template variable \$\{missing\}$"):
+        render_template({"a": [node]}, {"lr": 0.1})
+
+
 def test_unbound_variable_fails_before_training():
     calls = []
     with pytest.raises(ConfigError, match="missing"):

@@ -458,6 +458,14 @@ def test_overlap_no_overlap_and_empty_prediction_set():
     assert span_overlap_profile([(2, 5, "X")], []) == [(3, 0)]
 
 
+def test_overlap_matches_a_point_set_oracle():
+    spans = [(a, b) for a in range(-2, 9) for b in range(a + 1, 9)]
+    for a, b in spans:
+        for c, d in spans:
+            oracle = len(set(range(a, b)) & set(range(c, d)))
+            assert span_overlap_profile([(a, b, "X")], [(c, d, "X")]) == [(b - a, oracle)]
+
+
 def test_overlap_malformed_span_is_error():
     with pytest.raises(MetricError):
         span_overlap_profile([(5, 5, "X")], [])

@@ -16,7 +16,9 @@ from perfbench import layers, workloads  # noqa: E402
 from perfbench.trace import Patches, Tracer  # noqa: E402
 
 from seqtag import autodiff as ad  # noqa: E402
-from seqtag import crf  # noqa: E402
+from seqtag import crf, experiment  # noqa: E402
+from seqtag.corpus import parse_conll  # noqa: E402
+from seqtag.embeddings import EmbeddingSet  # noqa: E402
 
 
 def test_benchmark_wrappers_install_and_restore():
@@ -32,9 +34,14 @@ def test_benchmark_wrappers_install_and_restore():
         # wrapped module attribute, so crf.log_z is measured in training
         params = [ad.parameter(np.zeros(shape)) for shape in ((3, 2), (2, 2), (2,), (2,))]
         crf.crf_nll(*params, [0, 1, 1]).backward()
+        # the embeddings.kept_ratio hook takes len() of the offered and the kept set
+        emb = EmbeddingSet(["fox", "zebra"], np.zeros((2, 3)))
+        experiment.prune_embeddings(emb, [parse_conll("Fox\tX\n", 0, {"t": 1})])
     finally:
         patches.restore()
     assert originals
     assert [s.name for s in tracer.spans].count("crf.log_z") == 1
+    assert [s.name for s in tracer.spans].count("embeddings.prune") == 1
+    assert (tracer.counters["embeddings.offered"], tracer.counters["embeddings.kept"]) == (2, 1)
     for owner, attr, fn in originals.values():
         assert getattr(owner, attr) is fn, attr

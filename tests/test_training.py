@@ -519,6 +519,69 @@ def test_checkpoint_rejects_non_finite_tensor(tmp_path, bio_corpus):
         load_model(path)
 
 
+def test_checkpoint_rejects_label_maps_that_disagree_with_the_config(tmp_path, bio_corpus):
+    import json
+
+    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    extra = json.loads(json.dumps(manifest))
+    extra["vocab"]["label_index"]["seg"] = {"O": 0}
+    swapped = json.loads(json.dumps(manifest))
+    index = swapped["vocab"]["label_index"]["tag"]
+    first, second = sorted(index, key=index.get)[:2]
+    index[first], index[second] = index[second], index[first]
+    for broken in (extra, swapped):
+        rewrite_manifest(path, blob, manifest_len, json.dumps(broken).encode())
+        with pytest.raises(CheckpointError, match="the label maps disagree with the tasks"):
+            load_model(path)
+
+
+def test_checkpoint_vocabulary_bit_flips_are_rejected_or_harmless(tmp_path):
+    """Every single-bit flip of the manifest's vocabulary either fails the
+    load with a data error or leaves a model that predicts every task.
+    A flip inside a word or char key can still load: it renames an entry."""
+    import json
+    import struct
+
+    from seqtag.corpus import Corpus
+    from seqtag.exceptions import DataError
+
+    sentence = (Token("the", {"tag": "O", "seg": "O"}), Token("Fox", {"tag": "B-X", "seg": "B"}))
+    corpus = Corpus(sentences=(sentence,), tasks=("tag", "seg"))
+    vocab = vocab_for([corpus], {"tag": [corpus], "seg": [corpus]})
+    config = NetworkConfig(
+        cell="gru",
+        shared_layers=[2],
+        char=CharConfig(enabled=True, embedding_dim=2, hidden=2),
+        dropout=DropoutConfig(),
+        tasks=[
+            TaskSpec(name="tag", labels=vocab.labels_of("tag")),
+            TaskSpec(name="seg", labels=vocab.labels_of("seg"), head="crf"),
+        ],
+        word_dim=2,
+    )
+    path = tmp_path / "model.ckpt"
+    save_model(Model(config, vocab, np.random.default_rng(0)), path)
+    blob = path.read_bytes()
+    (manifest_len,) = struct.unpack("<Q", blob[8:16])
+    vocab_bytes = json.dumps({"vocab": vocab.to_json()})[1:-1].encode("utf-8")
+    start = blob.index(vocab_bytes, 16, 16 + manifest_len)
+    loaded = rejected = 0
+    for i in range(start, start + len(vocab_bytes)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                model = load_model(path)
+            except DataError:
+                rejected += 1
+                continue
+            for task in ("tag", "seg"):
+                assert len(model.predict_labels(task, sentence)) == 2
+            loaded += 1
+    assert loaded and rejected
+
+
 def test_dev_score_uses_requested_metric(bio_corpus):
     model, _ = small_model(bio_corpus)
     acc = dev_score(model, "tag", bio_corpus, "accuracy")
