@@ -51,7 +51,7 @@ def no_grad():
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -97,7 +97,7 @@ class Tensor:
             g = node.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericError(f"non-finite adjoint at op '{node.op}'")
             if node._backward is not None:
                 node._backward(g)

@@ -89,7 +89,7 @@ def load_model(path: str | Path) -> Model:
         raise CheckpointError(
             f"corrupt checkpoint manifest in {path}: the label maps disagree with the tasks"
         )
-    model = Model(config, vocab, np.random.default_rng(0))
+    model = Model(config, vocab, None)  # no draws: every tensor is read below
 
     declared = {entry["name"] for entry in manifest["tensors"]}
     built = set(model.params.keys())
@@ -113,7 +113,7 @@ def load_model(path: str | Path) -> Model:
         if end > len(payload):
             raise CheckpointError(f"tensor {name!r} exceeds the payload")
         data = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
         tensor.data = data
     return model

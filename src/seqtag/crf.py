@@ -110,6 +110,8 @@ def crf_viterbi(
 
     Ties break toward the smallest label index at every backtrack step
     (np.argmax picks the first maximum), so decoding is deterministic.
+    Each step's best score is ``scores.max``, the very element that
+    ``argmax`` picks.
     """
     T, L = logits.shape
     if T < 1:
@@ -118,11 +120,12 @@ def crf_viterbi(
     back = np.zeros((T, L), dtype=np.intp)
     for t in range(1, T):
         scores = delta[:, None] + transitions  # [src, dst]
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(L)] + logits[t]
+        scores.argmax(axis=0, out=back[t])
+        delta = scores.max(axis=0)
+        delta += logits[t]
     delta = delta + end
-    path = [int(np.argmax(delta))]
-    for t in range(T - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
+    path = [int(delta.argmax())]
+    for row in back.tolist()[:0:-1]:
+        path.append(row[path[-1]])
     path.reverse()
     return path

@@ -181,7 +181,9 @@ class CellParams:
         return named
 
 
-def init_cell(kind: str, in_dim: int, hidden: int, rng: np.random.Generator) -> CellParams:
+def init_cell(
+    kind: str, in_dim: int, hidden: int, rng: np.random.Generator | None
+) -> CellParams:
     if kind == "gru":
         W = _glorot(rng, in_dim, 2 * hidden)
         U = _glorot(rng, hidden, 2 * hidden)
@@ -199,9 +201,14 @@ def init_cell(kind: str, in_dim: int, hidden: int, rng: np.random.Generator) -> 
     return CellParams(kind, hidden, W, U, ad.parameter(bias))
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+def _uniform(rng: np.random.Generator | None, bound: float, size) -> np.ndarray:
+    """Draws from U(-bound, bound); zeros, and no draws, without a
+    generator (a model whose every tensor a checkpoint overwrites)."""
+    return np.zeros(size) if rng is None else rng.uniform(-bound, bound, size=size)
+
+
+def _glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> Tensor:
+    return ad.parameter(_uniform(rng, np.sqrt(6.0 / (fan_in + fan_out)), (fan_in, fan_out)))
 
 
 # -- fused recurrence ---------------------------------------------------------------
@@ -551,18 +558,24 @@ def shared_stack_forward(
     dropout: DropoutConfig,
     training: bool,
     rng: np.random.Generator | None = None,
+    stack: list[Tensor] | None = None,
 ) -> list[Tensor]:
     """All shared layer outputs, bottom to top, so any task can
     terminate anywhere. With shortcuts, each layer above the first sees
-    the word representations concatenated onto its input."""
-    outputs: list[Tensor] = []
-    current = embedded
-    for i, (fwd, bwd) in enumerate(layers):
+    the word representations concatenated onto its input.
+
+    ``stack``, if given, is ``[embedded, layer 1 output, ...]`` from
+    earlier calls on the same sentence: its layers are reused, it is
+    extended in place up to ``len(layers)``, and every output it holds
+    is returned."""
+    stack = [embedded] if stack is None else stack
+    for i in range(len(stack) - 1, len(layers)):
+        fwd, bwd = layers[i]
+        current = stack[-1]
         if i > 0 and use_shortcuts:
             current = ad.concat([current, embedded], axis=1)
-        current = bidirectional_layer(current, fwd, bwd, dropout, training, rng)
-        outputs.append(current)
-    return outputs
+        stack.append(bidirectional_layer(current, fwd, bwd, dropout, training, rng))
+    return stack[1:]
 
 
 @dataclass
@@ -627,14 +640,15 @@ class Model:
 
     Parameters live in a name -> Tensor registry whose insertion order
     is also the initialization draw order and the checkpoint payload
-    order.
+    order. Without a generator (``rng`` None) nothing is drawn and the
+    tensors start at zero, for a checkpoint load that overwrites them.
     """
 
     def __init__(
         self,
         config: NetworkConfig,
         vocab: Vocabulary,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         word_vectors: np.ndarray | None = None,
     ):
         config.validate()
@@ -658,7 +672,7 @@ class Model:
             self._register(f"{prefix}/{suffix}", tensor)
         return cell
 
-    def _build(self, rng: np.random.Generator, word_vectors: np.ndarray | None) -> None:
+    def _build(self, rng: np.random.Generator | None, word_vectors: np.ndarray | None) -> None:
         config = self.config
         n_words = self.vocab.word_count
         if word_vectors is not None:
@@ -668,10 +682,10 @@ class Model:
                     f"({n_words} x {config.word_dim})"
                 )
             table = word_vectors.astype(np.float64).copy()
-            table[UNK_INDEX] = rng.uniform(-0.05, 0.05, size=config.word_dim)
+            table[UNK_INDEX] = _uniform(rng, 0.05, config.word_dim)
             table[PAD_INDEX] = 0.0
         else:
-            table = rng.uniform(-0.05, 0.05, size=(n_words, config.word_dim))
+            table = _uniform(rng, 0.05, (n_words, config.word_dim))
             table[PAD_INDEX] = 0.0
         self._register(
             "embed/word", ad.parameter(table) if config.fine_tune_embeddings else Tensor(table)
@@ -680,7 +694,7 @@ class Model:
         total_dim = config.word_dim
         if config.char.enabled:
             n_chars = len(self.vocab.char_index)
-            char_table = rng.uniform(-0.05, 0.05, size=(n_chars, config.char.embedding_dim))
+            char_table = _uniform(rng, 0.05, (n_chars, config.char.embedding_dim))
             char_table[PAD_INDEX] = 0.0
             self._register("embed/char", ad.parameter(char_table))
             fwd = init_cell("lstm", config.char.embedding_dim, config.char.hidden, rng)
@@ -759,18 +773,30 @@ class Model:
             emb = ad.concat([emb, feats], axis=1)
         return emb
 
-    def forward_logits(self, task_name: str, word_ids, char_idss, training: bool, rng=None):
+    def forward_logits(
+        self, task_name: str, word_ids, char_idss, training: bool, rng=None, shared=None
+    ):
         """Logits of one task; the shared stack runs (and draws dropout
-        masks) only up to the task's termination layer."""
+        masks) only up to the task's termination layer. ``shared`` is an
+        optional store for one sentence that the caller owns,
+        ``[embedded, layer 1 output, ...]``: a call reuses what it holds
+        (``word_ids`` and ``char_idss`` are read only while it is empty)
+        and extends it up to the task's termination layer. So at
+        evaluation the tasks of one sentence embed it and run each shared
+        layer once, in any order, with the same ops on the same data as
+        separate calls."""
         task = self._tasks[task_name]
-        emb = self.embedded(word_ids, char_idss, training, rng)
+        shared = [] if shared is None else shared
+        if not shared:
+            shared.append(self.embedded(word_ids, char_idss, training, rng))
         outputs = shared_stack_forward(
-            emb,
+            shared[0],
             self._cells[: task.spec.termination_layer],
             self.config.use_shortcuts,
             self.config.dropout,
             training,
             rng,
+            stack=shared,
         )
         return task_head_forward(outputs, task, training, rng)
 
@@ -781,9 +807,10 @@ class Model:
             return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold)
         return softmax_nll(logits, gold)
 
-    def predict_ids(self, task_name: str, word_ids, char_idss) -> list[int]:
+    def predict_ids(self, task_name: str, word_ids, char_idss, shared=None) -> list[int]:
+        """Best label ids of one task; ``shared`` as in :meth:`forward_logits`."""
         with ad.no_grad():
-            logits = self.forward_logits(task_name, word_ids, char_idss, training=False)
+            logits = self.forward_logits(task_name, word_ids, char_idss, False, shared=shared)
         task = self._tasks[task_name]
         if task.spec.head == "crf":
             return crf.crf_viterbi(
@@ -791,9 +818,11 @@ class Model:
             )
         return [int(i) for i in np.argmax(logits.data, axis=1)]
 
-    def predict_labels(self, task_name: str, sentence: Sentence) -> list[str]:
-        word_ids, char_idss = self.encode_sentence(sentence)
-        ids = self.predict_ids(task_name, word_ids, char_idss)
+    def predict_labels(self, task_name: str, sentence: Sentence, shared=None) -> list[str]:
+        """Labels of one task for one sentence; ``shared`` as in
+        :meth:`forward_logits`."""
+        encoded = self.encode_sentence(sentence) if not shared else ((), ())
+        ids = self.predict_ids(task_name, *encoded, shared)
         labels = self.vocab.labels_of(task_name)
         return [labels[i] for i in ids]
 

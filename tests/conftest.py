@@ -91,6 +91,29 @@ def small_model(corpus, task="tag", seed=3, head="softmax", **config_kw):
     return Model(config, vocab, rng), rng
 
 
+def two_task_model(seed=0, **config_kw):
+    """A CRF task "tag" on shared layer 2 and a softmax task "seg" on
+    layer 1, over the synthetic corpus. Every tensor is drawn from
+    N(0, 1), so the predicted labels vary from token to token."""
+    tag = synthetic_bio_corpus(n_sentences=8, seed=seed)
+    seg = derive_acs_corpus(tag)
+    vocab = vocab_for([tag], {"tag": [tag], "seg": [seg]})
+    defaults = dict(
+        shared_layers=[6, 5],
+        tasks=[
+            TaskSpec(name="tag", labels=vocab.labels_of("tag"), termination_layer=2, head="crf"),
+            TaskSpec(name="seg", labels=vocab.labels_of("seg"), termination_layer=1),
+        ],
+        word_dim=5,
+    )
+    defaults.update(config_kw)
+    rng = np.random.default_rng(seed)
+    model = Model(NetworkConfig(**defaults), vocab, rng)
+    for tensor in model.params.values():
+        tensor.data = rng.normal(size=tensor.data.shape)
+    return model, tag
+
+
 def write_half_then_fail(path, data):
     """A stand-in for ``Path.write_bytes`` that writes half of the data
     and then fails as a full disk would."""

@@ -5,7 +5,9 @@ import pytest
 
 from seqtag import autodiff as ad
 from seqtag.autodiff import Tensor
-from seqtag.corpus import Vocabulary, parse_conll
+from seqtag.checkpoint import load_model, save_model
+from seqtag.cli import main
+from seqtag.corpus import Token, Vocabulary, parse_conll
 from seqtag.exceptions import ConfigError
 from seqtag.network import (
     CharConfig,
@@ -25,6 +27,7 @@ from seqtag.network import (
 from seqtag import network
 from seqtag.exceptions import NumericError
 
+from conftest import two_task_model
 from gradcheck import check_gradients, power, softmax, tsum
 from reference_rnn import (
     bidirectional_reference,
@@ -821,6 +824,71 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
         assert len(layer_calls) == layers
     logits = model.forward_logits("low", word_ids, char_idss, training=False)
     assert np.array_equal(logits.data, read_from_full.data)
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])
+@pytest.mark.parametrize("use_shortcuts", [False, True], ids=["plain", "shortcuts"])
+@pytest.mark.parametrize("cell", ["lstm", "gru", "simple"])
+def test_predict_runs_each_shared_layer_once_per_sentence(
+    tmp_path, monkeypatch, cell, use_shortcuts, char
+):
+    """`seqtag predict` writes, byte for byte, what one plain
+    predict_labels call per task gives, for any task order, while each
+    sentence is embedded once and runs each shared layer once."""
+    char_config = CharConfig(enabled=char, embedding_dim=4, hidden=3)
+    model, corpus = two_task_model(cell=cell, use_shortcuts=use_shortcuts, char=char_config)
+    checkpoint = tmp_path / "model.ckpt"
+    save_model(model, checkpoint)
+    model = load_model(checkpoint)
+    unseen = tuple(Token(w, {}) for w in ("Zeta", "alpha", "qu!x", "the"))
+    sentences = [*corpus.sentences, unseen]
+    blocks = [[f"{tok.surface}\t{tok.labels.get('tag', '_')}" for tok in s] for s in sentences]
+    data = tmp_path / "in.conll"
+    data.write_text("\n\n".join("\n".join(b) for b in blocks) + "\n", encoding="utf-8")
+
+    calls = {"bidirectional_layer": 0, "char_features": 0}
+    for name in calls:
+        def spy(*args, _fn=getattr(network, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(network, name, spy)
+    for tasks in ("tag,seg", "seg,tag", "tag", "seg"):
+        names = tasks.split(",")
+        columns = [[model.predict_labels(t, s) for t in names] for s in sentences]
+        assert all(len(set(sum((c[k] for c in columns), []))) > 1 for k in range(len(names)))
+        expected = "\n\n".join(
+            "\n".join("\t".join([line, *(col[i] for col in cols)]) for i, line in enumerate(b))
+            for b, cols in zip(blocks, columns)
+        )
+        for name in calls:
+            calls[name] = 0
+        out = tmp_path / "out.conll"
+        assert main(["predict", "--model", str(checkpoint), "--input", str(data),
+                     "--output", str(out), "--tasks", tasks]) == 0
+        assert out.read_bytes() == (expected + "\n").encode("utf-8")
+        top = max(model.config.task(t).termination_layer for t in names)
+        assert calls["bidirectional_layer"] == top * len(sentences)
+        assert calls["char_features"] == (len(sentences) if char else 0)
+
+
+def test_shared_store_is_reused_and_extended_in_place():
+    model, corpus = two_task_model()
+    sentence = corpus.sentences[0]
+    shared = []
+    assert model.predict_labels("seg", sentence, shared) == model.predict_labels("seg", sentence)
+    assert len(shared) == 2  # the embedding and layer 1
+    embedded, first = shared
+    assert model.predict_labels("tag", sentence, shared) == model.predict_labels("tag", sentence)
+    assert len(shared) == 3 and shared[0] is embedded and shared[1] is first
+    word_ids, char_idss = model.encode_sentence(sentence)
+    plain = model.forward_logits("tag", word_ids, char_idss, training=False)
+    layers = shared_stack_forward(
+        embedded, model._cells, False, model.config.dropout, training=False, stack=shared
+    )
+    assert layers == shared[1:]
+    logits = network.task_head_forward(layers, model._tasks["tag"], training=False)
+    assert logits.data.tobytes() == plain.data.tobytes()
 
 
 def test_frozen_embeddings_not_trainable():

@@ -17,8 +17,12 @@ from perfbench.trace import Patches, Tracer  # noqa: E402
 
 from seqtag import autodiff as ad  # noqa: E402
 from seqtag import crf, experiment  # noqa: E402
+from seqtag.checkpoint import save_model  # noqa: E402
+from seqtag.cli import main  # noqa: E402
 from seqtag.corpus import parse_conll  # noqa: E402
 from seqtag.embeddings import EmbeddingSet  # noqa: E402
+
+from conftest import two_task_model  # noqa: E402
 
 
 def test_benchmark_wrappers_install_and_restore():
@@ -45,3 +49,23 @@ def test_benchmark_wrappers_install_and_restore():
     assert (tracer.counters["embeddings.offered"], tracer.counters["embeddings.kept"]) == (2, 1)
     for owner, attr, fn in originals.values():
         assert getattr(owner, attr) is fn, attr
+
+
+def test_predict_records_one_latency_sample_per_sentence_and_task(tmp_path):
+    """perfbench's sentence_ms_* samples are the Model.predict_labels
+    calls; a predict path that skipped them would leave none."""
+    model, corpus = two_task_model()
+    checkpoint = tmp_path / "model.ckpt"
+    save_model(model, checkpoint)
+    sentences = corpus.sentences[:3]
+    data = tmp_path / "in.conll"
+    data.write_text("\n\n".join("\n".join(t.surface for t in s) for s in sentences) + "\n")
+    probe, patches = workloads.Probe(), Patches()
+    try:
+        probe.install(patches)
+        argv = ["predict", "--model", str(checkpoint), "--input", str(data)]
+        assert main([*argv, "--output", str(tmp_path / "out.conll")]) == 0
+    finally:
+        patches.restore()
+    assert len(probe.predictions) == len(sentences) * len(model.config.tasks)
+    assert len(probe.loads) == 1

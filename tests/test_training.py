@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,14 @@ from seqtag.checkpoint import CheckpointError, load_model, save_model
 from seqtag.corpus import Token
 from seqtag.exceptions import ConfigError
 from seqtag import network
-from seqtag.network import CharConfig, DropoutConfig, Model, NetworkConfig, TaskSpec
+from seqtag.network import (
+    CharConfig,
+    DropoutConfig,
+    Model,
+    NetworkConfig,
+    PrivateLayerSpec,
+    TaskSpec,
+)
 from seqtag.training import (
     AdamOptimizer,
     EarlyStoppingConfig,
@@ -26,6 +34,7 @@ from conftest import (
     derive_acs_corpus,
     small_model,
     synthetic_bio_corpus,
+    two_task_model,
     vocab_for,
     write_half_then_fail,
 )
@@ -384,6 +393,64 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, bio_corpus):
             for _ in range(n)
         )
         assert model.predict_labels("tag", sentence) == loaded.predict_labels("tag", sentence)
+
+
+@pytest.mark.parametrize(
+    "cell, vectors, digest",
+    [
+        ("lstm", False, "13e015adbc15b981b93a218518c3a28d7446b2421c455bf6a1e99da9164c58d2"),
+        ("lstm", True, "539f946b2bc544fec4b5ee0ffb941ce8ca1d11620800165f2641c73ffd2b1f82"),
+        ("gru", False, "fbdae43163bbf626e84859800555bfd643e3529f2198f615abaf0ce0f73bbac9"),
+        ("gru", True, "bdabc06b65dfe220a5d5b980e49d9d4abbe05bb8e7073e76732783dd794e03de"),
+        ("simple", False, "aa67a12117c3cb86c928ecf363251d0e057619829a603d1a2a149d807bf293ba"),
+        ("simple", True, "62b20f7703c09a23a94adb5f565ab7484179da853e52dcc0743ce12d4a627ea0"),
+    ],
+)
+def test_initialization_draws_are_unchanged(tmp_path, cell, vectors, digest):
+    """The checkpoint of a freshly drawn model, char path, shortcuts and
+    a private layer included, pinned at its sha256."""
+    tag = synthetic_bio_corpus(n_sentences=8, seed=0)
+    vocab = vocab_for([tag], {"tag": [tag], "seg": [derive_acs_corpus(tag)]})
+    config = NetworkConfig(
+        cell=cell,
+        shared_layers=[6, 5],
+        use_shortcuts=True,
+        char=CharConfig(enabled=True, embedding_dim=4, hidden=3),
+        tasks=[
+            TaskSpec(
+                name="tag",
+                labels=vocab.labels_of("tag"),
+                termination_layer=2,
+                head="crf",
+                private_layers=[PrivateLayerSpec(units=4)],
+            ),
+            TaskSpec(name="seg", labels=vocab.labels_of("seg"), termination_layer=1),
+        ],
+        word_dim=5,
+    )
+    word_vectors = np.random.default_rng(1).normal(size=(vocab.word_count, 5)) if vectors else None
+    save_model(Model(config, vocab, np.random.default_rng(11), word_vectors), tmp_path / "m.ckpt")
+    assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_load_draws_no_initialization(tmp_path, monkeypatch):
+    model, _ = two_task_model(char=CharConfig(enabled=True))
+    save_model(model, tmp_path / "model.ckpt")
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_model made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_model(tmp_path / "model.ckpt")
+    assert list(loaded.params) == list(model.params)
+    for name, tensor in model.params.items():
+        assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
+    # without a generator every tensor starts at zero, but an LSTM's forget gate bias
+    blank = Model(model.config, model.vocab, None)
+    for name, tensor in blank.params.items():
+        assert tensor.data.shape == model.params[name].data.shape
+        nonzero = set(np.unique(tensor.data)) - {0.0}
+        assert not nonzero or (name.endswith("/b") and nonzero == {1.0}), name
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, bio_corpus, monkeypatch):
