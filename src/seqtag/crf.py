@@ -7,8 +7,9 @@ forward algorithm in log space (log-sum-exp with max subtraction) as a
 single tape node, whose backward pass uses the beta recursion and the
 resulting marginals. The training loss, log Z minus the gold path's
 score, is that same node given the gold path: its backward pass takes
-the gold path's indicators off the marginals. Only first-order
-dependencies are modeled.
+the gold path's indicators off the marginals. A training batch of
+sequences is one node too, both recursions running over all sequences
+at once. Only first-order dependencies are modeled.
 """
 
 from __future__ import annotations
@@ -28,60 +29,84 @@ def crf_log_z(
     begin: Tensor,
     end: Tensor,
     gold: Sequence[int] | None = None,
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """Log partition function via the forward algorithm, as one tape
     node. Its backward pass runs the beta recursion and pushes the
     unary and pairwise marginals to the inputs. With a ``gold`` path
     the node returns log Z - score(gold), and the backward pass takes
-    the gold path's indicators off the marginals."""
+    the gold path's indicators off the marginals.
+
+    With ``lengths``, the rows of ``logits`` (and ``gold``) hold several
+    sequences one after another; both recursions run over all of them
+    at once, each sequence starting and ending at its own length, and
+    the node returns the mean over the sequences."""
     x, trans = logits.data, transitions.data
-    T, L = x.shape
-    alphas = np.empty((T, L))
-    alphas[0] = x[0] + begin.data
+    N, L = x.shape
+    lengths = np.array([N] if lengths is None else lengths, dtype=np.intp)
+    B, T = lengths.size, int(lengths.max())
+    real = np.arange(T) < lengths[:, None]  # (B, T)
+    firsts = np.cumsum(lengths) - lengths
+    X = np.zeros((B, T, L))
+    X[real] = x
+    X = X.transpose(1, 0, 2)  # time-major (T, B, L)
+    alphas = np.empty((T, B, L))
+    alphas[0] = X[0] + begin.data
     for t in range(1, T):
-        scores = alphas[t - 1][:, None] + trans  # [src, dst]
-        m = scores.max(axis=0)
-        alphas[t] = (m + np.log(np.exp(scores - m).sum(axis=0))) + x[t]
-    final = alphas[T - 1] + end.data
-    m = final.max()
-    log_z = m + np.log(np.exp(final - m).sum())
-    out = log_z
+        scores = alphas[t - 1][:, :, None] + trans  # [b, src, dst]
+        m = scores.max(axis=1)
+        alphas[t] = (m + np.log(np.exp(scores - m[:, None, :]).sum(axis=1))) + X[t]
+    final = alphas[lengths - 1, np.arange(B)] + end.data
+    m = final.max(axis=1)
+    log_z = m + np.log(np.exp(final - m[:, None]).sum(axis=1))
+    outs = list(log_z)
     if gold is not None:
-        steps = np.arange(T)
-        src, dst = gold[:-1], gold[1:]
-        score = x[steps, gold].sum() + begin.data[gold[0]] + end.data[gold[-1]]
-        if T > 1:
-            score = score + trans[src, dst].sum()
-        out = log_z - score
+        gold = np.asarray(gold, dtype=np.intp)
+        picked = x[np.arange(N), gold]
+        for b, (a, n) in enumerate(zip(firsts, lengths)):
+            path = gold[a : a + n]
+            score = picked[a : a + n].sum() + begin.data[path[0]] + end.data[path[-1]]
+            if n > 1:
+                score = score + trans[path[:-1], path[1:]].sum()
+            outs[b] = log_z[b] - score
+    out = sum(outs[1:], start=outs[0]) * (1.0 / B)
 
     def backward(g):
-        betas = np.empty((T, L))
+        g = g * (1.0 / B)  # each sequence's share
+        seq = np.repeat(np.arange(B), lengths)  # the sequence of each row
+        lasts = firsts + lengths - 1
+        inner = np.flatnonzero(seq[:-1] == seq[1:])  # rows followed by a row of their sequence
+        betas = np.empty((T, B, L))
         betas[T - 1] = end.data
         for t in range(T - 1, 0, -1):
-            scores = trans + (x[t] + betas[t])  # [src, dst]
-            m = scores.max(axis=1)
-            betas[t - 1] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-        unary = g * np.exp(alphas + betas - log_z)
+            scores = trans + (X[t] + betas[t])[:, None, :]  # [b, src, dst]
+            m = scores.max(axis=2)
+            step = m + np.log(np.exp(scores - m[..., None]).sum(axis=2))
+            betas[t - 1] = np.where((t < lengths)[:, None], step, end.data)
+        # the real steps' alphas and betas as rows in sequence order
+        A = alphas.transpose(1, 0, 2)[real]
+        Bt = betas.transpose(1, 0, 2)[real]
+        unary = g * np.exp(A + Bt - log_z[seq, None])
         # begin, end and transitions may already hold earlier sentences'
         # gradients: adding the marginals first and taking the gold
         # indicators off after gives the sums of log Z and a separately
         # differentiated path score, bit for bit
         if begin.requires_grad:
-            begin._accum(unary[0])
+            begin._accum(unary[firsts].sum(axis=0))
             if gold is not None:
-                begin.grad[gold[0]] -= g
+                np.subtract.at(begin.grad, gold[firsts], g)
         if end.requires_grad:
-            end._accum(unary[T - 1])
+            end._accum(unary[lasts].sum(axis=0))
             if gold is not None:
-                end.grad[gold[-1]] -= g
-        if transitions.requires_grad and T > 1:
-            pairs = alphas[:-1, :, None] + trans + (x[1:] + betas[1:])[:, None, :]
-            transitions._accum(g * np.exp(pairs - log_z).sum(axis=0))
+                np.subtract.at(end.grad, gold[lasts], g)
+        if transitions.requires_grad and inner.size:
+            pairs = A[inner, :, None] + trans + (x[inner + 1] + Bt[inner + 1])[:, None, :]
+            transitions._accum(g * np.exp(pairs - log_z[seq[inner], None, None]).sum(axis=0))
             if gold is not None:
-                np.subtract.at(transitions.grad, (src, dst), g)
+                np.subtract.at(transitions.grad, (gold[inner], gold[inner + 1]), g)
         if logits.requires_grad:
             if gold is not None:
-                unary[steps, gold] -= g
+                unary[np.arange(N), gold] -= g
             logits._accum(unary)
 
     parents = (logits, transitions, begin, end)
@@ -90,17 +115,23 @@ def crf_log_z(
 
 
 def crf_nll(
-    logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, gold: Sequence[int]
+    logits: Tensor,
+    transitions: Tensor,
+    begin: Tensor,
+    end: Tensor,
+    gold: Sequence[int],
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """Sequence negative log-likelihood, log Z - score(gold), as one
-    ``crf_log_z`` node."""
-    T = logits.shape[0]
-    if T < 1:
-        raise ShapeError("CRF needs at least one token")
+    ``crf_log_z`` node; with ``lengths``, the mean over the sequences
+    whose rows ``logits`` and ``gold`` hold one after another."""
+    N = logits.shape[0]
     gold = np.asarray(gold, dtype=np.intp)
-    if gold.size != T:
-        raise ShapeError(f"path length {gold.size} != sequence length {T}")
-    return crf_log_z(logits, transitions, begin, end, gold)
+    if gold.size != N:
+        raise ShapeError(f"path length {gold.size} != sequence length {N}")
+    if N < 1 or (lengths is not None and (min(lengths) < 1 or sum(lengths) != N)):
+        raise ShapeError("CRF needs at least one token per sequence")
+    return crf_log_z(logits, transitions, begin, end, gold, lengths)
 
 
 def crf_viterbi(

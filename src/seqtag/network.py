@@ -9,13 +9,15 @@ inverted scaling, so evaluation passes need no rescaling.
 
 Each bidirectional layer is one fused tape node (``recurrent``) whose
 directions step together in one loop, with the layer's RNN dropout
-masks applied inside: the shared layers run one sentence at a time, and
-each sentence's character BiLSTM is one node that runs all its words as
-one padded batch. Each sentence's task loss is one node as well: ``softmax_nll`` here,
-``crf.crf_nll`` for a CRF head. Finite checks happen once per fused
-node, on its stacked gate pre-activations and on its output, and per
-adjoint in the backward pass; the remaining elementary ops check their
-own outputs.
+masks applied inside. A training batch is one padded graph
+(``Model.batch_loss``): its sentences run each shared layer together as
+a (B, T, k) batch with a length mask, the character BiLSTM is one node
+that runs all words of the batch, and the task loss is one node over
+the real tokens: ``softmax_nll`` here, ``crf.crf_nll`` for a CRF head.
+Evaluation runs one sentence at a time. Finite checks happen once per
+fused node, on its stacked gate pre-activations and on its output, and
+per adjoint in the backward pass; the remaining elementary ops check
+their own outputs.
 """
 
 from __future__ import annotations
@@ -285,13 +287,17 @@ def recurrent(
         """Direction d's view of a time-major array, in its step order."""
         return a[::-1] if reverse[d] else a
 
-    # per direction: its time-major (T*B, k) input rows and x @ W
-    Xts = []
+    def time_rows(in_mask: np.ndarray | None) -> np.ndarray:
+        xd = x.data if in_mask is None else x.data * in_mask
+        return xd.transpose(1, 0, 2).reshape(T * B, k) if lead else xd
+
+    # per direction: its time-major (T*B, k) input rows, shared by the
+    # directions without input dropout, and x @ W
+    plain = time_rows(None) if any(m[0] is None for m in masks) else None
+    Xts = [plain if in_mask is None else time_rows(in_mask) for in_mask, _, _ in masks]
     G = cells[0].U.shape[1]
     XW = np.empty((T, D, B, G))
-    for d, (cell, (in_mask, _, _)) in enumerate(zip(cells, masks)):
-        xd = x.data if in_mask is None else x.data * in_mask
-        Xts.append(xd.transpose(1, 0, 2).reshape(T * B, k) if lead else xd)
+    for d, cell in enumerate(cells):
         XW[:, d] = steps((Xts[d] @ cell.W.data).reshape(T, B, G), d)
     U = np.stack([cell.U.data for cell in cells])
     b = np.stack([cell.b.data for cell in cells])  # (D, 1, G)
@@ -306,7 +312,7 @@ def recurrent(
             if state_mask is not None:
                 SM[:, d] = steps(np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2), d)
     keep = drop = None
-    if mask is not None:
+    if mask is not None and not mask.all():
         by_time = np.asarray(mask, dtype=bool).reshape(B, T).T
         keep = np.stack([steps(by_time, d) for d in range(D)], axis=1)[..., None]
         drop = ~keep
@@ -382,11 +388,10 @@ def recurrent(
         if kind == "simple":
             DF = 1.0 - ACT * ACT  # ACT is OUT: a padded step's factor is masked below
         elif kind == "lstm":
-            slope = SIG * (1.0 - SIG)
             COEF = np.empty((T, D, B, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
-            COEF[..., 0, :] = GC * slope[..., :H]
-            COEF[..., 1, :] = _previous(C) * slope[..., H : 2 * H]
-            COEF[..., 2, :] = TC * slope[..., 2 * H :]
+            COEF[..., 0, :] = GC * (I * (1.0 - I))
+            COEF[..., 1, :] = _previous(C) * (F * (1.0 - F))
+            COEF[..., 2, :] = TC * (O * (1.0 - O))
             COEF[..., 3, :] = I * (1.0 - GC * GC)
             DTC = O * (1.0 - TC * TC)
         else:
@@ -399,7 +404,7 @@ def recurrent(
             RHM = R * HM  # the states the candidate's U multiplies
         # not halved: dZ is the adjoint of the full pre-activations
         UT = np.stack([cell.U.data for cell in cells]).transpose(0, 2, 1)
-        dZ = np.empty_like(Z)
+        dZ = np.empty_like(ACT)  # Z's shape; Z itself is not kept for the backward pass
         dh = np.zeros(OUT.shape[1:])
         dc = np.zeros(OUT.shape[1:])
         for s in range(T - 1, -1, -1):
@@ -470,21 +475,29 @@ def recurrent(
 
 
 def embed_sentence(
-    word_ids: Sequence[int],
+    word_ids,
     table: Tensor,
     word_dropout: float,
     training: bool,
     rng: np.random.Generator | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Look up word vectors; during training, independently zero each
-    row with the word-dropout probability (kept rows are rescaled)."""
-    rows = table[np.asarray(word_ids, dtype=np.intp)]
+    """Look up word vectors, one row per id of a sentence's ids or of a
+    padded (B, T) batch of them; during training, independently zero
+    each row with the word-dropout probability (kept rows are rescaled).
+    The draws cover the ids that ``mask`` marks real (all without one),
+    in row-major order: a batch draws for its real tokens in sentence
+    order."""
+    ids = np.asarray(word_ids, dtype=np.intp)
+    rows = table[ids]
     if training and word_dropout > 0.0:
-        draws = rng.random(len(word_ids))
+        real = np.ones(ids.shape, dtype=bool) if mask is None else mask
+        draws = np.zeros(ids.shape)
+        draws[real] = rng.random(np.count_nonzero(real))
         keep = (draws >= word_dropout).astype(np.float64)
         if word_dropout < 1.0:
             keep = keep / (1.0 - word_dropout)
-        rows = rows * Tensor(keep.reshape(-1, 1))
+        rows = rows * Tensor(keep[..., None])
     return rows
 
 
@@ -508,23 +521,26 @@ def char_features(
     return recurrent(table[ids], (fwd, bwd), (False, True), mask=mask, final=True)
 
 
-def _dropout_masks(rng, dropout: DropoutConfig, T: int, k: int, hidden: int, reverse: bool):
+def _dropout_masks(rng, dropout: DropoutConfig, shape, hidden: int, reverse: bool):
     """Input (., k), state (., hidden) and output (., hidden) keep
-    masks of one direction, rows in input time order; None where the
-    site is off. The draws run in processing order, site by site within
-    a step: one row for all steps when variational, else one per step."""
+    masks of one direction over inputs of ``shape``, (T, k) or a padded
+    (B, T, k) batch, rows in input time order; None where the site is
+    off. The draws run sequence by sequence, in processing order, site
+    by site within a step: one row per sequence for all steps when
+    variational, else one per step (padded steps included)."""
+    *lead, T, k = shape
     sites = ((dropout.rnn_input, k), (dropout.rnn_state, hidden), (dropout.rnn_output, hidden))
     width = sum(w for p, w in sites if p > 0.0)
     if width == 0:
         return None, None, None
-    draws = rng.random((1 if dropout.variational else T, width))
+    draws = rng.random((*lead, 1 if dropout.variational else T, width))
     if reverse:
-        draws = draws[::-1]
+        draws = draws[..., ::-1, :]
     masks, col = [], 0
     for p, w in sites:
         mask = None
         if p > 0.0:
-            mask = (draws[:, col : col + w] >= p).astype(np.float64) / (1.0 - p)
+            mask = (draws[..., col : col + w] >= p).astype(np.float64) / (1.0 - p)
             col += w
         masks.append(mask)
     return masks
@@ -537,18 +553,20 @@ def bidirectional_layer(
     dropout: DropoutConfig,
     training: bool,
     rng: np.random.Generator | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Run both directions over (T, k) inputs and concatenate per step
-    into (T, 2*hidden). RNN input/state/output dropout applies inside;
-    variational mode reuses one mask per sequence and direction."""
-    T, k = inputs.shape
+    """Run both directions over (T, k) inputs, or a padded (B, T, k)
+    batch whose real steps ``mask`` (B, T) marks, and concatenate per
+    step into (T, 2*hidden) or (B, T, 2*hidden). RNN input/state/output
+    dropout applies inside; variational mode reuses one mask per
+    sequence and direction."""
     masks = None
     if training:
         masks = [
-            _dropout_masks(rng, dropout, T, k, cell.hidden, reverse)
+            _dropout_masks(rng, dropout, inputs.shape, cell.hidden, reverse)
             for cell, reverse in ((fwd, False), (bwd, True))
         ]
-    return recurrent(inputs, (fwd, bwd), (False, True), masks=masks)
+    return recurrent(inputs, (fwd, bwd), (False, True), mask=mask, masks=masks)
 
 
 def shared_stack_forward(
@@ -559,10 +577,13 @@ def shared_stack_forward(
     training: bool,
     rng: np.random.Generator | None = None,
     stack: list[Tensor] | None = None,
+    mask: np.ndarray | None = None,
 ) -> list[Tensor]:
     """All shared layer outputs, bottom to top, so any task can
     terminate anywhere. With shortcuts, each layer above the first sees
-    the word representations concatenated onto its input.
+    the word representations concatenated onto its input. ``embedded``
+    is one sentence's (T, k) rows, or a padded (B, T, k) batch whose
+    real steps ``mask`` marks.
 
     ``stack``, if given, is ``[embedded, layer 1 output, ...]`` from
     earlier calls on the same sentence: its layers are reused, it is
@@ -573,8 +594,8 @@ def shared_stack_forward(
         fwd, bwd = layers[i]
         current = stack[-1]
         if i > 0 and use_shortcuts:
-            current = ad.concat([current, embedded], axis=1)
-        stack.append(bidirectional_layer(current, fwd, bwd, dropout, training, rng))
+            current = ad.concat([current, embedded], axis=-1)
+        stack.append(bidirectional_layer(current, fwd, bwd, dropout, training, rng, mask=mask))
     return stack[1:]
 
 
@@ -594,11 +615,16 @@ def task_head_forward(
     task: TaskParams,
     training: bool,
     rng: np.random.Generator | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
     """Per-token logits for one task: termination layer output through
     the private layers and the affine projection; task dropout is
-    applied to the projection output, before the classifier."""
+    applied to the projection output, before the classifier. Padded
+    (B, T, .) outputs give their real steps, which ``mask`` marks, as
+    (N, .) rows in sentence order."""
     x = layer_outputs[task.spec.termination_layer - 1]
+    if mask is not None:
+        x = pack(x, mask)
     for spec, weight in zip(task.spec.private_layers, task.private):
         x = ACTIVATIONS[spec.activation](x @ weight)
     logits = x @ task.proj_W + task.proj_b
@@ -608,28 +634,57 @@ def task_head_forward(
     return logits
 
 
-def softmax_nll(logits: Tensor, gold: Sequence[int]) -> Tensor:
+def softmax_nll(
+    logits: Tensor, gold: Sequence[int], lengths: Sequence[int] | None = None
+) -> Tensor:
     """Mean over tokens of the negative log softmax probability, as one
-    tape node; its backward pass pushes g * (softmax - one_hot) / n."""
+    tape node; its backward pass pushes g * (softmax - one_hot) / n.
+    With ``lengths``, the rows hold several sentences one after another
+    and the node is the mean over sentences of their losses, each
+    sentence's rows scaled by g / (B * n_b)."""
     gold = np.asarray(gold, dtype=np.intp)
     n = gold.size
     if n != logits.shape[0]:
         raise ShapeError(f"{n} gold labels for {logits.shape[0]} tokens")
+    lengths = [n] if lengths is None else lengths
     x = logits.data
     rows = np.arange(n)
     m = x.max(axis=1, keepdims=True)
     shifted = np.exp(x - m)
     total = shifted.sum(axis=1, keepdims=True)
     picked = x[rows, gold] - (m + np.log(total))[:, 0]
-    loss = -(picked.sum() * (1.0 / n))
+    ends = np.cumsum(lengths)
+    losses = [-(picked[e - l : e].sum() * (1.0 / l)) for e, l in zip(ends, lengths)]
+    loss = sum(losses[1:], start=losses[0]) * (1.0 / len(lengths))
 
     def backward(g):
-        scale = g * (1.0 / n)
+        share = g * (1.0 / len(lengths))
+        scale = np.repeat([share * (1.0 / l) for l in lengths], lengths)[:, None]
         grad = (shifted / total) * scale
-        grad[rows, gold] -= scale
+        grad[rows, gold] -= scale[:, 0]
         logits._accum(grad)
 
     return ad.make_node(np.asarray(loss, dtype=np.float64), (logits,), backward, "softmax_nll")
+
+
+def pack(x: Tensor, mask: np.ndarray) -> Tensor:
+    """The rows of a padded (B, T, k) batch at the steps ``mask`` (B, T)
+    marks, as (N, k) in sentence order; the pads get no gradient."""
+
+    def backward(g):
+        grad = np.zeros_like(x.data)
+        grad[mask] = g
+        x._accum(grad)
+
+    return ad.make_node(x.data[mask], (x,), backward, "pack")
+
+
+def unpack(x: Tensor, mask: np.ndarray) -> Tensor:
+    """(N, k) rows in sentence order as a padded (B, T, k) batch with
+    zeros at the steps ``mask`` (B, T) leaves out; inverse of ``pack``."""
+    out = np.zeros((*mask.shape, x.shape[-1]))
+    out[mask] = x.data
+    return ad.make_node(out, (x,), lambda g: x._accum(g[mask]), "unpack")
 
 
 # -- the assembled model -------------------------------------------------------------
@@ -800,12 +855,43 @@ class Model:
         )
         return task_head_forward(outputs, task, training, rng)
 
-    def sentence_loss(self, task_name: str, word_ids, char_idss, gold, training=True, rng=None):
-        logits = self.forward_logits(task_name, word_ids, char_idss, training, rng)
+    def batch_loss(self, task_name: str, batch, training=True, rng=None) -> Tensor:
+        """Mean loss of one task over a batch of ``(word_ids, char_idss,
+        gold)`` sentences, as one padded graph: one word-table lookup of
+        the (B, T) ids, one character BiLSTM over all words, each shared
+        layer up to the task's termination layer once over (B, T, k)
+        with the length mask, and one head and loss node over the real
+        tokens' rows. A batch of one runs the ops of a single sentence."""
         task = self._tasks[task_name]
+        lengths = [len(word_ids) for word_ids, _, _ in batch]
+        mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        ids = np.full(mask.shape, PAD_INDEX, dtype=np.intp)
+        ids[mask] = [i for word_ids, _, _ in batch for i in word_ids]
+        word = self.params["embed/word"]
+        emb = embed_sentence(ids, word, self.config.dropout.word, training, rng, mask)
+        if self.config.char.enabled:
+            fwd, bwd = self._char_cells
+            words = [chars for _, char_idss, _ in batch for chars in char_idss]
+            feats = char_features(words, self.params["embed/char"], fwd, bwd)
+            emb = ad.concat([emb, unpack(feats, mask)], axis=-1)
+        outputs = shared_stack_forward(
+            emb,
+            self._cells[: task.spec.termination_layer],
+            self.config.use_shortcuts,
+            self.config.dropout,
+            training,
+            rng,
+            mask=mask,
+        )
+        logits = task_head_forward(outputs, task, training, rng, mask=mask)
+        gold = [label for _, _, labels in batch for label in labels]
         if task.spec.head == "crf":
-            return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold)
-        return softmax_nll(logits, gold)
+            return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold, lengths)
+        return softmax_nll(logits, gold, lengths)
+
+    def sentence_loss(self, task_name: str, word_ids, char_idss, gold, training=True, rng=None):
+        """The loss of one sentence: a batch of one."""
+        return self.batch_loss(task_name, [(word_ids, char_idss, gold)], training, rng)
 
     def predict_ids(self, task_name: str, word_ids, char_idss, shared=None) -> list[int]:
         """Best label ids of one task; ``shared`` as in :meth:`forward_logits`."""

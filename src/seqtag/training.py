@@ -6,9 +6,10 @@ shuffled training data; the combined (task, batch) list is shuffled
 again and processed sequentially. A batch backpropagates only its own
 task's loss, and a batch updates the parameters its graph reached: the
 shared layers up to the task's termination layer and the task's own
-head. The run is driven by a single PRNG stream (also used for
-parameter init and dropout masks), which makes whole runs bit-for-bit
-reproducible from the seed.
+head. A batch is one padded graph (``Model.batch_loss``) whose loss
+is the mean of its sentences' losses. The run is driven by a single
+PRNG stream (also used for parameter init and dropout masks), which
+makes whole runs bit-for-bit reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ class AdamOptimizer:
 
     def step(self, params, grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
-            m, v, t = self.state.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
+            m, v, t = self.state.get(name) or (np.zeros_like(g), np.zeros_like(g), 0)
             t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             params[name].data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
@@ -237,7 +240,7 @@ def train(
         raise ConfigError(f"early stopping task {es.task!r} has no dev data")
 
     encoded = {
-        name: [(model.encode_sentence(s), model.gold_ids(name, s)) for s in train_data[name]]
+        name: [(*model.encode_sentence(s), model.gold_ids(name, s)) for s in train_data[name]]
         for name in task_names
     }
 
@@ -262,18 +265,9 @@ def train(
         for b in batch_order:
             task_name, sentence_ids = batches[b]
             try:
-                losses = []
-                for j in sentence_ids:
-                    (word_ids, char_idss), gold = encoded[task_name][j]
-                    losses.append(
-                        model.sentence_loss(
-                            task_name, word_ids, char_idss, gold, training=True, rng=rng
-                        )
-                    )
-                batch_loss = losses[0] if len(losses) == 1 else (
-                    sum(losses[1:], start=losses[0]) / float(len(losses))
-                )
-                batch_loss.backward()
+                batch = [encoded[task_name][j] for j in sentence_ids]
+                loss = model.batch_loss(task_name, batch, training=True, rng=rng)
+                loss.backward()
             except NumericError as err:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, task {task_name!r}, "
@@ -284,8 +278,9 @@ def train(
                 grads = clip_global_norm(grads, config.clip_norm)
             optimizer.step(model.params, grads)
             model.zero_grads()
-            sums[task_name] += float(batch_loss.data)
+            sums[task_name] += float(loss.data)
             counts[task_name] += 1
+            del loss, grads  # neither the graph nor the gradients outlive their batch
 
         metric_value: float | None = None
         if es is not None:

@@ -380,20 +380,19 @@ def recurrent_reference(
     return ad.make_node(out, (x, *(t for _, t in cell.tensors())), backward, op)
 
 
-def bidirectional_two_calls(inputs, fwd, bwd, dropout, training, rng=None) -> Tensor:
+def bidirectional_two_calls(inputs, fwd, bwd, dropout, training, rng=None, mask=None) -> Tensor:
     """``network.bidirectional_layer`` as two single-direction nodes."""
-    T, k = inputs.shape
     halves = []
     for cell, reverse in ((fwd, False), (bwd, True)):
         in_mask, state_mask, out_mask = (
-            _dropout_masks(rng, dropout, T, k, cell.hidden, reverse)
+            _dropout_masks(rng, dropout, inputs.shape, cell.hidden, reverse)
             if training
             else (None, None, None)
         )
         x = inputs if in_mask is None else inputs * Tensor(in_mask)
-        out = recurrent_reference(x, cell, state_mask=state_mask, reverse=reverse)
+        out = recurrent_reference(x, cell, mask=mask, state_mask=state_mask, reverse=reverse)
         halves.append(out if out_mask is None else out * Tensor(out_mask))
-    return ad.concat(halves, axis=1)
+    return ad.concat(halves, axis=-1)
 
 
 def char_features_two_calls(char_idss, table: Tensor, fwd, bwd) -> Tensor:

@@ -1,0 +1,213 @@
+"""A training batch is one padded graph (``Model.batch_loss``): its loss
+and gradients are the mean of its sentences' ones, a batch of one is the
+single-sentence graph bit for bit, and the pads reach no parameter."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from seqtag import network
+from seqtag.corpus import PAD_INDEX
+from seqtag.network import (
+    CharConfig,
+    DropoutConfig,
+    Model,
+    NetworkConfig,
+    PrivateLayerSpec,
+    TaskSpec,
+)
+from seqtag.training import OptimizerConfig, TrainConfig, train
+
+from conftest import derive_acs_corpus, synthetic_bio_corpus, vocab_for
+
+ALL_DROPOUT = dict(word=0.1, rnn_input=0.2, rnn_state=0.2, rnn_output=0.2)
+
+
+def batch_model(
+    cell="lstm", char=False, shortcuts=True, dropout=None, head="crf", head_dropout=0.0
+):
+    """Two tasks on two shared layers: `tag` on layer 2 with a private
+    layer, `seg` on layer 1, both with a ``head`` (CRF by default) and
+    ``head_dropout``; tensors drawn from N(0, 0.5) so every gradient is
+    far from zero."""
+    tag = synthetic_bio_corpus(n_sentences=8, seed=0)
+    seg = derive_acs_corpus(tag)
+    vocab = vocab_for([tag], {"tag": [tag], "seg": [seg]})
+    config = NetworkConfig(
+        cell=cell,
+        shared_layers=[5, 4],
+        use_shortcuts=shortcuts,
+        char=CharConfig(enabled=char, embedding_dim=4, hidden=3),
+        dropout=dropout or DropoutConfig(),
+        tasks=[
+            TaskSpec(
+                name="tag",
+                labels=vocab.labels_of("tag"),
+                termination_layer=2,
+                head=head,
+                private_layers=[PrivateLayerSpec(units=4)],
+                dropout=head_dropout,
+            ),
+            TaskSpec(name="seg", labels=vocab.labels_of("seg"), head=head, dropout=head_dropout),
+        ],
+        word_dim=6,
+    )
+    rng = np.random.default_rng(0)
+    model = Model(config, vocab, rng)
+    for tensor in model.params.values():
+        tensor.data = rng.normal(scale=0.5, size=tensor.data.shape)
+    return model, {"tag": tag, "seg": seg}
+
+
+def encoded_batch(model, corpus, task, indices):
+    return [
+        (*model.encode_sentence(corpus.sentences[i]), model.gold_ids(task, corpus.sentences[i]))
+        for i in indices
+    ]
+
+
+def loss_and_grads(model, build):
+    model.zero_grads()
+    loss = build()
+    loss.backward()
+    grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+    model.zero_grads()
+    return float(loss.data), grads
+
+
+@pytest.mark.parametrize("head", ["crf", "softmax"])
+@pytest.mark.parametrize("task", ["tag", "seg"])
+@pytest.mark.parametrize("shortcuts", [False, True], ids=["plain", "shortcuts"])
+@pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])
+@pytest.mark.parametrize("cell", ["lstm", "gru", "simple"])
+def test_padded_batch_equals_the_mean_of_its_sentences(cell, char, shortcuts, task, head):
+    """With dropout off, the loss and every gradient of one padded batch
+    equal the mean over its sentences' single graphs at 1e-12 relative,
+    for tasks ending at layer 2 (`tag`) and layer 1 (`seg`)."""
+    model, corpora = batch_model(cell=cell, char=char, shortcuts=shortcuts, head=head)
+    # lengths 4 to 8 and one of a single token; the longest is not first
+    batch = encoded_batch(model, corpora[task], task, [2, 0, 5, 3])
+    batch.insert(1, tuple(column[:1] for column in batch[0]))
+    assert len({len(ids) for ids, _, _ in batch}) > 2
+
+    loss, grads = loss_and_grads(model, lambda: model.batch_loss(task, batch, rng=None))
+    per_sentence = [
+        loss_and_grads(model, lambda s=s: model.sentence_loss(task, *s, rng=None)) for s in batch
+    ]
+    mean_loss = sum(l for l, _ in per_sentence) / len(batch)
+    assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
+    assert set(grads) == set().union(*(g for _, g in per_sentence))
+    for name, grad in grads.items():
+        mean = sum(g[name] for _, g in per_sentence if name in g) / len(batch)
+        assert np.max(np.abs(grad - mean)) <= 1e-12 * np.max(np.abs(mean)), name
+
+
+def test_batch_runs_each_layer_and_the_char_bilstm_once(monkeypatch):
+    model, corpora = batch_model(char=True)
+    batch = encoded_batch(model, corpora["tag"], "tag", [0, 1, 2, 3])
+    calls = {"bidirectional_layer": 0, "char_features": 0, "task_head_forward": 0}
+    for name in calls:
+        def spy(*args, _fn=getattr(network, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(network, name, spy)
+    model.batch_loss("tag", batch, rng=np.random.default_rng(1)).backward()
+    assert calls == {"bidirectional_layer": 2, "char_features": 1, "task_head_forward": 1}
+
+
+@pytest.mark.parametrize("variational", [True, False])
+def test_pad_rows_get_exactly_zero_gradient(variational):
+    model, corpora = batch_model(
+        char=True, dropout=DropoutConfig(**ALL_DROPOUT, variational=variational), head_dropout=0.1
+    )
+    model.params["embed/word"].data[PAD_INDEX] = 0.0
+    model.params["embed/char"].data[PAD_INDEX] = 0.0
+    batch = encoded_batch(model, corpora["tag"], "tag", [0, 1, 2, 3])
+    _, grads = loss_and_grads(
+        model, lambda: model.batch_loss("tag", batch, rng=np.random.default_rng(2))
+    )
+    for table in ("embed/word", "embed/char"):
+        assert np.any(grads[table] != 0.0)
+        assert np.all(grads[table][PAD_INDEX] == 0.0)
+
+
+def _train(config_case, batch_size, tmp_path, tasks=("tag", "seg")):
+    """Train a two-task model (or its `tag` task alone) for two epochs
+    from seed 7 with every dropout site on; return the epoch losses and
+    the checkpoint's bytes."""
+    cell, char, variational, optimizer, clip = config_case
+    tag = synthetic_bio_corpus(n_sentences=7, seed=3)
+    seg = derive_acs_corpus(tag)
+    vocab = vocab_for([tag], {"tag": [tag], "seg": [seg]})
+    specs = [
+        TaskSpec(
+            name="tag",
+            labels=vocab.labels_of("tag"),
+            termination_layer=2,
+            head="crf",
+            dropout=0.1,
+            private_layers=[PrivateLayerSpec(units=4)],
+        ),
+        TaskSpec(name="seg", labels=vocab.labels_of("seg"), termination_layer=1, dropout=0.1),
+    ]
+    config = NetworkConfig(
+        cell=cell,
+        shared_layers=[5, 4],
+        use_shortcuts=True,
+        char=CharConfig(enabled=char, embedding_dim=4, hidden=3),
+        dropout=DropoutConfig(**ALL_DROPOUT, variational=variational),
+        tasks=[spec for spec in specs if spec.name in tasks],
+        word_dim=6,
+    )
+    tc = TrainConfig(
+        epochs=2,
+        batch_size=batch_size,
+        optimizer=OptimizerConfig(kind=optimizer, learning_rate=0.01),
+        clip_norm=clip,
+        main_task="tag",
+    )
+    rng = np.random.default_rng(7)
+    model = Model(config, vocab, rng)
+    path = tmp_path / f"b{batch_size}.ckpt"
+    data = {"tag": tag, "seg": seg}
+    result = train(model, {t: data[t] for t in tasks}, {}, tc, rng, checkpoint_path=str(path))
+    return [r.task_losses for r in result.records], path.read_bytes()
+
+
+CASES = {
+    "lstm-mtl": ("lstm", False, True, "adam", 1.0),
+    "gru-char": ("gru", True, False, "adam", None),
+    "simple-char": ("simple", True, True, "sgd", 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("lstm-mtl", "3b7173265d8ac146b39f2c897c5e0482f9a93b8386102402c3e8ce6494974c4a"),
+        ("gru-char", "26189b70cdd2cb226e2df65f6fe4ce6341839ee6c7f6ac25117789ce9e68e30c"),
+        ("simple-char", "bc5bf890c6e6b381ef54984489eb9ae5e77ddfbdb08ebf4c752224e550735b77"),
+    ],
+)
+def test_batch_size_one_writes_the_per_sentence_checkpoint(tmp_path, case, digest):
+    """At batch_size 1 training writes, byte for byte, the checkpoints
+    of the per-sentence graphs that preceded the padded batch (sha256
+    pinned from them): two tasks, shortcuts, a private layer, every
+    dropout site, char BiLSTM on and off, Adam and SGD, with and
+    without clipping."""
+    _, data = _train(CASES[case], 1, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tasks", [("tag", "seg"), ("tag",)], ids=["mtl", "stl"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_seed_reruns_at_batch_size_four_are_bitwise_equal(tmp_path, case, tasks):
+    """Two runs from the same seed at batch_size 4 write the same epoch
+    losses and checkpoint bytes, with two tasks and with one."""
+    runs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        runs.append(_train(CASES[case], 4, tmp_path / name, tasks))
+    assert runs[0] == runs[1]

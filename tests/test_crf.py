@@ -282,3 +282,89 @@ def test_crf_nll_rejects_a_gold_path_of_the_wrong_length():
     inputs = [Tensor(a) for a in random_instance(rng, 3, 2)]
     with pytest.raises(ShapeError):
         crf_nll(*inputs, [0, 1])
+
+
+def random_batch(rng, L, max_len=4):
+    """Several sequences' logits rows one after another, their lengths
+    and gold paths."""
+    lengths = [int(n) for n in rng.integers(1, max_len + 1, size=int(rng.integers(1, 5)))]
+    logits = rng.normal(size=(sum(lengths), L)) * 2.0
+    return logits, lengths, np.concatenate([random_gold(rng, n, L) for n in lengths])
+
+
+def test_batched_crf_matches_brute_force_enumeration():
+    """With ``lengths``, log Z and the NLL are the means over the
+    sequences of the enumerated values, each sequence with its own
+    begin and end."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        L = int(rng.integers(1, 4))
+        _, transitions, begin, end = random_instance(rng, 1, L, scale=2.0)
+        logits, lengths, gold = random_batch(rng, L)
+        inputs = [Tensor(a) for a in (logits, transitions, begin, end)]
+        starts = np.cumsum(lengths) - lengths
+        seqs = [(logits[a : a + n], gold[a : a + n]) for a, n in zip(starts, lengths)]
+        log_zs = [brute_force_log_z(x, transitions, begin, end) for x, _ in seqs]
+        nlls = [
+            z - path_score(x, transitions, begin, end, list(g)) for z, (x, g) in zip(log_zs, seqs)
+        ]
+        got_z = float(crf_log_z(*inputs, lengths=lengths).data)
+        got_nll = float(crf_nll(*inputs, gold, lengths).data)
+        assert got_z == pytest.approx(sum(log_zs) / len(lengths), rel=1e-12, abs=1e-12)
+        assert got_nll == pytest.approx(sum(nlls) / len(lengths), rel=1e-12, abs=1e-12)
+
+
+def test_batched_crf_gradients_equal_the_mean_of_its_sequences():
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        L = int(rng.integers(2, 5))  # one label has all-zero gradients, up to rounding
+        shared = random_instance(rng, 1, L, scale=2.0)[1:]
+        logits, lengths, gold = random_batch(rng, L, max_len=6)
+        params = [ad.parameter(a) for a in (logits, *shared)]
+        crf_nll(*params, gold, lengths).backward()
+        batched = [p.grad for p in params]
+        # the mean of per-sequence nodes over the same rows
+        mean = [np.zeros_like(p.data) for p in params]
+        for a, n in zip(np.cumsum(lengths) - lengths, lengths):
+            single = [ad.parameter(logits[a : a + n]), *(ad.parameter(x) for x in shared)]
+            crf_nll(*single, gold[a : a + n]).backward()
+            mean[0][a : a + n] += single[0].grad / len(lengths)
+            for i, p in enumerate(single[1:], start=1):
+                if p.grad is not None:
+                    mean[i] += p.grad / len(lengths)
+        if all(n == 1 for n in lengths):
+            assert batched[1] is None
+            batched[1] = mean[1]
+        for a, b in zip(batched, mean):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+
+
+def test_batched_crf_gradients_match_finite_differences():
+    rng = np.random.default_rng(19)
+    logits, lengths, gold = random_batch(rng, 3, max_len=5)
+    params = [ad.parameter(a) for a in (logits, *random_instance(rng, 1, 3)[1:])]
+    assert check_gradients(lambda: crf_nll(*params, gold, lengths), params) <= 1e-6
+    assert check_gradients(lambda: crf_log_z(*params, lengths=lengths), params) <= 1e-6
+
+
+def test_batch_of_one_crf_is_the_single_sequence_node_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for T in (1, 2, 5):
+        instance = random_instance(rng, T, 4, scale=2.0)
+        gold = random_gold(rng, T, 4)
+        results = []
+        for lengths in (None, [T]):
+            params = [ad.parameter(a) for a in instance]
+            loss = crf_nll(*params, gold, lengths)
+            loss.backward()
+            grads = [None if p.grad is None else p.grad.tobytes() for p in params]
+            results.append((loss.data.tobytes(), grads))
+        assert results[0] == results[1]
+
+
+def test_crf_nll_rejects_lengths_that_do_not_cover_the_rows():
+    rng = np.random.default_rng(21)
+    inputs = [Tensor(a) for a in random_instance(rng, 4, 2)]
+    for lengths in ([2, 1], [2, 3], [4, 0]):
+        with pytest.raises(ShapeError):
+            crf_nll(*inputs, [0, 1, 1, 0], lengths)

@@ -199,6 +199,18 @@ def test_embed_dropout_mask_regenerates_from_seed():
     assert np.array_equal(out.data, keep.reshape(-1, 1) * np.ones((5, 3)))
 
 
+def test_embed_batch_draws_word_dropout_for_real_tokens_in_sentence_order():
+    table = ad.parameter(np.arange(1.0, 19.0).reshape(6, 3))
+    sentences = [[1, 2, 3], [4], [5, 1]]
+    mask = np.array([[True, True, True], [True, False, False], [True, True, False]])
+    ids = np.zeros(mask.shape, dtype=np.intp)
+    ids[mask] = sum(sentences, [])
+    batch = embed_sentence(ids, table, 0.5, True, np.random.default_rng(98), mask)
+    flat = embed_sentence(sum(sentences, []), table, 0.5, True, np.random.default_rng(98))
+    assert batch.shape == (3, 3, 3)
+    assert batch.data[mask].tobytes() == flat.data.tobytes()
+
+
 def test_embed_eval_ignores_dropout():
     table = ad.parameter(np.ones((4, 3)))
     out = embed_sentence([1, 2], table, 0.9, training=False)
@@ -632,8 +644,8 @@ def test_each_layer_and_char_bilstm_is_one_tape_node():
             nodes.append(node)
             stack.extend(node._parents)
     rnn = [node for node in nodes if node.op.startswith("rnn/")]
-    # the char BiLSTM (2 x 2 units) and the two shared layers
-    assert sorted(node.data.shape for node in rnn) == [(3, 4), (3, 6), (3, 8)]
+    # the two shared layers, over a batch of one, and the char BiLSTM (2 x 2 units)
+    assert sorted(node.data.shape for node in rnn) == [(1, 3, 6), (1, 3, 8), (3, 4)]
     for node in rnn:
         assert node.op == "rnn/lstm"
         assert len(node._parents) == 1 + 2 * 3  # the input, W, U and b per direction
@@ -728,6 +740,34 @@ def test_fused_softmax_nll_batch_equals_composed_reference():
             sentences.append((rng.normal(size=(T, k)), random_gold(rng, T, L)))
         fused = batch_loss_and_grads(softmax_nll, sentences, (), W)
         assert fused == batch_loss_and_grads(softmax_nll_reference, sentences, (), W)
+
+
+def test_softmax_nll_over_several_sentences_is_the_mean_of_their_nodes():
+    """With ``lengths`` one node gives, bit for bit, the loss and the
+    logits' gradients of one node per sentence summed and divided by
+    the sentence count."""
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        L = int(rng.integers(1, 6))
+        lengths = [int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 5)))]
+        golds = [random_gold(rng, n, L) for n in lengths]
+        rows = [rng.normal(size=(n, L)) * 3.0 for n in lengths]
+        parts = [ad.parameter(x) for x in rows]
+        losses = [softmax_nll(x, g) for x, g in zip(parts, golds)]
+        summed = sum(losses[1:], start=losses[0])
+        summed = summed / float(len(lengths)) if len(lengths) > 1 else summed
+        summed.backward()
+        logits = ad.parameter(np.concatenate(rows))
+        loss = softmax_nll(logits, np.concatenate(golds), lengths)
+        loss.backward()
+        assert loss.data.tobytes() == summed.data.tobytes()
+        assert logits.grad.tobytes() == np.concatenate([p.grad for p in parts]).tobytes()
+
+
+def test_softmax_nll_over_several_sentences_gradients():
+    logits = ad.parameter(np.random.default_rng(23).normal(size=(6, 3)))
+    loss = lambda: softmax_nll(logits, [0, 2, 1, 1, 0, 2], [1, 3, 2])  # noqa: E731
+    assert check_gradients(loss, [logits], eps=1e-5) <= 1e-8
 
 
 def test_softmax_nll_is_one_node_over_its_logits():

@@ -223,11 +223,11 @@ def test_lower_task_batch_steps_only_the_parameters_it_reached(monkeypatch):
     above = [n for n in model.params if n.startswith(("shared/2/", "task/tag/"))]
 
     tasks = []
-    sentence_loss = Model.sentence_loss
+    batch_loss = Model.batch_loss
 
     def spy_loss(self, task_name, *args, **kwargs):
         tasks.append(task_name)
-        return sentence_loss(self, task_name, *args, **kwargs)
+        return batch_loss(self, task_name, *args, **kwargs)
 
     steps = {"tag": 0, "seg": 0}
     optimizers = []
@@ -246,7 +246,7 @@ def test_lower_task_batch_steps_only_the_parameters_it_reached(monkeypatch):
             assert any(n.startswith("task/seg/") for n in names)
             assert any(n.startswith("shared/1/") for n in names)
 
-    monkeypatch.setattr(Model, "sentence_loss", spy_loss)
+    monkeypatch.setattr(Model, "batch_loss", spy_loss)
     monkeypatch.setattr(AdamOptimizer, "step", spy_step)
     train_config = TrainConfig(
         epochs=2,
