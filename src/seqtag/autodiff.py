@@ -8,7 +8,8 @@ reverse topological order, accumulating adjoints over all paths.
 Conventions:
   * everything is float64, row-major;
   * finite checks: every op checks its output in ``make_node`` and
-    raises ``NumericError`` naming the op; fused ops (a whole
+    raises ``NumericError`` naming the op, except ``reshape``, whose
+    values are its checked input's; fused ops (a whole
     bidirectional layer or character BiLSTM and ``softmax_nll`` in
     ``network``, ``crf_log_z`` and ``crf_nll`` in ``crf``) are one node
     each and may check intermediates too, e.g. the stacked
@@ -16,14 +17,16 @@ Conventions:
     pushing it to the parents;
   * parameters are leaf tensors created with ``parameter()``; their
     ``grad`` persists across graphs and must be reset by the caller;
+    ``backward()`` keeps only the leaves' adjoints and frees each
+    intermediate node's once that node has pushed it to its parents;
   * dropout multiplies by a precomputed mask, so it needs no dedicated
     op: a ``mul`` node for word and task dropout, and inside the
     recurrent node for the RNN sites.
 
 The finite-difference gradient check, and the small ops that only the
 tests and the composed references use (``power``, ``exp``,
-``reshape``, ``softmax``, sums, means and ``logsumexp``), live with the
-tests (``tests/gradcheck.py``).
+``softmax``, sums, means and ``logsumexp``), live with the tests
+(``tests/gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ class Tensor:
                 raise NumericError(f"non-finite adjoint at op '{node.op}'")
             if node._backward is not None:
                 node._backward(g)
+                node.grad = None  # no caller reads an intermediate node's adjoint
 
     # -- operator sugar ----------------------------------------------------
 
@@ -177,8 +181,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def make_node(data: np.ndarray, parents: Iterable[Tensor], backward: Callable, op: str) -> Tensor:
-    check_finite(data, op)
+def make_node(
+    data: np.ndarray, parents: Iterable[Tensor], backward: Callable, op: str, check: bool = True
+) -> Tensor:
+    if check:
+        check_finite(data, op)
     parents = tuple(p for p in parents if p.requires_grad)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -296,6 +303,13 @@ def relu(a) -> Tensor:
 
 
 # -- structural ops -----------------------------------------------------------
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    def backward(g):
+        a._accum(g.reshape(a.shape))
+
+    return make_node(a.data.reshape(shape), (a,), backward, "reshape", check=False)
 
 
 def getitem(a: Tensor, key) -> Tensor:

@@ -131,7 +131,7 @@ def cmd_predict(args) -> int:
             surfaces.append(cols[args.token_column])
         sentence = tuple(Token(s, {}) for s in surfaces)
         columns = []
-        shared = []  # the sentence's embedding and shared layers, for every task
+        shared = []  # the sentence's mask, embedding and shared layers, for every task
         for task in tasks:
             predicted = model.predict_labels(task, sentence, shared)
             predicted = experiment.postprocess_labels(predicted, args.postprocess)

@@ -9,15 +9,16 @@ inverted scaling, so evaluation passes need no rescaling.
 
 Each bidirectional layer is one fused tape node (``recurrent``) whose
 directions step together in one loop, with the layer's RNN dropout
-masks applied inside. A training batch is one padded graph
-(``Model.batch_loss``): its sentences run each shared layer together as
-a (B, T, k) batch with a length mask, the character BiLSTM is one node
-that runs all words of the batch, and the task loss is one node over
-the real tokens: ``softmax_nll`` here, ``crf.crf_nll`` for a CRF head.
-Evaluation runs one sentence at a time. Finite checks happen once per
-fused node, on its stacked gate pre-activations and on its output, and
-per adjoint in the backward pass; the remaining elementary ops check
-their own outputs.
+masks applied inside. ``Model.forward`` is the one forward graph: a
+batch's sentences run each shared layer together as a padded (B, T, k)
+batch with a length mask (None when no row is padded), the character
+BiLSTM is one node that runs all words of the batch, and the head reads
+the real tokens' rows. Training adds one loss node over those rows
+(``softmax_nll`` here, ``crf.crf_nll`` for a CRF head); evaluation runs
+each sentence as a batch of one. Finite checks happen once per fused
+node, on its stacked gate pre-activations and on its output, and per
+adjoint in the backward pass; the remaining elementary ops check their
+own outputs.
 """
 
 from __future__ import annotations
@@ -244,18 +245,18 @@ def recurrent(
     """The directions of a recurrent layer over whole sequences, as one
     tape node named ``rnn/<kind>``; the cells share kind and size.
 
-    ``x`` is a padded (B, T, k) batch, or one (T, k) sequence, read by
-    every direction. Direction d runs ``cells[d]`` over t = 0 .. T-1, or
-    over t = T-1 .. 0 if ``reverse[d]``. ``mask`` (B, T) marks the real
-    steps; on a padded step the state carries over unchanged, so the
-    last processed step holds each row's final state. ``masks[d]`` holds
-    direction d's dropout keep masks (input, state, output), each None
-    or indexed by input time: the input mask multiplies ``x``, the state
-    mask (broadcastable to (B, T, H)) the incoming hidden state of each
-    step, the output mask the returned states. Returns the directions'
-    hidden states concatenated per step in input time order, (B, T, D*H)
-    or (T, D*H); with ``final``, only the last processed step of each
-    direction, (B, D*H) or (D*H,).
+    ``x`` is a padded (B, T, k) batch read by every direction. Direction
+    d runs ``cells[d]`` over t = 0 .. T-1, or over t = T-1 .. 0 if
+    ``reverse[d]``. ``mask`` (B, T) marks the real steps, None when no
+    row is padded; on a padded step the state carries over unchanged, so
+    the last processed step holds each row's final state. ``masks[d]``
+    holds direction d's dropout keep masks (input, state, output), each
+    None or indexed by input time: the input mask multiplies ``x``, the
+    state mask (broadcastable to (B, T, H)) the incoming hidden state of
+    each step, the output mask the returned states. Returns the
+    directions' hidden states concatenated per step in input time order,
+    (B, T, D*H); with ``final``, only the last processed step of each
+    direction, (B, D*H).
 
     Internally every array is step-major with a direction axis, (T, D,
     B, .), so step s of direction d is time s, or T-1-s when reversed,
@@ -276,11 +277,7 @@ def recurrent(
     for cell in cells:
         if x.data.shape[-1] != cell.W.shape[0]:
             raise ShapeError(f"cell input dim {x.data.shape[-1]} != weight dim {cell.W.shape[0]}")
-    if x.data.ndim == 3:
-        B, T, k = x.data.shape
-        lead = (B,)
-    else:
-        (T, k), B, lead = x.data.shape, 1, ()
+    B, T, k = x.data.shape
     masks = masks or [(None, None, None)] * D
 
     def steps(a: np.ndarray, d: int) -> np.ndarray:
@@ -289,7 +286,7 @@ def recurrent(
 
     def time_rows(in_mask: np.ndarray | None) -> np.ndarray:
         xd = x.data if in_mask is None else x.data * in_mask
-        return xd.transpose(1, 0, 2).reshape(T * B, k) if lead else xd
+        return xd.transpose(1, 0, 2).reshape(T * B, k)
 
     # per direction: its time-major (T*B, k) input rows, shared by the
     # directions without input dropout, and x @ W
@@ -312,7 +309,7 @@ def recurrent(
             if state_mask is not None:
                 SM[:, d] = steps(np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2), d)
     keep = drop = None
-    if mask is not None and not mask.all():
+    if mask is not None:
         by_time = np.asarray(mask, dtype=bool).reshape(B, T).T
         keep = np.stack([steps(by_time, d) for d in range(D)], axis=1)[..., None]
         drop = ~keep
@@ -380,7 +377,7 @@ def recurrent(
                 g = g_out[..., d * H : (d + 1) * H]
                 if out_mask is not None:
                     g = g * out_mask
-                dOUT[:, d] = steps(g.transpose(1, 0, 2) if lead else g[:, None], d)
+                dOUT[:, d] = steps(g.transpose(1, 0, 2), d)
         HM = _previous(OUT)
         if SM is not None:
             HM *= SM
@@ -388,7 +385,9 @@ def recurrent(
         if kind == "simple":
             DF = 1.0 - ACT * ACT  # ACT is OUT: a padded step's factor is masked below
         elif kind == "lstm":
-            COEF = np.empty((T, D, B, 4, H))  # gate adjoints per unit of dc (o: per unit of dh)
+            # gate adjoints per unit of dc (o: per unit of dh); step s below
+            # turns COEF[s] into its gate adjoints, so COEF also serves as dZ
+            COEF = np.empty((T, D, B, 4, H))
             COEF[..., 0, :] = GC * (I * (1.0 - I))
             COEF[..., 1, :] = _previous(C) * (F * (1.0 - F))
             COEF[..., 2, :] = TC * (O * (1.0 - O))
@@ -404,7 +403,8 @@ def recurrent(
             RHM = R * HM  # the states the candidate's U multiplies
         # not halved: dZ is the adjoint of the full pre-activations
         UT = np.stack([cell.U.data for cell in cells]).transpose(0, 2, 1)
-        dZ = np.empty_like(ACT)  # Z's shape; Z itself is not kept for the backward pass
+        # Z's shape; Z itself is not kept for the backward pass
+        dZ = COEF.reshape(T, D, B, 4 * H) if kind == "lstm" else np.empty_like(ACT)
         dh = np.zeros(OUT.shape[1:])
         dc = np.zeros(OUT.shape[1:])
         for s in range(T - 1, -1, -1):
@@ -415,9 +415,10 @@ def recurrent(
             elif kind == "lstm":
                 dcn = dh * DTC[s]
                 dcn += dc
-                dz4 = dz.reshape(D, B, 4, H)
-                np.multiply(dcn[..., None, :], COEF[s], out=dz4)
-                np.multiply(dh, COEF[s, ..., 2, :], out=dz4[..., 2, :])
+                coef = COEF[s]
+                o = dh * coef[..., 2, :]
+                coef *= dcn[..., None, :]
+                coef[..., 2, :] = o
                 dc = dcn * F[s] if keep is None else np.where(keep[s], dcn * F[s], dc)
             else:
                 da = np.multiply(dh, DA[s], out=dA[s])
@@ -455,16 +456,15 @@ def recurrent(
                     b_._accum(dd.sum(axis=0, keepdims=True))
             if x.requires_grad:
                 dX = sum(dd @ W.data.T for dd, _, W, _, _ in blocks)
-                dX = dX.reshape(T, B, k).transpose(1, 0, 2) if lead else dX
+                dX = dX.reshape(T, B, k).transpose(1, 0, 2)
                 x._accum(dX if in_mask is None else dX * in_mask)
 
     if final:
-        out = OUT[-1].transpose(1, 0, 2).reshape(*lead, D * H)
+        out = OUT[-1].transpose(1, 0, 2).reshape(B, D * H)
     else:
         halves = []
         for d, (_, _, out_mask) in enumerate(masks):
-            y = steps(OUT[:, d], d)
-            y = y.transpose(1, 0, 2) if lead else y[:, 0]
+            y = steps(OUT[:, d], d).transpose(1, 0, 2)
             halves.append(y if out_mask is None else y * out_mask)
         out = np.concatenate(halves, axis=-1)
     params = (t for cell in cells for _, t in cell.tensors())
@@ -472,6 +472,21 @@ def recurrent(
 
 
 # -- layers ------------------------------------------------------------------------
+
+
+def pad_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The id sequences ``seqs`` as one (B, T) array, padded with
+    ``PAD_INDEX`` to the longest, and the (B, T) mask of their real
+    steps; the mask is None when no row is padded."""
+    lengths = [len(seq) for seq in seqs]
+    T = max(lengths, default=0)
+    flat = [i for seq in seqs for i in seq]
+    if min(lengths, default=T) == T:
+        return np.array(flat, dtype=np.intp).reshape(len(seqs), T), None
+    mask = np.arange(T) < np.array(lengths)[:, None]
+    ids = np.full(mask.shape, PAD_INDEX, dtype=np.intp)
+    ids[mask] = flat
+    return ids, mask
 
 
 def embed_sentence(
@@ -482,12 +497,11 @@ def embed_sentence(
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Look up word vectors, one row per id of a sentence's ids or of a
-    padded (B, T) batch of them; during training, independently zero
-    each row with the word-dropout probability (kept rows are rescaled).
-    The draws cover the ids that ``mask`` marks real (all without one),
-    in row-major order: a batch draws for its real tokens in sentence
-    order."""
+    """Look up word vectors, one row per id of a padded (B, T) batch of
+    ids; during training, independently zero each row with the
+    word-dropout probability (kept rows are rescaled). The draws cover
+    the ids that ``mask`` marks real (all without one), in row-major
+    order: a batch draws for its real tokens in sentence order."""
     ids = np.asarray(word_ids, dtype=np.intp)
     rows = table[ids]
     if training and word_dropout > 0.0:
@@ -507,33 +521,29 @@ def char_features(
     fwd: CellParams,
     bwd: CellParams,
 ) -> Tensor:
-    """Per word of a sentence, the concatenated final forward/backward
-    LSTM states over its characters, shape (n_words, 2*hidden). All
-    words run as one padded batch; the backward direction reads each
-    word from its last character. Empty words yield zeros."""
-    lengths = np.array([len(ids) for ids in char_idss], dtype=np.intp)
-    T = int(lengths.max(initial=0))
-    if T == 0:
-        return Tensor(np.zeros((len(lengths), 2 * fwd.hidden)))
-    mask = np.arange(T) < lengths[:, None]
-    ids = np.full(mask.shape, PAD_INDEX, dtype=np.intp)
-    ids[mask] = [i for word in char_idss for i in word]
+    """Per word, the concatenated final forward/backward LSTM states
+    over its characters, shape (n_words, 2*hidden). All words run as one
+    padded batch; the backward direction reads each word from its last
+    character. Empty words yield zeros."""
+    ids, mask = pad_ids(char_idss)
+    if ids.shape[1] == 0:
+        return Tensor(np.zeros((len(ids), 2 * fwd.hidden)))
     return recurrent(table[ids], (fwd, bwd), (False, True), mask=mask, final=True)
 
 
 def _dropout_masks(rng, dropout: DropoutConfig, shape, hidden: int, reverse: bool):
-    """Input (., k), state (., hidden) and output (., hidden) keep
-    masks of one direction over inputs of ``shape``, (T, k) or a padded
-    (B, T, k) batch, rows in input time order; None where the site is
-    off. The draws run sequence by sequence, in processing order, site
-    by site within a step: one row per sequence for all steps when
+    """Input (B, ., k), state (B, ., hidden) and output (B, ., hidden)
+    keep masks of one direction over a padded (B, T, k) batch of
+    ``shape``, rows in input time order; None where the site is off.
+    The draws run sequence by sequence, in processing order, site by
+    site within a step: one row per sequence for all steps when
     variational, else one per step (padded steps included)."""
-    *lead, T, k = shape
+    B, T, k = shape
     sites = ((dropout.rnn_input, k), (dropout.rnn_state, hidden), (dropout.rnn_output, hidden))
     width = sum(w for p, w in sites if p > 0.0)
     if width == 0:
         return None, None, None
-    draws = rng.random((*lead, 1 if dropout.variational else T, width))
+    draws = rng.random((B, 1 if dropout.variational else T, width))
     if reverse:
         draws = draws[..., ::-1, :]
     masks, col = [], 0
@@ -555,11 +565,11 @@ def bidirectional_layer(
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Run both directions over (T, k) inputs, or a padded (B, T, k)
-    batch whose real steps ``mask`` (B, T) marks, and concatenate per
-    step into (T, 2*hidden) or (B, T, 2*hidden). RNN input/state/output
-    dropout applies inside; variational mode reuses one mask per
-    sequence and direction."""
+    """Run both directions over a padded (B, T, k) batch whose real steps
+    ``mask`` (B, T) marks (None: no row is padded), and concatenate per
+    step into (B, T, 2*hidden). RNN input/state/output dropout applies
+    inside; variational mode reuses one mask per sequence and
+    direction."""
     masks = None
     if training:
         masks = [
@@ -570,26 +580,22 @@ def bidirectional_layer(
 
 
 def shared_stack_forward(
-    embedded: Tensor,
+    stack: list[Tensor],
     layers: Sequence[tuple[CellParams, CellParams]],
     use_shortcuts: bool,
     dropout: DropoutConfig,
     training: bool,
     rng: np.random.Generator | None = None,
-    stack: list[Tensor] | None = None,
     mask: np.ndarray | None = None,
 ) -> list[Tensor]:
     """All shared layer outputs, bottom to top, so any task can
-    terminate anywhere. With shortcuts, each layer above the first sees
-    the word representations concatenated onto its input. ``embedded``
-    is one sentence's (T, k) rows, or a padded (B, T, k) batch whose
-    real steps ``mask`` marks.
-
-    ``stack``, if given, is ``[embedded, layer 1 output, ...]`` from
-    earlier calls on the same sentence: its layers are reused, it is
-    extended in place up to ``len(layers)``, and every output it holds
-    is returned."""
-    stack = [embedded] if stack is None else stack
+    terminate anywhere. ``stack`` is ``[embedded, layer 1 output, ...]``
+    for one padded (B, T, k) batch whose real steps ``mask`` marks: the
+    layers it holds are reused, it is extended in place up to
+    ``len(layers)``, and every output it holds is returned. With
+    shortcuts, each layer above the first sees the word representations
+    concatenated onto its input."""
+    embedded = stack[0]
     for i in range(len(stack) - 1, len(layers)):
         fwd, bwd = layers[i]
         current = stack[-1]
@@ -619,12 +625,10 @@ def task_head_forward(
 ) -> Tensor:
     """Per-token logits for one task: termination layer output through
     the private layers and the affine projection; task dropout is
-    applied to the projection output, before the classifier. Padded
-    (B, T, .) outputs give their real steps, which ``mask`` marks, as
-    (N, .) rows in sentence order."""
-    x = layer_outputs[task.spec.termination_layer - 1]
-    if mask is not None:
-        x = pack(x, mask)
+    applied to the projection output, before the classifier. The
+    padded (B, T, .) outputs give their real steps, which ``mask``
+    marks, as (N, .) rows in sentence order."""
+    x = pack(layer_outputs[task.spec.termination_layer - 1], mask)
     for spec, weight in zip(task.spec.private_layers, task.private):
         x = ACTIVATIONS[spec.activation](x @ weight)
     logits = x @ task.proj_W + task.proj_b
@@ -667,9 +671,12 @@ def softmax_nll(
     return ad.make_node(np.asarray(loss, dtype=np.float64), (logits,), backward, "softmax_nll")
 
 
-def pack(x: Tensor, mask: np.ndarray) -> Tensor:
+def pack(x: Tensor, mask: np.ndarray | None) -> Tensor:
     """The rows of a padded (B, T, k) batch at the steps ``mask`` (B, T)
-    marks, as (N, k) in sentence order; the pads get no gradient."""
+    marks (all without one), as (N, k) in sentence order; the pads get
+    no gradient."""
+    if mask is None:
+        return ad.reshape(x, (-1, x.shape[-1]))
 
     def backward(g):
         grad = np.zeros_like(x.data)
@@ -679,10 +686,12 @@ def pack(x: Tensor, mask: np.ndarray) -> Tensor:
     return ad.make_node(x.data[mask], (x,), backward, "pack")
 
 
-def unpack(x: Tensor, mask: np.ndarray) -> Tensor:
-    """(N, k) rows in sentence order as a padded (B, T, k) batch with
-    zeros at the steps ``mask`` (B, T) leaves out; inverse of ``pack``."""
-    out = np.zeros((*mask.shape, x.shape[-1]))
+def unpack(x: Tensor, mask: np.ndarray | None, shape: tuple[int, int]) -> Tensor:
+    """(N, k) rows in sentence order as a padded batch of ``shape`` (B,
+    T) with zeros at the steps ``mask`` leaves out; inverse of ``pack``."""
+    if mask is None:
+        return ad.reshape(x, (*shape, -1))
+    out = np.zeros((*shape, x.shape[-1]))
     out[mask] = x.data
     return ad.make_node(out, (x,), lambda g: x._accum(g[mask]), "unpack")
 
@@ -818,72 +827,48 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def embedded(self, word_ids, char_idss, training: bool, rng=None) -> Tensor:
-        emb = embed_sentence(
-            word_ids, self.params["embed/word"], self.config.dropout.word, training, rng
-        )
-        if self.config.char.enabled:
-            fwd, bwd = self._char_cells
-            feats = char_features(char_idss, self.params["embed/char"], fwd, bwd)
-            emb = ad.concat([emb, feats], axis=1)
-        return emb
-
-    def forward_logits(
-        self, task_name: str, word_ids, char_idss, training: bool, rng=None, shared=None
-    ):
-        """Logits of one task; the shared stack runs (and draws dropout
-        masks) only up to the task's termination layer. ``shared`` is an
-        optional store for one sentence that the caller owns,
-        ``[embedded, layer 1 output, ...]``: a call reuses what it holds
-        (``word_ids`` and ``char_idss`` are read only while it is empty)
-        and extends it up to the task's termination layer. So at
-        evaluation the tasks of one sentence embed it and run each shared
-        layer once, in any order, with the same ops on the same data as
-        separate calls."""
+    def forward(self, task_name: str, batch, training: bool, rng=None, shared=None) -> Tensor:
+        """Logits of one task for a batch of ``(word_ids, char_idss, ...)``
+        sentences, one row per real token in sentence order: one lookup
+        of the padded (B, T) word ids, one character BiLSTM over all
+        words, each shared layer up to the task's termination layer once
+        over (B, T, k) with the length mask (None when no row is padded),
+        and the task head. ``shared`` is an optional store for the batch
+        that the caller owns, ``[mask, embedded, layer 1 output, ...]``:
+        a call reuses what it holds (``batch`` is read only while it is
+        empty) and extends it up to the task's termination layer, so the
+        tasks of a batch embed it and run each shared layer once."""
         task = self._tasks[task_name]
         shared = [] if shared is None else shared
         if not shared:
-            shared.append(self.embedded(word_ids, char_idss, training, rng))
+            ids, mask = pad_ids([word_ids for word_ids, *_ in batch])
+            word = self.params["embed/word"]
+            emb = embed_sentence(ids, word, self.config.dropout.word, training, rng, mask)
+            if self.config.char.enabled:
+                fwd, bwd = self._char_cells
+                words = [chars for _, char_idss, *_ in batch for chars in char_idss]
+                feats = char_features(words, self.params["embed/char"], fwd, bwd)
+                emb = ad.concat([emb, unpack(feats, mask, ids.shape)], axis=-1)
+            shared += [mask, emb]
+        mask, stack = shared[0], shared[1:]
         outputs = shared_stack_forward(
-            shared[0],
+            stack,
             self._cells[: task.spec.termination_layer],
             self.config.use_shortcuts,
             self.config.dropout,
             training,
             rng,
-            stack=shared,
+            mask,
         )
-        return task_head_forward(outputs, task, training, rng)
+        shared[2:] = outputs
+        return task_head_forward(outputs, task, training, rng, mask=mask)
 
     def batch_loss(self, task_name: str, batch, training=True, rng=None) -> Tensor:
         """Mean loss of one task over a batch of ``(word_ids, char_idss,
-        gold)`` sentences, as one padded graph: one word-table lookup of
-        the (B, T) ids, one character BiLSTM over all words, each shared
-        layer up to the task's termination layer once over (B, T, k)
-        with the length mask, and one head and loss node over the real
-        tokens' rows. A batch of one runs the ops of a single sentence."""
+        gold)`` sentences: one loss node on top of :meth:`forward`."""
         task = self._tasks[task_name]
+        logits = self.forward(task_name, batch, training, rng)
         lengths = [len(word_ids) for word_ids, _, _ in batch]
-        mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
-        ids = np.full(mask.shape, PAD_INDEX, dtype=np.intp)
-        ids[mask] = [i for word_ids, _, _ in batch for i in word_ids]
-        word = self.params["embed/word"]
-        emb = embed_sentence(ids, word, self.config.dropout.word, training, rng, mask)
-        if self.config.char.enabled:
-            fwd, bwd = self._char_cells
-            words = [chars for _, char_idss, _ in batch for chars in char_idss]
-            feats = char_features(words, self.params["embed/char"], fwd, bwd)
-            emb = ad.concat([emb, unpack(feats, mask)], axis=-1)
-        outputs = shared_stack_forward(
-            emb,
-            self._cells[: task.spec.termination_layer],
-            self.config.use_shortcuts,
-            self.config.dropout,
-            training,
-            rng,
-            mask=mask,
-        )
-        logits = task_head_forward(outputs, task, training, rng, mask=mask)
         gold = [label for _, _, labels in batch for label in labels]
         if task.spec.head == "crf":
             return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold, lengths)
@@ -893,10 +878,12 @@ class Model:
         """The loss of one sentence: a batch of one."""
         return self.batch_loss(task_name, [(word_ids, char_idss, gold)], training, rng)
 
-    def predict_ids(self, task_name: str, word_ids, char_idss, shared=None) -> list[int]:
-        """Best label ids of one task; ``shared`` as in :meth:`forward_logits`."""
+    def predict_ids(self, task_name: str, batch, shared=None) -> list[int]:
+        """Best label ids of one task for a batch of one sentence,
+        ``[(word_ids, char_idss)]``; ``batch`` and ``shared`` as in
+        :meth:`forward`."""
         with ad.no_grad():
-            logits = self.forward_logits(task_name, word_ids, char_idss, False, shared=shared)
+            logits = self.forward(task_name, batch, False, shared=shared)
         task = self._tasks[task_name]
         if task.spec.head == "crf":
             return crf.crf_viterbi(
@@ -906,9 +893,10 @@ class Model:
 
     def predict_labels(self, task_name: str, sentence: Sentence, shared=None) -> list[str]:
         """Labels of one task for one sentence; ``shared`` as in
-        :meth:`forward_logits`."""
-        encoded = self.encode_sentence(sentence) if not shared else ((), ())
-        ids = self.predict_ids(task_name, *encoded, shared)
+        :meth:`forward`, and the sentence is encoded only while it is
+        empty."""
+        batch = None if shared else [self.encode_sentence(sentence)]
+        ids = self.predict_ids(task_name, batch, shared)
         labels = self.vocab.labels_of(task_name)
         return [labels[i] for i in ids]
 

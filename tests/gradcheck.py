@@ -1,7 +1,7 @@
 """Test-only autodiff helpers: the small ops that only the tests and
-the composed references use (``power``, ``exp``, ``reshape``,
-``softmax``, ``tsum``, ``tmean`` and ``logsumexp``), and a
-finite-difference gradient check."""
+the composed references use (``power``, ``exp``, ``softmax``,
+``tsum``, ``tmean`` and ``logsumexp``), and a finite-difference
+gradient check."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from seqtag import autodiff as ad
 from seqtag.autodiff import Tensor
-from seqtag.exceptions import ShapeError
 
 
 def power(a, exponent) -> Tensor:
@@ -36,20 +35,6 @@ def exp(a) -> Tensor:
             a._accum(g * data)
 
     return ad.make_node(data, (a,), backward, "exp")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    original = a.data.shape
-    try:
-        data = a.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeError(f"cannot reshape {original} to {shape}") from err
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g.reshape(original))
-
-    return ad.make_node(data, (a,), backward, "reshape")
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

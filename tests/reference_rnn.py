@@ -22,7 +22,7 @@ from seqtag.crf import crf_log_z
 from seqtag.exceptions import ShapeError
 from seqtag.network import _dropout_masks
 
-from gradcheck import logsumexp, reshape, tmean, tsum
+from gradcheck import logsumexp, tmean, tsum
 
 
 def initial_state(params) -> tuple[Tensor, ...]:
@@ -139,11 +139,11 @@ def char_features_reference(char_idss, table: Tensor, fwd, bwd) -> Tensor:
 def crf_log_z_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor):
     """Forward algorithm with one logsumexp node per step."""
     T, L = logits.shape
-    alpha = logits[0:1, :] + reshape(begin, (1, L))
+    alpha = logits[0:1, :] + ad.reshape(begin, (1, L))
     for t in range(1, T):
-        scores = reshape(alpha, (L, 1)) + transitions
+        scores = ad.reshape(alpha, (L, 1)) + transitions
         alpha = logsumexp(scores, axis=0, keepdims=True) + logits[t : t + 1, :]
-    return logsumexp(alpha + reshape(end, (1, L)))
+    return logsumexp(alpha + ad.reshape(end, (1, L)))
 
 
 def crf_score_reference(logits: Tensor, transitions: Tensor, begin: Tensor, end: Tensor, path):

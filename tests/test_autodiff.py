@@ -4,7 +4,7 @@ import pytest
 from seqtag import autodiff as ad
 from seqtag.exceptions import NumericError, ShapeError
 
-from gradcheck import check_gradients, exp, logsumexp, power, reshape, softmax, tmean, tsum
+from gradcheck import check_gradients, exp, logsumexp, power, softmax, tmean, tsum
 
 
 def test_matmul_identity():
@@ -85,6 +85,18 @@ def test_backward_accumulates_over_paths():
     y = w * w + w  # dy/dw = 2w + 1 = 5
     y.backward()
     assert float(w.grad) == pytest.approx(5.0)
+
+
+def test_backward_keeps_only_the_leaves_gradients():
+    """An intermediate node's adjoint is freed once it has been pushed to
+    the node's parents; the leaves keep theirs."""
+    w = ad.parameter(np.array([[1.0, -2.0, 0.5]]))
+    x = ad.parameter(np.array([[0.3], [-0.7], [1.1]]))
+    hidden = ad.tanh(w @ x)
+    loss = tsum(hidden * hidden + w)
+    loss.backward()
+    assert hidden.grad is None and loss.grad is None
+    assert w.grad is not None and x.grad is not None
 
 
 def test_backward_linearity():
@@ -204,7 +216,7 @@ def test_concat_and_reshape_gradients():
 
     def build():
         joined = ad.concat([a, b], axis=1)
-        return tsum(ad.sigmoid(reshape(joined, 10)))
+        return tsum(ad.sigmoid(ad.reshape(joined, 10)))
 
     assert check_gradients(build, [a, b]) <= 1e-6
 

@@ -1,5 +1,6 @@
-"""A training batch is one padded graph (``Model.batch_loss``): its loss
-and gradients are the mean of its sentences' ones, a batch of one is the
+"""A batch is one padded graph (``Model.forward``): a training batch's
+loss and gradients are the mean of its sentences' ones, each sentence's
+logits equal its batch-of-one logits, a batch of one is the
 single-sentence graph bit for bit, and the pads reach no parameter."""
 
 import hashlib
@@ -7,7 +8,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from seqtag import network
+from seqtag import autodiff as ad
+from seqtag import crf, network
 from seqtag.corpus import PAD_INDEX
 from seqtag.network import (
     CharConfig,
@@ -101,6 +103,70 @@ def test_padded_batch_equals_the_mean_of_its_sentences(cell, char, shortcuts, ta
     for name, grad in grads.items():
         mean = sum(g[name] for _, g in per_sentence if name in g) / len(batch)
         assert np.max(np.abs(grad - mean)) <= 1e-12 * np.max(np.abs(mean)), name
+
+
+def best_ids(model, task, logits):
+    params = model._tasks[task]
+    if params.spec.head == "crf":
+        return crf.crf_viterbi(
+            logits, params.transitions.data, params.begin.data, params.end.data
+        )
+    return [int(i) for i in np.argmax(logits, axis=1)]
+
+
+@pytest.mark.parametrize("head", ["crf", "softmax"])
+@pytest.mark.parametrize("shortcuts", [False, True], ids=["plain", "shortcuts"])
+@pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])
+@pytest.mark.parametrize("cell", ["lstm", "gru", "simple"])
+def test_one_forward_serves_a_padded_batch_and_a_batch_of_one(cell, char, shortcuts, head):
+    """Each sentence's rows of a padded B = 3 forward equal its logits
+    as a batch of one at 1e-12 relative and decode to the labels that
+    ``predict_ids`` gives it, for tasks ending at layer 2 and layer 1."""
+    model, corpora = batch_model(cell=cell, char=char, shortcuts=shortcuts, head=head)
+    for task in ("tag", "seg"):
+        batch = encoded_batch(model, corpora[task], task, [2, 0, 3])
+        lengths = [len(ids) for ids, _, _ in batch]
+        assert len(set(lengths)) == 3 and lengths[0] < max(lengths)
+        with ad.no_grad():
+            padded = model.forward(task, batch, training=False).data
+        assert padded.shape[0] == sum(lengths)
+        for sentence, rows in zip(batch, np.split(padded, np.cumsum(lengths)[:-1])):
+            with ad.no_grad():
+                alone = model.forward(task, [sentence], training=False).data
+            assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
+            assert best_ids(model, task, rows) == model.predict_ids(task, [sentence[:2]])
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])
+@pytest.mark.parametrize("cell", ["lstm", "gru", "simple"])
+def test_unpadded_batch_without_a_mask_equals_an_all_true_mask(monkeypatch, cell, char):
+    """A batch with no padded row runs without a length mask; with an
+    all-true mask forced on it (word and character batches alike) its
+    logits, loss and gradients are the same bit for bit, dropout on."""
+    model, corpora = batch_model(
+        cell=cell, char=char, dropout=DropoutConfig(**ALL_DROPOUT), head_dropout=0.1
+    )
+    batch = encoded_batch(model, corpora["tag"], "tag", [3, 5, 7])
+    assert {len(ids) for ids, _, _ in batch} == {4}
+    assert network.pad_ids([ids for ids, _, _ in batch])[1] is None
+
+    def run():
+        with ad.no_grad():
+            logits = model.forward("tag", batch, training=False).data
+        loss, grads = loss_and_grads(
+            model, lambda: model.batch_loss("tag", batch, rng=np.random.default_rng(3))
+        )
+        return logits.tobytes(), loss, {n: g.tobytes() for n, g in grads.items()}
+
+    without = run()
+    pad_ids = network.pad_ids
+
+    def all_true(seqs):
+        ids, mask = pad_ids(seqs)
+        return ids, np.ones(ids.shape, dtype=bool) if mask is None else mask
+
+    monkeypatch.setattr(network, "pad_ids", all_true)
+    assert run() == without
 
 
 def test_batch_runs_each_layer_and_the_char_bilstm_once(monkeypatch):

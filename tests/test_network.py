@@ -36,6 +36,7 @@ from reference_rnn import (
     char_features_reference,
     char_features_two_calls,
     initial_state,
+    recurrent_reference,
     run_direction,
     softmax_nll_reference,
 )
@@ -130,7 +131,7 @@ def test_config_json_is_checked_like_a_config_file(key, value, pattern):
 
 def test_lstm_zero_weights_gives_zero_output():
     cell = zero_cell("lstm", 2, 3)
-    x = Tensor(np.ones((1, 2)))
+    x = Tensor(np.ones((1, 1, 2)))
     out = recurrent(x, [cell], [False])
     assert np.allclose(out.data, 0.0)
     # gates all sigmoid(0) = 0.5: check via the pre-activation identity
@@ -140,7 +141,7 @@ def test_lstm_zero_weights_gives_zero_output():
 
 def test_gru_zero_weights_gives_zero_output():
     cell = zero_cell("gru", 2, 3)
-    out = recurrent(Tensor(np.ones((1, 2))), [cell], [False])
+    out = recurrent(Tensor(np.ones((1, 1, 2))), [cell], [False])
     assert np.allclose(out.data, 0.0)
 
 
@@ -148,7 +149,7 @@ def test_simple_cell_formula():
     rng = np.random.default_rng(1)
     cell = init_cell("simple", 2, 3, rng)
     x = rng.normal(size=(2, 2))
-    out = recurrent(Tensor(x), [cell], [False]).data
+    out = recurrent(Tensor(x[None]), [cell], [False]).data[0]
     h = np.tanh(x[0:1] @ cell.W.data + cell.b.data)
     want = np.tanh(x[1:2] @ cell.W.data + h @ cell.U.data + cell.b.data)
     assert np.allclose(out[0:1], h)
@@ -159,7 +160,7 @@ def test_simple_cell_formula():
 def test_cell_step_gradients(kind):
     rng = np.random.default_rng(2)
     cell = init_cell(kind, 3, 2, rng)
-    x = Tensor(rng.normal(size=(1, 3)))
+    x = Tensor(rng.normal(size=(1, 1, 3)))
     params = [t for _, t in cell.tensors()]
 
     def build():
@@ -273,10 +274,10 @@ def test_bidi_single_step_concatenates_directions():
     fwd = init_cell("lstm", 3, 2, rng)
     bwd = init_cell("lstm", 3, 2, rng)
     x = Tensor(rng.normal(size=(1, 3)))
-    out = bidirectional_layer(x, fwd, bwd, DropoutConfig(), training=False)
+    out = bidirectional_layer(Tensor(x.data[None]), fwd, bwd, DropoutConfig(), training=False)
     f, _ = cell_step("lstm", x, initial_state(fwd), fwd)
     b, _ = cell_step("lstm", x, initial_state(bwd), bwd)
-    assert np.allclose(out.data, np.concatenate([f.data, b.data], axis=1))
+    assert np.allclose(out.data[0], np.concatenate([f.data, b.data], axis=1))
 
 
 def test_bidi_output_width_is_twice_hidden():
@@ -285,9 +286,9 @@ def test_bidi_output_width_is_twice_hidden():
         fwd = init_cell("gru", 2, hidden, rng)
         bwd = init_cell("gru", 2, hidden, rng)
         out = bidirectional_layer(
-            Tensor(rng.normal(size=(4, 2))), fwd, bwd, DropoutConfig(), training=False
+            Tensor(rng.normal(size=(1, 4, 2))), fwd, bwd, DropoutConfig(), training=False
         )
-        assert out.shape == (4, 2 * hidden)
+        assert out.shape == (1, 4, 2 * hidden)
 
 
 def test_bidi_palindrome_with_tied_weights_swaps_halves():
@@ -298,8 +299,8 @@ def test_bidi_palindrome_with_tied_weights_swaps_halves():
         dst.data[...] = src.data
     row = rng.normal(size=2)
     mid = rng.normal(size=2)
-    x = Tensor(np.stack([row, mid, row]))  # palindrome in time
-    out = bidirectional_layer(x, fwd, bwd, DropoutConfig(), training=False).data
+    x = Tensor(np.stack([row, mid, row])[None])  # palindrome in time
+    out = bidirectional_layer(x, fwd, bwd, DropoutConfig(), training=False).data[0]
     T, h = 3, 3
     for t in range(T):
         assert np.allclose(out[t, :h], out[T - 1 - t, h:], atol=1e-12)
@@ -329,7 +330,7 @@ def test_variational_state_dropout_reuses_one_mask(monkeypatch):
     cfg = DropoutConfig(rnn_state=0.5, variational=True)
     calls = record_recurrent_calls(monkeypatch)
     bidirectional_layer(
-        Tensor(rng.normal(size=(5, 2))),
+        Tensor(rng.normal(size=(1, 5, 2))),
         fwd,
         bwd,
         cfg,
@@ -338,8 +339,8 @@ def test_variational_state_dropout_reuses_one_mask(monkeypatch):
     )
     assert [call["reverse"] for call in calls] == [False, True]
     for call in calls:
-        steps = np.broadcast_to(call["state_mask"], (5, 4))
-        assert call["state_mask"].shape == (1, 4)
+        steps = np.broadcast_to(call["state_mask"], (1, 5, 4))[0]
+        assert call["state_mask"].shape == (1, 1, 4)
         for mask in steps:
             assert np.array_equal(mask, steps[0])
     # one draw per direction, each a fresh mask
@@ -353,7 +354,7 @@ def test_non_variational_dropout_draws_fresh_masks(monkeypatch):
     cfg = DropoutConfig(rnn_input=0.5, rnn_state=0.5, variational=False)
     calls = record_recurrent_calls(monkeypatch)
     bidirectional_layer(
-        Tensor(np.ones((6, 2))),
+        Tensor(np.ones((1, 6, 2))),
         fwd,
         bwd,
         cfg,
@@ -362,9 +363,9 @@ def test_non_variational_dropout_draws_fresh_masks(monkeypatch):
     )
     for call in calls:
         # the inputs are all ones, so the fused op sees the input masks
-        input_masks = call["x"]
-        state_masks = call["state_mask"]
-        assert state_masks.shape == (6, 8)
+        input_masks = call["x"][0]
+        state_masks = call["state_mask"][0]
+        assert call["state_mask"].shape == (1, 6, 8)
         assert any(not np.array_equal(input_masks[0], m) for m in input_masks[1:])
         assert any(not np.array_equal(state_masks[0], m) for m in state_masks[1:])
 
@@ -412,15 +413,16 @@ def test_fused_layer_matches_per_step_reference(kind, variational):
         cfg = DropoutConfig(rnn_input=0.3, rnn_state=0.4, rnn_output=0.2, variational=variational)
         training = True
     fused_rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
+    batch = lambda: ad.reshape(inputs, (1, 6, 3))  # noqa: E731 - the reference reads (T, k)
     assert_same_outputs_and_grads(
-        lambda: bidirectional_layer(inputs, fwd, bwd, cfg, training, np.random.default_rng(31)),
+        lambda: bidirectional_layer(batch(), fwd, bwd, cfg, training, np.random.default_rng(31)),
         lambda: bidirectional_reference(
             inputs, fwd, bwd, cfg if training else None, np.random.default_rng(31)
         ),
         params,
     )
     # the masks come from the same draws in the same order
-    bidirectional_layer(inputs, fwd, bwd, cfg, training, fused_rng)
+    bidirectional_layer(batch(), fwd, bwd, cfg, training, fused_rng)
     bidirectional_reference(inputs, fwd, bwd, cfg if training else None, reference_rng)
     assert fused_rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -430,11 +432,11 @@ def test_fused_state_masks_match_per_step_reference(kind):
     rng = np.random.default_rng(32)
     cell = random_cell(kind, 2, 3, rng)
     inputs = ad.parameter(rng.normal(size=(5, 2)))
-    state_masks = (rng.random((5, 3)) >= 0.4) / 0.6
+    state_masks = (rng.random((1, 5, 3)) >= 0.4) / 0.6
     params = [inputs] + [t for _, t in cell.tensors()]
 
     def state_only(site, t):
-        return state_masks[t : t + 1] if site == "state" else None
+        return state_masks[0, t : t + 1] if site == "state" else None
 
     for reverse in (False, True):
         order = range(4, -1, -1) if reverse else range(5)
@@ -443,7 +445,9 @@ def test_fused_state_masks_match_per_step_reference(kind):
             return ad.concat(run_direction(inputs, cell, order, state_only), axis=0)
 
         assert_same_outputs_and_grads(
-            lambda: recurrent(inputs, [cell], [reverse], masks=[(None, state_masks, None)]),
+            lambda: recurrent(
+                ad.reshape(inputs, (1, 5, 2)), [cell], [reverse], masks=[(None, state_masks, None)]
+            ),
             reference,
             params,
         )
@@ -487,7 +491,7 @@ def test_nonfinite_recurrent_weight_raises_numeric_error():
     with pytest.raises(NumericError, match="rnn/lstm"):
         model.sentence_loss("t", [2, 3], [[], []], [0, 1], training=False)
     with pytest.raises(NumericError, match="rnn/lstm"):
-        model.predict_ids("t", [2, 3], [[], []])
+        model.predict_ids("t", [([2, 3], [[], []])])
 
 
 def test_overflowing_preactivation_raises_although_tanh_saturates():
@@ -496,33 +500,34 @@ def test_overflowing_preactivation_raises_although_tanh_saturates():
         for columns in (slice(None), slice(0, 1)):
             cell = init_cell(kind, 2, 3, np.random.default_rng(36))
             cell.W.data[:, columns] = 1e308
-            x = Tensor(np.full((2, 2), 10.0))
+            x = Tensor(np.full((1, 2, 2), 10.0))
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericError, match=f"rnn/{kind}"):
                     recurrent(x, [cell], [False])
 
 
 @pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
-def test_single_sequence_equals_batch_of_one(kind):
+def test_batch_of_one_equals_the_single_direction_reference(kind):
+    """A single sequence runs as a (1, T, k) batch; its node gives, bit
+    for bit, the outputs and gradients of the single-direction kernel
+    that preceded the fused one."""
     rng = np.random.default_rng(37)
     cell = random_cell(kind, 3, 4, rng)
-    x = rng.normal(size=(5, 3))
-    state_masks = (rng.random((5, 4)) >= 0.3) / 0.7
+    inputs = ad.parameter(rng.normal(size=(1, 5, 3)))
+    state_masks = (rng.random((1, 5, 4)) >= 0.3) / 0.7
+    params = [inputs] + [t for _, t in cell.tensors()]
     for reverse in (False, True):
-        results = []
-        for data in (x, x[None]):
-            inputs = ad.parameter(data.copy())
-            for _, t in cell.tensors():
-                t.grad = None
-            out = recurrent(inputs, [cell], [reverse], masks=[(None, state_masks, None)])
-            weights = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
-            tsum(ad.tanh(out) * weights).backward()
-            grads = [inputs.grad.reshape(x.shape)] + [t.grad.copy() for _, t in cell.tensors()]
-            results.append((out.data.reshape(5, 4), grads))
-        (out_1, grads_1), (out_b, grads_b) = results
-        assert np.array_equal(out_1, out_b)
-        for g_1, g_b in zip(grads_1, grads_b):
-            assert np.array_equal(g_1, g_b)
+        fused = outputs_and_grads(
+            lambda: recurrent(inputs, [cell], [reverse], masks=[(None, state_masks, None)]),
+            params,
+            np.random.default_rng(38),
+        )
+        reference = outputs_and_grads(
+            lambda: recurrent_reference(inputs, cell, state_mask=state_masks, reverse=reverse),
+            params,
+            np.random.default_rng(38),
+        )
+        assert_bitwise_equal(fused, reference)
 
 
 # -- both directions in one node against two single-direction nodes ---------------------
@@ -566,7 +571,7 @@ def test_fused_layer_bitwise_equals_two_single_direction_calls(kind, mode):
         rng = np.random.default_rng(40 + T)
         fwd = random_cell(kind, 5, 6, rng)
         bwd = random_cell(kind, 5, 6, rng)
-        inputs = ad.parameter(rng.normal(size=(T, 5)))
+        inputs = ad.parameter(rng.normal(size=(1, T, 5)))
         params = [inputs] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
         fused_rng, reference_rng = np.random.default_rng(41), np.random.default_rng(41)
         fused = outputs_and_grads(
@@ -611,12 +616,12 @@ def test_fused_shortcut_stack_bitwise_equals_two_single_direction_calls(kind, mo
         for cell in pair:
             for _, t in cell.tensors():
                 t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
-    embedded = ad.parameter(rng.normal(size=(6, 6)))
+    embedded = ad.parameter(rng.normal(size=(1, 6, 6)))
     params = [embedded] + [t for pair in cells for cell in pair for _, t in cell.tensors()]
     cfg = DropoutConfig(rnn_input=0.2, rnn_state=0.3, rnn_output=0.1, variational=False)
 
     def top():
-        layers = shared_stack_forward(embedded, cells, True, cfg, True, np.random.default_rng(46))
+        layers = shared_stack_forward([embedded], cells, True, cfg, True, np.random.default_rng(46))
         return layers[-1]
 
     fused = outputs_and_grads(top, params, np.random.default_rng(47))
@@ -669,26 +674,26 @@ def test_stack_widths_without_shortcuts():
     rng = np.random.default_rng(14)
     cells = build_stack(rng, "lstm", [3, 4], in_dim=5, shortcuts=False)
     assert cells[1][0].W.shape[0] == 6  # 2h of layer below
-    emb = Tensor(rng.normal(size=(2, 5)))
-    outs = shared_stack_forward(emb, cells, False, DropoutConfig(), training=False)
-    assert [o.shape for o in outs] == [(2, 6), (2, 8)]
+    emb = Tensor(rng.normal(size=(1, 2, 5)))
+    outs = shared_stack_forward([emb], cells, False, DropoutConfig(), training=False)
+    assert [o.shape for o in outs] == [(1, 2, 6), (1, 2, 8)]
 
 
 def test_stack_widths_with_shortcuts():
     rng = np.random.default_rng(15)
     cells = build_stack(rng, "lstm", [3, 4], in_dim=5, shortcuts=True)
     assert cells[1][0].W.shape[0] == 6 + 5  # 2h + word representation
-    emb = Tensor(rng.normal(size=(2, 5)))
-    outs = shared_stack_forward(emb, cells, True, DropoutConfig(), training=False)
-    assert [o.shape for o in outs] == [(2, 6), (2, 8)]
+    emb = Tensor(rng.normal(size=(1, 2, 5)))
+    outs = shared_stack_forward([emb], cells, True, DropoutConfig(), training=False)
+    assert [o.shape for o in outs] == [(1, 2, 6), (1, 2, 8)]
 
 
 def test_single_layer_shortcut_flag_is_noop():
     rng = np.random.default_rng(16)
     cells = build_stack(rng, "gru", [3], in_dim=4, shortcuts=True)
-    emb = Tensor(rng.normal(size=(3, 4)))
-    with_flag = shared_stack_forward(emb, cells, True, DropoutConfig(), training=False)
-    without = shared_stack_forward(emb, cells, False, DropoutConfig(), training=False)
+    emb = Tensor(rng.normal(size=(1, 3, 4)))
+    with_flag = shared_stack_forward([emb], cells, True, DropoutConfig(), training=False)
+    without = shared_stack_forward([emb], cells, False, DropoutConfig(), training=False)
     assert np.array_equal(with_flag[0].data, without[0].data)
 
 
@@ -781,7 +786,7 @@ def test_model_uniform_distribution_with_zero_projection():
     config = tiny_config()
     model = Model(config, small_vocab(), np.random.default_rng(18))
     model.params["task/t/proj/W"].data[...] = 0.0
-    logits = model.forward_logits("t", [2, 3], [[], []], training=False)
+    logits = model.forward("t", [([2, 3], [[], []])], training=False)
     probs = softmax(logits, axis=1).data
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
@@ -808,8 +813,8 @@ def test_private_identity_layer_matches_no_private_head():
     for name, tensor in base.params.items():
         if name.startswith("task/t/proj"):
             with_private.params[name].data[...] = tensor.data
-    a = base.forward_logits("t", [2, 3], [[], []], training=False)
-    b = with_private.forward_logits("t", [2, 3], [[], []], training=False)
+    a = base.forward("t", [([2, 3], [[], []])], training=False)
+    b = with_private.forward("t", [([2, 3], [[], []])], training=False)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -819,8 +824,9 @@ def test_private_identity_layer_matches_no_private_head():
 def test_model_train_eval_coincide_without_dropout():
     model = Model(tiny_config(), small_vocab(), np.random.default_rng(20))
     rng = np.random.default_rng(0)
-    train_logits = model.forward_logits("t", [2, 3, 4], [[], [], []], training=True, rng=rng)
-    eval_logits = model.forward_logits("t", [2, 3, 4], [[], [], []], training=False)
+    batch = [([2, 3, 4], [[], [], []])]
+    train_logits = model.forward("t", batch, training=True, rng=rng)
+    eval_logits = model.forward("t", batch, training=False)
     assert np.array_equal(train_logits.data, eval_logits.data)
 
 
@@ -845,9 +851,10 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
     )
     model = Model(config, small_vocab(), np.random.default_rng(24))
     word_ids, char_idss = [2, 3, 4], [[], [], []]
-    emb = model.embedded(word_ids, char_idss, training=False)
-    full = shared_stack_forward(emb, model._cells, False, config.dropout, training=False)
-    read_from_full = network.task_head_forward(full, model._tasks["low"], training=False)
+    full = []  # the store of the whole stack: [mask, embedded, layer 1, layer 2]
+    model.forward("top", [(word_ids, char_idss)], training=False, shared=full)
+    assert len(full) == 4
+    read_from_full = network.task_head_forward(full[2:], model._tasks["low"], False, mask=full[0])
 
     layer_calls = []
     layer = network.bidirectional_layer
@@ -856,13 +863,13 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
     )
     for task, layers in (("low", 1), ("top", 2)):
         layer_calls.clear()
-        model.predict_ids(task, word_ids, char_idss)
+        model.predict_ids(task, [(word_ids, char_idss)])
         assert len(layer_calls) == layers
         layer_calls.clear()
         gold = [0, 1, 0]
         model.sentence_loss(task, word_ids, char_idss, gold, rng=np.random.default_rng(25))
         assert len(layer_calls) == layers
-    logits = model.forward_logits("low", word_ids, char_idss, training=False)
+    logits = model.forward("low", [(word_ids, char_idss)], training=False)
     assert np.array_equal(logits.data, read_from_full.data)
 
 
@@ -917,16 +924,16 @@ def test_shared_store_is_reused_and_extended_in_place():
     sentence = corpus.sentences[0]
     shared = []
     assert model.predict_labels("seg", sentence, shared) == model.predict_labels("seg", sentence)
-    assert len(shared) == 2  # the embedding and layer 1
-    embedded, first = shared
+    assert len(shared) == 3  # the mask (None: a batch of one has no pads), embedding, layer 1
+    mask, embedded, first = shared
+    assert mask is None
     assert model.predict_labels("tag", sentence, shared) == model.predict_labels("tag", sentence)
-    assert len(shared) == 3 and shared[0] is embedded and shared[1] is first
-    word_ids, char_idss = model.encode_sentence(sentence)
-    plain = model.forward_logits("tag", word_ids, char_idss, training=False)
+    assert len(shared) == 4 and shared[1] is embedded and shared[2] is first
+    plain = model.forward("tag", [model.encode_sentence(sentence)], training=False)
     layers = shared_stack_forward(
-        embedded, model._cells, False, model.config.dropout, training=False, stack=shared
+        shared[1:], model._cells, False, model.config.dropout, training=False
     )
-    assert layers == shared[1:]
+    assert layers == shared[2:]
     logits = network.task_head_forward(layers, model._tasks["tag"], training=False)
     assert logits.data.tobytes() == plain.data.tobytes()
 
@@ -969,7 +976,7 @@ def test_composite_op_gradients_ten_seeds():
             cell = init_cell(kind, 2, 2, rng)
             for _, t in cell.tensors():
                 t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
-            x = Tensor(rng.normal(size=(1, 2)))
+            x = Tensor(rng.normal(size=(1, 1, 2)))
 
             def cell_loss(cell=cell, x=x):
                 out = recurrent(x, [cell], [False])
@@ -987,7 +994,7 @@ def test_composite_op_gradients_ten_seeds():
         char_params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
         assert check_gradients(char_loss, char_params) <= 1e-6
 
-        inputs = Tensor(rng.normal(size=(3, 2)))
+        inputs = Tensor(rng.normal(size=(1, 3, 2)))
         bf = init_cell("gru", 2, 2, rng)
         bb = init_cell("gru", 2, 2, rng)
         for cell in (bf, bb):

@@ -3,6 +3,7 @@ and class attributes. Installing its wrappers here makes a rename or a
 removal of a wrapped function fail this suite, not a traced benchmark
 run."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +70,17 @@ def test_predict_records_one_latency_sample_per_sentence_and_task(tmp_path):
         patches.restore()
     assert len(probe.predictions) == len(sentences) * len(model.config.tasks)
     assert len(probe.loads) == 1
+
+
+def test_the_benchmark_suite_passes():
+    """perfbench's own tests, run from the repository root as its README
+    says: collected together with this suite their conftest files
+    clash, so they run in a process of their own."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
