@@ -140,20 +140,11 @@ class Tensor:
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def sigmoid(self):
-        return sigmoid(self)
 
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-
-def parameter(data, name: str | None = None) -> Tensor:
+def parameter(data) -> Tensor:
     """A trainable leaf tensor."""
     t = Tensor(data, requires_grad=True)
-    t.op = name or "param"
+    t.op = "param"
     return t
 
 

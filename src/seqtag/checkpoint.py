@@ -1,28 +1,29 @@
 """Model checkpoints.
 
-One file: magic bytes "SQTG", a little-endian u32 format version, a
-u64-length-prefixed JSON manifest (configuration echo, vocabularies,
-and a tensor registry of name/shape/byte offset), then the payload of
-raw little-endian IEEE-754 float64 values per tensor in registry
-order. Round trips are bit-exact, so a loaded model reproduces
-predictions exactly.
+One more file of the framing that ``seqtag.files`` gives every binary
+file: magic "SQTG", version 2, a CRC-32, one section holding the JSON
+manifest (configuration echo, vocabularies, and a tensor registry of
+names and shapes), then each tensor's float64 values in registry order
+up to the end of the file. Round trips are bit-exact. Version 1 files,
+which have no CRC and whose registry also gives byte offsets, still load.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
-from seqtag.corpus import Vocabulary, read_bytes
+from seqtag.corpus import Vocabulary
 from seqtag.exceptions import ConfigError, DataError
-from seqtag.files import write_atomic
+from seqtag.files import CacheReader, read_cache, section, write_cache
 from seqtag.network import Model, NetworkConfig
 
 MAGIC = b"SQTG"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(DataError):
@@ -30,49 +31,32 @@ class CheckpointError(DataError):
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    registry = []
-    payload = bytearray()
-    for name, tensor in model.params.items():
-        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        registry.append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
-        payload.extend(arr.tobytes())
     manifest = {
         "config": model.config.to_json(),
         "vocab": model.vocab.to_json(),
-        "tensors": registry,
-        "payload_bytes": len(payload),
+        "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
     }
-    blob = json.dumps(manifest).encode("utf-8")
-    write_atomic(path, b"".join((MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob, payload)))
+    values = np.concatenate([t.data.ravel() for t in model.params.values()], dtype="<f8")
+    pieces = (*section(json.dumps(manifest).encode("utf-8")), values)
+    write_cache(Path(path), MAGIC, VERSION, pieces)
 
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    blob = read_bytes(path)
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"not a checkpoint file: {path}")
-    if len(blob) < 16:
-        raise CheckpointError(f"truncated checkpoint: {path}")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (manifest_len,) = struct.unpack("<Q", blob[8:16])
-    manifest_end = 16 + manifest_len
-    if len(blob) < manifest_end:
-        raise CheckpointError(f"truncated checkpoint manifest: {path}")
     try:
-        manifest = json.loads(blob[16:manifest_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        version, blob, values = _read(path)
+        manifest = json.loads(blob.decode("utf-8"))
+    except DataError as err:
+        raise CheckpointError(str(err)) from err
+    except OSError as err:
+        raise CheckpointError(f"cannot read {path}: {err.strerror or err}") from err
+    except ValueError as err:  # not UTF-8 or not JSON
         raise CheckpointError(f"corrupt checkpoint manifest in {path}: {err}") from err
-    _check_manifest(manifest, path)
-    payload = blob[manifest_end:]
-    if len(payload) != manifest["payload_bytes"]:
-        raise CheckpointError(
-            f"payload length {len(payload)} disagrees with manifest "
-            f"({manifest['payload_bytes']} bytes declared)"
-        )
+    sizes = _check_manifest(manifest, version, path)
+    if sum(sizes) != values.size:
+        raise CheckpointError(f"checkpoint {path} has {values.size} values, not {sum(sizes)}")
 
     try:
         config = NetworkConfig.from_json(manifest["config"])
@@ -91,16 +75,14 @@ def load_model(path: str | Path) -> Model:
         )
     model = Model(config, vocab, None)  # no draws: every tensor is read below
 
-    declared = {entry["name"] for entry in manifest["tensors"]}
-    built = set(model.params.keys())
+    declared, built = {entry["name"] for entry in manifest["tensors"]}, set(model.params)
     if declared != built:
-        missing = sorted(built - declared)
-        extra = sorted(declared - built)
         raise CheckpointError(
             f"tensor registry disagrees with the configuration "
-            f"(missing: {missing}, unexpected: {extra})"
+            f"(missing: {sorted(built - declared)}, unexpected: {sorted(declared - built)})"
         )
-    for entry in manifest["tensors"]:
+    ends = np.cumsum(sizes)
+    for entry, end, size in zip(manifest["tensors"], ends, sizes):
         name, shape = entry["name"], tuple(entry["shape"])
         tensor = model.params[name]
         if tensor.data.shape != shape:
@@ -108,37 +90,55 @@ def load_model(path: str | Path) -> Model:
                 f"tensor {name!r} has shape {shape} in the checkpoint "
                 f"but {tensor.data.shape} in the configuration"
             )
-        start = entry["offset"]
-        end = start + 8 * tensor.data.size
-        if end > len(payload):
-            raise CheckpointError(f"tensor {name!r} exceeds the payload")
-        data = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"tensor {name!r} holds non-finite values")
-        tensor.data = data
+        tensor.data = values[end - size : end].reshape(shape)  # a view, not a copy
+    finite = np.isfinite(values)
+    if not finite.all():
+        name = manifest["tensors"][np.searchsorted(ends, np.argmin(finite), side="right")]["name"]
+        raise CheckpointError(f"tensor {name!r} holds non-finite values")
     return model
 
 
-def _check_manifest(manifest, path: Path) -> None:
-    """Reject a manifest whose top-level layout is not the one save_model writes."""
+def _read(path: Path) -> tuple[int, bytes, np.ndarray]:
+    """The format version, the manifest section and the float64 values."""
+    with open(path, "rb") as fh:
+        if fh.read(8) == MAGIC + (1).to_bytes(4, "little"):
+            reader = CacheReader(fh, os.fstat(fh.fileno()).st_size - 8, f"checkpoint {path}")
+            return 1, reader.section(), reader.floats()
+    with read_cache(path, MAGIC, VERSION, "checkpoint") as reader:
+        return VERSION, reader.section(), reader.floats()
+
+
+def _check_manifest(manifest, version: int, path: Path) -> list[int]:
+    """The number of values of each registry entry. A manifest whose
+    layout is not the one the writer of ``version`` produced raises."""
 
     def fail(what: str):
         raise CheckpointError(f"corrupt checkpoint manifest in {path}: {what}")
 
+    keys = {"config": dict, "vocab": dict, "tensors": list}
+    fields = {"name", "shape"}
+    if version == 1:
+        keys["payload_bytes"], fields = int, fields | {"offset"}
     if not isinstance(manifest, dict):
         fail("not a JSON object")
-    for key, kind in (("config", dict), ("vocab", dict), ("tensors", list), ("payload_bytes", int)):
+    for key, kind in keys.items():
         if key not in manifest:
             fail(f"missing key {key!r}")
         if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
             fail(f"{key!r} is not a {kind.__name__}")
+    for key in sorted(manifest.keys() - keys.keys()):
+        fail(f"unexpected key {key!r}")
+    sizes, offset = [], 0  # version 1 wrote the tensors back to back
     for entry in manifest["tensors"]:
         if not (
             isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
+            and entry.keys() == fields
+            and isinstance(entry["name"], str)
+            and isinstance(entry["shape"], list)
             and all(type(n) is int and n >= 0 for n in entry["shape"])
-            and type(entry.get("offset")) is int
-            and entry["offset"] >= 0
+            and entry.get("offset", offset) == offset
         ):
             fail(f"malformed tensor entry {entry!r}")
+        sizes.append(math.prod(entry["shape"]))
+        offset += 8 * sizes[-1]
+    return sizes

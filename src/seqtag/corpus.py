@@ -294,7 +294,7 @@ def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> N
 def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
     """The cached corpus and its source metadata; a damaged file raises DataError."""
     try:
-        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "corpus") as reader:
+        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "corpus cache") as reader:
             header, packed = reader.section(), reader.section()
         header = json.loads(header.decode("utf-8"))
         ids = struct.unpack(f"<{len(packed) // 4}I", packed)

@@ -142,7 +142,7 @@ def write_embedding_cache(path: str | Path, emb: EmbeddingSet, source_meta: dict
 def read_embedding_cache(path: str | Path) -> tuple[EmbeddingSet, dict]:
     """The cached set and its source metadata; a damaged file raises DataError."""
     try:
-        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "embedding") as reader:
+        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "embedding cache") as reader:
             header, values = reader.section(), reader.floats()
         header = json.loads(header.decode("utf-8"))
         words = header["words"]

@@ -1,13 +1,14 @@
-"""Atomic writes, and the naming and framing the binary caches share.
+"""Atomic writes, and the naming and framing every binary file shares.
 
-A cache file is a 4-byte magic, a little-endian u32 version, a u32
-CRC-32 of the rest of the file, then sections of a u64 byte length and
-that many bytes, optionally followed by float64 values up to the end.
-The CRC catches any damaged run of up to 32 bits. A cache is named
-after its source file and a hash of the source's absolute path, and it
-records the source's size and sha256, so a changed source invalidates
-it. Every file is written through a temporary file and ``os.replace``:
-a reader never sees a half-written file, and a failed write leaves the
+A binary file (the corpus and embedding caches, and model checkpoints)
+is a 4-byte magic, a little-endian u32 version, a u32 CRC-32 of the
+rest of the file, then sections of a u64 byte length and that many
+bytes, optionally followed by float64 values up to the end. The CRC
+catches any damaged run of up to 32 bits. A cache is named after its
+source file and a hash of the source's absolute path, and it records
+the source's size and sha256, so a changed source invalidates it.
+Every file is written through a temporary file and ``os.replace``: a
+reader never sees a half-written file, and a failed write leaves the
 previous file as it was.
 """
 
@@ -92,7 +93,7 @@ def through_cache(cache: Path, meta: dict, read: Callable, parse: Callable, writ
 
 
 def write_cache(path: Path, magic: bytes, version: int, pieces: Iterable) -> None:
-    """Write a cache file whose body is ``pieces``, bytes-like objects that
+    """Write a binary file whose body is ``pieces``, bytes-like objects that
     are written and folded into the CRC one at a time, so the body is
     never held whole. The CRC goes into the prefix at the end."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -108,7 +109,7 @@ def write_cache(path: Path, magic: bytes, version: int, pieces: Iterable) -> Non
 
 
 class CacheReader:
-    """Reads the sections of one cache file in order, folding every byte
+    """Reads the sections of one binary file in order, folding every byte
     into a CRC-32. No read goes past the end of the file, whatever a
     damaged length field says."""
 
@@ -143,22 +144,23 @@ class CacheReader:
 
 @contextlib.contextmanager
 def read_cache(path: Path, magic: bytes, version: int, what: str) -> Iterator[CacheReader]:
-    """A reader over the sections of a cache file. A wrong magic or
-    version raises DataError, and so do, once the block has read every
-    section, bytes left over or a failing CRC."""
+    """A reader over the sections of a binary file, the kind of file that
+    ``what`` names in messages. A wrong magic or version raises
+    DataError, and so do, once the block has read every section, bytes
+    left over or a failing CRC."""
     with open(path, "rb") as fh:
         head = fh.read(len(magic) + 8)
         if head[: len(magic)] != magic:
-            raise DataError(f"not a {what} cache file: {path}")
+            raise DataError(f"not a {what} file: {path}")
         if len(head) < len(magic) + 8:
-            raise DataError(f"{what} cache {path} is truncated")
+            raise DataError(f"{what} {path} is truncated")
         found, crc = struct.unpack("<II", head[len(magic) :])
         if found != version:
-            raise DataError(f"unsupported {what} cache version {found}")
+            raise DataError(f"unsupported {what} version {found}")
         left = os.fstat(fh.fileno()).st_size - len(head)
-        reader = CacheReader(fh, left, f"{what} cache {path}")
+        reader = CacheReader(fh, left, f"{what} {path}")
         yield reader
         if reader.left:
-            raise DataError(f"{what} cache {path} has {reader.left} bytes past its sections")
+            raise DataError(f"{what} {path} has {reader.left} bytes past its sections")
         if reader.crc != crc:
-            raise DataError(f"{what} cache {path} fails its checksum")
+            raise DataError(f"{what} {path} fails its checksum")

@@ -896,9 +896,8 @@ class Model:
         :meth:`forward`, and the sentence is encoded only while it is
         empty."""
         batch = None if shared else [self.encode_sentence(sentence)]
-        ids = self.predict_ids(task_name, batch, shared)
-        labels = self.vocab.labels_of(task_name)
-        return [labels[i] for i in ids]
+        labels = self._tasks[task_name].spec.labels  # the vocabulary's order, by label id
+        return [labels[i] for i in self.predict_ids(task_name, batch, shared)]
 
     # -- parameter bookkeeping --------------------------------------------------------
 

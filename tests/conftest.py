@@ -1,11 +1,14 @@
 """Shared fixtures: synthetic corpora and small model builders."""
 
 import errno
+import hashlib
 
 import numpy as np
 import pytest
 
+from seqtag.checkpoint import MAGIC, VERSION, load_model
 from seqtag.corpus import Corpus, Token, Vocabulary, build_char_index, build_label_index
+from seqtag.files import read_cache, section, write_cache
 from seqtag.network import CharConfig, DropoutConfig, Model, NetworkConfig, TaskSpec
 
 # word -> BIO class; labels are a pure function of the surface so a
@@ -120,3 +123,47 @@ def write_half_then_fail(path, data):
     with open(path, "wb") as out:
         out.write(data[: len(data) // 2])
     raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class DiskFullFile:
+    """A file opened for writing that takes ``writes`` writes and then
+    fails as a full disk would."""
+
+    def __init__(self, path, mode, writes=2):
+        self._fh, self._left = open(path, mode), writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def seek(self, offset):
+        return self._fh.seek(offset)
+
+    def write(self, data):
+        if not self._left:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._left -= 1
+        return self._fh.write(data)
+
+
+def tensor_digest(path) -> str:
+    """The sha256 of a checkpoint's tensors as float64 bytes in registry
+    order: a pin that a change of the file format leaves as it is."""
+    digest = hashlib.sha256()
+    for tensor in load_model(path).params.values():
+        digest.update(np.ascontiguousarray(tensor.data, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def reframe_checkpoint(path, edit):
+    """Rewrite the checkpoint at ``path`` with the manifest that
+    ``edit(manifest_bytes, values)`` returns, where ``values`` are the
+    float64 values that ``edit`` may change in place, framed as
+    ``save_model`` frames them and with a valid CRC, so that the damage
+    reaches the checks behind the framing."""
+    with read_cache(path, MAGIC, VERSION, "checkpoint") as reader:
+        manifest, values = reader.section(), reader.floats()
+    manifest = edit(manifest, values)
+    write_cache(path, MAGIC, VERSION, (*section(manifest), values))

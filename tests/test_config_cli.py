@@ -9,7 +9,7 @@ from seqtag.corpus import corpus_to_conll, parse_conll
 from seqtag.exceptions import ConfigError
 from seqtag.network import Model, NetworkConfig, TaskSpec
 
-from conftest import synthetic_bio_corpus, vocab_for
+from conftest import reframe_checkpoint, synthetic_bio_corpus, vocab_for
 
 
 def write_corpus(path, corpus):
@@ -516,7 +516,7 @@ def test_cli_predict_bad_input_or_checkpoint_exits_2(workspace, tmp_path, capsys
     bad_input.write_bytes(b"alpha\n\xffthe\n")
     bad_model = tmp_path / "bad.ckpt"
     blob = bytearray(checkpoint.read_bytes())
-    blob[18] ^= 0x01  # a byte of the manifest's first key
+    blob[18] ^= 0x01  # the manifest's u64 length, now far past the end of the file
     bad_model.write_bytes(bytes(blob))
     good_input = tmp_path / "good.conll"
     good_input.write_text("alpha\nthe\n", encoding="utf-8")
@@ -552,10 +552,7 @@ def test_cli_predict_word_index_past_the_vocabulary_exits_2(tmp_path, capsys):
     )
     checkpoint = tmp_path / "model.ckpt"
     save_model(Model(config, vocab, np.random.default_rng(0)), checkpoint)
-    blob = bytearray(checkpoint.read_bytes())
-    digit = blob.index(b'"the": 6') + len(b'"the": ')
-    blob[digit] ^= 0x01
-    checkpoint.write_bytes(bytes(blob))
+    reframe_checkpoint(checkpoint, lambda blob, _: blob.replace(b'"the": 6', b'"the": 7'))
     data = tmp_path / "plain.conll"
     data.write_text("the\nfox\n", encoding="utf-8")
     capsys.readouterr()

@@ -1,12 +1,18 @@
 import hashlib
+import itertools
+import json
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
-from seqtag.checkpoint import CheckpointError, load_model, save_model
-from seqtag.corpus import Token
+from seqtag import files
+from seqtag.checkpoint import MAGIC, VERSION, CheckpointError, load_model, save_model
+from seqtag.cli import main
+from seqtag.corpus import Corpus, Token
 from seqtag.exceptions import ConfigError
 from seqtag import network
 from seqtag.network import (
@@ -31,12 +37,14 @@ from seqtag.training import (
 )
 
 from conftest import (
+    DiskFullFile,
     derive_acs_corpus,
+    reframe_checkpoint,
     small_model,
     synthetic_bio_corpus,
+    tensor_digest,
     two_task_model,
     vocab_for,
-    write_half_then_fail,
 )
 from reference_rnn import bidirectional_two_calls, char_features_two_calls
 
@@ -395,20 +403,21 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, bio_corpus):
         assert model.predict_labels("tag", sentence) == loaded.predict_labels("tag", sentence)
 
 
-@pytest.mark.parametrize(
-    "cell, vectors, digest",
-    [
-        ("lstm", False, "13e015adbc15b981b93a218518c3a28d7446b2421c455bf6a1e99da9164c58d2"),
-        ("lstm", True, "539f946b2bc544fec4b5ee0ffb941ce8ca1d11620800165f2641c73ffd2b1f82"),
-        ("gru", False, "fbdae43163bbf626e84859800555bfd643e3529f2198f615abaf0ce0f73bbac9"),
-        ("gru", True, "bdabc06b65dfe220a5d5b980e49d9d4abbe05bb8e7073e76732783dd794e03de"),
-        ("simple", False, "aa67a12117c3cb86c928ecf363251d0e057619829a603d1a2a149d807bf293ba"),
-        ("simple", True, "62b20f7703c09a23a94adb5f565ab7484179da853e52dcc0743ce12d4a627ea0"),
-    ],
-)
-def test_initialization_draws_are_unchanged(tmp_path, cell, vectors, digest):
-    """The checkpoint of a freshly drawn model, char path, shortcuts and
-    a private layer included, pinned at its sha256."""
+INITIAL_TENSORS = {
+    ("lstm", False): "d78d2483add807c6b39bca817d501b03a05d29b5da006b543b5b5b3397bd402d",
+    ("lstm", True): "09f2a162e8d61c115d0a0db79b89f2ed3ec3b10e4c2281c2f529b1f886f3f7d7",
+    ("gru", False): "0bdc5692d19bc3cdf2718a780f049d20ada75750af083b1d1d24695fe0c5d19f",
+    ("gru", True): "9332958e808718dbce31024b5b6aba95a4af4dd98d6098471dc4b43d5f049824",
+    ("simple", False): "e2c5cd0afcc4673cb78ca0bd0fbb01c4f277b55ff315e66f5e85a9376fac3d1d",
+    ("simple", True): "628c3bd71f87fd574baafe91bd59a9f87e88cd8b01d2f12c41bdf6e424cc364c",
+}
+
+
+@pytest.mark.parametrize("cell, vectors", list(INITIAL_TENSORS))
+def test_initialization_draws_are_unchanged(tmp_path, cell, vectors):
+    """The tensors of a freshly drawn model, char path, shortcuts and a
+    private layer included, pinned at the sha256 of their float64 values
+    as its checkpoint holds them."""
     tag = synthetic_bio_corpus(n_sentences=8, seed=0)
     vocab = vocab_for([tag], {"tag": [tag], "seg": [derive_acs_corpus(tag)]})
     config = NetworkConfig(
@@ -430,7 +439,7 @@ def test_initialization_draws_are_unchanged(tmp_path, cell, vectors, digest):
     )
     word_vectors = np.random.default_rng(1).normal(size=(vocab.word_count, 5)) if vectors else None
     save_model(Model(config, vocab, np.random.default_rng(11), word_vectors), tmp_path / "m.ckpt")
-    assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == digest
+    assert tensor_digest(tmp_path / "m.ckpt") == INITIAL_TENSORS[cell, vectors]
 
 
 def test_checkpoint_load_draws_no_initialization(tmp_path, monkeypatch):
@@ -454,13 +463,15 @@ def test_checkpoint_load_draws_no_initialization(tmp_path, monkeypatch):
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, bio_corpus, monkeypatch):
+    """A disk that fills up while the checkpoint streams out leaves the
+    previous file as it was and no temporary file behind."""
     model, _ = small_model(bio_corpus)
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     before = path.read_bytes()
     model.params["task/tag/proj/b"].data += 1.0
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_bytes", write_half_then_fail)
+        patch.setattr(files, "open", DiskFullFile, raising=False)
         with pytest.raises(OSError):
             save_model(model, path)
     assert path.read_bytes() == before
@@ -488,108 +499,80 @@ def test_checkpoint_rejects_truncated_payload(tmp_path, bio_corpus):
         load_model(path)
 
 
-def test_checkpoint_rejects_registry_mismatch(tmp_path, bio_corpus):
-    import json
-    import struct
-
+def saved_checkpoint(tmp_path, bio_corpus):
+    """The path of a saved small model's checkpoint and its manifest."""
     model, _ = small_model(bio_corpus)
     path = tmp_path / "model.ckpt"
     save_model(model, path)
-    blob = path.read_bytes()
-    (manifest_len,) = struct.unpack("<Q", blob[8:16])
-    manifest = json.loads(blob[16 : 16 + manifest_len].decode())
+    with files.read_cache(path, MAGIC, VERSION, "checkpoint") as reader:
+        manifest, _ = json.loads(reader.section()), reader.floats()
+    return path, manifest
+
+
+def rewrite_manifest(path, manifest):
+    reframe_checkpoint(path, lambda blob, _: json.dumps(manifest).encode())
+
+
+def test_checkpoint_rejects_registry_mismatch(tmp_path, bio_corpus):
+    path, manifest = saved_checkpoint(tmp_path, bio_corpus)
     manifest["tensors"] = manifest["tensors"][:-1]  # drop a tensor entry
-    new_manifest = json.dumps(manifest).encode()
-    path.write_bytes(
-        blob[:8] + struct.pack("<Q", len(new_manifest)) + new_manifest + blob[16 + manifest_len :]
-    )
+    rewrite_manifest(path, manifest)
     with pytest.raises(CheckpointError):
         load_model(path)
 
 
-def saved_checkpoint(tmp_path, bio_corpus):
-    import json
-    import struct
-
-    model, _ = small_model(bio_corpus)
-    path = tmp_path / "model.ckpt"
-    save_model(model, path)
-    blob = path.read_bytes()
-    (manifest_len,) = struct.unpack("<Q", blob[8:16])
-    manifest = json.loads(blob[16 : 16 + manifest_len].decode())
-    return path, blob, manifest_len, manifest
-
-
-def rewrite_manifest(path, blob, manifest_len, manifest_bytes):
-    import struct
-
-    path.write_bytes(
-        blob[:8]
-        + struct.pack("<Q", len(manifest_bytes))
-        + manifest_bytes
-        + blob[16 + manifest_len :]
-    )
-
-
 def test_checkpoint_rejects_non_utf8_manifest(tmp_path, bio_corpus):
-    path, blob, manifest_len, _ = saved_checkpoint(tmp_path, bio_corpus)
-    corrupt = bytearray(blob)
-    corrupt[20] = 0xFF
-    path.write_bytes(bytes(corrupt))
+    path, _ = saved_checkpoint(tmp_path, bio_corpus)
+    reframe_checkpoint(path, lambda blob, _: blob[:4] + b"\xff" + blob[5:])
     with pytest.raises(CheckpointError, match="corrupt checkpoint manifest"):
         load_model(path)
 
 
 def test_checkpoint_rejects_invalid_json_manifest(tmp_path, bio_corpus):
-    path, blob, manifest_len, _ = saved_checkpoint(tmp_path, bio_corpus)
-    corrupt = bytearray(blob)
-    corrupt[16] = ord("[")  # the opening brace
-    path.write_bytes(bytes(corrupt))
+    path, _ = saved_checkpoint(tmp_path, bio_corpus)
+    reframe_checkpoint(path, lambda blob, _: b"[" + blob[1:])  # the opening brace
     with pytest.raises(CheckpointError, match="corrupt checkpoint manifest"):
         load_model(path)
 
 
 def test_checkpoint_rejects_missing_manifest_key(tmp_path, bio_corpus):
-    import json
-
-    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    path, manifest = saved_checkpoint(tmp_path, bio_corpus)
     del manifest["config"]
-    rewrite_manifest(path, blob, manifest_len, json.dumps(manifest).encode())
+    rewrite_manifest(path, manifest)
     with pytest.raises(CheckpointError, match="missing key 'config'"):
         load_model(path)
 
 
 def test_checkpoint_rejects_wrong_manifest_types(tmp_path, bio_corpus):
-    import json
-
-    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    path, manifest = saved_checkpoint(tmp_path, bio_corpus)
     for key, bad in (("tensors", "all"), ("payload_bytes", "12"), ("config", [])):
-        broken = dict(manifest, **{key: bad})
-        rewrite_manifest(path, blob, manifest_len, json.dumps(broken).encode())
+        rewrite_manifest(path, dict(manifest, **{key: bad}))
         with pytest.raises(CheckpointError, match=key):
             load_model(path)
     broken = json.loads(json.dumps(manifest))
     broken["config"]["shared_layers"] = "many"
-    rewrite_manifest(path, blob, manifest_len, json.dumps(broken).encode())
+    rewrite_manifest(path, broken)
     with pytest.raises(CheckpointError, match="bad config"):
         load_model(path)
 
 
 def test_checkpoint_rejects_non_finite_tensor(tmp_path, bio_corpus):
-    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
-    entry = next(e for e in manifest["tensors"] if e["name"] == "shared/1/fwd/U")
-    start = 16 + manifest_len + entry["offset"]
-    corrupt = bytearray(blob)
-    corrupt[start : start + 8] = np.array([np.nan], dtype="<f8").tobytes()
-    path.write_bytes(bytes(corrupt))
+    path, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    names = [entry["name"] for entry in manifest["tensors"]]
+    sizes = [int(np.prod(entry["shape"])) for entry in manifest["tensors"]]
+    start = sum(sizes[: names.index("shared/1/fwd/U")])
+
+    def poison(blob, values):
+        values[start] = np.nan
+        return blob
+
+    reframe_checkpoint(path, poison)
     with pytest.raises(CheckpointError, match="'shared/1/fwd/U' holds non-finite"):
         load_model(path)
 
 
 def test_checkpoint_rejects_label_maps_that_disagree_with_the_config(tmp_path, bio_corpus):
-    import json
-
-    path, blob, manifest_len, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    path, manifest = saved_checkpoint(tmp_path, bio_corpus)
     extra = json.loads(json.dumps(manifest))
     extra["vocab"]["label_index"]["seg"] = {"O": 0}
     swapped = json.loads(json.dumps(manifest))
@@ -597,56 +580,113 @@ def test_checkpoint_rejects_label_maps_that_disagree_with_the_config(tmp_path, b
     first, second = sorted(index, key=index.get)[:2]
     index[first], index[second] = index[second], index[first]
     for broken in (extra, swapped):
-        rewrite_manifest(path, blob, manifest_len, json.dumps(broken).encode())
+        rewrite_manifest(path, broken)
         with pytest.raises(CheckpointError, match="the label maps disagree with the tasks"):
             load_model(path)
 
 
-def test_checkpoint_vocabulary_bit_flips_are_rejected_or_harmless(tmp_path):
-    """Every single-bit flip of the manifest's vocabulary either fails the
-    load with a data error or leaves a model that predicts every task.
-    A flip inside a word or char key can still load: it renames an entry."""
-    import json
-    import struct
-
-    from seqtag.corpus import Corpus
-    from seqtag.exceptions import DataError
-
-    sentence = (Token("the", {"tag": "O", "seg": "O"}), Token("Fox", {"tag": "B-X", "seg": "B"}))
-    corpus = Corpus(sentences=(sentence,), tasks=("tag", "seg"))
-    vocab = vocab_for([corpus], {"tag": [corpus], "seg": [corpus]})
+def test_checkpoint_truncations_and_bit_flips_are_rejected(tmp_path, capsys):
+    """Every truncation and every single-bit flip of a checkpoint fails
+    its load with CheckpointError, and ``seqtag predict`` exits 2 with
+    one line on a case of each message. The CRC leaves no flip that
+    loads, not even one in a word or char key of the vocabulary, which
+    only renames an entry."""
+    sentence = (Token("the", {"tag": "O"}), Token("Fox", {"tag": "B-X"}))
+    corpus = Corpus(sentences=(sentence,), tasks=("tag",))
+    vocab = vocab_for([corpus], {"tag": [corpus]})
     config = NetworkConfig(
-        cell="gru",
-        shared_layers=[2],
-        char=CharConfig(enabled=True, embedding_dim=2, hidden=2),
-        dropout=DropoutConfig(),
-        tasks=[
-            TaskSpec(name="tag", labels=vocab.labels_of("tag")),
-            TaskSpec(name="seg", labels=vocab.labels_of("seg"), head="crf"),
-        ],
-        word_dim=2,
+        cell="simple",
+        shared_layers=[1],
+        tasks=[TaskSpec(name="tag", labels=vocab.labels_of("tag"))],
+        word_dim=1,
     )
     path = tmp_path / "model.ckpt"
     save_model(Model(config, vocab, np.random.default_rng(0)), path)
     blob = path.read_bytes()
-    (manifest_len,) = struct.unpack("<Q", blob[8:16])
-    vocab_bytes = json.dumps({"vocab": vocab.to_json()})[1:-1].encode("utf-8")
-    start = blob.index(vocab_bytes, 16, 16 + manifest_len)
-    loaded = rejected = 0
-    for i in range(start, start + len(vocab_bytes)):
-        for bit in range(8):
-            flipped = bytearray(blob)
-            flipped[i] ^= 1 << bit
-            path.write_bytes(bytes(flipped))
-            try:
-                model = load_model(path)
-            except DataError:
-                rejected += 1
-                continue
-            for task in ("tag", "seg"):
-                assert len(model.predict_labels(task, sentence)) == 2
-            loaded += 1
-    assert loaded and rejected
+    data = tmp_path / "plain.conll"
+    data.write_text("the\nFox\n", encoding="utf-8")
+    flips = (
+        blob[:i] + bytes([blob[i] ^ 1 << bit]) + blob[i + 1 :]
+        for i in range(len(blob))
+        for bit in range(8)
+    )
+    kinds = {}  # a case of each message, numbers left out
+    for damaged in itertools.chain((blob[:n] for n in range(len(blob))), flips):
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError) as caught:
+            load_model(path)
+        kinds.setdefault(re.sub(r"\d+", "N", str(caught.value)), damaged)
+    assert len(kinds) > 1
+    capsys.readouterr()
+    for damaged in kinds.values():
+        path.write_bytes(damaged)
+        assert main(["predict", "--model", str(path), "--input", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.ckpt"
+V1_SENTENCES = [
+    "and and the delta delta delta delta",
+    "on and on and a",
+    "omega it a delta delta on",
+]
+V1_LABELS = {
+    "tag": [
+        ["O", "I-Y", "O", "I-Y", "O", "I-Y", "O"],
+        ["O", "I-Y", "O", "B-Y", "B-Z"],
+        ["I-Y", "O", "I-Y", "O", "I-Y", "O"],
+    ],
+    "seg": [
+        ["B-Arg", "B-Arg", "O", "B-Arg", "B-Arg", "B-Arg", "B-Arg"],
+        ["B-Arg"] * 5,
+        ["B-Arg"] * 6,
+    ],
+}
+
+
+def test_version_1_checkpoint_loads_bit_identically():
+    """A checkpoint in the format before the CRC, written by that
+    format's ``save_model``: a CRF task on shared layer 2 and a softmax
+    task on layer 1, shortcuts and the char BiLSTM, every tensor drawn
+    from N(0, 1). Its tensors, logits and labels equal the values pinned
+    when it was written."""
+    model = load_model(V1_CHECKPOINT)
+    assert tensor_digest(V1_CHECKPOINT) == (
+        "00909d3b4e7de6759d2c8fe3f76b13fe0c5db60a19dc11f759b2f07a4ff282cd"
+    )
+    sentences = [tuple(Token(w, {}) for w in line.split()) for line in V1_SENTENCES]
+    logits = hashlib.sha256()
+    for task in ("tag", "seg"):
+        for sentence in sentences:
+            logits.update(model.forward(task, [model.encode_sentence(sentence)], False).data)
+        assert [model.predict_labels(task, s) for s in sentences] == V1_LABELS[task]
+    assert logits.hexdigest() == "3a0ddf3490f275a4d1cf08873eb8f80863231b5cc27da0a18b61311f0e56c380"
+
+
+def test_version_1_registry_must_place_the_tensors_back_to_back(tmp_path):
+    """A version 1 entry's offset is the sum of the sizes before it, the
+    only layout that format's writer produced; any other is rejected."""
+    blob = V1_CHECKPOINT.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16 : 16 + length])
+    manifest["tensors"][1]["offset"] += 8
+    edited = json.dumps(manifest).encode()
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + length :])
+    with pytest.raises(CheckpointError, match="malformed tensor entry"):
+        load_model(path)
+    path.write_bytes(blob[:-4])
+    with pytest.raises(CheckpointError, match="partial float"):
+        load_model(path)
+
+
+def test_checkpoint_load_gives_every_tensor_a_view_of_one_array(tmp_path):
+    model, _ = two_task_model(char=CharConfig(enabled=True))
+    save_model(model, tmp_path / "model.ckpt")
+    loaded = load_model(tmp_path / "model.ckpt")
+    values = loaded.params["embed/word"].data.base
+    assert values is not None and all(t.data.base is values for t in loaded.params.values())
 
 
 def test_dev_score_uses_requested_metric(bio_corpus):
