@@ -11,6 +11,7 @@ against $SEQTAG_RESULTS when it is set). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -30,9 +31,9 @@ from seqtag.config import (
     read,
     split_search_section,
 )
-from seqtag.corpus import Token, parse_conll_file, read_text
+from seqtag.corpus import Token, conll_blocks, conll_text, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
-from seqtag.hyperopt import SearchSpace, derive_seed, parse_interval, run_search
+from seqtag.hyperopt import SearchSpace, parse_interval, run_search
 from seqtag.labels import SUBTASK_KINDS, components_from_labels, derive_subtask, parse_am_sequence
 from seqtag.metrics import ResultList, span_overlap_profile
 from seqtag.stats import LabelDistribution, StatsError, label_entropy, label_kurtosis
@@ -95,14 +96,12 @@ def cmd_train(args) -> int:
             if not args.quiet:
                 print(line)
 
-        model, result = experiment.run_training(
+        _, result = experiment.run_training(
             config,
             checkpoint_path=str(checkpoint_path),
             log=log,
             cache_dir=str(out_dir / "cache"),
         )
-    if not checkpoint_path.exists():
-        ckpt.save_model(model, checkpoint_path)
     if result.best_metric is not None:
         print(f"best_dev_metric\t{result.best_metric:.6f}\tepoch\t{result.best_epoch}")
     print(f"checkpoint\t{checkpoint_path}")
@@ -117,36 +116,24 @@ def cmd_predict(args) -> int:
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
 
-    out_lines = []
-    block: list[str] = []
-
-    def flush_block():
-        if not block:
-            return
-        surfaces = []
+    lines = read_text(in_path).splitlines()
+    out_lines = [""] * len(lines)  # blank and whitespace-only lines come out empty
+    for first, block in conll_blocks(lines):
+        tokens = []
         for line in block:
             cols = line.split()
             if len(cols) <= args.token_column:
                 raise DataError(f"line {line!r} has no column {args.token_column}")
-            surfaces.append(cols[args.token_column])
-        sentence = tuple(Token(s, {}) for s in surfaces)
-        columns = []
+            tokens.append(Token(cols[args.token_column], {}))
+        sentence = tuple(tokens)
         shared = []  # the sentence's mask, embedding and shared layers, for every task
-        for task in tasks:
-            predicted = model.predict_labels(task, sentence, shared)
-            predicted = experiment.postprocess_labels(predicted, args.postprocess)
-            columns.append(predicted)
-        for i, line in enumerate(block):
-            out_lines.append("\t".join([line, *(col[i] for col in columns)]))
-        block.clear()
-
-    for raw_line in read_text(in_path).splitlines():
-        if raw_line.strip():
-            block.append(raw_line.rstrip("\n"))
-        else:
-            flush_block()
-            out_lines.append("")
-    flush_block()
+        columns = [
+            experiment.postprocess_labels(
+                model.predict_labels(task, sentence, shared), args.postprocess
+            )
+            for task in tasks
+        ]
+        out_lines[first - 1 : first - 1 + len(block)] = map("\t".join, zip(block, *columns))
     _write_text("\n".join(out_lines).rstrip("\n") + "\n", args.output)
     return 0
 
@@ -243,7 +230,6 @@ def cmd_search(args) -> int:
         args.output or Reader(template.get("output", {}), "output").take("dir", str, "search")
     )
     runs_dir = out_dir / "runs"
-    run_log: dict[int, dict] = {}
     builds: dict[tuple, experiment.ExperimentData] = {}  # one per distinct data section
 
     def train_fn(config_dict: dict, seed: int) -> float:
@@ -265,9 +251,7 @@ def cmd_search(args) -> int:
             log=lines.append,
         )
         (run_dir / "train.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        score = experiment.search_score(config, result, model, data)
-        run_log[seed] = {"dir": run_dir, "score": score}
-        return score
+        return experiment.search_score(config, result, model, data)
 
     report = run_search(
         template=template,
@@ -285,21 +269,13 @@ def cmd_search(args) -> int:
         (trial_dir / "config.yaml").write_text(
             yaml.safe_dump(trial.config, sort_keys=False), encoding="utf-8"
         )
-        if trial.error is None and trial.seed_scores:
-            seeds = [
-                derive_seed(search["master_seed"], trial.index, j)
-                for j in range(len(trial.seed_scores))
-            ]
-            best_seed = max(zip(trial.seed_scores, seeds))[1]
-            source = run_log.get(best_seed)
-            if source is not None:
-                shutil.copyfile(source["dir"] / "model.ckpt", trial_dir / "best.ckpt")
-            for j, seed in enumerate(seeds):
-                log_src = runs_dir / f"seed_{seed}" / "train.log"
-                if log_src.exists():
-                    shutil.copyfile(log_src, trial_dir / f"seed_{j}.log")
-        elif trial.error is not None:
+        if trial.error is not None:
             (trial_dir / "FAILED").write_text(trial.error + "\n", encoding="utf-8")
+            continue
+        best_seed = max(zip(trial.seed_scores, trial.seeds))[1]  # ties go to the larger seed
+        shutil.copyfile(runs_dir / f"seed_{best_seed}" / "model.ckpt", trial_dir / "best.ckpt")
+        for j, seed in enumerate(trial.seeds):
+            shutil.copyfile(runs_dir / f"seed_{seed}" / "train.log", trial_dir / f"seed_{j}.log")
 
     report_text = report.to_tsv()
     (out_dir / "report.tsv").write_text(report_text, encoding="utf-8")
@@ -314,37 +290,34 @@ def cmd_derive_subtasks(args) -> int:
         if kind not in SUBTASK_KINDS:
             raise ConfigError(f"unknown subtask kind {kind!r} (known: {list(SUBTASK_KINDS)})")
     corpus = parse_conll_file(args.input, args.token_column, {"am": args.label_column})
-    out_lines = []
-    for i, sentence in enumerate(corpus):
-        if i:
-            out_lines.append("")
-        seq = parse_am_sequence([t.labels["am"] for t in sentence])
-        derived = {kind: derive_subtask(seq, kind) for kind in kinds}
-        for j, token in enumerate(sentence):
-            cells = [token.surface, token.labels["am"], *(derived[k][j] for k in kinds)]
-            out_lines.append("\t".join(cells))
-    _write_text("\n".join(out_lines) + "\n", args.output)
+
+    def rows(sentence):
+        labels = [t.labels["am"] for t in sentence]
+        seq = parse_am_sequence(labels)
+        derived = [derive_subtask(seq, kind) for kind in kinds]
+        return zip([t.surface for t in sentence], labels, *derived)
+
+    _write_text(conll_text(map(rows, corpus)) or "\n", args.output)
     return 0
 
 
 def cmd_postprocess(args) -> int:
     corpus = parse_conll_file(args.input, args.token_column, {"t": args.label_column})
-    out_lines = []
-    for i, sentence in enumerate(corpus):
-        if i:
-            out_lines.append("")
-        labels = [t.labels["t"] for t in sentence]
-        fixed = experiment.postprocess_labels(labels, args.variant)
-        for token, label in zip(sentence, fixed):
-            out_lines.append(f"{token.surface}\t{label}")
-    _write_text("\n".join(out_lines) + "\n", args.output)
+
+    def rows(sentence):
+        fixed = experiment.postprocess_labels([t.labels["t"] for t in sentence], args.variant)
+        return zip([t.surface for t in sentence], fixed)
+
+    _write_text(conll_text(map(rows, corpus)) or "\n", args.output)
     return 0
 
 
 # -- parser ------------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser; built on the first call, then shared."""
     parser = _Parser(prog="seqtag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -414,9 +387,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SeqtagError as err:
         print(f"error: {err}", file=sys.stderr)

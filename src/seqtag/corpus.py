@@ -14,7 +14,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.files import (
@@ -101,23 +101,32 @@ def parse_conll(source: str | bytes | IO, token_col: int, label_cols: Mapping[st
     tasks = tuple(label_cols.keys())
 
     sentences: list[Sentence] = []
-    current: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            if current:
-                sentences.append(tuple(current))
-                current = []
-            continue
-        cols = line.split()
-        if len(cols) < needed:
-            raise ConllParseError(
-                f"line {lineno}: expected at least {needed} columns, found {len(cols)}"
-            )
-        labels = {task: cols[idx] for task, idx in label_cols.items()}
-        current.append(Token(surface=cols[token_col], labels=labels))
-    if current:
-        sentences.append(tuple(current))
+    for first, block in conll_blocks(text.splitlines()):
+        sentence = []
+        for lineno, line in enumerate(block, start=first):
+            cols = line.split()
+            if len(cols) < needed:
+                raise ConllParseError(
+                    f"line {lineno}: expected at least {needed} columns, found {len(cols)}"
+                )
+            labels = {task: cols[idx] for task, idx in label_cols.items()}
+            sentence.append(Token(surface=cols[token_col], labels=labels))
+        sentences.append(tuple(sentence))
     return Corpus(sentences=tuple(sentences), tasks=tasks)
+
+
+def conll_blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each run of non-blank lines, as they are, with the 1-based number
+    of its first line. Blank and whitespace-only lines separate runs."""
+    block: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            block.append(line)
+        elif block:
+            yield lineno - len(block), block
+            block = []
+    if block:
+        yield lineno + 1 - len(block), block
 
 
 def parse_conll_file(path: str | Path, token_col: int, label_cols: Mapping[str, int]) -> Corpus:
@@ -151,18 +160,21 @@ def read_text(path: Path) -> str:
     return decode_utf8(read_bytes(path), str(path))
 
 
+def conll_text(sentences: Iterable[Iterable[Sequence[str]]]) -> str:
+    """Tab-separated CoNLL text: one line of cells per token, a blank line
+    between sentences; no sentences give the empty string."""
+    return "\n".join(
+        "".join("\t".join(cells) + "\n" for cells in sentence) for sentence in sentences
+    )
+
+
 def corpus_to_conll(corpus: Corpus, tasks: Iterable[str] | None = None) -> str:
     """Render a corpus as normalized tab-separated CoNLL text."""
     tasks = tuple(tasks) if tasks is not None else corpus.tasks
-    out = io.StringIO()
-    for i, sentence in enumerate(corpus.sentences):
-        if i:
-            out.write("\n")
-        for token in sentence:
-            cells = [token.surface, *(token.labels[t] for t in tasks)]
-            out.write("\t".join(cells))
-            out.write("\n")
-    return out.getvalue()
+    return conll_text(
+        ((token.surface, *(token.labels[t] for t in tasks)) for token in sentence)
+        for sentence in corpus.sentences
+    )
 
 
 # -- vocabulary ----------------------------------------------------------------

@@ -150,6 +150,7 @@ class TrialRecord:
     assignment: dict
     config: dict
     seed_scores: list[float] = field(default_factory=list)
+    seeds: list[int] = field(default_factory=list)  # the seed of each score
     error: str | None = None
 
     @property
@@ -227,11 +228,11 @@ def run_search(
 
     report = SearchReport(trials=[], winner=None)
 
-    def timed_run(config: dict, trial_index: int, seed_index: int) -> float:
+    def timed_run(config: dict, trial_index: int, seed_index: int) -> tuple[int, float]:
         seed = derive_seed(master_seed, trial_index, seed_index)
         start = time.perf_counter()
         try:
-            return float(train_fn(config, seed))
+            return seed, float(train_fn(config, seed))
         finally:
             report.run_seconds.append(
                 (trial_index, seed_index, seed, time.perf_counter() - start)
@@ -244,10 +245,12 @@ def run_search(
         trial = TrialRecord(index=index, assignment=assignment, config=config)
         try:
             for seed_index in range(seeds_per_trial):
-                trial.seed_scores.append(timed_run(config, index, seed_index))
+                seed, score = timed_run(config, index, seed_index)
+                trial.seeds.append(seed)
+                trial.seed_scores.append(score)
         except Exception as err:  # deliberate: one trial must not sink the rest
             trial.error = f"{type(err).__name__}: {err}"
-            trial.seed_scores = []
+            trial.seed_scores, trial.seeds = [], []
         report.trials.append(trial)
 
     ranking = report.ranking()
@@ -255,5 +258,6 @@ def run_search(
         winner = ranking[0]
         report.winner = winner.index
         for j in range(final_seeds):
-            report.final_scores.append(timed_run(winner.config, winner.index, seeds_per_trial + j))
+            _, score = timed_run(winner.config, winner.index, seeds_per_trial + j)
+            report.final_scores.append(score)
     return report

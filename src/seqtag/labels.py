@@ -11,6 +11,7 @@ Fields that cannot apply hold the bottom value, rendered "⊥".
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -70,6 +71,7 @@ class BioLabel:
         return "O" if self.prefix == "O" else f"{self.prefix}-{self.cls}"
 
     @classmethod
+    @functools.cache  # frozen, so one instance per text can be shared
     def parse(cls, text: str) -> "BioLabel":
         if text == "O":
             return cls("O", "")
@@ -282,11 +284,18 @@ class ComponentSpan:
 
 def components_from_labels(seq: Sequence[AMLabel]) -> list[ComponentSpan]:
     """Extract component spans from a valid, homogeneous label sequence."""
-    bio = [BioLabel(label.b, "" if label.b == "O" else "Arg") for label in seq]
-    if validate_bio(bio):
+    if validate_bio(_bio_of(seq)):
         raise AmStructureError("invalid BIO structure; run am_postprocess first")
 
     return [_close_span(seq, start, end) for start, end in _component_runs(seq)]
+
+
+_B_ELEMENTS = {"O": BioLabel("O"), "B": BioLabel("B", "Arg"), "I": BioLabel("I", "Arg")}
+
+
+def _bio_of(seq: Sequence[AMLabel]) -> list[BioLabel]:
+    """The b-elements as BIO labels of one class."""
+    return [_B_ELEMENTS[label.b] for label in seq]
 
 
 def _close_span(seq: Sequence[AMLabel], start: int, end: int) -> ComponentSpan:
@@ -345,15 +354,11 @@ def am_postprocess(seq: Sequence[AMLabel]) -> list[AMLabel]:
         return []
 
     # step 1: prefix-only BIO repair; heterogeneity is step 2's job
-    repaired: list[AMLabel] = []
-    prev_b = "O"
-    for label in seq:
-        b = label.b
-        if b == "I" and prev_b == "O":
-            label = replace(label, b="B")
-            b = "B"
-        repaired.append(label)
-        prev_b = b
+    fixed = correct_bio(_bio_of(seq), TO_BEGIN)
+    repaired = [
+        label if label.b == bio.prefix else replace(label, b=bio.prefix)
+        for label, bio in zip(seq, fixed)
+    ]
 
     # step 2: per-field majority within each component
     runs = _component_runs(repaired)

@@ -608,6 +608,94 @@ def test_cli_predict_unlabeled_input(workspace, tmp_path, capsys):
     assert len(out[0].split("\t")) == 2  # surface + prediction only
 
 
+# input layout -> text; each covers one way blank lines and line ends can fall
+PREDICT_LAYOUTS = {
+    "leading_blank": "\nalpha\nthe\n",
+    "repeated_blank": "alpha\n\n\n\nthe\nbeta\n",
+    "whitespace_only_blank": "alpha\n \t \nthe\n",
+    "crlf": "alpha\r\nthe\r\n\r\nbeta\r\n",
+    "no_final_newline": "alpha\nthe\n\nbeta",
+    "trailing_blank": "alpha the\n\n \n",
+    "empty": "",
+    "blank_only": "\n \n\n",
+}
+
+
+def test_cli_predict_output_is_line_aligned_with_its_input(workspace, tmp_path, capsys):
+    """One output line per input line up to the last token line: a token
+    line comes out whole with its label appended, a blank or
+    whitespace-only line comes out empty, and each sentence gets the
+    labels it gets as the whole input. No token line at all gives one
+    empty line."""
+    ws_tmp, config_path, _ = workspace
+    assert main(["train", str(config_path), "--quiet"]) == 0
+    model = str(ws_tmp / "out" / "model.ckpt")
+    data = tmp_path / "input.conll"
+
+    def predict(text):
+        data.write_bytes(text.encode("utf-8"))
+        capsys.readouterr()
+        assert main(["predict", "--model", model, "--input", str(data)]) == 0
+        return capsys.readouterr().out
+
+    def labels_alone(block):
+        return [line.split("\t")[-1] for line in predict("\n".join(block) + "\n").splitlines()]
+
+    for layout, text in PREDICT_LAYOUTS.items():
+        lines = text.splitlines()
+        while lines and not lines[-1].strip():
+            lines.pop()
+        out = predict(text)
+        if not lines:
+            assert out == "\n", layout
+            continue
+        assert out.endswith("\n") and "\r" not in out, layout
+        out_lines = out.splitlines()
+        assert len(out_lines) == len(lines), layout
+        block, labels = [], []
+        for line, got in zip([*lines, ""], [*out_lines, ""]):
+            if line.strip():
+                assert got.startswith(line + "\t") and got.count("\t") == line.count("\t") + 1
+                block.append(line)
+                labels.append(got.split("\t")[-1])
+                continue
+            assert got == "", layout
+            if block:
+                assert labels == labels_alone(block), layout
+            block, labels = [], []
+
+
+def test_cli_predict_short_row_exits_2_with_one_line(workspace, tmp_path, capsys):
+    ws_tmp, config_path, _ = workspace
+    assert main(["train", str(config_path), "--quiet"]) == 0
+    data = tmp_path / "input.conll"
+    data.write_text("a X\nb Y\nc\n\nd Z\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["predict", "--model", str(ws_tmp / "out" / "model.ckpt"), "--input", str(data)]
+    assert main([*argv, "--token-column", "1"]) == 2
+    assert capsys.readouterr().err == "error: line 'c' has no column 1\n"
+
+
+def test_cli_main_called_again_in_one_process(workspace, capsys):
+    """The parser is built once per process; no value of one call, a
+    ``--set`` list included, reaches the next, and a usage error leaves
+    the next call working."""
+    from seqtag import cli
+
+    ws_tmp, config_path, _ = workspace
+    log = ws_tmp / "out" / "train.log"
+    train = ["train", str(config_path), "--quiet"]
+    assert main(["predict", "--model"]) == 1
+    assert main([*train, "--set", "training.epochs=1", "--set", "training.seed=1"]) == 0
+    assert len(log.read_text().splitlines()) == 1
+    assert main([*train, "--set", "training.seed=1"]) == 0
+    assert len(log.read_text().splitlines()) == 2  # the config's 2 epochs
+    assert main(["predict", "--model"]) == 1
+    assert main(train) == 0
+    assert len(log.read_text().splitlines()) == 2
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_results_env_var(workspace, monkeypatch, tmp_path, capsys):
     _, config_path, _ = workspace
     root = tmp_path / "global_results"
@@ -868,6 +956,33 @@ def test_search_run_equals_run_with_its_own_data(search_setup, tmp_path):
             experiment.run_training(own, checkpoint_path=str(checkpoint))
             shared = out_dir / "runs" / f"seed_{seed}" / "model.ckpt"
             assert shared.read_bytes() == checkpoint.read_bytes()
+
+
+@pytest.mark.parametrize("scores", ["tied", "distinct"])
+def test_search_trial_directory_holds_its_best_seed_and_logs(search_setup, monkeypatch, scores):
+    """``best.ckpt`` is the best-scoring seed's checkpoint, ties going to
+    the larger seed; ``seed_j.log`` is the j-th seed's training log."""
+    from seqtag import experiment
+    from seqtag.hyperopt import derive_seed
+
+    if scores == "tied":
+        monkeypatch.setattr(experiment, "search_score", lambda *args: 0.5)
+    else:  # the smaller seed scores higher
+        monkeypatch.setattr(experiment, "search_score", lambda config, *_: -config.training.seed)
+    _, config, _, run = search_setup
+    out_dir, trials = run()
+    for index in trials:
+        trial_dir = out_dir / f"trial_{index:03d}"
+        seeds = [derive_seed(config["search"]["master_seed"], index, j) for j in range(2)]
+        runs = [out_dir / "runs" / f"seed_{seed}" for seed in seeds]
+        checkpoints = [(run_dir / "model.ckpt").read_bytes() for run_dir in runs]
+        assert checkpoints[0] != checkpoints[1]
+        best = (max if scores == "tied" else min)(seeds)
+        assert (trial_dir / "best.ckpt").read_bytes() == checkpoints[seeds.index(best)]
+        for j, run_dir in enumerate(runs):
+            assert (trial_dir / f"seed_{j}.log").read_bytes() == (
+                run_dir / "train.log"
+            ).read_bytes()
 
 
 def test_search_runs_leave_shared_data_unchanged(search_setup):

@@ -10,6 +10,7 @@ from seqtag.corpus import (
     UNK_INDEX,
     build_char_index,
     build_label_index,
+    conll_blocks,
     corpus_to_conll,
     load_corpus_cached,
     parse_conll,
@@ -70,6 +71,14 @@ def test_multi_task_columns():
 def test_short_line_reports_line_number():
     with pytest.raises(ConllParseError, match="line 2"):
         parse_conll("a\tX\nb\n", 0, {"t": 1})
+
+
+def test_conll_blocks_number_each_run_of_token_lines_from_its_first_line():
+    lines = ["", "a X", " b Y ", "\t", "", "c", "d"]
+    assert list(conll_blocks(lines)) == [(2, ["a X", " b Y "]), (6, ["c", "d"])]
+    assert list(conll_blocks(["", " "])) == []
+    with pytest.raises(ConllParseError, match="line 6: expected at least 2 columns, found 1"):
+        parse_conll("\n".join(lines), 0, {"t": 1})
 
 
 def test_unlabeled_parse():

@@ -198,6 +198,31 @@ def test_failed_trial_recorded_and_excluded():
     assert all(t.mean is not None for t in report.ranking())
 
 
+def test_trial_records_the_seeds_it_ran():
+    """``TrialRecord.seeds`` holds the seed of each score; a trial that
+    fails, here on its second seed, keeps neither."""
+    calls = []
+
+    def train_fn(config, seed):
+        calls.append(seed)
+        if config["x"] == 3 and len(calls) % 2 == 0:  # every trial runs two seeds
+            raise RuntimeError("injected failure")
+        return float(config["x"])
+
+    space = SearchSpace(variables={"x": DiscreteInterval(0, 5)})
+    report = run_search(
+        {"x": "${x}"}, space, 10, 2, master_seed=3, train_fn=train_fn, final_seeds=1
+    )
+    failed = [t for t in report.trials if t.error is not None]
+    assert failed and len(failed) < len(report.trials)
+    assert len(calls) == 2 * len(report.trials) + 1
+    for trial in report.trials:
+        expected = [derive_seed(3, trial.index, j) for j in range(2)]
+        assert calls[2 * trial.index : 2 * trial.index + 2] == expected
+        assert trial.seeds == ([] if trial.error is not None else expected)
+        assert len(trial.seeds) == len(trial.seed_scores)
+
+
 def test_search_reproducible_from_master_seed():
     def train_fn(config, seed):
         return (config["x"] * 31 + seed) % 97 / 97.0
