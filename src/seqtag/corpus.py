@@ -218,8 +218,10 @@ class Vocabulary:
             return idx
         return UNK_INDEX
 
-    def lookup_char(self, char: str) -> int:
-        return self.char_index.get(char, UNK_INDEX)
+    def char_ids(self, surface: str) -> list[int]:
+        """The character ids of a word, the unknown index for unseen ones."""
+        get = self.char_index.get
+        return [get(ch, UNK_INDEX) for ch in surface]
 
     def labels_of(self, task: str) -> list[str]:
         index = self.label_index[task]

@@ -12,7 +12,6 @@ Fields that cannot apply hold the bottom value, rendered "⊥".
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -186,10 +185,13 @@ class AMLabel:
         return f"{self.b}:{t}:{d}:{s}"
 
 
+_OUTSIDE = AMLabel("O")
+
+
 def parse_am_label(text: str) -> AMLabel:
     """Parse "b:t:d:s" (or the single token "O") into an AMLabel."""
     if text == "O":
-        return AMLabel("O")
+        return _OUTSIDE
     parts = text.split(":")
     if len(parts) != 4:
         raise LabelError(f"expected 4 colon-separated fields or 'O', got {text!r}")
@@ -362,15 +364,13 @@ def am_postprocess(seq: Sequence[AMLabel]) -> list[AMLabel]:
 
     # step 2: per-field majority within each component
     runs = _component_runs(repaired)
-    resolved = []
-    for start, end in runs:
-        tokens = repaired[start : end + 1]
-        resolved.append(_majority_fields(tokens))
+    resolved = [_majority_fields(repaired[start : end + 1]) for start, end in runs]
 
-    # step 3: clamp link targets
+    # step 3: clamp link targets, then give each component one B and one I
+    # label, shared by its tokens (AMLabel is frozen)
     n = len(runs)
-    final_fields = []
-    for k, (t, d, s) in enumerate(resolved, start=1):
+    out = [_OUTSIDE] * len(repaired)
+    for k, ((start, end), (t, d, s)) in enumerate(zip(runs, resolved), start=1):
         if t == "P":
             target = k + d
             target = min(max(target, 1), n)
@@ -381,12 +381,9 @@ def am_postprocess(seq: Sequence[AMLabel]) -> list[AMLabel]:
                 t, d, s = "C", None, ("Ag" if s == "Att" else "For")
             else:
                 d = target - k
-        final_fields.append((t, d, s))
-
-    out = [AMLabel("O")] * len(repaired)
-    for (start, end), (t, d, s) in zip(runs, final_fields):
-        for i in range(start, end + 1):
-            out[i] = AMLabel(b="B" if i == start else "I", t=t, d=d, s=s)
+        out[start] = AMLabel("B", t, d, s)
+        if end > start:
+            out[start + 1 : end + 1] = [AMLabel("I", t, d, s)] * (end - start)
     return out
 
 
@@ -407,28 +404,27 @@ def _component_runs(seq: Sequence[AMLabel]) -> list[tuple[int, int]]:
     return runs
 
 
-def _majority(values: list, tie_key) -> object:
-    counts = Counter(values)
-    best = max(counts.values())
-    candidates = [v for v, c in counts.items() if c == best]
-    return min(candidates, key=tie_key)
+def _majority(values: list, tie_key=None) -> object:
+    """The most frequent of ``values``; a tie goes to the smallest
+    ``tie_key`` (the value itself by default), unique per value."""
+    return min(set(values), key=lambda v: (-values.count(v), tie_key(v) if tie_key else v))
 
 
 def _majority_fields(tokens: Sequence[AMLabel]) -> tuple[str, int | None, str | None]:
     """Per-field majority; ties break by smallest |d|, then positive d,
     then lexicographic order for t and s. Fields inconsistent with the
     winning type are re-polled over consistent values only."""
-    t = _majority([tok.t for tok in tokens], tie_key=lambda v: v)
+    t = _majority([tok.t for tok in tokens])
     if t == "MC":
         return "MC", None, None
     if t == "C":
         stances = [_to_claim_stance(tok.s) for tok in tokens if tok.s is not None]
-        s = _majority(stances, tie_key=lambda v: v) if stances else "For"
+        s = _majority(stances) if stances else "For"
         return "C", None, s
     distances = [tok.d for tok in tokens if tok.d is not None]
     d = _majority(distances, tie_key=lambda v: (abs(v), v < 0)) if distances else 1
     stances = [_to_premise_stance(tok.s) for tok in tokens if tok.s is not None]
-    s = _majority(stances, tie_key=lambda v: v) if stances else "Supp"
+    s = _majority(stances) if stances else "Supp"
     return "P", d, s
 
 

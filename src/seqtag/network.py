@@ -9,7 +9,9 @@ inverted scaling, so evaluation passes need no rescaling.
 
 Each bidirectional layer is one fused tape node (``recurrent``) whose
 directions step together in one loop, with the layer's RNN dropout
-masks applied inside. ``Model.forward`` is the one forward graph: a
+masks applied inside; each direction reads a row from its own first or
+last real step, so padded steps come last and no real step reads one
+(none is masked). ``Model.forward`` is the one forward graph: a
 batch's sentences run each shared layer together as a padded (B, T, k)
 batch with a length mask (None when no row is padded), the character
 BiLSTM is one node that runs all words of the batch, and the head reads
@@ -245,32 +247,35 @@ def recurrent(
     """The directions of a recurrent layer over whole sequences, as one
     tape node named ``rnn/<kind>``; the cells share kind and size.
 
-    ``x`` is a padded (B, T, k) batch read by every direction. Direction
-    d runs ``cells[d]`` over t = 0 .. T-1, or over t = T-1 .. 0 if
-    ``reverse[d]``. ``mask`` (B, T) marks the real steps, None when no
-    row is padded; on a padded step the state carries over unchanged, so
-    the last processed step holds each row's final state. ``masks[d]``
-    holds direction d's dropout keep masks (input, state, output), each
-    None or indexed by input time: the input mask multiplies ``x``, the
-    state mask (broadcastable to (B, T, H)) the incoming hidden state of
-    each step, the output mask the returned states. Returns the
-    directions' hidden states concatenated per step in input time order,
-    (B, T, D*H); with ``final``, only the last processed step of each
-    direction, (B, D*H).
+    ``x`` is a padded (B, T, k) batch read by every direction; ``mask``
+    (B, T) marks each row's real steps, its first n (None when no row is
+    padded). Direction d runs ``cells[d]`` from a zero state over t = 0
+    .. n-1, or t = n-1 .. 0 if ``reverse[d]``, then on over the padded
+    steps, which no real step reads: padded inputs change no real output
+    and get zero adjoints, and the states at padded positions are for
+    consumers to ignore. ``masks[d]`` holds direction d's dropout keep
+    masks (input, state, output), each None or indexed by input time: the
+    input mask multiplies ``x``, the state mask (broadcastable to (B, T,
+    H)) the incoming hidden state of each step, the output mask the
+    returned states. Returns the directions' hidden states concatenated
+    per step in input time order, (B, T, D*H); with ``final``, each row's
+    state after its last real step (zeros for an empty row), (B, D*H).
 
     Internally every array is step-major with a direction axis, (T, D,
-    B, .), so step s of direction d is time s, or T-1-s when reversed,
-    and one loop steps all directions together: ``h @ U`` is one stacked
-    ``np.matmul`` per step, which makes one BLAS call per direction. The
-    forward pass is one ``x @ W`` GEMM per direction (plus ``x @ Wc`` for
-    GRU); the stacked pre-activations are checked for non-finite values
-    once. A sigmoid gate is computed as ``0.5 * (1 + tanh(z / 2))``: its
-    columns of ``x @ W``, U and b are halved once per call (exact in
-    binary floating point), so one ``tanh`` covers all gates of a step
-    and the stored pre-activations of those columns are ``z / 2``. The
-    backward pass is one reverse BPTT loop over all directions followed,
-    per direction, by one GEMM each for the weight and input adjoints;
-    the input adjoints are added to ``x`` direction by direction.
+    B, .): step s reads time s, or if reversed time n-1-s while s < n and
+    s after (``back``, its own inverse). One loop steps all directions
+    together: ``h @ U`` is one stacked ``np.matmul`` per step, which
+    makes one BLAS call per direction. The forward pass is one ``x @ W``
+    GEMM per direction (plus ``x @ Wc`` for GRU); the stacked
+    pre-activations are checked for non-finite values once. A sigmoid
+    gate is computed as ``0.5 * (1 + tanh(z / 2))``: its columns of ``x @
+    W``, U and b are halved once per call (exact in binary floating
+    point), so one ``tanh`` covers all gates of a step and the stored
+    pre-activations of those columns are ``z / 2``; the activations are
+    stored gate-major, (gates, D, B, H) per step. The backward pass is
+    one reverse BPTT loop over all directions followed, per direction, by
+    one GEMM each for the weight and input adjoints; the input adjoints
+    are added to ``x`` direction by direction.
     """
     kind, H, D = cells[0].kind, cells[0].hidden, len(cells)
     op = f"rnn/{kind}"
@@ -279,10 +284,15 @@ def recurrent(
             raise ShapeError(f"cell input dim {x.data.shape[-1]} != weight dim {cell.W.shape[0]}")
     B, T, k = x.data.shape
     masks = masks or [(None, None, None)] * D
+    back = slice(None, None, -1)  # a reversed direction's step order
+    if mask is not None:
+        lengths = np.count_nonzero(np.reshape(mask, (B, T)), axis=1)
+        t = np.arange(T)[:, None]
+        back = (np.where(t < lengths, lengths - 1 - t, t), np.arange(B))
 
     def steps(a: np.ndarray, d: int) -> np.ndarray:
-        """Direction d's view of a time-major array, in its step order."""
-        return a[::-1] if reverse[d] else a
+        """Direction d's time-major (T, B, .) array in its step order, and back."""
+        return a[back] if reverse[d] else a
 
     def time_rows(in_mask: np.ndarray | None) -> np.ndarray:
         xd = x.data if in_mask is None else x.data * in_mask
@@ -302,26 +312,25 @@ def recurrent(
         half = 0.5 if kind == "gru" else _lstm_halves(H)
         XW *= half
         U, b = U * half, b * half
-    SM = None
-    if any(state_mask is not None for _, state_mask, _ in masks):
+    SM = [None] * T  # per step: the state masks, if any direction has them
+    state_dropout = any(state_mask is not None for _, state_mask, _ in masks)
+    if state_dropout:
         SM = np.ones((T, D, B, H))
         for d, (_, state_mask, _) in enumerate(masks):
             if state_mask is not None:
                 SM[:, d] = steps(np.broadcast_to(state_mask, (B, T, H)).transpose(1, 0, 2), d)
-    keep = drop = None
-    if mask is not None:
-        by_time = np.asarray(mask, dtype=bool).reshape(B, T).T
-        keep = np.stack([steps(by_time, d) for d in range(D)], axis=1)[..., None]
-        drop = ~keep
 
     Z = np.empty_like(XW)  # gate pre-activations (halved for the sigmoid gates)
     OUT = np.empty((T, D, B, H))
-    ACT = OUT if kind == "simple" else np.empty_like(XW)  # gate activations
+    more = [None] * T  # per step: the views only the kind's own arithmetic reads
+    if kind != "simple":
+        ACT = np.empty((T, G // H, D, B, H))  # gate activations, gate-major
+        # Z and ACT as (D, B, gates, H): tanh reads Z and writes ACT's gate blocks
+        tanh_views = (Z.reshape(T, D, B, -1, H), ACT.transpose(0, 2, 3, 1, 4), ACT)
     if kind == "lstm":
         C = np.empty_like(OUT)  # cell states
         TC = np.empty_like(OUT)  # tanh of the new cell state
-        SIG = ACT[..., : 3 * H]
-        I, F, O, GC = (ACT[..., j * H : (j + 1) * H] for j in range(4))
+        more = zip(*tanh_views, ACT[:, :3], C, TC)
     elif kind == "gru":
         XWc = np.empty_like(OUT)
         for d, cell in enumerate(cells):
@@ -330,47 +339,46 @@ def recurrent(
         bc = np.stack([cell.bc.data for cell in cells])
         A = np.empty_like(OUT)  # candidate pre-activations
         HH = np.empty_like(OUT)  # candidate states
-        ZG, R = ACT[..., :H], ACT[..., H:]
-    h = np.zeros(OUT.shape[1:])
-    c = np.zeros(OUT.shape[1:])
-    for s in range(T):
-        hm = h if SM is None else h * SM[s]
-        z = np.matmul(hm, U, out=Z[s])
-        z += XW[s]
+        more = zip(*tanh_views, XWc, A, HH)
+    h = c = np.zeros(OUT.shape[1:])
+    for z, xw, out, sm, step in zip(Z, XW, OUT, SM, more):
+        hm = h if sm is None else h * sm
+        np.matmul(hm, U, out=z)
+        z += xw
         z += b
-        new_h = act = np.tanh(z, out=ACT[s])
-        if kind == "lstm":
-            sig = SIG[s]
+        if kind == "simple":
+            h = np.tanh(z, out=out)
+        elif kind == "lstm":
+            zt, at, (i, f, o, gc), sig, c_out, tc = step
+            np.tanh(zt, out=at)
             sig += 1.0
             sig *= 0.5
-            new_c = np.multiply(F[s], c, out=C[s])
-            new_c += I[s] * GC[s]
-            new_h = np.multiply(O[s], np.tanh(new_c, out=TC[s]), out=OUT[s])
-        elif kind == "gru":
+            c = np.multiply(f, c, out=c_out)
+            c += i * gc
+            h = np.multiply(o, np.tanh(c, out=tc), out=out)
+        else:
+            zt, at, act, xwc, a, hh = step
+            np.tanh(zt, out=at)
             act += 1.0
             act *= 0.5
-            zg = ZG[s]
-            a = np.matmul(R[s] * hm, Uc, out=A[s])
-            a += XWc[s]
+            zg, r = act
+            np.matmul(r * hm, Uc, out=a)
+            a += xwc
             a += bc
-            new_h = np.subtract(1.0, zg, out=OUT[s])
-            new_h *= hm
-            new_h += zg * np.tanh(a, out=HH[s])
-        if keep is not None:
-            np.copyto(new_h, h, where=drop[s])
-            if kind == "lstm":
-                np.copyto(new_c, c, where=drop[s])
-        h = new_h
-        if kind == "lstm":
-            c = new_c
+            h = np.subtract(1.0, zg, out=out)
+            h *= hm
+            h += zg * np.tanh(a, out=hh)
     ad.check_finite(Z, op)
     if kind == "gru":
         ad.check_finite(A, op)
+    if final:  # each row's last real step, and the rows without one
+        ends = np.full(B, T - 1) if mask is None else lengths - 1
+        last, empty = (ends, slice(None), np.arange(B)), (ends < 0)[:, None, None]
 
     def backward(g_out):
         if final:
             dOUT = np.zeros_like(OUT)
-            dOUT[-1] = g_out.reshape(B, D, H).transpose(1, 0, 2)
+            dOUT[last] = np.where(empty, 0.0, g_out.reshape(B, D, H))
         else:
             dOUT = np.empty_like(OUT)
             for d, (_, _, out_mask) in enumerate(masks):
@@ -379,63 +387,60 @@ def recurrent(
                     g = g * out_mask
                 dOUT[:, d] = steps(g.transpose(1, 0, 2), d)
         HM = _previous(OUT)
-        if SM is not None:
+        if state_dropout:
             HM *= SM
-        # per-step factors of the BPTT recursion, computed for all steps at once
+        # per-step factors of the BPTT recursion, computed for all steps at
+        # once, and reversed: the loop below runs from the last step
         if kind == "simple":
-            DF = 1.0 - ACT * ACT  # ACT is OUT: a padded step's factor is masked below
+            more = (1.0 - OUT * OUT)[::-1]
         elif kind == "lstm":
             # gate adjoints per unit of dc (o: per unit of dh); step s below
             # turns COEF[s] into its gate adjoints, so COEF also serves as dZ
+            I, F, O, GC = ACT.transpose(1, 0, 2, 3, 4)
             COEF = np.empty((T, D, B, 4, H))
             COEF[..., 0, :] = GC * (I * (1.0 - I))
             COEF[..., 1, :] = _previous(C) * (F * (1.0 - F))
             COEF[..., 2, :] = TC * (O * (1.0 - O))
             COEF[..., 3, :] = I * (1.0 - GC * GC)
-            DTC = O * (1.0 - TC * TC)
+            more = zip(COEF[::-1], (O * (1.0 - TC * TC))[::-1], F[::-1])
         else:
-            DA = ZG * (1.0 - HH * HH)
-            DZG = (HH - HM) * (ZG * (1.0 - ZG))
-            DR = HM * (R * (1.0 - R))
-            KEEP_H = 1.0 - ZG
+            ZG, R = ACT.transpose(1, 0, 2, 3, 4)
             dA = np.empty_like(OUT)
             UcT = Uc.transpose(0, 2, 1)
             RHM = R * HM  # the states the candidate's U multiplies
+            DZG = (HH - HM) * (ZG * (1.0 - ZG))
+            factors = (ZG * (1.0 - HH * HH), dA, DZG, HM * (R * (1.0 - R)), 1.0 - ZG, R)
+            more = zip(*(a[::-1] for a in factors))
         # not halved: dZ is the adjoint of the full pre-activations
         UT = np.stack([cell.U.data for cell in cells]).transpose(0, 2, 1)
         # Z's shape; Z itself is not kept for the backward pass
-        dZ = COEF.reshape(T, D, B, 4 * H) if kind == "lstm" else np.empty_like(ACT)
-        dh = np.zeros(OUT.shape[1:])
-        dc = np.zeros(OUT.shape[1:])
-        for s in range(T - 1, -1, -1):
-            dh += dOUT[s]
-            dz = dZ[s]
+        dZ = COEF.reshape(T, D, B, 4 * H) if kind == "lstm" else np.empty((T, D, B, G))
+        dh, dc = np.zeros(OUT.shape[1:]), np.zeros(OUT.shape[1:])
+        for dout, dz, sm, step in zip(dOUT[::-1], dZ[::-1], SM[::-1], more):
+            dh += dout
             if kind == "simple":
-                np.multiply(dh, DF[s], out=dz)
+                np.multiply(dh, step, out=dz)
             elif kind == "lstm":
-                dcn = dh * DTC[s]
+                coef, dtc, f = step
+                dcn = dh * dtc
                 dcn += dc
-                coef = COEF[s]
                 o = dh * coef[..., 2, :]
                 coef *= dcn[..., None, :]
                 coef[..., 2, :] = o
-                dc = dcn * F[s] if keep is None else np.where(keep[s], dcn * F[s], dc)
+                dc = dcn * f
             else:
-                da = np.multiply(dh, DA[s], out=dA[s])
-                if keep is not None:
-                    da *= keep[s]
+                da_h, da, dzg, dr, one_minus_z, r = step
+                np.multiply(dh, da_h, out=da)
                 drh = np.matmul(da, UcT)
-                np.multiply(dh, DZG[s], out=dz[..., :H])
-                np.multiply(drh, DR[s], out=dz[..., H:])
-            if keep is not None:
-                dz *= keep[s]
+                np.multiply(dh, dzg, out=dz[..., :H])
+                np.multiply(drh, dr, out=dz[..., H:])
             dhm = np.matmul(dz, UT)
             if kind == "gru":
-                dhm += dh * KEEP_H[s]
-                dhm += drh * R[s]
-            if SM is not None:
-                dhm *= SM[s]
-            dh = dhm if keep is None else np.where(keep[s], dhm, dh)
+                dhm += dh * one_minus_z
+                dhm += drh * r
+            if sm is not None:
+                dhm *= sm
+            dh = dhm
 
         for d, (cell, (in_mask, _, _)) in enumerate(zip(cells, masks)):
 
@@ -460,7 +465,7 @@ def recurrent(
                 x._accum(dX if in_mask is None else dX * in_mask)
 
     if final:
-        out = OUT[-1].transpose(1, 0, 2).reshape(B, D * H)
+        out = np.where(empty, 0.0, OUT[last]).reshape(B, D * H)
     else:
         halves = []
         for d, (_, _, out_mask) in enumerate(masks):
@@ -816,10 +821,7 @@ class Model:
         word_ids = [self.vocab.lookup_word(tok.surface) for tok in sentence]
         if not self.config.char.enabled:
             return word_ids, [[] for _ in sentence]
-        char_idss = [
-            [self.vocab.lookup_char(ch) for ch in tok.surface] for tok in sentence
-        ]
-        return word_ids, char_idss
+        return word_ids, [self.vocab.char_ids(tok.surface) for tok in sentence]
 
     def gold_ids(self, task_name: str, sentence: Sentence) -> list[int]:
         index = self.vocab.label_index[task_name]

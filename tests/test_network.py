@@ -607,6 +607,61 @@ def test_fused_char_features_bitwise_equal_two_single_direction_calls():
 
 
 @pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+@pytest.mark.parametrize("final", [False, True])
+@pytest.mark.parametrize("mode", list(DROPOUT_MODES))
+def test_padded_steps_are_never_read(kind, final, mode):
+    """Large finite garbage at the padded inputs of a masked call leaves
+    every real output, final state and parameter gradient equal, and the
+    input adjoint at the padded steps exactly 0."""
+    rng = np.random.default_rng(49)
+    cells = [random_cell(kind, 3, 4, rng), random_cell(kind, 3, 4, rng)]
+    mask = np.arange(6) < np.array([6, 2, 4, 1])[:, None]
+    clean = rng.normal(size=(4, 6, 3)) * mask[..., None]
+    garbage = np.where(mask[..., None], clean, rng.uniform(-1e3, 1e3, size=clean.shape))
+    masks = None
+    if DROPOUT_MODES[mode] is not None:
+        draws = np.random.default_rng(50)
+        masks = [
+            network._dropout_masks(draws, DROPOUT_MODES[mode], clean.shape, 4, reverse)
+            for reverse in (False, True)
+        ]
+    params = [t for cell in cells for _, t in cell.tensors()]
+    results = []
+    for data in (clean, garbage):
+        x = ad.parameter(data)
+        for p in params:
+            p.grad = None
+        out = recurrent(x, cells, (False, True), mask=mask, masks=masks, final=final)
+        cotangent = np.random.default_rng(51).normal(size=out.shape)
+        if not final:
+            cotangent *= mask[..., None]  # consumers read the real steps only
+        tsum(out * Tensor(cotangent)).backward()
+        results.append((out.data if final else out.data[mask], x.grad, [p.grad for p in params]))
+    (out_clean, dx_clean, grads_clean), (out_garbage, dx_garbage, grads_garbage) = results
+    assert np.array_equal(out_clean, out_garbage)
+    assert np.array_equal(dx_clean, dx_garbage)
+    assert not dx_garbage[~mask].any()
+    for g_clean, g_garbage in zip(grads_clean, grads_garbage):
+        assert np.array_equal(g_clean, g_garbage)
+
+
+def test_char_features_empty_word_passes_no_gradient():
+    rng = np.random.default_rng(52)
+    table = ad.parameter(rng.uniform(-0.8, 0.8, size=(7, 3)))
+    fwd = random_cell("lstm", 3, 4, rng)
+    bwd = random_cell("lstm", 3, 4, rng)
+    params = [table] + [t for _, t in fwd.tensors()] + [t for _, t in bwd.tensors()]
+    words = [[], [2, 3, 4], [5, 6], []]
+    out = char_features(words, table, fwd, bwd)
+    cotangent = np.zeros(out.shape)
+    cotangent[[0, 3]] = rng.normal(size=(2, out.shape[1]))  # only on the empty words
+    tsum(out * Tensor(cotangent)).backward()
+    assert not out.data[[0, 3]].any()
+    for p in params:
+        assert p.grad is not None and not p.grad.any()
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
 def test_fused_shortcut_stack_bitwise_equals_two_single_direction_calls(kind, monkeypatch):
     # with shortcuts the word representations feed every layer, so their
     # gradient sums the adjoints of several consumers in tape order
