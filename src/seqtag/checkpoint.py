@@ -1,8 +1,8 @@
 """Model checkpoints.
 
 One more file of the framing that ``seqtag.files`` gives every binary
-file: magic "SQTG", version 2, a CRC-32, one section holding the JSON
-manifest (configuration echo, vocabularies, and a tensor registry of
+file: magic "SQTG", version 2, a CRC-32, the JSON manifest as its
+header (configuration echo, vocabularies, and a tensor registry of
 names and shapes), then each tensor's float64 values in registry order
 up to the end of the file. Round trips are bit-exact. Version 1 files,
 which have no CRC and whose registry also gives byte offsets, still load.
@@ -10,16 +10,14 @@ which have no CRC and whose registry also gives byte offsets, still load.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 
 from seqtag.corpus import Vocabulary
 from seqtag.exceptions import ConfigError, DataError
-from seqtag.files import CacheReader, read_cache, section, write_cache
+from seqtag.files import read_body, read_cache, write_cache
 from seqtag.network import Model, NetworkConfig
 
 MAGIC = b"SQTG"
@@ -37,8 +35,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
     }
     values = np.concatenate([t.data.ravel() for t in model.params.values()], dtype="<f8")
-    pieces = (*section(json.dumps(manifest).encode("utf-8")), values)
-    write_cache(Path(path), MAGIC, VERSION, pieces)
+    write_cache(Path(path), MAGIC, VERSION, manifest, values)
 
 
 def load_model(path: str | Path) -> Model:
@@ -46,14 +43,11 @@ def load_model(path: str | Path) -> Model:
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        version, blob, values = _read(path)
-        manifest = json.loads(blob.decode("utf-8"))
+        version, manifest, values = _read(path)
     except DataError as err:
         raise CheckpointError(str(err)) from err
     except OSError as err:
         raise CheckpointError(f"cannot read {path}: {err.strerror or err}") from err
-    except ValueError as err:  # not UTF-8 or not JSON
-        raise CheckpointError(f"corrupt checkpoint manifest in {path}: {err}") from err
     sizes = _check_manifest(manifest, version, path)
     if sum(sizes) != values.size:
         raise CheckpointError(f"checkpoint {path} has {values.size} values, not {sum(sizes)}")
@@ -98,14 +92,12 @@ def load_model(path: str | Path) -> Model:
     return model
 
 
-def _read(path: Path) -> tuple[int, bytes, np.ndarray]:
-    """The format version, the manifest section and the float64 values."""
+def _read(path: Path) -> tuple[int, object, np.ndarray]:
+    """The format version, the manifest and the float64 values."""
     with open(path, "rb") as fh:
         if fh.read(8) == MAGIC + (1).to_bytes(4, "little"):
-            reader = CacheReader(fh, os.fstat(fh.fileno()).st_size - 8, f"checkpoint {path}")
-            return 1, reader.section(), reader.floats()
-    with read_cache(path, MAGIC, VERSION, "checkpoint") as reader:
-        return VERSION, reader.section(), reader.floats()
+            return 1, *read_body(fh, path, "checkpoint", None)
+    return VERSION, *read_cache(path, MAGIC, VERSION, "checkpoint")
 
 
 def _check_manifest(manifest, version: int, path: Path) -> list[int]:

@@ -5,7 +5,8 @@ postprocess. One YAML configuration file drives training and search;
 scalar leaves can be overridden with --set section.key=value. Outputs
 go under the configured output directory (relative directories resolve
 against $SEQTAG_RESULTS when it is set). Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 numeric failure.
+1 usage/config error, 2 data error (an output that cannot be written
+among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from seqtag.config import (
 )
 from seqtag.corpus import Token, conll_blocks, conll_text, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
+from seqtag.files import write_atomic
 from seqtag.hyperopt import SearchSpace, parse_interval, run_search
 from seqtag.labels import SUBTASK_KINDS, components_from_labels, derive_subtask, parse_am_sequence
 from seqtag.metrics import ResultList, span_overlap_profile
@@ -68,8 +70,7 @@ def _write_text(text: str, path: str | None) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _load_config(path: str, overrides: list[str]):
@@ -393,6 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     except SeqtagError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except OSError as err:  # every read raises DataError, so an OSError failed a write
+        where = "" if err.filename is None else f" {err.filename}"
+        print(f"error: cannot write{where}: {err.strerror or err}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

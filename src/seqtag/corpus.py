@@ -8,23 +8,13 @@ Multiple consecutive blank lines collapse to a single boundary.
 
 from __future__ import annotations
 
-import io
 import itertools
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from seqtag.exceptions import ConfigError, DataError
-from seqtag.files import (
-    cache_path,
-    file_fingerprint,
-    read_cache,
-    section,
-    through_cache,
-    write_cache,
-)
+from seqtag.files import cache_path, file_fingerprint, read_cache, through_cache, write_cache
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -32,7 +22,7 @@ PAD_INDEX = 0
 UNK_INDEX = 1
 
 _CACHE_MAGIC = b"SQTC"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 class ConllParseError(DataError):
@@ -273,68 +263,39 @@ def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
 
 # -- binary cache ---------------------------------------------------------------
 #
-# Framed as ``seqtag.files`` describes, with magic "SQTC" and two
-# sections: 1) JSON header with source fingerprint, column declaration,
-# and the string tables, 2) packed sentence data: per sentence u32 token
-# count, then per token one u32 surface id and one u32 label id per task
-# (task order from the header).
+# Framed as ``seqtag.files`` describes, with magic "SQTC" and a JSON
+# header of columns: the source fingerprint and column declaration, the
+# token count of each sentence, every token's surface in corpus order,
+# and one label column of the same length per task, in task order. It
+# carries no float values.
 
 
 def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> None:
-    surfaces: dict[str, int] = {}
-    label_tables: dict[str, dict[str, int]] = {task: {} for task in corpus.tasks}
-    packed = io.BytesIO()
-    for sentence in corpus.sentences:
-        packed.write(struct.pack("<I", len(sentence)))
-        for token in sentence:
-            sid = surfaces.setdefault(token.surface, len(surfaces))
-            packed.write(struct.pack("<I", sid))
-            for task in corpus.tasks:
-                table = label_tables[task]
-                lid = table.setdefault(token.labels[task], len(table))
-                packed.write(struct.pack("<I", lid))
-
+    tokens = [token for sentence in corpus.sentences for token in sentence]
     header = {
         "source": source_meta,
-        "tasks": list(corpus.tasks),
-        "surfaces": list(surfaces.keys()),
-        "labels": {task: list(table.keys()) for task, table in label_tables.items()},
-        "sentence_count": len(corpus.sentences),
+        "lengths": [len(sentence) for sentence in corpus.sentences],
+        "surfaces": [token.surface for token in tokens],
+        "labels": {task: [token.labels[task] for token in tokens] for task in corpus.tasks},
     }
-    pieces = (*section(json.dumps(header).encode("utf-8")), *section(packed.getbuffer()))
-    write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, pieces)
+    write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, header)
 
 
 def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
     """The cached corpus and its source metadata; a damaged file raises DataError."""
+    header, values = read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "corpus cache")
     try:
-        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "corpus cache") as reader:
-            header, packed = reader.section(), reader.section()
-        header = json.loads(header.decode("utf-8"))
-        ids = struct.unpack(f"<{len(packed) // 4}I", packed)
-        tasks = tuple(header["tasks"])
-        width = 1 + len(tasks)
-        # split the ids into per-sentence token counts and the token rows
-        counts, body, pos = [], [], 0
-        for _ in range(header["sentence_count"]):
-            start, pos = pos + 1, pos + 1 + ids[pos] * width
-            counts.append(ids[start - 1])
-            body += ids[start:pos]
-        if pos != len(ids):
-            raise DataError(
-                f"corrupt corpus cache {path}: body holds {len(ids)} ids, its sentences {pos}"
-            )
-        words = map(header["surfaces"].__getitem__, body[::width])
-        columns = [
-            map(header["labels"][task].__getitem__, body[k::width])
-            for k, task in enumerate(tasks, 1)
-        ]
-        rows = zip(*columns) if columns else itertools.repeat(())
+        lengths, surfaces, columns = header["lengths"], header["surfaces"], header["labels"]
+        sizes = {sum(lengths), len(surfaces), *map(len, columns.values())}
+        if values.size or len(sizes) > 1:
+            raise ValueError(f"{values.size} values and columns of {sorted(sizes)} tokens")
+        tasks = tuple(columns)
+        rows = zip(*columns.values()) if tasks else itertools.repeat(())
         labels = map(dict, map(zip, itertools.repeat(tasks), rows))
-        tokens = map(Token, words, labels)
-        sentences = [tuple(itertools.islice(tokens, n)) for n in counts]
+        tokens = map(Token, surfaces, labels)
+        sentences = [tuple(itertools.islice(tokens, n)) for n in lengths]
         return Corpus(sentences=tuple(sentences), tasks=tasks), header["source"]
-    except (ValueError, LookupError, TypeError, struct.error, OverflowError) as err:
+    except (ValueError, LookupError, TypeError, AttributeError) as err:
         raise DataError(f"corrupt corpus cache {path}: {err!r}") from err
 
 

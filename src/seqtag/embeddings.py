@@ -11,7 +11,6 @@ binary cache (``<name>.<hash>.emb``) while its content is unchanged.
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,6 @@ from seqtag.files import (
     cache_path,
     file_fingerprint,
     read_cache,
-    section,
     through_cache,
     write_atomic,
     write_cache,
@@ -126,25 +124,21 @@ def _all_ints(parts: list[str]) -> bool:
 
 # -- binary cache -----------------------------------------------------------------
 #
-# Framed as ``seqtag.files`` describes, with magic "SQTE", one section
-# holding the JSON header (source size and sha256, ``dim``, and the
-# words in the order of the set), then the float64 matrix, one row per
-# word, up to the end of the file.
+# Framed as ``seqtag.files`` describes, with magic "SQTE", a JSON header
+# (source size and sha256, ``dim``, and the words in the order of the
+# set), then the float64 matrix, one row per word, up to the end of the
+# file.
 
 
 def write_embedding_cache(path: str | Path, emb: EmbeddingSet, source_meta: dict) -> None:
     header = {"source": source_meta, "dim": emb.dim, "words": emb.words}
-    matrix = np.ascontiguousarray(emb.matrix, dtype="<f8")
-    pieces = (*section(json.dumps(header).encode("utf-8")), matrix)
-    write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, pieces)
+    write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, header, emb.matrix)
 
 
 def read_embedding_cache(path: str | Path) -> tuple[EmbeddingSet, dict]:
     """The cached set and its source metadata; a damaged file raises DataError."""
+    header, values = read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "embedding cache")
     try:
-        with read_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, "embedding cache") as reader:
-            header, values = reader.section(), reader.floats()
-        header = json.loads(header.decode("utf-8"))
         words = header["words"]
         return EmbeddingSet(words, values.reshape(len(words), header["dim"])), header["source"]
     except (ValueError, LookupError, TypeError) as err:

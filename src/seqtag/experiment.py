@@ -137,7 +137,6 @@ def run_training(
     else:
         data.configure(config)
     if cache_dir is not None and data.pruned_embeddings is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
         data.save_pruned_embeddings(Path(cache_dir) / "embeddings.pruned.txt")
     rng = np.random.default_rng(config.training.seed)
     model = build_model(config, data, rng)

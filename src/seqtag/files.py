@@ -2,9 +2,10 @@
 
 A binary file (the corpus and embedding caches, and model checkpoints)
 is a 4-byte magic, a little-endian u32 version, a u32 CRC-32 of the
-rest of the file, then sections of a u64 byte length and that many
-bytes, optionally followed by float64 values up to the end. The CRC
-catches any damaged run of up to 32 bits. A cache is named after its
+rest of the file, a u64 byte length and that many bytes of UTF-8 JSON
+header, then float64 values up to the end. This module alone writes,
+reads and checks that layout, and encodes and decodes the header. The
+CRC catches any damaged run of up to 32 bits. A cache is named after its
 source file and a hash of the source's absolute path, and it records
 the source's size and sha256, so a changed source invalidates it.
 Every file is written through a temporary file and ``os.replace``: a
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import struct
 import zlib
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -29,14 +31,19 @@ from seqtag.exceptions import DataError
 
 @contextlib.contextmanager
 def replacing(path: str | Path) -> Iterator[Path]:
-    """A temporary path next to ``path``, moved onto ``path`` when the
-    block ends without error and removed in any case."""
+    """A temporary path next to ``path``, in a directory made if missing,
+    moved onto ``path`` when the block ends without error and removed in
+    any case. An OSError on the way names ``path``, not the temporary."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from err
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -70,11 +77,6 @@ def file_fingerprint(path: Path) -> dict:
     return {"size": size, "sha256": digest.hexdigest()}
 
 
-def section(payload) -> tuple:
-    """The pieces of one section: its u64 byte length, then the payload."""
-    return struct.pack("<Q", memoryview(payload).nbytes), payload
-
-
 def through_cache(cache: Path, meta: dict, read: Callable, parse: Callable, write: Callable):
     """What ``read(cache)`` holds when it was made from a source that
     matched ``meta``; otherwise (no cache, a stale or a damaged one) what
@@ -92,62 +94,23 @@ def through_cache(cache: Path, meta: dict, read: Callable, parse: Callable, writ
     return value
 
 
-def write_cache(path: Path, magic: bytes, version: int, pieces: Iterable) -> None:
-    """Write a binary file whose body is ``pieces``, bytes-like objects that
-    are written and folded into the CRC one at a time, so the body is
-    never held whole. The CRC goes into the prefix at the end."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with replacing(path) as tmp:
-        with open(tmp, "wb") as fh:
-            fh.write(magic + bytes(8))
-            crc = 0
-            for piece in pieces:
-                fh.write(piece)
-                crc = zlib.crc32(piece, crc)
-            fh.seek(len(magic))
-            fh.write(struct.pack("<II", version, crc))
+def write_cache(path: Path, magic: bytes, version: int, header, values=()) -> None:
+    """Write a binary file of the JSON ``header`` and the float64 ``values``
+    (none by default). The CRC is known before the first byte is written."""
+    blob = json.dumps(header).encode("utf-8")
+    body = (struct.pack("<Q", len(blob)), blob, np.ascontiguousarray(values, dtype="<f8"))
+    crc = 0
+    for piece in body:
+        crc = zlib.crc32(piece, crc)
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        for piece in (magic + struct.pack("<II", version, crc), *body):
+            fh.write(piece)
 
 
-class CacheReader:
-    """Reads the sections of one binary file in order, folding every byte
-    into a CRC-32. No read goes past the end of the file, whatever a
-    damaged length field says."""
-
-    def __init__(self, fh: IO[bytes], left: int, name: str):
-        self._fh, self.left, self._name = fh, left, name
-        self.crc = 0
-
-    def section(self) -> bytes:
-        (size,) = struct.unpack("<Q", self._read(8))
-        return self._read(size)
-
-    def floats(self) -> np.ndarray:
-        """The rest of the file as little-endian float64 values."""
-        size = self.left
-        if size % 8:
-            raise DataError(f"{self._name} ends in a partial float")
-        values = np.fromfile(self._fh, dtype="<f8", count=size // 8)
-        if values.nbytes != size:
-            raise DataError(f"{self._name} is truncated")
-        self.left = 0
-        self.crc = zlib.crc32(values, self.crc)
-        return values
-
-    def _read(self, size: int) -> bytes:
-        if size > self.left:
-            raise DataError(f"{self._name} is truncated")
-        self.left -= size
-        data = self._fh.read(size)
-        self.crc = zlib.crc32(data, self.crc)
-        return data
-
-
-@contextlib.contextmanager
-def read_cache(path: Path, magic: bytes, version: int, what: str) -> Iterator[CacheReader]:
-    """A reader over the sections of a binary file, the kind of file that
-    ``what`` names in messages. A wrong magic or version raises
-    DataError, and so do, once the block has read every section, bytes
-    left over or a failing CRC."""
+def read_cache(path: Path, magic: bytes, version: int, what: str) -> tuple[object, np.ndarray]:
+    """The JSON header and the float64 values of a binary file, the kind
+    of file that ``what`` names in messages. A wrong magic or version, a
+    failing CRC or a header that is not UTF-8 JSON raises DataError."""
     with open(path, "rb") as fh:
         head = fh.read(len(magic) + 8)
         if head[: len(magic)] != magic:
@@ -157,10 +120,27 @@ def read_cache(path: Path, magic: bytes, version: int, what: str) -> Iterator[Ca
         found, crc = struct.unpack("<II", head[len(magic) :])
         if found != version:
             raise DataError(f"unsupported {what} version {found}")
-        left = os.fstat(fh.fileno()).st_size - len(head)
-        reader = CacheReader(fh, left, f"{what} {path}")
-        yield reader
-        if reader.left:
-            raise DataError(f"{what} {path} has {reader.left} bytes past its sections")
-        if reader.crc != crc:
-            raise DataError(f"{what} {path} fails its checksum")
+        return read_body(fh, path, what, crc)
+
+
+def read_body(fh: IO[bytes], path: Path, what: str, crc: int | None) -> tuple[object, np.ndarray]:
+    """The JSON header and the float64 values from the position of ``fh``
+    to the end of the file, checked against ``crc`` unless it is None. No
+    read goes past the end of the file, whatever a damaged length says."""
+    size = fh.read(8)
+    length = int.from_bytes(size, "little")
+    left = os.fstat(fh.fileno()).st_size - fh.tell() - length
+    if len(size) < 8 or left < 0:
+        raise DataError(f"{what} {path} is truncated")
+    blob = fh.read(length)
+    if left % 8:
+        raise DataError(f"{what} {path} ends in a partial float")
+    values = np.fromfile(fh, dtype="<f8", count=left // 8)
+    if values.nbytes != left:
+        raise DataError(f"{what} {path} is truncated")
+    if crc is not None and zlib.crc32(values, zlib.crc32(blob, zlib.crc32(size))) != crc:
+        raise DataError(f"{what} {path} fails its checksum")
+    try:
+        return json.loads(blob.decode("utf-8")), values
+    except ValueError as err:  # not UTF-8 or not JSON
+        raise DataError(f"corrupt {what} manifest in {path}: {err}") from err

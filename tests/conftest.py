@@ -2,13 +2,13 @@
 
 import errno
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
 
-from seqtag.checkpoint import MAGIC, VERSION, load_model
+from seqtag.checkpoint import load_model
 from seqtag.corpus import Corpus, Token, Vocabulary, build_char_index, build_label_index
-from seqtag.files import read_cache, section, write_cache
 from seqtag.network import CharConfig, DropoutConfig, Model, NetworkConfig, TaskSpec
 
 # word -> BIO class; labels are a pure function of the surface so a
@@ -138,9 +138,6 @@ class DiskFullFile:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def seek(self, offset):
-        return self._fh.seek(offset)
-
     def write(self, data):
         if not self._left:
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -163,7 +160,9 @@ def reframe_checkpoint(path, edit):
     float64 values that ``edit`` may change in place, framed as
     ``save_model`` frames them and with a valid CRC, so that the damage
     reaches the checks behind the framing."""
-    with read_cache(path, MAGIC, VERSION, "checkpoint") as reader:
-        manifest, values = reader.section(), reader.floats()
-    manifest = edit(manifest, values)
-    write_cache(path, MAGIC, VERSION, (*section(manifest), values))
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[12:20], "little")
+    values = np.frombuffer(blob[20 + length :], dtype="<f8").copy()
+    manifest = edit(blob[20 : 20 + length], values)
+    body = len(manifest).to_bytes(8, "little") + manifest + values.tobytes()
+    path.write_bytes(blob[:8] + zlib.crc32(body).to_bytes(4, "little") + body)

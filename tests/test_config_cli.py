@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -338,6 +340,68 @@ def test_cli_directory_instead_of_a_file_exits_2(workspace, capsys, command):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(tmp_path) in err and "directory" in err
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("predict", "dir"),
+        ("predict", "."),
+        ("postprocess", "dir"),
+        ("derive-subtasks", "dir"),
+        ("overlap-profile", "dir"),
+        ("train", "file"),
+        ("train", "file/sub"),
+        ("search", "file"),
+    ],
+)
+def test_cli_unwritable_output_exits_2_with_one_line(
+    workspace, capsys, monkeypatch, command, output
+):
+    """An output that is a directory, an existing file where a directory
+    is expected, or a path under a file ends in one line naming it and
+    exit 2, and leaves every file and directory as it was."""
+    tmp_path, config_path, config = workspace
+    test = config["tasks"][0]["test"]
+    corpus = parse_conll(Path(test).read_bytes(), 0, {"tag": 1})
+    vocab = vocab_for([corpus], {"tag": [corpus]})
+    network = NetworkConfig(
+        shared_layers=[2], tasks=[TaskSpec(name="tag", labels=vocab.labels_of("tag"))], word_dim=2
+    )
+    model = tmp_path / "model.ckpt"
+    save_model(Model(network, vocab, np.random.default_rng(0)), model)
+    am = tmp_path / "am.conll"
+    am.write_text("w\tO\tO\nw\tB:P:1:Supp\tB:P:1:Supp\n", encoding="utf-8")
+    search = {
+        "trials": 1,
+        "seeds_per_trial": 1,
+        "master_seed": 3,
+        "variables": {"units": {"kind": "discrete", "start": 4, "end": 6}},
+    }
+    search_path = tmp_path / "search.yaml"
+    search_path.write_text(yaml.safe_dump(dict(config, search=search)), encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "kept.txt").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    if output == ".":
+        monkeypatch.chdir(tmp_path / "dir")
+    else:
+        output = str(tmp_path / output)
+    argv = {
+        "predict": ["predict", "--model", str(model), "--input", test],
+        "postprocess": ["postprocess", "--input", test, "--variant", "to_begin"],
+        "derive-subtasks": ["derive-subtasks", "--input", str(am)],
+        "overlap-profile": ["evaluate", "--predictions", str(am), "--overlap-profile"],
+        "train": ["train", str(config_path), "--quiet"],
+        "search": ["search", str(search_path)],
+    }[command]
+    argv += [output] if command == "overlap-profile" else ["--output", output]
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {output}: ") and err.count("\n") == 1, err
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 @pytest.mark.parametrize("command", ["train", "search"])

@@ -1,6 +1,6 @@
 import hashlib
 import os
-import zlib
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +19,7 @@ from seqtag.corpus import (
     write_corpus_cache,
 )
 from seqtag.exceptions import ConfigError, DataError
+from seqtag.files import read_cache, write_cache
 
 
 def cache_name(src, token_col=0, label_cols=None):
@@ -225,17 +226,25 @@ def test_one_file_with_two_label_columns_keeps_two_caches(tmp_path, monkeypatch)
     )
 
 
-def test_cache_body_with_ids_left_over_is_data_error(tmp_path):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(lengths=[2]),
+        lambda h: h.update(surfaces=["a", "b"]),
+        lambda h: h["labels"]["t"].append("X"),
+        lambda h: h.update(labels={"t": []}),
+    ],
+    ids=["lengths", "surfaces", "long-labels", "short-labels"],
+)
+def test_cache_whose_columns_disagree_with_the_lengths_is_data_error(tmp_path, edit):
+    """A header with a valid CRC whose columns do not all hold the
+    number of tokens its ``lengths`` add up to."""
     cache = tmp_path / "c.cache"
     write_corpus_cache(cache, parse_conll("a\tX\n", 0, {"t": 1}), {"size": 1})
-    # append one id to the packed section and re-seal the checksum
-    blob = bytearray(cache.read_bytes() + (0).to_bytes(4, "little"))
-    offset = 20 + int.from_bytes(blob[12:20], "little")
-    packed_len = int.from_bytes(blob[offset:offset + 8], "little")
-    blob[offset:offset + 8] = (packed_len + 4).to_bytes(8, "little")
-    blob[8:12] = zlib.crc32(bytes(blob[12:])).to_bytes(4, "little")
-    cache.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match="body holds 4 ids, its sentences 3"):
+    header, _ = read_cache(cache, b"SQTC", 3, "corpus cache")
+    edit(header)
+    write_cache(cache, b"SQTC", 3, header)
+    with pytest.raises(DataError, match="corrupt corpus cache"):
         read_corpus_cache(cache)
 
 
@@ -280,25 +289,58 @@ def test_damaged_cache_falls_back_to_parsing(tmp_path, mask):
     assert sorted(p.name for p in cache_dir.iterdir()) == [cache_name(src)]
 
 
-def test_cache_with_valid_checksum_but_bad_ids_is_data_error(tmp_path):
+def test_cache_that_carries_values_is_data_error(tmp_path):
     cache = tmp_path / "c.cache"
     write_corpus_cache(cache, parse_conll("a\tX\n", 0, {"t": 1}), {"size": 1})
-    blob = bytearray(cache.read_bytes())
-    blob[-8:-4] = (7).to_bytes(4, "little")  # surface id 7 of a one-word table
-    blob[8:12] = zlib.crc32(bytes(blob[12:])).to_bytes(4, "little")
-    cache.write_bytes(bytes(blob))
+    header, _ = read_cache(cache, b"SQTC", 3, "corpus cache")
+    write_cache(cache, b"SQTC", 3, header, [0.0])
     with pytest.raises(DataError, match="corrupt corpus cache"):
         read_corpus_cache(cache)
 
 
+PINNED_SOURCE = "The\tB-NP\tX\nfox\tI-NP\tY\n\nnaïve\tO\tZ\n".encode("utf-8")
+V2_CACHE = Path(__file__).parent / "data" / "corpus_cache_v2.cache"
+
+
 def test_corpus_cache_bytes_are_unchanged(tmp_path):
-    """The corpus cache layout, byte for byte, as the version-2 format
+    """The corpus cache layout, byte for byte, as the version-3 format
     has always written it for this fixture."""
     src = tmp_path / "x.conll"
-    src.write_bytes("The\tB-NP\tX\nfox\tI-NP\tY\n\nnaïve\tO\tZ\n".encode("utf-8"))
+    src.write_bytes(PINNED_SOURCE)
     load_corpus_cached(src, 0, {"t": 1, "u": 2}, tmp_path / "cache")
     blob = (tmp_path / "cache" / cache_name(src, 0, {"t": 1, "u": 2})).read_bytes()
+    assert len(blob) == 293
+    assert hashlib.sha256(blob).hexdigest() == (
+        "da92f045a26e591cdfd7cab0afb220975598f674b58b4aafdcf85e5aacf2a1ba"
+    )
+
+
+def test_version_2_cache_is_parsed_again_and_rewritten(tmp_path, monkeypatch):
+    """A cache in the format before the columnar header, as version 2
+    wrote it for the pinned fixture, is an older cache: the source is
+    parsed again and the cache rewritten in the current format."""
+    import seqtag.corpus
+
+    blob = V2_CACHE.read_bytes()
     assert len(blob) == 368
     assert hashlib.sha256(blob).hexdigest() == (
         "707096b8bb24de94428dba1fa8fb232655efdb8b636932e50622b93fa21aa7c9"
     )
+    src = tmp_path / "x.conll"
+    src.write_bytes(PINNED_SOURCE)
+    cache = tmp_path / "cache" / cache_name(src, 0, {"t": 1, "u": 2})
+    cache.parent.mkdir()
+    cache.write_bytes(blob)
+    parses = []
+    parse = seqtag.corpus.parse_conll_file
+
+    def counting_parse(path, *args):
+        parses.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(seqtag.corpus, "parse_conll_file", counting_parse)
+    corpus = load_corpus_cached(src, 0, {"t": 1, "u": 2}, tmp_path / "cache")
+    assert parses == [src]
+    assert corpus == parse_conll(PINNED_SOURCE, 0, {"t": 1, "u": 2})
+    assert cache.read_bytes()[4:8] == (3).to_bytes(4, "little")
+    assert read_corpus_cache(cache)[0] == corpus

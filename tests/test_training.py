@@ -504,8 +504,7 @@ def saved_checkpoint(tmp_path, bio_corpus):
     model, _ = small_model(bio_corpus)
     path = tmp_path / "model.ckpt"
     save_model(model, path)
-    with files.read_cache(path, MAGIC, VERSION, "checkpoint") as reader:
-        manifest, _ = json.loads(reader.section()), reader.floats()
+    manifest, _ = files.read_cache(path, MAGIC, VERSION, "checkpoint")
     return path, manifest
 
 
