@@ -15,6 +15,9 @@ Conventions:
     each and may check intermediates too, e.g. the stacked
     pre-activations; ``backward()`` checks each node's adjoint before
     pushing it to the parents;
+  * ``recorded`` is the one recording rule (grad enabled and a parent
+    requiring grad); a node no tape records keeps no backward closure,
+    so its op may skip keeping what only a backward pass would read;
   * parameters are leaf tensors created with ``parameter()``; their
     ``grad`` persists across graphs and must be reset by the caller;
     ``backward()`` keeps only the leaves' adjoints and frees each
@@ -172,25 +175,28 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def recorded(parents: Iterable[Tensor]) -> tuple[Tensor, ...]:
+    """The recording rule: the parents that the tape records for a node,
+    those that require grad, or none while grad is disabled."""
+    if not _GRAD_ENABLED:
+        return ()
+    return tuple(p for p in parents if p.requires_grad)
+
+
 def make_node(
     data: np.ndarray, parents: Iterable[Tensor], backward: Callable, op: str, check: bool = True
 ) -> Tensor:
     if check:
         check_finite(data, op)
-    parents = tuple(p for p in parents if p.requires_grad)
+    parents = recorded(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
     out._backward_run = False
-    if _GRAD_ENABLED and parents:
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out.requires_grad = bool(parents)
+    out._parents = parents
+    out._backward = backward if parents else None
     return out
 
 

@@ -34,7 +34,7 @@ from seqtag.config import (
 )
 from seqtag.corpus import Token, conll_blocks, conll_text, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
-from seqtag.files import write_atomic
+from seqtag.files import check_target, write_atomic
 from seqtag.hyperopt import SearchSpace, parse_interval, run_search
 from seqtag.labels import SUBTASK_KINDS, components_from_labels, derive_subtask, parse_am_sequence
 from seqtag.metrics import ResultList, span_overlap_profile
@@ -89,6 +89,7 @@ def cmd_train(args) -> int:
     out_dir = _resolve_output(args.output or config.output_dir)
     checkpoint_path = out_dir / "model.ckpt"
     log_path = out_dir / "train.log"
+    check_target(checkpoint_path)  # fail before training, not after an epoch
     with open(log_path, "w", encoding="utf-8") as log_file:
 
         def log(line: str) -> None:

@@ -149,11 +149,11 @@ def crf_viterbi(
         raise ShapeError("CRF needs at least one token")
     delta = logits[0] + begin
     back = np.zeros((T, L), dtype=np.intp)
-    for t in range(1, T):
+    for b, lg in zip(back[1:], logits[1:]):
         scores = delta[:, None] + transitions  # [src, dst]
-        scores.argmax(axis=0, out=back[t])
+        scores.argmax(axis=0, out=b)
         delta = scores.max(axis=0)
-        delta += logits[t]
+        delta += lg
     delta = delta + end
     path = [int(delta.argmax())]
     for row in back.tolist()[:0:-1]:

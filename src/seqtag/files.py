@@ -16,6 +16,7 @@ previous file as it was.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -29,14 +30,25 @@ import numpy as np
 from seqtag.exceptions import DataError
 
 
+def check_target(path: str | Path) -> None:
+    """Raise an OSError naming ``path`` if it is a directory, before any
+    write (``os.replace`` would fail at the end, with EBUSY for ".")."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 @contextlib.contextmanager
 def replacing(path: str | Path) -> Iterator[Path]:
     """A temporary path next to ``path``, in a directory made if missing,
     moved onto ``path`` when the block ends without error and removed in
     any case. An OSError on the way names ``path``, not the temporary."""
+    check_target(path)
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        tmp.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # mkdir's report of a file where a directory should be
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR)) from None
         try:
             yield tmp
             os.replace(tmp, path)

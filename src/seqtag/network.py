@@ -20,13 +20,15 @@ the real tokens' rows. Training adds one loss node over those rows
 each sentence as a batch of one. Finite checks happen once per fused
 node, on its stacked gate pre-activations and on its output, and per
 adjoint in the backward pass; the remaining elementary ops check their
-own outputs.
+own outputs. A recurrent node keeps its per-step activations only when
+the tape records it, for its backward pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -272,10 +274,13 @@ def recurrent(
     W``, U and b are halved once per call (exact in binary floating
     point), so one ``tanh`` covers all gates of a step and the stored
     pre-activations of those columns are ``z / 2``; the activations are
-    stored gate-major, (gates, D, B, H) per step. The backward pass is
-    one reverse BPTT loop over all directions followed, per direction, by
-    one GEMM each for the weight and input adjoints; the input adjoints
-    are added to ``x`` direction by direction.
+    stored gate-major, (gates, D, B, H) per step. Activations (and LSTM
+    cell states, GRU candidates) are kept for all T steps only when the
+    tape records the node (``autodiff.recorded``, the rule ``make_node``
+    applies too); otherwise every step reuses one step's buffers. The
+    backward pass is one reverse BPTT loop over all directions followed,
+    per direction, by one GEMM each for the weight and input adjoints;
+    the input adjoints are added to ``x`` direction by direction.
     """
     kind, H, D = cells[0].kind, cells[0].hidden, len(cells)
     op = f"rnn/{kind}"
@@ -306,8 +311,8 @@ def recurrent(
     XW = np.empty((T, D, B, G))
     for d, cell in enumerate(cells):
         XW[:, d] = steps((Xts[d] @ cell.W.data).reshape(T, B, G), d)
-    U = np.stack([cell.U.data for cell in cells])
-    b = np.stack([cell.b.data for cell in cells])  # (D, 1, G)
+    U = np.array([cell.U.data for cell in cells])
+    b = np.array([cell.b.data for cell in cells])  # (D, 1, G)
     if kind != "simple":
         half = 0.5 if kind == "gru" else _lstm_halves(H)
         XW *= half
@@ -322,24 +327,29 @@ def recurrent(
 
     Z = np.empty_like(XW)  # gate pre-activations (halved for the sigmoid gates)
     OUT = np.empty((T, D, B, H))
+    # activation buffers: all T steps for a recorded node's backward pass,
+    # else one step's, whose views every step reuses
+    parents = ad.recorded((x, *(t for cell in cells for _, t in cell.tensors())))
+    n = T if parents else 1
+    per_step = zip if parents else lambda *bufs: itertools.repeat(tuple(a[0] for a in bufs))
     more = [None] * T  # per step: the views only the kind's own arithmetic reads
     if kind != "simple":
-        ACT = np.empty((T, G // H, D, B, H))  # gate activations, gate-major
+        ACT = np.empty((n, G // H, D, B, H))  # gate activations, gate-major
         # Z and ACT as (D, B, gates, H): tanh reads Z and writes ACT's gate blocks
-        tanh_views = (Z.reshape(T, D, B, -1, H), ACT.transpose(0, 2, 3, 1, 4), ACT)
+        Zg, ACTg = Z.reshape(T, D, B, -1, H), ACT.transpose(0, 2, 3, 1, 4)
     if kind == "lstm":
-        C = np.empty_like(OUT)  # cell states
-        TC = np.empty_like(OUT)  # tanh of the new cell state
-        more = zip(*tanh_views, ACT[:, :3], C, TC)
+        C = np.empty((n, D, B, H))  # cell states
+        TC = np.empty_like(C)  # tanh of the new cell state
+        more = zip(Zg, per_step(ACTg, *ACT.transpose(1, 0, 2, 3, 4), ACT[:, :3], C, TC))
     elif kind == "gru":
         XWc = np.empty_like(OUT)
         for d, cell in enumerate(cells):
             XWc[:, d] = steps((Xts[d] @ cell.Wc.data).reshape(T, B, H), d)
-        Uc = np.stack([cell.Uc.data for cell in cells])
-        bc = np.stack([cell.bc.data for cell in cells])
+        Uc = np.array([cell.Uc.data for cell in cells])
+        bc = np.array([cell.bc.data for cell in cells])
         A = np.empty_like(OUT)  # candidate pre-activations
-        HH = np.empty_like(OUT)  # candidate states
-        more = zip(*tanh_views, XWc, A, HH)
+        HH = np.empty((n, D, B, H))  # candidate states
+        more = zip(Zg, XWc, A, per_step(ACTg, ACT, HH))
     h = c = np.zeros(OUT.shape[1:])
     for z, xw, out, sm, step in zip(Z, XW, OUT, SM, more):
         hm = h if sm is None else h * sm
@@ -349,7 +359,7 @@ def recurrent(
         if kind == "simple":
             h = np.tanh(z, out=out)
         elif kind == "lstm":
-            zt, at, (i, f, o, gc), sig, c_out, tc = step
+            zt, (at, i, f, o, gc, sig, c_out, tc) = step
             np.tanh(zt, out=at)
             sig += 1.0
             sig *= 0.5
@@ -357,7 +367,7 @@ def recurrent(
             c += i * gc
             h = np.multiply(o, np.tanh(c, out=tc), out=out)
         else:
-            zt, at, act, xwc, a, hh = step
+            zt, xwc, a, (at, act, hh) = step
             np.tanh(zt, out=at)
             act += 1.0
             act *= 0.5
@@ -412,7 +422,7 @@ def recurrent(
             factors = (ZG * (1.0 - HH * HH), dA, DZG, HM * (R * (1.0 - R)), 1.0 - ZG, R)
             more = zip(*(a[::-1] for a in factors))
         # not halved: dZ is the adjoint of the full pre-activations
-        UT = np.stack([cell.U.data for cell in cells]).transpose(0, 2, 1)
+        UT = np.array([cell.U.data for cell in cells]).transpose(0, 2, 1)
         # Z's shape; Z itself is not kept for the backward pass
         dZ = COEF.reshape(T, D, B, 4 * H) if kind == "lstm" else np.empty((T, D, B, G))
         dh, dc = np.zeros(OUT.shape[1:]), np.zeros(OUT.shape[1:])
@@ -472,8 +482,7 @@ def recurrent(
             y = steps(OUT[:, d], d).transpose(1, 0, 2)
             halves.append(y if out_mask is None else y * out_mask)
         out = np.concatenate(halves, axis=-1)
-    params = (t for cell in cells for _, t in cell.tensors())
-    return ad.make_node(out, (x, *params), backward, op)
+    return ad.make_node(out, parents, backward, op)
 
 
 # -- layers ------------------------------------------------------------------------

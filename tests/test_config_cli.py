@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from seqtag import cli
 from seqtag.checkpoint import save_model
 from seqtag.cli import main
 from seqtag.config import apply_overrides, build_run_config, load_yaml, split_search_section
@@ -402,6 +403,38 @@ def test_cli_unwritable_output_exits_2_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {output}: ") and err.count("\n") == 1, err
     assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize(
+    "output, reason", [(".", "Is a directory"), ("file/x.conll", "Not a directory")]
+)
+def test_cli_unwritable_output_names_the_real_reason(workspace, capsys, monkeypatch, output, reason):
+    """The working directory as the output, or a path under a file, is
+    reported as what it is, not as the system call's own error (EBUSY
+    from rename, EEXIST from mkdir)."""
+    tmp_path, _, config = workspace
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["postprocess", "--input", config["tasks"][0]["test"], "--variant", "to_begin"]
+    capsys.readouterr()
+    assert main(argv + ["--output", output]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {output}: {reason}\n"
+
+
+def test_cli_train_checks_its_checkpoint_target_before_training(workspace, capsys, monkeypatch):
+    """A directory in the checkpoint's place ends the run before the first
+    epoch, in one line and exit 2, and no train.log is left behind."""
+    tmp_path, config_path, _ = workspace
+    checkpoint = tmp_path / "out" / "model.ckpt"
+    checkpoint.mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(cli.experiment, "run_training", lambda *a, **k: runs.append(a))
+    capsys.readouterr()
+    assert main(["train", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {checkpoint}: Is a directory\n"
+    assert captured.out == "" and runs == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["model.ckpt"]
 
 
 @pytest.mark.parametrize("command", ["train", "search"])

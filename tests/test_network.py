@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -643,6 +644,68 @@ def test_padded_steps_are_never_read(kind, final, mode):
     assert not dx_garbage[~mask].any()
     for g_clean, g_garbage in zip(grads_clean, grads_garbage):
         assert np.array_equal(g_clean, g_garbage)
+
+
+class _AllocationLog:
+    """Stands in for numpy inside ``network``: every ``np.empty`` and
+    ``np.empty_like`` there logs the shape it allocates."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        self.shapes.append(out.shape)
+        return out
+
+    def empty_like(self, *args, **kwargs):
+        out = np.empty_like(*args, **kwargs)
+        self.shapes.append(out.shape)
+        return out
+
+
+# per kind, the (T, ...) arrays that every call allocates (XW, Z and OUT,
+# and for GRU also XWc and A), and those only a recorded call keeps for
+# its backward pass (the activations, and LSTM's C and TC or GRU's HH)
+FULL_LENGTH = {"simple": (3, 0), "lstm": (3, 3), "gru": (5, 2)}
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("final", [False, True])
+def test_untaped_recurrent_call_bitwise_equals_the_taped_one(kind, masked, final, monkeypatch):
+    """Whatever requires grad (the input, the parameters, both or
+    nothing) and with grad disabled, the output is bit for bit the taped
+    call's. A call that no tape records keeps no closure and allocates
+    its activation buffers for one step, not T."""
+    T = 7
+    rng = np.random.default_rng(53)
+    cells = [random_cell(kind, 5, 4, rng), random_cell(kind, 5, 4, rng)]
+    params = [t for cell in cells for _, t in cell.tensors()]
+    data = rng.normal(size=(3, T, 5))
+    mask = np.arange(T) < np.array([7, 3, 0])[:, None] if masked else None
+    log = _AllocationLog()
+    monkeypatch.setattr(network, "np", log)
+    outputs = {}
+    for case in ("both", "x", "params", "nothing", "no_grad"):
+        x = Tensor(data, requires_grad=case in ("both", "x"))
+        for p in params:
+            p.requires_grad = case in ("both", "params", "no_grad")
+        log.shapes.clear()
+        with ad.no_grad() if case == "no_grad" else contextlib.nullcontext():
+            out = recurrent(x, cells, (False, True), mask=mask, final=final)
+        taped = case in ("both", "x", "params")
+        assert out.requires_grad == taped
+        assert (out._backward is not None) == taped
+        assert out._parents == (tuple(t for t in (x, *params) if t.requires_grad) if taped else ())
+        every_call, recorded_only = FULL_LENGTH[kind]
+        assert sum(shape[0] == T for shape in log.shapes) == every_call + taped * recorded_only
+        outputs[case] = out.data
+    for case, out in outputs.items():
+        assert np.array_equal(out, outputs["both"]), case
 
 
 def test_char_features_empty_word_passes_no_gradient():
