@@ -2,8 +2,10 @@
 early stopping.
 
 Every epoch, each task contributes all of its batches over its own
-shuffled training data; the combined (task, batch) list is shuffled
-again and processed sequentially. A batch backpropagates only its own
+shuffled training data, grouped by sentence length when a batch holds
+more than one sentence, so that a batch's padded graph runs few steps
+(``plan_batches``); the combined (task, batch) list is shuffled again
+and processed sequentially. A batch backpropagates only its own
 task's loss, and a batch updates the parameters its graph reached: the
 shared layers up to the task's termination layer and the task's own
 head. A batch is one padded graph (``Model.batch_loss``) whose loss
@@ -215,6 +217,25 @@ def subsample(corpus: Corpus, fraction: float, rng: np.random.Generator) -> Corp
     )
 
 
+def plan_batches(
+    lengths: dict[str, Sequence[int]], batch_size: int, rng: np.random.Generator
+) -> list[tuple[str, list[int]]]:
+    """One epoch's ``(task, sentence indices)`` batches in training
+    order. Each task's indices are permuted; when a batch can pad
+    (``batch_size`` > 1) they are stable-sorted by length, so equal
+    lengths keep the random order, and cut with the short batch first,
+    on the shortest sentences. Then all tasks' batches are shuffled.
+    The draws: one permutation per task, one over the batches."""
+    batches = []
+    for name, sizes in lengths.items():
+        order = rng.permutation(len(sizes)).tolist()
+        if batch_size > 1:
+            order.sort(key=sizes.__getitem__)
+        cuts = [0, *range(len(order) % batch_size or batch_size, len(order) + 1, batch_size)]
+        batches += [(name, order[i:j]) for i, j in zip(cuts, cuts[1:])]
+    return [batches[b] for b in rng.permutation(len(batches))]
+
+
 def train(
     model: Model,
     train_data: dict[str, Corpus],
@@ -244,6 +265,7 @@ def train(
         for name in task_names
     }
 
+    lengths = {name: [len(word_ids) for word_ids, *_ in encoded[name]] for name in task_names}
     optimizer = make_optimizer(config.optimizer)
     records: list[EpochRecord] = []
     best_metric: float | None = None
@@ -253,17 +275,10 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        batches: list[tuple[str, list[int]]] = []
-        for name in task_names:
-            order = rng.permutation(len(encoded[name]))
-            for i in range(0, len(order), config.batch_size):
-                batches.append((name, [int(j) for j in order[i : i + config.batch_size]]))
-        batch_order = rng.permutation(len(batches))
-
         sums: dict[str, float] = {name: 0.0 for name in task_names}
         counts: dict[str, int] = {name: 0 for name in task_names}
-        for b in batch_order:
-            task_name, sentence_ids = batches[b]
+        plan = plan_batches(lengths, config.batch_size, rng)
+        for b, (task_name, sentence_ids) in enumerate(plan):
             try:
                 batch = [encoded[task_name][j] for j in sentence_ids]
                 loss = model.batch_loss(task_name, batch, training=True, rng=rng)
@@ -271,7 +286,7 @@ def train(
             except NumericError as err:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, task {task_name!r}, "
-                    f"batch {int(b)}: {err}"
+                    f"batch {b}: {err}"
                 ) from err
             grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
             if config.clip_norm is not None:

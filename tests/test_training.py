@@ -32,6 +32,7 @@ from seqtag.training import (
     clip_global_norm,
     dev_score,
     global_norm,
+    plan_batches,
     subsample,
     train,
 )
@@ -381,6 +382,137 @@ def test_subsample_takes_fraction():
     sub = subsample(corpus, 0.3, rng)
     assert len(sub) == 3
     assert subsample(corpus, 1.0, rng) is corpus
+
+
+# -- the batch plan ----------------------------------------------------------------------
+
+
+def unsorted_plan(lengths, batch_size, rng):
+    """Batches as formed before length grouping: each task's permutation
+    cut in order, then the combined list shuffled."""
+    batches = []
+    for name, sizes in lengths.items():
+        order = rng.permutation(len(sizes))
+        for i in range(0, len(order), batch_size):
+            batches.append((name, [int(j) for j in order[i : i + batch_size]]))
+    return [batches[b] for b in rng.permutation(len(batches))]
+
+
+def random_lengths(seed):
+    """Two or three tasks of 1-30 sentences with lengths 1-6, so equal
+    lengths are common."""
+    rng = np.random.default_rng(seed)
+    names = ["tag", "seg", "pos"][: int(rng.integers(2, 4))]
+    return {n: rng.integers(1, 7, int(rng.integers(1, 31))).tolist() for n in names}
+
+
+def longest_steps(plan, lengths):
+    return sum(max(lengths[task][j] for j in ids) for task, ids in plan)
+
+
+PLAN_CASES = [(seed, size) for seed in range(12) for size in (1, 2, 4, 7)]
+
+
+@pytest.mark.parametrize("seed,size", PLAN_CASES)
+def test_plan_holds_every_sentence_once_in_ceil_n_over_b_batches(seed, size):
+    lengths = random_lengths(seed)
+    plan = plan_batches(lengths, size, np.random.default_rng(seed))
+    for task, sizes in lengths.items():
+        batches = [ids for name, ids in plan if name == task]
+        assert len(batches) == -(-len(sizes) // size)
+        assert all(1 <= len(ids) <= size for ids in batches)
+        assert sorted(j for ids in batches for j in ids) == list(range(len(sizes)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_plan_at_batch_size_1_is_the_unsorted_plan(seed):
+    lengths = random_lengths(seed)
+    plan = plan_batches(lengths, 1, np.random.default_rng(seed))
+    assert plan == unsorted_plan(lengths, 1, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed,size", [(s, b) for s, b in PLAN_CASES if b > 1])
+def test_plan_groups_by_length_and_keeps_the_permutation_order_of_ties(seed, size):
+    """Undoing the batch shuffle gives each task's batches in cut order;
+    concatenated they are the permutation, stable-sorted by length."""
+    lengths = random_lengths(seed)
+    plan = plan_batches(lengths, size, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    perms = {task: rng.permutation(len(sizes)).tolist() for task, sizes in lengths.items()}
+    cut_order = [None] * len(plan)
+    for position, b in enumerate(rng.permutation(len(plan))):
+        cut_order[b] = plan[position]
+    for task, sizes in lengths.items():
+        joined = [j for name, ids in cut_order if name == task for j in ids]
+        keys = [(sizes[j], perms[task].index(j)) for j in joined]
+        assert keys == sorted(keys)
+
+
+class RecordingRng:
+    """A generator that records each call made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return getattr(self.rng, name)(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("seed,size", PLAN_CASES)
+def test_plan_draws_exactly_the_unsorted_plans_permutations(seed, size):
+    """The same calls in the same order, and the same generator state
+    after them (permutations reject draws, so the state alone can miss
+    an extra draw)."""
+    lengths = random_lengths(seed)
+    planned = RecordingRng(np.random.default_rng(seed))
+    unsorted = RecordingRng(np.random.default_rng(seed))
+    plan_batches(lengths, size, planned)
+    unsorted_plan(lengths, size, unsorted)
+    assert planned.calls == unsorted.calls
+    assert [name for name, *_ in planned.calls] == ["permutation"] * (len(lengths) + 1)
+    assert planned.rng.bit_generator.state == unsorted.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed,size", PLAN_CASES)
+def test_plan_runs_no_more_steps_than_the_unsorted_plan(seed, size):
+    """The sum of each batch's longest sentence is the number of steps
+    the epoch's padded graphs run."""
+    lengths = random_lengths(seed)
+    plan = plan_batches(lengths, size, np.random.default_rng(seed))
+    unsorted = unsorted_plan(lengths, size, np.random.default_rng(seed))
+    assert longest_steps(plan, lengths) <= longest_steps(unsorted, lengths)
+
+
+def test_short_batch_takes_the_shortest_sentences():
+    """Cutting the sorted sentences with the short batch last would pair
+    it with the longest; [1, 5, 5] at B = 2 then runs 10 steps, not 6."""
+    lengths = {"tag": [1, 5, 5]}
+    plan = plan_batches(lengths, 2, np.random.default_rng(0))
+    assert sorted(sorted(lengths["tag"][j] for j in ids) for _, ids in plan) == [[1], [5, 5]]
+    assert longest_steps(plan, lengths) == 6
+
+
+def test_training_batches_follow_the_plan(monkeypatch):
+    """Every batch ``train`` runs at B > 1 holds its sentences in
+    non-decreasing length order."""
+    corpus = synthetic_bio_corpus(n_sentences=10)
+    model, rng = small_model(corpus)
+    seen = []
+    batch_loss = Model.batch_loss
+
+    def record(self, task, batch, *args, **kwargs):
+        seen.append([len(word_ids) for word_ids, *_ in batch])
+        return batch_loss(self, task, batch, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "batch_loss", record)
+    train(model, {"tag": corpus}, {}, TrainConfig(epochs=2, batch_size=4, main_task="tag"), rng)
+    assert sorted(len(b) for b in seen) == [2, 2, 4, 4, 4, 4]
+    assert all(b == sorted(b) for b in seen)
+    assert len({length for b in seen for length in b}) > 1
 
 
 # -- checkpoints ------------------------------------------------------------------------
