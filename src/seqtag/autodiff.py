@@ -56,9 +56,12 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def check_finite(data: np.ndarray, op: str) -> None:
+def check_finite(data: np.ndarray, op: str, scope: str = "") -> None:
+    """Raise ``NumericError`` naming ``op``, and the parameter ``scope``
+    it ran in if given, unless every value of ``data`` is finite."""
     if not np.isfinite(data).all():
-        raise NumericError(f"non-finite value produced by op '{op}'")
+        where = f" in '{scope}'" if scope else ""
+        raise NumericError(f"non-finite value produced by op '{op}'{where}")
 
 
 class Tensor:

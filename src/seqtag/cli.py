@@ -18,6 +18,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from seqtag import checkpoint as ckpt
@@ -391,7 +392,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # a non-finite value ends in NumericError, so numpy need not warn first
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except SeqtagError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

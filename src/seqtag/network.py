@@ -15,13 +15,15 @@ last real step, so padded steps come last and no real step reads one
 batch's sentences run each shared layer together as a padded (B, T, k)
 batch with a length mask (None when no row is padded), the character
 BiLSTM is one node that runs all words of the batch, and the head reads
-the real tokens' rows. Training adds one loss node over those rows
-(``softmax_nll`` here, ``crf.crf_nll`` for a CRF head); evaluation runs
-each sentence as a batch of one. Finite checks happen once per fused
-node, on its stacked gate pre-activations and on its output, and per
-adjoint in the backward pass; the remaining elementary ops check their
-own outputs. A recurrent node keeps its per-step activations only when
-the tape records it, for its backward pass.
+the real tokens' rows; it steps the shared stack itself, into a store
+that the tasks of a batch may share. Training adds one loss node over
+those rows (``softmax_nll`` here, ``crf.crf_nll`` for a CRF head);
+evaluation runs each sentence as a batch of one
+(``Model.predict_labels``). Finite checks happen once per fused node,
+on its stacked gate pre-activations and on its output, and per adjoint
+in the backward pass; the remaining elementary ops check their own
+outputs. A recurrent node keeps its per-step activations only when the
+tape records it, for its backward pass.
 """
 
 from __future__ import annotations
@@ -166,10 +168,6 @@ class NetworkConfig:
 # -- recurrent cells --------------------------------------------------------------
 
 
-def _gate_count(kind: str) -> int:
-    return {"simple": 1, "lstm": 4, "gru": 3}[kind]
-
-
 @dataclass
 class CellParams:
     kind: str
@@ -199,7 +197,7 @@ def init_cell(
         Uc = _glorot(rng, hidden, hidden)
         bc = ad.parameter(np.zeros((1, hidden)))
         return CellParams(kind, hidden, W, U, b, Wc, Uc, bc)
-    gates = _gate_count(kind)
+    gates = 4 if kind == "lstm" else 1
     W = _glorot(rng, in_dim, gates * hidden)
     U = _glorot(rng, hidden, gates * hidden)
     bias = np.zeros((1, gates * hidden))
@@ -269,7 +267,9 @@ def recurrent(
     together: ``h @ U`` is one stacked ``np.matmul`` per step, which
     makes one BLAS call per direction. The forward pass is one ``x @ W``
     GEMM per direction (plus ``x @ Wc`` for GRU); the stacked
-    pre-activations are checked for non-finite values once. A sigmoid
+    pre-activations are checked for non-finite values once, and a
+    failed check names the layer of a registered cell (``shared/2``,
+    ``char_lstm``) next to the op. A sigmoid
     gate is computed as ``0.5 * (1 + tanh(z / 2))``: its columns of ``x @
     W``, U and b are halved once per call (exact in binary floating
     point), so one ``tanh`` covers all gates of a step and the stored
@@ -283,7 +283,8 @@ def recurrent(
     the input adjoints are added to ``x`` direction by direction.
     """
     kind, H, D = cells[0].kind, cells[0].hidden, len(cells)
-    op = f"rnn/{kind}"
+    op, name = f"rnn/{kind}", cells[0].W.op  # a registered cell's: "shared/2/fwd/W"
+    scope = name.rsplit("/", 2)[0] if name.count("/") >= 2 else ""  # its layer, "shared/2"
     for cell in cells:
         if x.data.shape[-1] != cell.W.shape[0]:
             raise ShapeError(f"cell input dim {x.data.shape[-1]} != weight dim {cell.W.shape[0]}")
@@ -378,9 +379,9 @@ def recurrent(
             h = np.subtract(1.0, zg, out=out)
             h *= hm
             h += zg * np.tanh(a, out=hh)
-    ad.check_finite(Z, op)
+    ad.check_finite(Z, op, scope)
     if kind == "gru":
-        ad.check_finite(A, op)
+        ad.check_finite(A, op, scope)
     if final:  # each row's last real step, and the rows without one
         ends = np.full(B, T - 1) if mask is None else lengths - 1
         last, empty = (ends, slice(None), np.arange(B)), (ends < 0)[:, None, None]
@@ -482,7 +483,8 @@ def recurrent(
             y = steps(OUT[:, d], d).transpose(1, 0, 2)
             halves.append(y if out_mask is None else y * out_mask)
         out = np.concatenate(halves, axis=-1)
-    return ad.make_node(out, parents, backward, op)
+    ad.check_finite(out, op, scope)
+    return ad.make_node(out, parents, backward, op, check=False)
 
 
 # -- layers ------------------------------------------------------------------------
@@ -549,9 +551,11 @@ def _dropout_masks(rng, dropout: DropoutConfig, shape, hidden: int, reverse: boo
     """Input (B, ., k), state (B, ., hidden) and output (B, ., hidden)
     keep masks of one direction over a padded (B, T, k) batch of
     ``shape``, rows in input time order; None where the site is off.
-    The draws run sequence by sequence, in processing order, site by
-    site within a step: one row per sequence for all steps when
-    variational, else one per step (padded steps included)."""
+    The draws run sequence by sequence, site by site within a draw: one
+    draw for all steps when variational, else one per step of the padded
+    length T. Time t takes draw t, or T-1-t when ``reverse``: flipped
+    over T, not a row's length n, so the reversed step s < n of a row of
+    n real steps, which reads time n-1-s, takes draw T-n+s."""
     B, T, k = shape
     sites = ((dropout.rnn_input, k), (dropout.rnn_state, hidden), (dropout.rnn_output, hidden))
     width = sum(w for p, w in sites if p > 0.0)
@@ -591,32 +595,6 @@ def bidirectional_layer(
             for cell, reverse in ((fwd, False), (bwd, True))
         ]
     return recurrent(inputs, (fwd, bwd), (False, True), mask=mask, masks=masks)
-
-
-def shared_stack_forward(
-    stack: list[Tensor],
-    layers: Sequence[tuple[CellParams, CellParams]],
-    use_shortcuts: bool,
-    dropout: DropoutConfig,
-    training: bool,
-    rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
-) -> list[Tensor]:
-    """All shared layer outputs, bottom to top, so any task can
-    terminate anywhere. ``stack`` is ``[embedded, layer 1 output, ...]``
-    for one padded (B, T, k) batch whose real steps ``mask`` marks: the
-    layers it holds are reused, it is extended in place up to
-    ``len(layers)``, and every output it holds is returned. With
-    shortcuts, each layer above the first sees the word representations
-    concatenated onto its input."""
-    embedded = stack[0]
-    for i in range(len(stack) - 1, len(layers)):
-        fwd, bwd = layers[i]
-        current = stack[-1]
-        if i > 0 and use_shortcuts:
-            current = ad.concat([current, embedded], axis=-1)
-        stack.append(bidirectional_layer(current, fwd, bwd, dropout, training, rng, mask=mask))
-    return stack[1:]
 
 
 @dataclass
@@ -843,12 +821,13 @@ class Model:
         sentences, one row per real token in sentence order: one lookup
         of the padded (B, T) word ids, one character BiLSTM over all
         words, each shared layer up to the task's termination layer once
-        over (B, T, k) with the length mask (None when no row is padded),
-        and the task head. ``shared`` is an optional store for the batch
-        that the caller owns, ``[mask, embedded, layer 1 output, ...]``:
-        a call reuses what it holds (``batch`` is read only while it is
-        empty) and extends it up to the task's termination layer, so the
-        tasks of a batch embed it and run each shared layer once."""
+        over (B, T, k) with the length mask (None when no row is padded;
+        with shortcuts, each layer above the first also reads the word
+        representations), and the task head. ``shared`` is an optional
+        store for the batch that the caller owns, ``[mask, embedded,
+        layer 1 output, ...]``: a call reuses what it holds (``batch`` is
+        read only while it is empty) and appends the layers it lacks, so
+        the tasks of a batch embed it and run each shared layer once."""
         task = self._tasks[task_name]
         shared = [] if shared is None else shared
         if not shared:
@@ -861,18 +840,15 @@ class Model:
                 feats = char_features(words, self.params["embed/char"], fwd, bwd)
                 emb = ad.concat([emb, unpack(feats, mask, ids.shape)], axis=-1)
             shared += [mask, emb]
-        mask, stack = shared[0], shared[1:]
-        outputs = shared_stack_forward(
-            stack,
-            self._cells[: task.spec.termination_layer],
-            self.config.use_shortcuts,
-            self.config.dropout,
-            training,
-            rng,
-            mask,
-        )
-        shared[2:] = outputs
-        return task_head_forward(outputs, task, training, rng, mask=mask)
+        mask, embedded = shared[0], shared[1]
+        for fwd, bwd in self._cells[len(shared) - 2 : task.spec.termination_layer]:
+            inputs = shared[-1]
+            if len(shared) > 2 and self.config.use_shortcuts:
+                inputs = ad.concat([inputs, embedded], axis=-1)
+            shared.append(
+                bidirectional_layer(inputs, fwd, bwd, self.config.dropout, training, rng, mask)
+            )
+        return task_head_forward(shared[2:], task, training, rng, mask=mask)
 
     def batch_loss(self, task_name: str, batch, training=True, rng=None) -> Tensor:
         """Mean loss of one task over a batch of ``(word_ids, char_idss,
@@ -889,26 +865,20 @@ class Model:
         """The loss of one sentence: a batch of one."""
         return self.batch_loss(task_name, [(word_ids, char_idss, gold)], training, rng)
 
-    def predict_ids(self, task_name: str, batch, shared=None) -> list[int]:
-        """Best label ids of one task for a batch of one sentence,
-        ``[(word_ids, char_idss)]``; ``batch`` and ``shared`` as in
-        :meth:`forward`."""
+    def predict_labels(self, task_name: str, sentence: Sentence, shared=None) -> list[str]:
+        """Labels of one task for one sentence, a batch of one: Viterbi
+        for a CRF head, else the best label per token. ``shared`` as in
+        :meth:`forward`; the sentence is encoded only while it is empty."""
+        batch = None if shared else [self.encode_sentence(sentence)]
         with ad.no_grad():
-            logits = self.forward(task_name, batch, False, shared=shared)
+            logits = self.forward(task_name, batch, False, shared=shared).data
         task = self._tasks[task_name]
         if task.spec.head == "crf":
-            return crf.crf_viterbi(
-                logits.data, task.transitions.data, task.begin.data, task.end.data
-            )
-        return [int(i) for i in np.argmax(logits.data, axis=1)]
-
-    def predict_labels(self, task_name: str, sentence: Sentence, shared=None) -> list[str]:
-        """Labels of one task for one sentence; ``shared`` as in
-        :meth:`forward`, and the sentence is encoded only while it is
-        empty."""
-        batch = None if shared else [self.encode_sentence(sentence)]
-        labels = self._tasks[task_name].spec.labels  # the vocabulary's order, by label id
-        return [labels[i] for i in self.predict_ids(task_name, batch, shared)]
+            ids = crf.crf_viterbi(logits, task.transitions.data, task.begin.data, task.end.data)
+        else:
+            ids = np.argmax(logits, axis=1).tolist()
+        labels = task.spec.labels  # the vocabulary's order, by label id
+        return [labels[i] for i in ids]
 
     # -- parameter bookkeeping --------------------------------------------------------
 

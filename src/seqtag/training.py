@@ -68,6 +68,7 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {opt.kind!r}")
         for key, ok, rule in (
             ("learning_rate", opt.learning_rate > 0, "> 0"),
+            ("learning_rate", np.isfinite(opt.learning_rate), "finite"),
             ("beta1", 0.0 <= opt.beta1 < 1.0, "in [0, 1)"),
             ("beta2", 0.0 <= opt.beta2 < 1.0, "in [0, 1)"),
             ("epsilon", opt.epsilon > 0, "> 0"),

@@ -119,20 +119,23 @@ def best_ids(model, task, logits):
 def test_one_forward_serves_a_padded_batch_and_a_batch_of_one(cell, char, shortcuts, head):
     """Each sentence's rows of a padded B = 3 forward equal its logits
     as a batch of one at 1e-12 relative and decode to the labels that
-    ``predict_ids`` gives it, for tasks ending at layer 2 and layer 1."""
+    ``predict_labels`` gives it, for tasks ending at layer 2 and layer 1."""
     model, corpora = batch_model(cell=cell, char=char, shortcuts=shortcuts, head=head)
     for task in ("tag", "seg"):
-        batch = encoded_batch(model, corpora[task], task, [2, 0, 3])
+        indices = [2, 0, 3]
+        batch = encoded_batch(model, corpora[task], task, indices)
+        labels = model.config.task(task).labels
         lengths = [len(ids) for ids, _, _ in batch]
         assert len(set(lengths)) == 3 and lengths[0] < max(lengths)
         with ad.no_grad():
             padded = model.forward(task, batch, training=False).data
         assert padded.shape[0] == sum(lengths)
-        for sentence, rows in zip(batch, np.split(padded, np.cumsum(lengths)[:-1])):
+        for i, sentence, rows in zip(indices, batch, np.split(padded, np.cumsum(lengths)[:-1])):
             with ad.no_grad():
                 alone = model.forward(task, [sentence], training=False).data
             assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
-            assert best_ids(model, task, rows) == model.predict_ids(task, [sentence[:2]])
+            predicted = model.predict_labels(task, corpora[task].sentences[i])
+            assert [labels[k] for k in best_ids(model, task, rows)] == predicted
 
 
 @pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +502,66 @@ def test_cli_bad_numeric_value_exits_1_with_one_line(workspace, capsys, changes,
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and message in lines[0]
     assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_cli_non_finite_learning_rate_exits_1_with_one_line(workspace, capsys, value):
+    """An infinite learning rate is a config error naming the key, not a
+    NaN update that fails at the next batch."""
+    tmp_path, _, config = workspace
+    config["training"]["optimizer"]["learning_rate"] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["train", str(bad), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    rule = "finite" if value > 0 else "> 0"
+    assert lines == [f"error: training.optimizer.learning_rate must be {rule}, got {value}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_numeric_failure_prints_one_stderr_line(workspace):
+    """An overflowing run exits 3 with the error line alone: numpy's
+    floating-point warnings stay off stderr. A process of its own shows
+    stderr as a user sees it; pytest would catch the warnings."""
+    tmp_path, _, config = workspace
+    config["training"]["optimizer"]["learning_rate"] = 1.0e300
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "seqtag.cli", "train", str(bad), "--quiet"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite loss at epoch 1")
+    with pytest.warns(RuntimeWarning, match="overflow"):  # outside main, numpy warns as before
+        np.ones(2) * 1.0e300 * 1.0e300
+
+
+def test_cli_recurrent_numeric_error_names_its_layer(workspace, capsys, monkeypatch):
+    """A NaN in the backward cell of shared layer 2 ends the run in one
+    line that names the op and the layer."""
+    tmp_path, _, config = workspace
+    config["architecture"]["shared_layers"] = [6, 5]
+    config["tasks"][0]["termination_layer"] = 2
+    path = tmp_path / "two.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    build = cli.experiment.build_model
+
+    def poisoned(*args, **kwargs):
+        model = build(*args, **kwargs)
+        model.params["shared/2/bwd/U"].data[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(cli.experiment, "build_model", poisoned)
+    assert main(["train", str(path), "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: non-finite loss at epoch 1, task 'tag', batch 0: "
+        "non-finite value produced by op 'rnn/gru' in 'shared/2'"
+    ]
 
 
 @pytest.mark.parametrize("key", ["token_column", "label_column"])

@@ -22,7 +22,6 @@ from seqtag.network import (
     embed_sentence,
     init_cell,
     recurrent,
-    shared_stack_forward,
     softmax_nll,
 )
 from seqtag import network
@@ -489,10 +488,12 @@ def test_nonfinite_recurrent_weight_raises_numeric_error():
     config = tiny_config(shared_layers=[3], cell="lstm")
     model = Model(config, small_vocab(), np.random.default_rng(35))
     model.params["shared/1/fwd/U"].data[0, 0] = np.nan
-    with pytest.raises(NumericError, match="rnn/lstm"):
+    sentence = (Token("a", {}), Token("b", {}))
+    assert model.encode_sentence(sentence) == ([2, 3], [[], []])
+    with pytest.raises(NumericError, match="rnn/lstm' in 'shared/1'"):
         model.sentence_loss("t", [2, 3], [[], []], [0, 1], training=False)
-    with pytest.raises(NumericError, match="rnn/lstm"):
-        model.predict_ids("t", [([2, 3], [[], []])])
+    with pytest.raises(NumericError, match="rnn/lstm' in 'shared/1'"):
+        model.predict_labels("t", sentence)
 
 
 def test_overflowing_preactivation_raises_although_tanh_saturates():
@@ -605,6 +606,35 @@ def test_fused_char_features_bitwise_equal_two_single_direction_calls():
             np.random.default_rng(44),
         )
         assert_bitwise_equal(fused, reference)
+
+
+def test_reversed_per_step_dropout_draws_are_flipped_over_the_padded_length():
+    """Per-step (not variational) RNN dropout draws one row per step of
+    the padded length T; the backward direction's draws are flipped over
+    T, not over a row's length n, so its step s < n, which reads time
+    n-1-s, takes draw T-n+s."""
+    B, T, k, H = 2, 4, 3, 5
+    n = np.array([4, 2])
+    dropout = DropoutConfig(rnn_state=0.5, variational=False)
+    keep = (np.random.default_rng(53).random((B, T, H)) >= 0.5) / 0.5
+    _, state, _ = network._dropout_masks(np.random.default_rng(53), dropout, (B, T, k), H, True)
+    for b in range(B):
+        for s in range(n[b]):
+            assert np.array_equal(state[b, n[b] - 1 - s], keep[b, T - n[b] + s])
+    assert np.array_equal(state[1, 1], keep[1, 2])  # row 1's first step takes draw 2, not 0
+    # the recurrence multiplies the state entering the step that reads time t by state[:, t]
+    rng = np.random.default_rng(54)
+    cell = random_cell("simple", k, H, rng)
+    x = rng.normal(size=(B, T, k))
+    mask = np.arange(T) < n[:, None]
+    out = recurrent(Tensor(x), [cell], [True], mask=mask, masks=[(None, state, None)]).data
+    W, U, bias = cell.W.data, cell.U.data, cell.b.data
+    for b in range(B):
+        h = np.zeros(H)
+        for s in range(n[b]):
+            t = n[b] - 1 - s
+            h = np.tanh((x[b, t] @ W + (h * keep[b, T - n[b] + s]) @ U) + bias[0])
+            assert np.allclose(out[b, t], h, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
@@ -729,18 +759,16 @@ def test_fused_shortcut_stack_bitwise_equals_two_single_direction_calls(kind, mo
     # with shortcuts the word representations feed every layer, so their
     # gradient sums the adjoints of several consumers in tape order
     rng = np.random.default_rng(45)
-    cells = build_stack(rng, kind, [4, 3, 5], in_dim=6, shortcuts=True)
-    for pair in cells:
-        for cell in pair:
-            for _, t in cell.tensors():
-                t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
-    embedded = ad.parameter(rng.normal(size=(1, 6, 6)))
-    params = [embedded] + [t for pair in cells for cell in pair for _, t in cell.tensors()]
     cfg = DropoutConfig(rnn_input=0.2, rnn_state=0.3, rnn_output=0.1, variational=False)
+    model = stack_model(kind, [4, 3, 5], word_dim=6, shortcuts=True, dropout=cfg)
+    layer_params = [t for pair in model._cells for cell in pair for _, t in cell.tensors()]
+    for t in layer_params:
+        t.data = rng.uniform(-1.0, 1.0, size=t.data.shape)
+    embedded = ad.parameter(rng.normal(size=(1, 6, 6)))
+    params = [embedded] + layer_params
 
     def top():
-        layers = shared_stack_forward([embedded], cells, True, cfg, True, np.random.default_rng(46))
-        return layers[-1]
+        return run_stack(model, embedded, True, np.random.default_rng(46))[-1]
 
     fused = outputs_and_grads(top, params, np.random.default_rng(47))
     monkeypatch.setattr(network, "bidirectional_layer", bidirectional_two_calls)
@@ -777,41 +805,46 @@ def test_each_layer_and_char_bilstm_is_one_tape_node():
 # -- shared stack -----------------------------------------------------------------------
 
 
-def build_stack(rng, kind, sizes, in_dim, shortcuts):
-    cells = []
-    total = in_dim
-    current = in_dim
-    for i, h in enumerate(sizes):
-        if i > 0:
-            current = 2 * sizes[i - 1] + (total if shortcuts else 0)
-        cells.append((init_cell(kind, current, h, rng), init_cell(kind, current, h, rng)))
-    return cells
+def stack_model(kind, sizes, word_dim, shortcuts, dropout=None, seed=0):
+    """One task "t" on the top of a stack of shared layers of ``sizes``."""
+    config = tiny_config(
+        cell=kind,
+        shared_layers=list(sizes),
+        use_shortcuts=shortcuts,
+        dropout=dropout or DropoutConfig(),
+        tasks=[TaskSpec(name="t", labels=["A", "O"], termination_layer=len(sizes))],
+        word_dim=word_dim,
+    )
+    return Model(config, small_vocab(), np.random.default_rng(seed))
+
+
+def run_stack(model, embedded, training=False, rng=None):
+    """The shared layer outputs that ``Model.forward`` appends to a store
+    holding only the (unpadded, so maskless) word representations."""
+    shared = [None, embedded]
+    model.forward("t", None, training, rng, shared=shared)
+    assert shared[1] is embedded
+    return shared[2:]
 
 
 def test_stack_widths_without_shortcuts():
-    rng = np.random.default_rng(14)
-    cells = build_stack(rng, "lstm", [3, 4], in_dim=5, shortcuts=False)
-    assert cells[1][0].W.shape[0] == 6  # 2h of layer below
-    emb = Tensor(rng.normal(size=(1, 2, 5)))
-    outs = shared_stack_forward([emb], cells, False, DropoutConfig(), training=False)
-    assert [o.shape for o in outs] == [(1, 2, 6), (1, 2, 8)]
+    model = stack_model("lstm", [3, 4], word_dim=5, shortcuts=False, seed=14)
+    assert model._cells[1][0].W.shape[0] == 6  # 2h of layer below
+    emb = Tensor(np.random.default_rng(14).normal(size=(1, 2, 5)))
+    assert [o.shape for o in run_stack(model, emb)] == [(1, 2, 6), (1, 2, 8)]
 
 
 def test_stack_widths_with_shortcuts():
-    rng = np.random.default_rng(15)
-    cells = build_stack(rng, "lstm", [3, 4], in_dim=5, shortcuts=True)
-    assert cells[1][0].W.shape[0] == 6 + 5  # 2h + word representation
-    emb = Tensor(rng.normal(size=(1, 2, 5)))
-    outs = shared_stack_forward([emb], cells, True, DropoutConfig(), training=False)
-    assert [o.shape for o in outs] == [(1, 2, 6), (1, 2, 8)]
+    model = stack_model("lstm", [3, 4], word_dim=5, shortcuts=True, seed=15)
+    assert model._cells[1][0].W.shape[0] == 6 + 5  # 2h + word representation
+    emb = Tensor(np.random.default_rng(15).normal(size=(1, 2, 5)))
+    assert [o.shape for o in run_stack(model, emb)] == [(1, 2, 6), (1, 2, 8)]
 
 
 def test_single_layer_shortcut_flag_is_noop():
-    rng = np.random.default_rng(16)
-    cells = build_stack(rng, "gru", [3], in_dim=4, shortcuts=True)
-    emb = Tensor(rng.normal(size=(1, 3, 4)))
-    with_flag = shared_stack_forward([emb], cells, True, DropoutConfig(), training=False)
-    without = shared_stack_forward([emb], cells, False, DropoutConfig(), training=False)
+    emb = Tensor(np.random.default_rng(16).normal(size=(1, 3, 4)))
+    with_flag = run_stack(stack_model("gru", [3], word_dim=4, shortcuts=True, seed=16), emb)
+    without = run_stack(stack_model("gru", [3], word_dim=4, shortcuts=False, seed=16), emb)
     assert np.array_equal(with_flag[0].data, without[0].data)
 
 
@@ -979,9 +1012,11 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
     monkeypatch.setattr(
         network, "bidirectional_layer", lambda *a, **kw: layer_calls.append(1) or layer(*a, **kw)
     )
+    sentence = tuple(Token(w, {}) for w in "abc")
+    assert model.encode_sentence(sentence) == (word_ids, char_idss)
     for task, layers in (("low", 1), ("top", 2)):
         layer_calls.clear()
-        model.predict_ids(task, [(word_ids, char_idss)])
+        model.predict_labels(task, sentence)
         assert len(layer_calls) == layers
         layer_calls.clear()
         gold = [0, 1, 0]
@@ -1048,11 +1083,9 @@ def test_shared_store_is_reused_and_extended_in_place():
     assert model.predict_labels("tag", sentence, shared) == model.predict_labels("tag", sentence)
     assert len(shared) == 4 and shared[1] is embedded and shared[2] is first
     plain = model.forward("tag", [model.encode_sentence(sentence)], training=False)
-    layers = shared_stack_forward(
-        shared[1:], model._cells, False, model.config.dropout, training=False
-    )
-    assert layers == shared[2:]
-    logits = network.task_head_forward(layers, model._tasks["tag"], training=False)
+    held = list(shared)
+    logits = model.forward("tag", None, training=False, shared=shared)  # the batch is not read
+    assert len(shared) == 4 and all(now is then for now, then in zip(shared, held))
     assert logits.data.tobytes() == plain.data.tobytes()
 
 
