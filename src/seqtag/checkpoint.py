@@ -67,7 +67,10 @@ def load_model(path: str | Path) -> Model:
         raise CheckpointError(
             f"corrupt checkpoint manifest in {path}: the label maps disagree with the tasks"
         )
-    model = Model(config, vocab, None)  # no draws: every tensor is read below
+    try:
+        model = Model(config, vocab, None)  # no draws: every tensor is read below
+    except ConfigError as err:
+        raise CheckpointError(f"checkpoint {path}: {err}") from err
 
     declared, built = {entry["name"] for entry in manifest["tensors"]}, set(model.params)
     if declared != built:

@@ -38,7 +38,7 @@ from seqtag.exceptions import ConfigError, DataError, SeqtagError
 from seqtag.files import check_target, write_atomic
 from seqtag.hyperopt import SearchSpace, parse_interval, run_search
 from seqtag.labels import SUBTASK_KINDS, components_from_labels, derive_subtask, parse_am_sequence
-from seqtag.metrics import ResultList, span_overlap_profile
+from seqtag.metrics import SentenceResult, span_overlap_profile
 from seqtag.stats import LabelDistribution, StatsError, label_entropy, label_kurtosis
 
 RESULTS_ENV = "SEQTAG_RESULTS"
@@ -158,7 +158,6 @@ def cmd_evaluate(args) -> int:
         task = model.config.task(args.task).name if args.task else model.config.tasks[0].name
         corpus = parse_conll_file(args.input, args.token_column, {task: args.label_column})
         report = experiment.evaluate_model(model, corpus, task, evaluation, metrics)
-        labels = model.vocab.labels_of(task)
         results = None
     elif args.predictions:
         corpus = parse_conll_file(
@@ -166,13 +165,12 @@ def cmd_evaluate(args) -> int:
             args.token_column,
             {"gold": args.label_column, "pred": args.pred_column},
         )
-        results = ResultList()
-        for sentence in corpus:
-            results.add(
-                [t.surface for t in sentence],
-                [t.labels["gold"] for t in sentence],
-                [t.labels["pred"] for t in sentence],
+        results = [
+            SentenceResult(
+                [t.labels["gold"] for t in sentence], [t.labels["pred"] for t in sentence]
             )
+            for sentence in corpus
+        ]
         results = experiment.postprocess_results(results, args.postprocess)
         report = experiment.metric_report(results, metrics, evaluation, labels=None)
     else:
@@ -188,7 +186,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_overlap_profile(results: ResultList, path: str) -> None:
+def _write_overlap_profile(results: list[SentenceResult], path: str) -> None:
     def spans(labels):
         components = components_from_labels(parse_am_sequence(labels))
         return [(c.start, c.end + 1, c.ctype) for c in components]

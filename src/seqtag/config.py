@@ -25,22 +25,10 @@ import yaml
 
 from seqtag.corpus import read_text
 from seqtag.exceptions import ConfigError
+from seqtag.metrics import METRICS
 from seqtag.network import DropoutConfig, NetworkConfig, TaskSpec
 from seqtag.training import TrainConfig
 
-KNOWN_METRICS = (
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "c_f1_50",
-    "c_f1_100",
-    "r_f1_50",
-    "r_f1_100",
-    "wacc",
-    "edit_distance_mean",
-    "edit_distance_median",
-)
 POSTPROCESS_VARIANTS = ("none", "to_outside", "to_begin", "am")
 
 
@@ -158,7 +146,7 @@ class EmbeddingsConfig:
 @dataclass
 class EvalConfig:
     metrics: list[str] = field(
-        default_factory=lambda: ["accuracy", "f1"], metadata={"choices": KNOWN_METRICS}
+        default_factory=lambda: ["accuracy", "f1"], metadata={"choices": tuple(METRICS)}
     )
     postprocess: str = field(default="none", metadata={"choices": POSTPROCESS_VARIANTS})
     empty_symbol: str = "ε"

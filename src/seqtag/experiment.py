@@ -30,16 +30,9 @@ from seqtag.labels import (
     correct_bio,
     parse_am_sequence,
     parse_bio_sequence,
-    strip_alignment_symbols,
 )
-from seqtag.metrics import (
-    ResultList,
-    aggregate_edit_distance,
-    am_f1,
-    edit_distance,
-    token_prf,
-    word_accuracy,
-)
+from seqtag.metrics import METRICS, SentenceResult
+from seqtag.metrics import token_prf  # noqa: F401 -- perfbench wraps experiment.token_prf
 from seqtag.network import Model
 from seqtag.training import TrainResult, dev_score, predict_results, subsample, train
 
@@ -174,57 +167,24 @@ def postprocess_labels(labels: list[str], variant: str) -> list[str]:
     raise ConfigError(f"unknown post-processing variant {variant!r}")
 
 
-def postprocess_results(results: ResultList, variant: str) -> ResultList:
+def postprocess_results(results: list[SentenceResult], variant: str) -> list[SentenceResult]:
     if variant == "none":
         return results
-    out = ResultList()
-    for sentence in results:
-        out.add(
-            sentence.surfaces, sentence.gold, postprocess_labels(sentence.predicted, variant)
-        )
-    return out
+    return [SentenceResult(s.gold, postprocess_labels(s.predicted, variant)) for s in results]
 
 
 # -- metric reports ----------------------------------------------------------------------
 
 
 def metric_report(
-    results: ResultList, metrics: list[str], evaluation: EvalConfig, labels: list[str] | None
+    results: list[SentenceResult],
+    metrics: list[str],
+    evaluation: EvalConfig,
+    labels: list[str] | None,
 ) -> dict[str, float]:
-    """Compute the requested metrics over one task's results."""
-    report: dict[str, float] = {}
-    token_wanted = [m for m in metrics if m in ("accuracy", "precision", "recall", "f1")]
-    if token_wanted:
-        scores = token_prf(results, labels=labels)
-        for name in token_wanted:
-            report[name] = scores[name]
-    for name in metrics:
-        if name.startswith(("c_f1", "r_f1")):
-            target = "component" if name.startswith("c_f1") else "relation"
-            level = "exact" if name.endswith("100") else "approx"
-            report[name] = am_f1(results, target, level)
-    s2s_wanted = [m for m in metrics if m in ("wacc", "edit_distance_mean", "edit_distance_median")]
-    if s2s_wanted:
-        gold_strings, pred_strings = [], []
-        for sentence in results:
-            gold_strings.append(
-                strip_alignment_symbols(
-                    sentence.gold, evaluation.empty_symbol, evaluation.join_symbol
-                )
-            )
-            pred_strings.append(
-                strip_alignment_symbols(
-                    sentence.predicted, evaluation.empty_symbol, evaluation.join_symbol
-                )
-            )
-        if "wacc" in s2s_wanted:
-            report["wacc"] = word_accuracy(pred_strings, gold_strings)
-        distances = [edit_distance(p, g) for p, g in zip(pred_strings, gold_strings)]
-        if "edit_distance_mean" in s2s_wanted:
-            report["edit_distance_mean"] = aggregate_edit_distance(distances, "mean")
-        if "edit_distance_median" in s2s_wanted:
-            report["edit_distance_median"] = aggregate_edit_distance(distances, "median")
-    return report
+    """The requested metrics over one task's results, computed in table
+    order: of two failing metrics, the one ``METRICS`` lists first reports."""
+    return {name: f(results, labels, evaluation) for name, f in METRICS.items() if name in metrics}
 
 
 def evaluate_model(
@@ -234,14 +194,9 @@ def evaluate_model(
     evaluation: EvalConfig,
     metrics: list[str] | None = None,
 ) -> dict[str, float]:
-    results = predict_results(model, task, corpus)
-    results = postprocess_results(results, evaluation.postprocess)
-    return metric_report(
-        results,
-        metrics if metrics is not None else evaluation.metrics,
-        evaluation,
-        labels=model.vocab.labels_of(task),
-    )
+    results = postprocess_results(predict_results(model, task, corpus), evaluation.postprocess)
+    names = metrics if metrics is not None else evaluation.metrics
+    return metric_report(results, names, evaluation, model.vocab.labels_of(task))
 
 
 def search_score(config: RunConfig, result: TrainResult, model: Model, data) -> float:

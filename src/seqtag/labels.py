@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from seqtag.exceptions import DataError
 
@@ -79,14 +79,19 @@ class BioLabel:
         raise LabelError(f"unparseable BIO label {text!r}")
 
 
-def parse_bio_sequence(labels: Iterable[str]) -> list[BioLabel]:
+def _parse_each(labels: Iterable[str], parse: Callable[[str], object]) -> list:
+    """``parse`` applied to each label; a failure names its position."""
     parsed = []
     for i, text in enumerate(labels):
         try:
-            parsed.append(BioLabel.parse(text))
+            parsed.append(parse(text))
         except LabelError as err:
             raise LabelError(f"position {i}: {err}") from err
     return parsed
+
+
+def parse_bio_sequence(labels: Iterable[str]) -> list[BioLabel]:
+    return _parse_each(labels, BioLabel.parse)
 
 
 @dataclass(frozen=True)
@@ -216,13 +221,7 @@ def parse_am_label(text: str) -> AMLabel:
 
 
 def parse_am_sequence(labels: Iterable[str]) -> list[AMLabel]:
-    parsed = []
-    for i, text in enumerate(labels):
-        try:
-            parsed.append(parse_am_label(text))
-        except LabelError as err:
-            raise LabelError(f"position {i}: {err}") from err
-    return parsed
+    return _parse_each(labels, parse_am_label)
 
 
 # -- natural subtasks --------------------------------------------------------------

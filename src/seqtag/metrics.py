@@ -4,13 +4,14 @@ Token-level accuracy/precision/recall/F1, component and relation F1 for
 argumentation structures under exact (100%) and approximate (50%) span
 matching, word accuracy and edit distance for converted strings, the
 coefficient of variation across repeated runs, and the span-overlap
-profile multiset.
+profile multiset. A task's results are a plain ``list[SentenceResult]``,
+one per sentence (blank-line block); ``METRICS`` names each metric once.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from seqtag.exceptions import DataError
@@ -19,6 +20,7 @@ from seqtag.labels import (
     components_from_labels,
     parse_am_sequence,
     rel_to_abs_links,
+    strip_alignment_symbols,
 )
 
 
@@ -28,34 +30,16 @@ class MetricError(DataError):
 
 @dataclass
 class SentenceResult:
-    surfaces: list[str]
+    """One sentence's gold and predicted labels, token by token."""
+
     gold: list[str]
     predicted: list[str]
 
     def __post_init__(self):
-        if not (len(self.surfaces) == len(self.gold) == len(self.predicted)):
+        if len(self.gold) != len(self.predicted):
             raise MetricError(
-                f"misaligned result: {len(self.surfaces)} tokens, "
-                f"{len(self.gold)} gold, {len(self.predicted)} predicted"
+                f"misaligned result: {len(self.gold)} gold, {len(self.predicted)} predicted"
             )
-
-
-@dataclass
-class ResultList:
-    """Per-token gold and predicted labels, document boundaries kept."""
-
-    sentences: list[SentenceResult] = field(default_factory=list)
-
-    def add(self, surfaces, gold, predicted) -> None:
-        self.sentences.append(
-            SentenceResult(list(surfaces), list(gold), list(predicted))
-        )
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-    def __len__(self):
-        return len(self.sentences)
 
 
 @dataclass
@@ -74,7 +58,9 @@ class MatchCounts:
 # -- token-level metrics ----------------------------------------------------------
 
 
-def token_prf(results: ResultList, labels: Sequence[str] | None = None) -> dict[str, float]:
+def token_prf(
+    results: Sequence[SentenceResult], labels: Sequence[str] | None = None
+) -> dict[str, float]:
     """Accuracy plus macro-averaged precision/recall/F1.
 
     The macro mean runs over the full label inventory including the
@@ -155,7 +141,9 @@ def _relations(components: Sequence[ComponentSpan]) -> list[_Relation]:
     ]
 
 
-def am_f1(results: ResultList, target: str = "component", level: str = LEVEL_APPROX) -> float:
+def am_f1(
+    results: Sequence[SentenceResult], target: str = "component", level: str = LEVEL_APPROX
+) -> float:
     """Component or relation F1 over post-processed predictions.
 
     Components are matched on type and span at the requested level;
@@ -290,3 +278,37 @@ def span_overlap_profile(
                 best = max(best, min(b, d) - max(a, c))
         profile.append((b - a, best))
     return profile
+
+
+# -- metric names ------------------------------------------------------------------------------
+
+
+def _strings(results: Sequence[SentenceResult], evaluation) -> tuple[list[str], list[str]]:
+    """Each sentence's predicted and gold strings, alignment symbols removed."""
+    symbols = evaluation.empty_symbol, evaluation.join_symbol
+    return (
+        [strip_alignment_symbols(s.predicted, *symbols) for s in results],
+        [strip_alignment_symbols(s.gold, *symbols) for s in results],
+    )
+
+
+def _edit_distance(results: Sequence[SentenceResult], evaluation, how: str) -> float:
+    return aggregate_edit_distance(map(edit_distance, *_strings(results, evaluation)), how)
+
+
+# name -> f(results, labels, evaluation): ``labels`` fixes the token-level
+# label inventory (None: the labels observed), ``evaluation`` (an
+# ``EvalConfig``) the alignment symbols that the string metrics strip
+METRICS = {
+    "accuracy": lambda r, labels, _: token_prf(r, labels)["accuracy"],
+    "precision": lambda r, labels, _: token_prf(r, labels)["precision"],
+    "recall": lambda r, labels, _: token_prf(r, labels)["recall"],
+    "f1": lambda r, labels, _: token_prf(r, labels)["f1"],
+    "c_f1_50": lambda r, *_: am_f1(r, "component", LEVEL_APPROX),
+    "c_f1_100": lambda r, *_: am_f1(r, "component", LEVEL_EXACT),
+    "r_f1_50": lambda r, *_: am_f1(r, "relation", LEVEL_APPROX),
+    "r_f1_100": lambda r, *_: am_f1(r, "relation", LEVEL_EXACT),
+    "wacc": lambda r, _, evaluation: word_accuracy(*_strings(r, evaluation)),
+    "edit_distance_mean": lambda r, _, evaluation: _edit_distance(r, evaluation, "mean"),
+    "edit_distance_median": lambda r, _, evaluation: _edit_distance(r, evaluation, "median"),
+}

@@ -208,8 +208,12 @@ def init_cell(
 
 def _uniform(rng: np.random.Generator | None, bound: float, size) -> np.ndarray:
     """Draws from U(-bound, bound); zeros, and no draws, without a
-    generator (a model whose every tensor a checkpoint overwrites)."""
-    return np.zeros(size) if rng is None else rng.uniform(-bound, bound, size=size)
+    generator (a model whose every tensor a checkpoint overwrites). Every
+    size a configuration sets reaches numpy first here."""
+    try:
+        return np.zeros(size) if rng is None else rng.uniform(-bound, bound, size=size)
+    except (ValueError, MemoryError) as err:  # numpy refused the shape
+        raise ConfigError(f"cannot allocate the network's parameters: {err}") from err
 
 
 def _glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> Tensor:

@@ -25,7 +25,7 @@ import numpy as np
 from seqtag import checkpoint as ckpt
 from seqtag.corpus import Corpus
 from seqtag.exceptions import ConfigError, NumericError
-from seqtag.metrics import ResultList, token_prf
+from seqtag.metrics import SentenceResult, token_prf
 from seqtag.network import Model
 
 DEV_METRICS = ("accuracy", "f1")
@@ -165,16 +165,13 @@ def make_optimizer(config: OptimizerConfig):
 # -- evaluation helpers ----------------------------------------------------------------
 
 
-def predict_results(model: Model, task: str, corpus: Corpus) -> ResultList:
-    results = ResultList()
-    for sentence in corpus:
-        predicted = model.predict_labels(task, sentence)
-        results.add(
-            [tok.surface for tok in sentence],
-            [tok.labels.get(task, "") for tok in sentence],
-            predicted,
+def predict_results(model: Model, task: str, corpus: Corpus) -> list[SentenceResult]:
+    return [
+        SentenceResult(
+            [tok.labels.get(task, "") for tok in sentence], model.predict_labels(task, sentence)
         )
-    return results
+        for sentence in corpus
+    ]
 
 
 def dev_score(model: Model, task: str, corpus: Corpus, metric: str) -> float:

@@ -28,7 +28,7 @@ from seqtag.labels import (
 from seqtag.metrics import (
     LEVEL_APPROX,
     LEVEL_EXACT,
-    ResultList,
+    SentenceResult,
     am_f1,
     coefficient_of_variation,
     edit_distance,
@@ -259,8 +259,7 @@ def test_criterion_3_am_metric_oracle():
         pad = max(len(gold_doc), len(pred_doc))
         gold_doc += ["O"] * (pad - len(gold_doc))
         pred_doc += ["O"] * (pad - len(pred_doc))
-        results = ResultList()
-        results.add(["w"] * pad, gold_doc, pred_doc)
+        results = [SentenceResult(gold_doc, pred_doc)]
         scores = {}
         for target in ("component", "relation"):
             for level in (LEVEL_APPROX, LEVEL_EXACT):
@@ -277,8 +276,7 @@ def test_criterion_3_am_metric_oracle():
     from test_metrics import ESSAY_SPECS
 
     fixture = render_document(ESSAY_SPECS)
-    results = ResultList()
-    results.add(["w"] * len(fixture), fixture, list(fixture))
+    results = [SentenceResult(fixture, list(fixture))]
     fixture_ok = all(
         am_f1(results, target, level) == 1.0
         for target in ("component", "relation")
@@ -304,8 +302,7 @@ def test_criterion_4_majority_baseline():
     other_labels = [f"L{i:02d}" for i in range(16)]
     for i in range(7437 - 2636):
         gold.append(other_labels[i % 16])
-    results = ResultList()
-    results.add(["w"] * 7437, gold, ["I-EG"] * 7437)
+    results = [SentenceResult(gold, ["I-EG"] * 7437)]
     f1 = token_prf(results, labels=["I-EG"] + other_labels)["f1"] * 100
     passed = abs(f1 - 3.079) <= 1e-3
     report(4, passed, f"constant-I-EG macro-F1 {f1:.4f}% vs 3.079% (+-0.001)")

@@ -721,6 +721,52 @@ def test_cli_predict_word_index_past_the_vocabulary_exits_2(tmp_path, capsys):
     assert err == "error: vocabulary has a map that does not number its entries 0..n-1\n"
 
 
+# 10**20 passes every config check but is past any dimension numpy
+# allocates, so numpy refuses it before it reserves any memory
+HUGE = 10**20
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c["embeddings"].update(word_dim=HUGE),
+        lambda c: c["architecture"].update(shared_layers=[HUGE]),
+        lambda c: c["architecture"].update(char={"enabled": True, "embedding_dim": HUGE}),
+        lambda c: c["architecture"].update(char={"enabled": True, "hidden": HUGE}),
+        lambda c: c["tasks"][0].update(private_layers=[{"units": HUGE}]),
+    ],
+    ids=["word_dim", "shared_layers", "char.embedding_dim", "char.hidden", "units"],
+)
+def test_cli_train_oversized_network_exits_1_with_one_line(workspace, capsys, edit):
+    _, config_path, config = workspace
+    edit(config)
+    config_path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    assert main(["train", str(config_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate the network's parameters: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_predict_oversized_checkpoint_config_exits_2_with_one_line(tmp_path, capsys):
+    corpus = parse_conll("a\tO\nfox\tB-X\n", 0, {"tag": 1})
+    vocab = vocab_for([corpus], {"tag": [corpus]})
+    config = NetworkConfig(
+        shared_layers=[2], tasks=[TaskSpec(name="tag", labels=vocab.labels_of("tag"))], word_dim=2
+    )
+    checkpoint = tmp_path / "model.ckpt"
+    save_model(Model(config, vocab, np.random.default_rng(0)), checkpoint)
+    huge = f'"word_dim": {HUGE}'.encode()
+    reframe_checkpoint(checkpoint, lambda blob, _: blob.replace(b'"word_dim": 2', huge))
+    data = tmp_path / "plain.conll"
+    data.write_text("fox\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(checkpoint), "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    cause = "cannot allocate the network's parameters: "
+    assert err.startswith(f"error: checkpoint {checkpoint}: {cause}")
+    assert err.count("\n") == 1
+
+
 def test_cli_derive_subtasks(tmp_path, capsys):
     src = tmp_path / "am.conll"
     src.write_text(

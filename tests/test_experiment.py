@@ -10,7 +10,7 @@ from seqtag.experiment import (
     postprocess_labels,
     run_training,
 )
-from seqtag.metrics import ResultList
+from seqtag.metrics import SentenceResult
 
 from conftest import synthetic_bio_corpus
 
@@ -94,14 +94,11 @@ def test_postprocess_labels_variants():
 
 
 def test_metric_report_g2p_strips_symbols():
-    results = ResultList()
-    # aligned gold/pred for one word; prediction differs by one phoneme
-    results.add(
-        ["e", "x", "i", "t"],
-        ["E", "g_z", "ε", "t"],
-        ["E", "g_z", "ε", "d"],
-    )
-    results.add(["a", "b"], ["A", "B"], ["A", "B"])
+    results = [
+        # aligned gold/pred for one word; prediction differs by one phoneme
+        SentenceResult(["E", "g_z", "ε", "t"], ["E", "g_z", "ε", "d"]),
+        SentenceResult(["A", "B"], ["A", "B"]),
+    ]
     evaluation = EvalConfig(empty_symbol="ε", join_symbol="_")
     report = metric_report(
         results, ["wacc", "edit_distance_mean", "edit_distance_median"], evaluation, None

@@ -58,6 +58,8 @@ def test_bio_unparseable():
         BioLabel.parse("Q-NP")
     with pytest.raises(LabelError, match="position 1"):
         parse_bio_sequence(["O", "bogus"])
+    with pytest.raises(LabelError, match="position 2: "):
+        parse_am_sequence(["O", "B:P:1:Supp", "B:P"])
 
 
 def test_validate_valid_chain():

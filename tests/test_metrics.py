@@ -1,11 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from seqtag.config import EvalConfig
 from seqtag.metrics import (
     LEVEL_APPROX,
     LEVEL_EXACT,
+    METRICS,
     MetricError,
-    ResultList,
     SentenceResult,
     aggregate_edit_distance,
     am_f1,
@@ -16,7 +20,7 @@ from seqtag.metrics import (
     token_prf,
     word_accuracy,
 )
-from seqtag.labels import ComponentSpan
+from seqtag.labels import ComponentSpan, strip_alignment_symbols
 
 # ---------------------------------------------------------------------------
 # document fixtures: component specs are (length, type, distance, stance);
@@ -59,9 +63,7 @@ ESSAY_SPECS = [
 def essay_results(pred_specs=None):
     gold = render_document(ESSAY_SPECS)
     pred = render_document(pred_specs if pred_specs is not None else ESSAY_SPECS)
-    results = ResultList()
-    results.add(["w"] * len(gold), gold, pred)
-    return results
+    return [SentenceResult(gold, pred)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,29 +72,26 @@ def essay_results(pred_specs=None):
 
 
 def test_perfect_prediction_all_ones():
-    results = ResultList()
-    results.add(["a", "b"], ["B-X", "O"], ["B-X", "O"])
+    results = [SentenceResult(["B-X", "O"], ["B-X", "O"])]
     scores = token_prf(results)
     assert scores == {"accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
 def test_disjoint_label_sets_zero_f1():
-    results = ResultList()
-    results.add(["a", "b"], ["A", "A"], ["B", "B"])
+    results = [SentenceResult(["A", "A"], ["B", "B"])]
     assert token_prf(results)["f1"] == 0.0
 
 
 def test_majority_baseline_reproduces_published_value():
     # constant I-EG prediction over 7437 tokens of which 2636 are I-EG,
     # macro-averaged over the 17-label inventory -> 3.079% F1
-    results = ResultList()
     gold = ["I-EG"] * 2636
     others = 7437 - 2636
     other_labels = [f"L{i:02d}" for i in range(16)]
     for i in range(others):
         gold.append(other_labels[i % 16])
     pred = ["I-EG"] * 7437
-    results.add(["w"] * 7437, gold, pred)
+    results = [SentenceResult(gold, pred)]
     inventory = ["I-EG"] + other_labels
     f1 = token_prf(results, labels=inventory)["f1"]
     assert f1 * 100 == pytest.approx(3.079, abs=1e-3)
@@ -108,13 +107,13 @@ def test_accuracy_one_iff_f1_one_fuzz():
             pred = list(gold)
         else:
             pred = [labels[i] for i in rng.integers(0, 3, size=n)]
-        scores = token_prf(ResultList([SentenceResult(["w"] * n, gold, pred)]))
+        scores = token_prf([SentenceResult(gold, pred)])
         assert (scores["accuracy"] == 1.0) == (scores["f1"] == 1.0)
 
 
 def test_length_mismatch_is_error():
     with pytest.raises(MetricError):
-        ResultList().add(["a"], ["X", "Y"], ["X"])
+        SentenceResult(["X", "Y"], ["X"])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,7 @@ def test_shifted_premise_counts_at_half_overlap_only():
     pred_doc[p1_start] = "O"
     pred_doc[p1_start + 1] = "O"
     pred_doc[p1_start + 2] = gold_doc[p1_start]  # B at the new start
-    results = ResultList()
-    results.add(["w"] * len(gold_doc), gold_doc, pred_doc)
+    results = [SentenceResult(gold_doc, pred_doc)]
 
     n = len(ESSAY_SPECS)
     assert am_f1(results, "component", LEVEL_APPROX) == pytest.approx(1.0)
@@ -195,8 +193,7 @@ def test_retargeted_links_kill_relation_f1_only():
 
 
 def test_invalid_structure_directs_to_postprocess():
-    results = ResultList()
-    results.add(["w", "w"], ["O", "O"], ["O", "I:P:1:Supp"])
+    results = [SentenceResult(["O", "O"], ["O", "I:P:1:Supp"])]
     with pytest.raises(MetricError, match="am_postprocess"):
         am_f1(results, "component", LEVEL_APPROX)
 
@@ -315,8 +312,7 @@ def test_am_f1_agrees_with_oracle_on_random_documents():
             pred_doc += ["O"] * (len(gold_doc) - len(pred_doc))
         else:
             gold_doc += ["O"] * (len(pred_doc) - len(gold_doc))
-        results = ResultList()
-        results.add(["w"] * len(gold_doc), gold_doc, pred_doc)
+        results = [SentenceResult(gold_doc, pred_doc)]
         for target in ("component", "relation"):
             for level in (LEVEL_APPROX, LEVEL_EXACT):
                 got = am_f1(results, target, level)
@@ -492,3 +488,53 @@ def test_overlap_profile_invariants_fuzz():
         assert sum(o for _, o in profile) <= sum(l for l, _ in profile)
         mirror = span_overlap_profile(gold, gold)
         assert mirror == [(b - a, b - a) for a, b, _ in gold]
+
+
+# ---------------------------------------------------------------------------
+# metric names
+# ---------------------------------------------------------------------------
+
+
+def test_readme_lists_the_metric_names_in_table_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    command_line = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = command_line.split("Metric names:", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(METRICS)
+
+
+def test_metric_table_maps_each_name_to_its_metric():
+    gold = render_document(ESSAY_SPECS)
+    starts = [i for i, label in enumerate(gold) if label.startswith("B:")]
+    pred = list(gold)
+    # premise 1 loses two of its five tokens: a match at 50% only
+    pred[starts[3] : starts[3] + 3] = ["O", "O", gold[starts[3]]]
+    # premise 2 links one component further back: its relation is lost
+    premise_2 = slice(starts[4], starts[4] + 4)
+    pred[premise_2] = [label.replace(":-1:", ":-2:") for label in gold[premise_2]]
+    results = [SentenceResult(gold, gold)] * 4 + [
+        SentenceResult(gold, pred),
+        SentenceResult(["O", "O"], ["O", "B:C:⊥:For"]),  # one claim too many
+    ]
+    evaluation = EvalConfig()
+    token = token_prf(results)
+    strings = {
+        side: [strip_alignment_symbols(getattr(s, side), "ε", "_") for s in results]
+        for side in ("gold", "predicted")
+    }
+    distances = [edit_distance(p, g) for p, g in zip(strings["predicted"], strings["gold"])]
+    want = {
+        "accuracy": token["accuracy"],
+        "precision": token["precision"],
+        "recall": token["recall"],
+        "f1": token["f1"],
+        "c_f1_50": am_f1(results, "component", LEVEL_APPROX),
+        "c_f1_100": am_f1(results, "component", LEVEL_EXACT),
+        "r_f1_50": am_f1(results, "relation", LEVEL_APPROX),
+        "r_f1_100": am_f1(results, "relation", LEVEL_EXACT),
+        "wacc": word_accuracy(strings["predicted"], strings["gold"]),
+        "edit_distance_mean": aggregate_edit_distance(distances, "mean"),
+        "edit_distance_median": aggregate_edit_distance(distances, "median"),
+    }
+    assert {name: metric(results, None, evaluation) for name, metric in METRICS.items()} == want
+    # every value differs, so a name bound to another metric shows
+    assert len(set(want.values())) == len(want)
