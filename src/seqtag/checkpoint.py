@@ -6,11 +6,13 @@ header (configuration echo, vocabularies, and a tensor registry of
 names and shapes), then each tensor's float64 values in registry order
 up to the end of the file. Round trips are bit-exact. Version 1 files,
 which have no CRC and whose registry also gives byte offsets, still load.
+A file loads only when its registry is the one ``registry`` gives for
+the model its configuration echo builds.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +30,24 @@ class CheckpointError(DataError):
     pass
 
 
+def registry(model: Model, version: int = VERSION) -> list[dict]:
+    """The tensor registry of ``model`` as the writer of ``version`` lays
+    it out: each tensor's name and shape in registry order, and for
+    version 1 its byte offset, the tensors back to back."""
+    entries, offset = [], 0
+    for name, tensor in model.params.items():
+        entries.append({"name": name, "shape": list(tensor.data.shape)})
+        if version == 1:
+            entries[-1]["offset"] = offset
+            offset += 8 * tensor.data.size
+    return entries
+
+
 def save_model(model: Model, path: str | Path) -> None:
     manifest = {
         "config": model.config.to_json(),
         "vocab": model.vocab.to_json(),
-        "tensors": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
+        "tensors": registry(model),
     }
     values = np.concatenate([t.data.ravel() for t in model.params.values()], dtype="<f8")
     write_cache(Path(path), MAGIC, VERSION, manifest, values)
@@ -48,10 +63,7 @@ def load_model(path: str | Path) -> Model:
         raise CheckpointError(str(err)) from err
     except OSError as err:
         raise CheckpointError(f"cannot read {path}: {err.strerror or err}") from err
-    sizes = _check_manifest(manifest, version, path)
-    if sum(sizes) != values.size:
-        raise CheckpointError(f"checkpoint {path} has {values.size} values, not {sum(sizes)}")
-
+    _check_manifest(manifest, version, path)
     try:
         config = NetworkConfig.from_json(manifest["config"])
         vocab = Vocabulary.from_json(manifest["vocab"])
@@ -72,25 +84,21 @@ def load_model(path: str | Path) -> Model:
     except ConfigError as err:
         raise CheckpointError(f"checkpoint {path}: {err}") from err
 
-    declared, built = {entry["name"] for entry in manifest["tensors"]}, set(model.params)
-    if declared != built:
-        raise CheckpointError(
-            f"tensor registry disagrees with the configuration "
-            f"(missing: {sorted(built - declared)}, unexpected: {sorted(declared - built)})"
-        )
-    ends = np.cumsum(sizes)
-    for entry, end, size in zip(manifest["tensors"], ends, sizes):
-        name, shape = entry["name"], tuple(entry["shape"])
-        tensor = model.params[name]
-        if tensor.data.shape != shape:
+    for found, built in itertools.zip_longest(manifest["tensors"], registry(model, version)):
+        if found != built:
             raise CheckpointError(
-                f"tensor {name!r} has shape {shape} in the checkpoint "
-                f"but {tensor.data.shape} in the configuration"
+                f"corrupt checkpoint manifest in {path}: malformed tensor entry {found!r} "
+                f"(the configuration has {built!r})"
             )
-        tensor.data = values[end - size : end].reshape(shape)  # a view, not a copy
+    sizes = [tensor.data.size for tensor in model.params.values()]
+    if sum(sizes) != values.size:
+        raise CheckpointError(f"checkpoint {path} has {values.size} values, not {sum(sizes)}")
+    ends = np.cumsum(sizes)
+    for tensor, end, size in zip(model.params.values(), ends, sizes):
+        tensor.data = values[end - size : end].reshape(tensor.data.shape)  # a view, not a copy
     finite = np.isfinite(values)
     if not finite.all():
-        name = manifest["tensors"][np.searchsorted(ends, np.argmin(finite), side="right")]["name"]
+        name = list(model.params)[np.searchsorted(ends, np.argmin(finite), side="right")]
         raise CheckpointError(f"tensor {name!r} holds non-finite values")
     return model
 
@@ -103,17 +111,16 @@ def _read(path: Path) -> tuple[int, object, np.ndarray]:
     return VERSION, *read_cache(path, MAGIC, VERSION, "checkpoint")
 
 
-def _check_manifest(manifest, version: int, path: Path) -> list[int]:
-    """The number of values of each registry entry. A manifest whose
-    layout is not the one the writer of ``version`` produced raises."""
+def _check_manifest(manifest, version: int, path: Path) -> None:
+    """Raise unless the manifest has the keys, each of its type, that the
+    writer of ``version`` produced; ``load_model`` checks the registry."""
 
     def fail(what: str):
         raise CheckpointError(f"corrupt checkpoint manifest in {path}: {what}")
 
     keys = {"config": dict, "vocab": dict, "tensors": list}
-    fields = {"name", "shape"}
     if version == 1:
-        keys["payload_bytes"], fields = int, fields | {"offset"}
+        keys["payload_bytes"] = int
     if not isinstance(manifest, dict):
         fail("not a JSON object")
     for key, kind in keys.items():
@@ -123,17 +130,3 @@ def _check_manifest(manifest, version: int, path: Path) -> list[int]:
             fail(f"{key!r} is not a {kind.__name__}")
     for key in sorted(manifest.keys() - keys.keys()):
         fail(f"unexpected key {key!r}")
-    sizes, offset = [], 0  # version 1 wrote the tensors back to back
-    for entry in manifest["tensors"]:
-        if not (
-            isinstance(entry, dict)
-            and entry.keys() == fields
-            and isinstance(entry["name"], str)
-            and isinstance(entry["shape"], list)
-            and all(type(n) is int and n >= 0 for n in entry["shape"])
-            and entry.get("offset", offset) == offset
-        ):
-            fail(f"malformed tensor entry {entry!r}")
-        sizes.append(math.prod(entry["shape"]))
-        offset += 8 * sizes[-1]
-    return sizes

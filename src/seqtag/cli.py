@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -31,12 +30,11 @@ from seqtag.config import (
     build_run_config,
     load_yaml,
     read,
-    split_search_section,
 )
 from seqtag.corpus import Token, conll_blocks, conll_text, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
 from seqtag.files import check_target, write_atomic
-from seqtag.hyperopt import SearchSpace, parse_interval, run_search
+from seqtag.hyperopt import run_search, split_search_section
 from seqtag.labels import SUBTASK_KINDS, components_from_labels, derive_subtask, parse_am_sequence
 from seqtag.metrics import SentenceResult, span_overlap_profile
 from seqtag.stats import LabelDistribution, StatsError, label_entropy, label_kurtosis
@@ -66,7 +64,7 @@ def _resolve_output(path: str) -> Path:
     return p
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_text(text: str, path: str | Path | None) -> None:
     """Write to ``path``, creating its directory, or to stdout without a path."""
     if not path:
         sys.stdout.write(text)
@@ -221,12 +219,6 @@ def cmd_search(args) -> int:
     if args.set:
         raw = apply_overrides(raw, args.set)
     search, template = split_search_section(raw)
-    space = SearchSpace(
-        variables={
-            name: parse_interval(spec, f"search.variables.{name}")
-            for name, spec in search["variables"].items()
-        }
-    )
     out_dir = _resolve_output(
         args.output or Reader(template.get("output", {}), "output").take("dir", str, "search")
     )
@@ -243,7 +235,6 @@ def cmd_search(args) -> int:
                 config, cache_dir=str(out_dir / "cache")
             )
         run_dir = runs_dir / f"seed_{seed}"
-        run_dir.mkdir(parents=True, exist_ok=True)
         lines: list[str] = []
         model, result = experiment.run_training(
             config,
@@ -251,36 +242,27 @@ def cmd_search(args) -> int:
             checkpoint_path=str(run_dir / "model.ckpt"),
             log=lines.append,
         )
-        (run_dir / "train.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text("\n".join(lines) + "\n", run_dir / "train.log")
         return experiment.search_score(config, result, model, data)
 
-    report = run_search(
-        template=template,
-        space=space,
-        n_trials=search["trials"],
-        seeds_per_trial=search["seeds_per_trial"],
-        master_seed=search["master_seed"],
-        train_fn=train_fn,
-        final_seeds=search["final_seeds"],
-    )
+    report = run_search(template, search, train_fn)
 
     for trial in report.trials:
         trial_dir = out_dir / f"trial_{trial.index:03d}"
-        trial_dir.mkdir(parents=True, exist_ok=True)
-        (trial_dir / "config.yaml").write_text(
-            yaml.safe_dump(trial.config, sort_keys=False), encoding="utf-8"
-        )
+        _write_text(yaml.safe_dump(trial.config, sort_keys=False), trial_dir / "config.yaml")
         if trial.error is not None:
-            (trial_dir / "FAILED").write_text(trial.error + "\n", encoding="utf-8")
+            _write_text(trial.error + "\n", trial_dir / "FAILED")
             continue
         best_seed = max(zip(trial.seed_scores, trial.seeds))[1]  # ties go to the larger seed
-        shutil.copyfile(runs_dir / f"seed_{best_seed}" / "model.ckpt", trial_dir / "best.ckpt")
+        best = (runs_dir / f"seed_{best_seed}" / "model.ckpt").read_bytes()
+        write_atomic(trial_dir / "best.ckpt", best)
         for j, seed in enumerate(trial.seeds):
-            shutil.copyfile(runs_dir / f"seed_{seed}" / "train.log", trial_dir / f"seed_{j}.log")
+            log = (runs_dir / f"seed_{seed}" / "train.log").read_bytes()
+            write_atomic(trial_dir / f"seed_{j}.log", log)
 
     report_text = report.to_tsv()
-    (out_dir / "report.tsv").write_text(report_text, encoding="utf-8")
-    (out_dir / "timing.tsv").write_text(report.timing_tsv(), encoding="utf-8")
+    _write_text(report_text, out_dir / "report.tsv")
+    _write_text(report.timing_tsv(), out_dir / "timing.tsv")
     sys.stdout.write(report_text)
     return 0
 

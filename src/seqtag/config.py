@@ -64,7 +64,8 @@ class Reader:
 def fill(cls, reader: Reader, **given):
     """Build the config dataclass ``cls`` from one key of ``reader`` per field
     not in ``given``; an absent key takes the field's default, and keys
-    that belong to no field stay in the reader."""
+    that belong to no field stay in the reader. A ConfigError from the
+    class's own checks is prefixed with the reader's location."""
     for name, required, convert in _schema(cls):
         if name in given:
             continue
@@ -72,7 +73,10 @@ def fill(cls, reader: Reader, **given):
             given[name] = convert(reader.data.pop(name), reader.at(name))
         elif required:
             raise ConfigError(f"missing required key {reader.at(name)}")
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ConfigError as err:
+        raise ConfigError(f"{reader.path or 'config'}: {err}") from err
 
 
 def read(cls, reader: Reader, **given):
@@ -262,20 +266,3 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         node[leaf] = yaml.safe_load(text)
     return result
 
-
-def split_search_section(raw: dict) -> tuple[dict, dict]:
-    """Separate the search declaration from the config template."""
-    if "search" not in raw:
-        raise ConfigError("config has no 'search' section")
-    template = copy.deepcopy(raw)
-    search = template.pop("search")
-    reader = Reader(search, "search")
-    parsed = {
-        "trials": reader.take("trials", int, default=10),
-        "seeds_per_trial": reader.take("seeds_per_trial", int, default=3),
-        "final_seeds": reader.take("final_seeds", int, default=0),
-        "master_seed": reader.take("master_seed", int, default=0),
-        "variables": reader.take("variables", dict),
-    }
-    reader.finish()
-    return parsed, template

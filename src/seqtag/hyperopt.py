@@ -1,15 +1,18 @@
 """Random hyper-parameter search.
 
-A configuration template carries ``${name}`` placeholders; each trial
-samples one value per variable from its interval, renders a concrete
-configuration, and trains it once per seed. Trials are ranked by the
-mean development score over their seeds. A failed trial is recorded
-and excluded from the ranking without aborting the experiment, and the
-whole search replays bit-for-bit from the master seed.
+A configuration template carries ``${name}`` placeholders and a
+``search`` section, read and checked like every config section into a
+``SearchConfig``. Each trial samples one value per variable from its
+interval, renders a concrete configuration, and trains it once per
+seed. Trials are ranked by the mean development score over their
+seeds. A failed trial is recorded and excluded from the ranking
+without aborting the experiment, and the search replays bit-for-bit
+from the master seed.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 import time
@@ -44,6 +47,8 @@ class DiscreteInterval:
     def __post_init__(self):
         if self.start > self.end:
             raise ConfigError(f"discrete interval [{self.start}..{self.end}] is empty")
+        if self.start < -(2**63) or self.end > 2**63 - 1:  # the sampler draws int64
+            raise ConfigError(f"discrete interval [{self.start}..{self.end}] exceeds int64")
 
     def sample(self, rng: np.random.Generator):
         return int(rng.integers(self.start, self.end + 1))
@@ -57,21 +62,14 @@ class ContinuousInterval:
     def __post_init__(self):
         if not self.start < self.end:
             raise ConfigError(f"continuous interval [{self.start}, {self.end}) is empty")
+        if not math.isfinite(self.end - self.start):  # the sampler needs a finite width
+            raise ConfigError(f"continuous interval [{self.start}, {self.end}) has no finite width")
 
     def sample(self, rng: np.random.Generator):
         return float(rng.uniform(self.start, self.end))
 
 
 Interval = ListInterval | DiscreteInterval | ContinuousInterval
-
-
-@dataclass
-class SearchSpace:
-    variables: dict[str, Interval]
-
-    def __post_init__(self):
-        if not self.variables:
-            raise ConfigError("empty search space")
 
 
 INTERVAL_KINDS = {
@@ -89,9 +87,42 @@ def parse_interval(spec: Mapping, path: str = "interval") -> Interval:
     return read(INTERVAL_KINDS[kind], reader)
 
 
-def sample_trial(space: SearchSpace, rng: np.random.Generator) -> dict:
+@dataclass
+class SearchConfig:
+    """The ``search`` section of a config template."""
+
+    variables: dict[str, Interval]  # read by ``split_search_section``
+    trials: int = 10
+    seeds_per_trial: int = 3
+    final_seeds: int = 0
+    master_seed: int = 0
+
+    def __post_init__(self):
+        if not self.variables:
+            raise ConfigError("empty search space")
+        least = {"trials": 1, "seeds_per_trial": 1, "final_seeds": 0, "master_seed": 0}
+        for key, bound in least.items():
+            if getattr(self, key) < bound:
+                raise ConfigError(f"{key} must be >= {bound}, got {getattr(self, key)}")
+
+
+def split_search_section(raw: Mapping) -> tuple[SearchConfig, dict]:
+    """The ``search`` section of ``raw``, read and checked, and the config
+    template: the rest of ``raw``."""
+    if "search" not in raw:
+        raise ConfigError("config has no 'search' section")
+    reader = Reader(raw["search"], "search")
+    variables = {
+        name: parse_interval(spec, f"search.variables.{name}")
+        for name, spec in reader.take("variables", dict).items()
+    }
+    template = {key: value for key, value in raw.items() if key != "search"}
+    return read(SearchConfig, reader, variables=variables), template
+
+
+def sample_trial(search: SearchConfig, rng: np.random.Generator) -> dict:
     """One value per variable, in declaration order."""
-    return {name: interval.sample(rng) for name, interval in space.variables.items()}
+    return {name: interval.sample(rng) for name, interval in search.variables.items()}
 
 
 # -- template rendering -------------------------------------------------------------
@@ -187,11 +218,9 @@ class SearchReport:
         if self.winner is not None:
             lines.append(f"winner\t{self.winner}")
             if self.final_scores:
-                final_mean = sum(self.final_scores) / len(self.final_scores)
-                lines.append(
-                    "final\t" + f"{final_mean:.6f}\t"
-                    + ",".join(f"{s:.6f}" for s in self.final_scores)
-                )
+                mean = sum(self.final_scores) / len(self.final_scores)
+                scores = ",".join(f"{s:.6f}" for s in self.final_scores)
+                lines.append(f"final\t{mean:.6f}\t{scores}")
         return "\n".join(lines) + "\n"
 
     def timing_tsv(self) -> str:
@@ -201,35 +230,23 @@ class SearchReport:
 
 
 def run_search(
-    template: dict,
-    space: SearchSpace,
-    n_trials: int,
-    seeds_per_trial: int,
-    master_seed: int,
-    train_fn: Callable[[dict, int], float],
-    final_seeds: int = 0,
+    template: dict, search: SearchConfig, train_fn: Callable[[dict, int], float]
 ) -> SearchReport:
     """Sample, train, and rank trials.
 
     ``train_fn(config, seed)`` returns the development score of one
     run. Any exception from a run marks the whole trial failed; the
-    remaining trials still rank. When ``final_seeds`` > 0, the winning
-    configuration is re-evaluated with that many fresh seeds.
+    remaining trials still rank. When ``search.final_seeds`` > 0, the
+    winning configuration is re-evaluated with that many fresh seeds.
     """
-    if n_trials < 1:
-        raise ConfigError("need at least one trial")
-    if seeds_per_trial < 1:
-        raise ConfigError("need at least one seed per trial")
-    if master_seed < 0:
-        raise ConfigError("search master seed must be >= 0")
-    unbound = find_placeholders(template) - set(space.variables.keys())
+    unbound = find_placeholders(template) - search.variables.keys()
     if unbound:
         raise ConfigError(f"template variables not in the search space: {sorted(unbound)}")
 
     report = SearchReport(trials=[], winner=None)
 
     def timed_run(config: dict, trial_index: int, seed_index: int) -> tuple[int, float]:
-        seed = derive_seed(master_seed, trial_index, seed_index)
+        seed = derive_seed(search.master_seed, trial_index, seed_index)
         start = time.perf_counter()
         try:
             return seed, float(train_fn(config, seed))
@@ -238,13 +255,13 @@ def run_search(
                 (trial_index, seed_index, seed, time.perf_counter() - start)
             )
 
-    sampler = np.random.default_rng(master_seed)
-    for index in range(n_trials):
-        assignment = sample_trial(space, sampler)
+    sampler = np.random.default_rng(search.master_seed)
+    for index in range(search.trials):
+        assignment = sample_trial(search, sampler)
         config = render_template(template, assignment)
         trial = TrialRecord(index=index, assignment=assignment, config=config)
         try:
-            for seed_index in range(seeds_per_trial):
+            for seed_index in range(search.seeds_per_trial):
                 seed, score = timed_run(config, index, seed_index)
                 trial.seeds.append(seed)
                 trial.seed_scores.append(score)
@@ -257,7 +274,7 @@ def run_search(
     if ranking:
         winner = ranking[0]
         report.winner = winner.index
-        for j in range(final_seeds):
-            _, score = timed_run(winner.config, winner.index, seeds_per_trial + j)
+        for j in range(search.final_seeds):
+            _, score = timed_run(winner.config, winner.index, search.seeds_per_trial + j)
             report.final_scores.append(score)
     return report

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from seqtag.corpus import Corpus, Token, Vocabulary
-from seqtag.hyperopt import DiscreteInterval, ContinuousInterval, SearchSpace, run_search
+from seqtag.hyperopt import DiscreteInterval, ContinuousInterval, SearchConfig, run_search
 from seqtag.labels import (
     BioLabel,
     TO_BEGIN,
@@ -663,18 +663,21 @@ def _search_pieces():
         return dev_score(model, "tag", dev_corpus, "accuracy")
 
     template = {"units": "${units}", "lr": "${lr}"}
-    space = SearchSpace(
+    search = SearchConfig(
         variables={
             "units": DiscreteInterval(4, 10),
             "lr": ContinuousInterval(0.005, 0.05),
-        }
+        },
+        trials=10,
+        seeds_per_trial=3,
+        master_seed=5,
     )
-    return template, space, train_fn
+    return template, search, train_fn
 
 
 def test_criterion_10_hyperopt_protocol():
     started = time.perf_counter()
-    template, space, train_fn = _search_pieces()
+    template, search, train_fn = _search_pieces()
 
     calls = {"n": 0}
 
@@ -682,7 +685,7 @@ def test_criterion_10_hyperopt_protocol():
         calls["n"] += 1
         return train_fn(config, seed)
 
-    report_a = run_search(template, space, 10, 3, master_seed=5, train_fn=counted)
+    report_a = run_search(template, search, train_fn=counted)
     runs_ok = calls["n"] == 30
     means = [t.mean for t in report_a.trials]
     expected = [
@@ -691,7 +694,7 @@ def test_criterion_10_hyperopt_protocol():
     best = max(range(10), key=lambda i: (means[i], -i))
     ranking_ok = all(expected) and report_a.winner == best
 
-    report_b = run_search(template, space, 10, 3, master_seed=5, train_fn=train_fn)
+    report_b = run_search(template, search, train_fn=train_fn)
     reproducible = (
         report_a.to_tsv() == report_b.to_tsv()
         and [t.assignment for t in report_a.trials] == [t.assignment for t in report_b.trials]
@@ -706,7 +709,7 @@ def test_criterion_10_hyperopt_protocol():
             raise RuntimeError("injected trial failure")
         return train_fn(config, seed)
 
-    report_c = run_search(template, space, 10, 3, master_seed=5, train_fn=failing)
+    report_c = run_search(template, search, train_fn=failing)
     failed = [t for t in report_c.trials if t.error is not None]
     survived = (
         len(report_c.trials) == 10

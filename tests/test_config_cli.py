@@ -10,12 +10,18 @@ import yaml
 from seqtag import cli
 from seqtag.checkpoint import save_model
 from seqtag.cli import main
-from seqtag.config import apply_overrides, build_run_config, load_yaml, split_search_section
+from seqtag.config import apply_overrides, build_run_config, load_yaml
 from seqtag.corpus import corpus_to_conll, parse_conll
 from seqtag.exceptions import ConfigError
+from seqtag.hyperopt import split_search_section
 from seqtag.network import Model, NetworkConfig, TaskSpec
 
-from conftest import reframe_checkpoint, synthetic_bio_corpus, vocab_for
+from conftest import (
+    reframe_checkpoint,
+    synthetic_bio_corpus,
+    vocab_for,
+    write_half_then_fail,
+)
 
 
 def write_corpus(path, corpus):
@@ -110,7 +116,7 @@ def test_split_search_section():
         "search": {"trials": 3, "variables": {"e": {"kind": "discrete", "start": 1, "end": 5}}},
     }
     search, template = split_search_section(raw)
-    assert search["trials"] == 3
+    assert search.trials == 3
     assert "search" not in template
     with pytest.raises(ConfigError):
         split_search_section({"training": {}})
@@ -438,6 +444,65 @@ def test_cli_train_checks_its_checkpoint_target_before_training(workspace, capsy
     assert captured.err == f"error: cannot write {checkpoint}: Is a directory\n"
     assert captured.out == "" and runs == []
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["model.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "search, message",
+    [
+        ({"trials": 0}, "search: trials must be >= 1, got 0"),
+        ({"seeds_per_trial": 0}, "search: seeds_per_trial must be >= 1, got 0"),
+        ({"final_seeds": -1}, "search: final_seeds must be >= 0, got -1"),
+        ({"variables": {}}, "search: empty search space"),
+        (
+            {"variables": {"u": {"kind": "discrete", "start": 2, "end": 10**20}}},
+            "search.variables.u: discrete interval [2..100000000000000000000] exceeds",
+        ),
+        (
+            {"variables": {"u": {"kind": "discrete", "start": -(2**63) - 1, "end": 2}}},
+            "search.variables.u: discrete interval [-9223372036854775809..2] exceeds",
+        ),
+        (
+            {"variables": {"u": {"kind": "continuous", "start": 0.5, "end": float("inf")}}},
+            "search.variables.u: continuous interval [0.5, inf) has no finite width",
+        ),
+        (
+            {"variables": {"u": {"kind": "continuous", "start": -1e308, "end": 1e308}}},
+            "search.variables.u: continuous interval [-1e+308, 1e+308) has no finite width",
+        ),
+    ],
+    ids=[
+        "no_trials",
+        "no_seeds",
+        "negative_final_seeds",
+        "no_variables",
+        "discrete_above_int64",
+        "discrete_below_int64",
+        "continuous_infinite",
+        "continuous_too_wide",
+    ],
+)
+def test_cli_search_config_error_exits_1_and_leaves_no_output(
+    workspace, capsys, search, message
+):
+    """A search section outside its ranges, or an interval the sampler
+    cannot draw from, ends in one line before the output directory is
+    made."""
+    tmp_path, _, config = workspace
+    config["architecture"]["shared_layers"] = ["${u}"]
+    config["search"] = {
+        "trials": 1,
+        "seeds_per_trial": 1,
+        "variables": {"u": {"kind": "discrete", "start": 2, "end": 3}},
+        **search,
+    }
+    path = tmp_path / "search.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    out_dir = tmp_path / "searchout"
+    capsys.readouterr()
+    assert main(["search", str(path), "--output", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "search"])
@@ -1036,6 +1101,41 @@ def test_cli_search_smoke(workspace, capsys):
     assert (out_dir / "trial_000" / "config.yaml").exists()
     assert (out_dir / "trial_000" / "best.ckpt").exists()
     assert (out_dir / "trial_000" / "seed_0.log").exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["config.yaml", "best.ckpt", "seed_0.log", "report.tsv", "timing.tsv"]
+)
+def test_cli_search_failed_output_write_leaves_no_partial_file(
+    workspace, capsys, monkeypatch, name
+):
+    """A write of a search output that fails halfway, as on a full disk,
+    ends in one line and exit 2, and leaves no part of that file behind."""
+    tmp_path, _, config = workspace
+    config["training"]["epochs"] = 1
+    config["architecture"]["shared_layers"] = ["${units}"]
+    config["search"] = {
+        "trials": 1,
+        "seeds_per_trial": 1,
+        "variables": {"units": {"kind": "discrete", "start": 4, "end": 6}},
+    }
+    path = tmp_path / "search.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    out_dir = tmp_path / "searchout"
+    write_bytes = Path.write_bytes
+
+    def failing(self, data):
+        if self.name.startswith(name + "."):
+            return write_half_then_fail(self, data)
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
+    capsys.readouterr()
+    assert main(["search", str(path), "--output", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert f"{name}: No space left on device" in err
+    assert not list(out_dir.rglob(name)) and not list(out_dir.rglob("*.tmp"))
 
 
 @pytest.fixture

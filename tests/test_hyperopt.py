@@ -6,13 +6,14 @@ from seqtag.hyperopt import (
     ContinuousInterval,
     DiscreteInterval,
     ListInterval,
-    SearchSpace,
+    SearchConfig,
     derive_seed,
     find_placeholders,
     parse_interval,
     render_template,
     run_search,
     sample_trial,
+    split_search_section,
 )
 
 
@@ -65,14 +66,14 @@ def test_parse_interval_kinds():
 
 
 def test_sample_trial_binds_every_variable():
-    space = SearchSpace(
+    search = SearchConfig(
         variables={
             "lr": ContinuousInterval(0.001, 0.1),
             "units": DiscreteInterval(4, 16),
             "cell": ListInterval(["lstm", "gru"]),
         }
     )
-    trial = sample_trial(space, np.random.default_rng(4))
+    trial = sample_trial(search, np.random.default_rng(4))
     assert set(trial.keys()) == {"lr", "units", "cell"}
 
 
@@ -101,10 +102,9 @@ def test_unbound_variable_fails_before_training():
     with pytest.raises(ConfigError, match="missing"):
         run_search(
             template={"lr": "${missing}"},
-            space=SearchSpace(variables={"lr": ContinuousInterval(0.0, 1.0)}),
-            n_trials=2,
-            seeds_per_trial=1,
-            master_seed=0,
+            search=SearchConfig(
+                variables={"lr": ContinuousInterval(0.0, 1.0)}, trials=2, seeds_per_trial=1
+            ),
             train_fn=lambda cfg, seed: calls.append(1) or 0.0,
         )
     assert calls == []
@@ -117,8 +117,8 @@ def test_search_runs_trials_times_seeds():
         calls.append((config["lr"], seed))
         return config["lr"]
 
-    space = SearchSpace(variables={"lr": ContinuousInterval(0.0, 1.0)})
-    report = run_search({"lr": "${lr}"}, space, 10, 3, master_seed=7, train_fn=train_fn)
+    search = SearchConfig({"lr": ContinuousInterval(0.0, 1.0)}, 10, 3, master_seed=7)
+    report = run_search({"lr": "${lr}"}, search, train_fn=train_fn)
     assert len(calls) == 30
     assert len(report.trials) == 10
     best = max(report.trials, key=lambda t: t.mean)
@@ -129,10 +129,7 @@ def test_mean_is_arithmetic_mean_of_seed_scores():
     scores = iter([0.2, 0.4, 0.9])
     report = run_search(
         {"x": "${x}"},
-        SearchSpace(variables={"x": DiscreteInterval(0, 1)}),
-        n_trials=1,
-        seeds_per_trial=3,
-        master_seed=0,
+        SearchConfig({"x": DiscreteInterval(0, 1)}, trials=1, seeds_per_trial=3, master_seed=0),
         train_fn=lambda cfg, seed: next(scores),
     )
     assert report.trials[0].mean == pytest.approx((0.2 + 0.4 + 0.9) / 3, abs=1e-12)
@@ -146,12 +143,14 @@ def test_report_appends_population_seed_spread():
 
     report = run_search(
         {"x": "${x}"},
-        SearchSpace(variables={"x": ListInterval(["a", "bad"])}),
-        n_trials=4,
-        seeds_per_trial=3,
-        master_seed=2,
+        SearchConfig(
+            {"x": ListInterval(["a", "bad"])},
+            trials=4,
+            seeds_per_trial=3,
+            master_seed=2,
+            final_seeds=1,
+        ),
         train_fn=train_fn,
-        final_seeds=1,
     )
     rows = [line.split("\t") for line in report.to_tsv().splitlines()]
     assert rows[0] == ["trial", "status", "mean", "seed_scores", "assignment", "seed_std"]
@@ -173,10 +172,7 @@ def test_report_appends_population_seed_spread():
 def test_single_trial_wins_trivially():
     report = run_search(
         {"x": "${x}"},
-        SearchSpace(variables={"x": DiscreteInterval(0, 5)}),
-        n_trials=1,
-        seeds_per_trial=2,
-        master_seed=1,
+        SearchConfig({"x": DiscreteInterval(0, 5)}, trials=1, seeds_per_trial=2, master_seed=1),
         train_fn=lambda cfg, seed: 0.5,
     )
     assert report.winner == 0
@@ -188,8 +184,8 @@ def test_failed_trial_recorded_and_excluded():
             raise RuntimeError("injected failure")
         return float(config["x"])
 
-    space = SearchSpace(variables={"x": DiscreteInterval(0, 5)})
-    report = run_search({"x": "${x}"}, space, 10, 2, master_seed=3, train_fn=train_fn)
+    search = SearchConfig({"x": DiscreteInterval(0, 5)}, 10, 2, master_seed=3)
+    report = run_search({"x": "${x}"}, search, train_fn=train_fn)
     failed = [t for t in report.trials if t.error is not None]
     ok = [t for t in report.trials if t.error is None]
     assert any(t.assignment["x"] == 3 for t in report.trials)
@@ -209,10 +205,8 @@ def test_trial_records_the_seeds_it_ran():
             raise RuntimeError("injected failure")
         return float(config["x"])
 
-    space = SearchSpace(variables={"x": DiscreteInterval(0, 5)})
-    report = run_search(
-        {"x": "${x}"}, space, 10, 2, master_seed=3, train_fn=train_fn, final_seeds=1
-    )
+    search = SearchConfig({"x": DiscreteInterval(0, 5)}, 10, 2, final_seeds=1, master_seed=3)
+    report = run_search({"x": "${x}"}, search, train_fn=train_fn)
     failed = [t for t in report.trials if t.error is not None]
     assert failed and len(failed) < len(report.trials)
     assert len(calls) == 2 * len(report.trials) + 1
@@ -227,9 +221,9 @@ def test_search_reproducible_from_master_seed():
     def train_fn(config, seed):
         return (config["x"] * 31 + seed) % 97 / 97.0
 
-    space = SearchSpace(variables={"x": DiscreteInterval(0, 50)})
-    a = run_search({"x": "${x}"}, space, 8, 3, master_seed=11, train_fn=train_fn)
-    b = run_search({"x": "${x}"}, space, 8, 3, master_seed=11, train_fn=train_fn)
+    search = SearchConfig({"x": DiscreteInterval(0, 50)}, 8, 3, master_seed=11)
+    a = run_search({"x": "${x}"}, search, train_fn=train_fn)
+    b = run_search({"x": "${x}"}, search, train_fn=train_fn)
     assert [t.assignment for t in a.trials] == [t.assignment for t in b.trials]
     assert [t.seed_scores for t in a.trials] == [t.seed_scores for t in b.trials]
     assert a.winner == b.winner
@@ -239,10 +233,7 @@ def test_search_reproducible_from_master_seed():
 def test_ranking_ties_break_to_lower_index():
     report = run_search(
         {"x": "${x}"},
-        SearchSpace(variables={"x": DiscreteInterval(0, 5)}),
-        n_trials=4,
-        seeds_per_trial=1,
-        master_seed=5,
+        SearchConfig({"x": DiscreteInterval(0, 5)}, trials=4, seeds_per_trial=1, master_seed=5),
         train_fn=lambda cfg, seed: 1.0,
     )
     assert report.winner == 0
@@ -257,12 +248,10 @@ def test_final_seeds_reevaluate_winner():
 
     run_search(
         {"x": "${x}"},
-        SearchSpace(variables={"x": DiscreteInterval(0, 1)}),
-        n_trials=2,
-        seeds_per_trial=2,
-        master_seed=9,
+        SearchConfig(
+            {"x": DiscreteInterval(0, 1)}, trials=2, seeds_per_trial=2, final_seeds=3, master_seed=9
+        ),
         train_fn=train_fn,
-        final_seeds=3,
     )
     assert len(calls) == 2 * 2 + 3
     assert len(set(calls)) == len(calls)  # final seeds are fresh
@@ -272,3 +261,57 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     seeds = {derive_seed(1, t, s) for t in range(10) for s in range(3)}
     assert len(seeds) == 30
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SearchConfig({}), "empty search space"),
+        (lambda: SearchConfig({"x": ListInterval([1])}, trials=0), "trials must be >= 1, got 0"),
+        (
+            lambda: SearchConfig({"x": ListInterval([1])}, seeds_per_trial=-2),
+            "seeds_per_trial must be >= 1, got -2",
+        ),
+        (
+            lambda: SearchConfig({"x": ListInterval([1])}, final_seeds=-2),
+            "final_seeds must be >= 0, got -2",
+        ),
+        (
+            lambda: SearchConfig({"x": ListInterval([1])}, master_seed=-1),
+            "master_seed must be >= 0, got -1",
+        ),
+        (lambda: DiscreteInterval(0, 2**63), r"discrete interval \[0..9223372036854775808\]"),
+        (lambda: DiscreteInterval(-(2**63) - 1, 0), "exceeds"),
+        (lambda: ContinuousInterval(0.0, float("inf")), "has no finite width"),
+        (lambda: ContinuousInterval(float("-inf"), 0.0), "has no finite width"),
+        (lambda: ContinuousInterval(-1e308, 1e308), "has no finite width"),
+    ],
+)
+def test_search_config_and_intervals_check_their_ranges_when_built(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_intervals_at_the_sampler_limits_draw_within_them():
+    rng = np.random.default_rng(6)
+    widest = DiscreteInterval(-(2**63), 2**63 - 1)
+    assert all(-(2**63) <= widest.sample(rng) <= 2**63 - 1 for _ in range(100))
+    far = ContinuousInterval(1e308, 1.7e308)
+    assert all(1e308 <= far.sample(rng) < 1.7e308 for _ in range(100))
+
+
+def test_split_search_section_reads_defaults_and_locates_errors():
+    raw = {"search": {"variables": {"x": {"kind": "list", "values": [1]}}}, "training": {}}
+    search, template = split_search_section(raw)
+    defaults = (search.trials, search.seeds_per_trial, search.final_seeds, search.master_seed)
+    assert defaults == (10, 3, 0, 0)
+    assert template == {"training": {}} and "search" in raw
+    x = {"x": {"kind": "list", "values": [1]}}
+    for section, message in [
+        ({"variables": x, "trails": 2}, "unknown key search.trails"),
+        ({"trials": 1}, "missing required key search.variables"),
+        ({"trials": "2", "variables": x}, "search.trials: expected int"),
+        ({"variables": {"x": {"kind": "list", "values": []}}}, "search.variables.x: list interval"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            split_search_section({"search": section})

@@ -652,6 +652,17 @@ def test_checkpoint_rejects_registry_mismatch(tmp_path, bio_corpus):
         load_model(path)
 
 
+def test_checkpoint_rejects_a_reordered_registry(tmp_path, bio_corpus):
+    """The registry's order fixes where each tensor sits, so the right
+    entries in another order are rejected, naming the first that differs."""
+    path, manifest = saved_checkpoint(tmp_path, bio_corpus)
+    first, second = manifest["tensors"][:2]
+    manifest["tensors"][:2] = [second, first]
+    rewrite_manifest(path, manifest)
+    with pytest.raises(CheckpointError, match=re.escape(f"malformed tensor entry {second!r}")):
+        load_model(path)
+
+
 def test_checkpoint_rejects_non_utf8_manifest(tmp_path, bio_corpus):
     path, _ = saved_checkpoint(tmp_path, bio_corpus)
     reframe_checkpoint(path, lambda blob, _: blob[:4] + b"\xff" + blob[5:])
