@@ -147,7 +147,6 @@ def cmd_evaluate(args) -> int:
         empty_symbol=args.empty_symbol,
         join_symbol=args.join_symbol,
     )
-    metrics = evaluation.metrics
 
     if args.model:
         if not args.input:
@@ -155,7 +154,7 @@ def cmd_evaluate(args) -> int:
         model = ckpt.load_model(args.model)
         task = model.config.task(args.task).name if args.task else model.config.tasks[0].name
         corpus = parse_conll_file(args.input, args.token_column, {task: args.label_column})
-        report = experiment.evaluate_model(model, corpus, task, evaluation, metrics)
+        report = experiment.evaluate_model(model, corpus, task, evaluation)
         results = None
     elif args.predictions:
         corpus = parse_conll_file(
@@ -170,11 +169,11 @@ def cmd_evaluate(args) -> int:
             for sentence in corpus
         ]
         results = experiment.postprocess_results(results, args.postprocess)
-        report = experiment.metric_report(results, metrics, evaluation, labels=None)
+        report = experiment.metric_report(results, evaluation, labels=None)
     else:
         raise ConfigError("evaluate needs either --model or --predictions")
 
-    for name in metrics:
+    for name in evaluation.metrics:
         print(f"{name}\t{report[name]:.6f}")
 
     if args.overlap_profile:

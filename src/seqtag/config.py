@@ -3,7 +3,7 @@
 One structured file drives everything: the training process, the
 tasks and their input files, pre-trained embeddings, the network
 architecture with shared and private layers, regularization, and the
-evaluation setup. The config dataclasses are the schema: ``fill``
+evaluation setup. The config dataclasses are the schema: ``read``
 reads a mapping into one of them, taking each key's type from the
 field's annotation, its default from the field and its allowed values
 from ``field(metadata={"choices": ...})``. Unknown keys are rejected
@@ -56,16 +56,21 @@ class Reader:
         """A reader over the sub-mapping ``key``, empty when it is absent."""
         return Reader(self.data.pop(key, {}), self.at(key))
 
+    def split(self, cls) -> "Reader":
+        """A reader over the keys that name fields of ``cls``, taken out of this one."""
+        names = [f.name for f in dataclasses.fields(cls) if f.name in self.data]
+        return Reader({name: self.data.pop(name) for name in names}, self.path)
+
     def finish(self) -> None:
         if self.data:
             raise ConfigError(f"unknown key {self.at(min(self.data, key=str))}")
 
 
-def fill(cls, reader: Reader, **given):
+def read(cls, reader: Reader, **given):
     """Build the config dataclass ``cls`` from one key of ``reader`` per field
-    not in ``given``; an absent key takes the field's default, and keys
-    that belong to no field stay in the reader. A ConfigError from the
-    class's own checks is prefixed with the reader's location."""
+    not in ``given``; an absent key takes the field's default. A key that
+    belongs to no field is rejected before the class's own checks run, and
+    a ConfigError from those checks is prefixed with the reader's location."""
     for name, required, convert in _schema(cls):
         if name in given:
             continue
@@ -73,17 +78,11 @@ def fill(cls, reader: Reader, **given):
             given[name] = convert(reader.data.pop(name), reader.at(name))
         elif required:
             raise ConfigError(f"missing required key {reader.at(name)}")
+    reader.finish()
     try:
         return cls(**given)
     except ConfigError as err:
         raise ConfigError(f"{reader.path or 'config'}: {err}") from err
-
-
-def read(cls, reader: Reader, **given):
-    """``fill``, then reject the keys left over in ``reader``."""
-    config = fill(cls, reader, **given)
-    reader.finish()
-    return config
 
 
 @functools.cache
@@ -181,15 +180,16 @@ def load_yaml(path: str | Path) -> dict:
 
 
 def build_run_config(raw: Mapping) -> RunConfig:
-    """Read and check a run configuration: ``fill`` reads each section into
-    its dataclass; only keys laid out differently in the file are read here."""
+    """Read and check a run configuration: ``read`` reads each section into
+    its dataclass; only keys laid out differently in the file are read here.
+    A task entry's keys go to ``TaskSpec`` or ``TaskFiles`` by their fields."""
     root = Reader(raw, "")
     tasks = root.take("tasks", list)
     if not tasks:
         raise ConfigError("tasks: at least one task is required")
     readers = [Reader(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
     # the label inventories are filled from the data by the experiment setup
-    task_specs = [fill(TaskSpec, reader, labels=[]) for reader in readers]
+    task_specs = [read(TaskSpec, reader.split(TaskSpec), labels=[]) for reader in readers]
     task_files = [read(TaskFiles, r, name=t.name) for r, t in zip(readers, task_specs)]
 
     regularization = root.section("regularization")

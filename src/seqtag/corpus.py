@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.files import cache_path, file_fingerprint, read_cache, through_cache, write_cache
@@ -66,8 +66,8 @@ class Corpus:
         return {token.surface for sentence in self.sentences for token in sentence}
 
 
-def parse_conll(source: str | bytes | IO, token_col: int, label_cols: Mapping[str, int]) -> Corpus:
-    """Parse CoNLL text into a Corpus.
+def parse_conll(text: str, token_col: int, label_cols: Mapping[str, int]) -> Corpus:
+    """Parse CoNLL text into a Corpus; ``parse_conll_file`` reads a file.
 
     ``label_cols`` maps task names to column indices; pass an empty
     mapping for unlabeled input. A line with fewer columns than the
@@ -78,15 +78,6 @@ def parse_conll(source: str | bytes | IO, token_col: int, label_cols: Mapping[st
     for col in (token_col, *label_cols.values()):
         if col < 0:
             raise ConfigError(f"column indices count from 0, got {col}")
-    if isinstance(source, bytes):
-        text = decode_utf8(source, "<bytes>")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        name = str(getattr(source, "name", "<stream>"))
-        text = decode_utf8(raw, name) if isinstance(raw, bytes) else raw
-
     needed = max([token_col, *label_cols.values()]) + 1 if label_cols else token_col + 1
     tasks = tuple(label_cols.keys())
 
@@ -126,28 +117,19 @@ def parse_conll_file(path: str | Path, token_col: int, label_cols: Mapping[str, 
     return parse_conll(read_text(path), token_col, label_cols)
 
 
-def decode_utf8(raw: bytes, name: str) -> str:
-    """Decode UTF-8 input; a decode failure becomes a DataError that
-    names the input and the byte offset."""
+def read_text(path: Path) -> str:
+    """A whole UTF-8 text file; a directory, an unreadable file or a decode
+    failure (named with its byte offset) raises DataError."""
+    try:
+        raw = path.read_bytes()
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror or err}") from err
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise DataError(
-            f"{name}: not valid UTF-8 at byte offset {err.start} ({err.reason})"
+            f"{path}: not valid UTF-8 at byte offset {err.start} ({err.reason})"
         ) from err
-
-
-def read_bytes(path: Path) -> bytes:
-    """A whole file; a directory or an unreadable file raises DataError."""
-    try:
-        return path.read_bytes()
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err.strerror or err}") from err
-
-
-def read_text(path: Path) -> str:
-    """A whole UTF-8 text file, decode failures reported as DataError."""
-    return decode_utf8(read_bytes(path), str(path))
 
 
 def conll_text(sentences: Iterable[Iterable[Sequence[str]]]) -> str:

@@ -31,8 +31,7 @@ from seqtag.labels import (
     parse_am_sequence,
     parse_bio_sequence,
 )
-from seqtag.metrics import METRICS, SentenceResult
-from seqtag.metrics import token_prf  # noqa: F401 -- perfbench wraps experiment.token_prf
+from seqtag.metrics import METRICS, TOKEN_METRICS, SentenceResult, token_prf
 from seqtag.network import Model
 from seqtag.training import TrainResult, dev_score, predict_results, subsample, train
 
@@ -102,10 +101,6 @@ class ExperimentData:
             task.labels = self.vocab.labels_of(task.name)
         config.network.validate()
 
-    def save_pruned_embeddings(self, path: str | Path) -> None:
-        if self.pruned_embeddings is not None:
-            save_embedding_file(self.pruned_embeddings, path)
-
 
 def build_model(config: RunConfig, data: ExperimentData, rng: np.random.Generator) -> Model:
     return Model(config.network, data.vocab, rng, word_vectors=data.word_matrix)
@@ -130,7 +125,7 @@ def run_training(
     else:
         data.configure(config)
     if cache_dir is not None and data.pruned_embeddings is not None:
-        data.save_pruned_embeddings(Path(cache_dir) / "embeddings.pruned.txt")
+        save_embedding_file(data.pruned_embeddings, Path(cache_dir) / "embeddings.pruned.txt")
     rng = np.random.default_rng(config.training.seed)
     model = build_model(config, data, rng)
     train_corpora = {}
@@ -177,26 +172,24 @@ def postprocess_results(results: list[SentenceResult], variant: str) -> list[Sen
 
 
 def metric_report(
-    results: list[SentenceResult],
-    metrics: list[str],
-    evaluation: EvalConfig,
-    labels: list[str] | None,
+    results: list[SentenceResult], evaluation: EvalConfig, labels: list[str] | None
 ) -> dict[str, float]:
-    """The requested metrics over one task's results, computed in table
-    order: of two failing metrics, the one ``METRICS`` lists first reports."""
-    return {name: f(results, labels, evaluation) for name, f in METRICS.items() if name in metrics}
+    """The metrics ``evaluation`` names over one task's results, computed in
+    table order: of two failing metrics, the one ``METRICS`` lists first
+    reports. One ``token_prf`` pass serves every token metric."""
+    names = [name for name in METRICS if name in evaluation.metrics]
+    token = token_prf(results, labels) if not TOKEN_METRICS.isdisjoint(names) else {}
+    return {
+        name: token[name] if name in token else METRICS[name](results, labels, evaluation)
+        for name in names
+    }
 
 
 def evaluate_model(
-    model: Model,
-    corpus: Corpus,
-    task: str,
-    evaluation: EvalConfig,
-    metrics: list[str] | None = None,
+    model: Model, corpus: Corpus, task: str, evaluation: EvalConfig
 ) -> dict[str, float]:
     results = postprocess_results(predict_results(model, task, corpus), evaluation.postprocess)
-    names = metrics if metrics is not None else evaluation.metrics
-    return metric_report(results, names, evaluation, model.vocab.labels_of(task))
+    return metric_report(results, evaluation, model.vocab.labels_of(task))
 
 
 def search_score(config: RunConfig, result: TrainResult, model: Model, data) -> float:

@@ -128,19 +128,6 @@ def sample_trial(search: SearchConfig, rng: np.random.Generator) -> dict:
 # -- template rendering -------------------------------------------------------------
 
 
-def find_placeholders(node) -> set[str]:
-    found: set[str] = set()
-    if isinstance(node, dict):
-        for value in node.values():
-            found |= find_placeholders(value)
-    elif isinstance(node, list):
-        for value in node:
-            found |= find_placeholders(value)
-    elif isinstance(node, str):
-        found |= set(_PLACEHOLDER.findall(node))
-    return found
-
-
 def render_template(node, assignment: Mapping):
     """Replace ``${name}`` placeholders with sampled values.
 
@@ -235,14 +222,12 @@ def run_search(
     """Sample, train, and rank trials.
 
     ``train_fn(config, seed)`` returns the development score of one
-    run. Any exception from a run marks the whole trial failed; the
-    remaining trials still rank. When ``search.final_seeds`` > 0, the
-    winning configuration is re-evaluated with that many fresh seeds.
+    run. An exception from a run marks the whole trial failed and the
+    remaining trials still rank, but an ``OSError`` (an output that
+    cannot be written) ends the search, as an unbound placeholder does
+    on the first trial. When ``search.final_seeds`` > 0, the winning
+    configuration is re-evaluated with that many fresh seeds.
     """
-    unbound = find_placeholders(template) - search.variables.keys()
-    if unbound:
-        raise ConfigError(f"template variables not in the search space: {sorted(unbound)}")
-
     report = SearchReport(trials=[], winner=None)
 
     def timed_run(config: dict, trial_index: int, seed_index: int) -> tuple[int, float]:
@@ -265,6 +250,8 @@ def run_search(
                 seed, score = timed_run(config, index, seed_index)
                 trial.seeds.append(seed)
                 trial.seed_scores.append(score)
+        except OSError:  # a run's output cannot be written: no later run can be either
+            raise
         except Exception as err:  # deliberate: one trial must not sink the rest
             trial.error = f"{type(err).__name__}: {err}"
             trial.seed_scores, trial.seeds = [], []

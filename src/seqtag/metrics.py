@@ -296,6 +296,9 @@ def _edit_distance(results: Sequence[SentenceResult], evaluation, how: str) -> f
     return aggregate_edit_distance(map(edit_distance, *_strings(results, evaluation)), how)
 
 
+# the names of ``token_prf``'s values, which lead the table below
+TOKEN_METRICS = frozenset({"accuracy", "precision", "recall", "f1"})
+
 # name -> f(results, labels, evaluation): ``labels`` fixes the token-level
 # label inventory (None: the labels observed), ``evaluation`` (an
 # ``EvalConfig``) the alignment symbols that the string metrics strip

@@ -11,7 +11,7 @@ from seqtag import cli
 from seqtag.checkpoint import save_model
 from seqtag.cli import main
 from seqtag.config import apply_overrides, build_run_config, load_yaml
-from seqtag.corpus import corpus_to_conll, parse_conll
+from seqtag.corpus import corpus_to_conll, parse_conll, parse_conll_file
 from seqtag.exceptions import ConfigError
 from seqtag.hyperopt import split_search_section
 from seqtag.network import Model, NetworkConfig, TaskSpec
@@ -187,6 +187,7 @@ _REJECTED = [
     (("tasks", 0, "label_column"), False, r"^tasks\[0\]\.label_column: expected int"),
     (("tasks", 0, "train_fraction"), 0.0, r"^tasks: train_fraction of 'tag'"),
     (("tasks", 0, "labels"), ["O"], r"^unknown key tasks\[0\]\.labels"),
+    (("tasks", 0, "trian"), "x.conll", r"^unknown key tasks\[0\]\.trian$"),
     (("tasks", 0, "private_layers"), [5], r"^tasks\[0\]\.private_layers\[0\]: expected"),
     (("tasks", 0, "private_layers", 0, "units"), _DROP,
      r"^missing required key tasks\[0\]\.private_layers\[0\]\.units"),
@@ -373,7 +374,7 @@ def test_cli_unwritable_output_exits_2_with_one_line(
     exit 2, and leaves every file and directory as it was."""
     tmp_path, config_path, config = workspace
     test = config["tasks"][0]["test"]
-    corpus = parse_conll(Path(test).read_bytes(), 0, {"tag": 1})
+    corpus = parse_conll_file(test, 0, {"tag": 1})
     vocab = vocab_for([corpus], {"tag": [corpus]})
     network = NetworkConfig(
         shared_layers=[2], tasks=[TaskSpec(name="tag", labels=vocab.labels_of("tag"))], word_dim=2
@@ -1136,6 +1137,38 @@ def test_cli_search_failed_output_write_leaves_no_partial_file(
     assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
     assert f"{name}: No space left on device" in err
     assert not list(out_dir.rglob(name)) and not list(out_dir.rglob("*.tmp"))
+
+
+def test_cli_search_run_output_write_failure_ends_the_search(workspace, capsys, monkeypatch):
+    """A run whose ``train.log`` cannot be written ends the search with one
+    line and exit 2, as every other output does, instead of failing its
+    trial and going on; no ``report.tsv`` is written."""
+    tmp_path, _, config = workspace
+    config["training"]["epochs"] = 1
+    config["architecture"]["shared_layers"] = ["${units}"]
+    config["search"] = {
+        "trials": 2,
+        "seeds_per_trial": 1,
+        "variables": {"units": {"kind": "discrete", "start": 4, "end": 6}},
+    }
+    path = tmp_path / "search.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    out_dir = tmp_path / "searchout"
+    write_bytes = Path.write_bytes
+
+    def failing(self, data):
+        if self.name.startswith("train.log."):
+            return write_half_then_fail(self, data)
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
+    capsys.readouterr()
+    assert main(["search", str(path), "--output", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert "train.log: No space left on device" in err
+    assert not (out_dir / "report.tsv").exists()
+    assert not list(out_dir.rglob("train.log")) and not list(out_dir.rglob("*.tmp"))
 
 
 @pytest.fixture

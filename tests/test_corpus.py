@@ -254,19 +254,8 @@ def test_missing_file_is_data_error(tmp_path):
 
 
 def test_non_utf8_input_raises_data_error_with_offset(tmp_path):
-    import io
-
-    from seqtag.corpus import parse_conll_file
-
-    raw = b"a\tX\n\xc3\tY\n"
     path = tmp_path / "bad.conll"
-    path.write_bytes(raw)
-    for source, name in (
-        (raw, "<bytes>"),
-        (io.BytesIO(raw), "<stream>"),
-    ):
-        with pytest.raises(DataError, match=f"{name}: not valid UTF-8 at byte offset 4"):
-            parse_conll(source, 0, {"t": 1})
+    path.write_bytes(b"a\tX\n\xc3\tY\n")
     with pytest.raises(DataError, match="bad.conll: not valid UTF-8 at byte offset 4"):
         parse_conll_file(path, 0, {"t": 1})
 
@@ -341,6 +330,6 @@ def test_version_2_cache_is_parsed_again_and_rewritten(tmp_path, monkeypatch):
     monkeypatch.setattr(seqtag.corpus, "parse_conll_file", counting_parse)
     corpus = load_corpus_cached(src, 0, {"t": 1, "u": 2}, tmp_path / "cache")
     assert parses == [src]
-    assert corpus == parse_conll(PINNED_SOURCE, 0, {"t": 1, "u": 2})
+    assert corpus == parse_conll(PINNED_SOURCE.decode("utf-8"), 0, {"t": 1, "u": 2})
     assert cache.read_bytes()[4:8] == (3).to_bytes(4, "little")
     assert read_corpus_cache(cache)[0] == corpus

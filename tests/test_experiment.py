@@ -99,14 +99,42 @@ def test_metric_report_g2p_strips_symbols():
         SentenceResult(["E", "g_z", "ε", "t"], ["E", "g_z", "ε", "d"]),
         SentenceResult(["A", "B"], ["A", "B"]),
     ]
-    evaluation = EvalConfig(empty_symbol="ε", join_symbol="_")
-    report = metric_report(
-        results, ["wacc", "edit_distance_mean", "edit_distance_median"], evaluation, None
+    evaluation = EvalConfig(
+        metrics=["wacc", "edit_distance_mean", "edit_distance_median"],
+        empty_symbol="ε",
+        join_symbol="_",
     )
+    report = metric_report(results, evaluation, None)
     assert report["wacc"] == pytest.approx(0.5)
     # "E g z t" vs "E g z d": one substitution
     assert report["edit_distance_mean"] == pytest.approx(0.5)
     assert report["edit_distance_median"] == pytest.approx(0.5)
+
+
+def test_metric_report_makes_one_token_prf_pass(monkeypatch):
+    """The four token metrics come from one ``token_prf`` call, with the
+    values that call returns."""
+    import seqtag.experiment
+    import seqtag.metrics
+    from seqtag.metrics import token_prf
+
+    results = [
+        SentenceResult(["O", "O", "B", "I", "O"], ["O", "B", "B", "O", "O"]),
+        SentenceResult(["B", "I"], ["B", "I"]),
+    ]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return token_prf(*args, **kwargs)
+
+    monkeypatch.setattr(seqtag.metrics, "token_prf", spy)
+    monkeypatch.setattr(seqtag.experiment, "token_prf", spy)
+    names = ["accuracy", "precision", "recall", "f1"]
+    report = metric_report(results, EvalConfig(metrics=names), ["B", "I", "O"])
+    assert len(calls) == 1
+    assert report == {name: token_prf(results, ["B", "I", "O"])[name] for name in names}
+    assert len(set(report.values())) == 4  # the fixture tells the four fields apart
 
 
 def test_evaluate_model_am_metrics_on_fixture(tmp_path):

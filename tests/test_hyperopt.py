@@ -8,7 +8,6 @@ from seqtag.hyperopt import (
     ListInterval,
     SearchConfig,
     derive_seed,
-    find_placeholders,
     parse_interval,
     render_template,
     run_search,
@@ -65,6 +64,18 @@ def test_parse_interval_kinds():
         parse_interval({"kind": "grid"})
 
 
+def test_unknown_key_is_reported_before_the_section_checks():
+    """A misspelt key is named even when its section would also fail its
+    own checks (an empty search space, an empty interval)."""
+    interval = {"kind": "discrete", "start": 5, "end": 2, "stpe": 1}
+    for section, message in [
+        ({"variables": {}, "trails": 2}, r"unknown key search\.trails"),
+        ({"variables": {"u": interval}}, r"unknown key search\.variables\.u\.stpe"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            split_search_section({"search": section})
+
+
 def test_sample_trial_binds_every_variable():
     search = SearchConfig(
         variables={
@@ -85,10 +96,6 @@ def test_render_template_typed_and_textual():
     }
     rendered = render_template(template, {"lr": 0.01, "cell": "gru", "units": 8})
     assert rendered == {"lr": 0.01, "name": "run-gru", "nested": {"units": [8, 3]}}
-
-
-def test_find_placeholders():
-    assert find_placeholders({"a": "${x}", "b": ["${y} and ${z}"]}) == {"x", "y", "z"}
 
 
 @pytest.mark.parametrize("node", ["${missing}", "run-${missing}-x"], ids=["whole", "embedded"])
