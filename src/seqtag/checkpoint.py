@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from seqtag.config import NetworkConfig
 from seqtag.corpus import Vocabulary
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.files import read_body, read_cache, write_cache
-from seqtag.network import Model, NetworkConfig
+from seqtag.network import Model
 
 MAGIC = b"SQTG"
 VERSION = 2

@@ -5,10 +5,11 @@ tasks and their input files, pre-trained embeddings, the network
 architecture with shared and private layers, regularization, and the
 evaluation setup. The config dataclasses are the schema: ``read``
 reads a mapping into one of them, taking each key's type from the
-field's annotation, its default from the field and its allowed values
-from ``field(metadata={"choices": ...})``. Unknown keys are rejected
-with their location, and scalar leaves can be overridden from the
-command line with ``section.key=value`` assignments.
+field's annotation and its default from the field. A field declares
+its allowed values as ``choices`` or ``rules`` metadata, which
+``Checked`` checks whenever a config is built, from a file or in
+Python. Unknown keys are rejected with their location, and scalar
+leaves can be overridden with ``section.key=value`` assignments.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import math
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -26,10 +28,55 @@ import yaml
 from seqtag.corpus import read_text
 from seqtag.exceptions import ConfigError
 from seqtag.metrics import METRICS
-from seqtag.network import DropoutConfig, NetworkConfig, TaskSpec
-from seqtag.training import TrainConfig
 
+CELL_KINDS = ("simple", "lstm", "gru")
+HEAD_KINDS = ("softmax", "crf")
+ACTIVATION_KINDS = ("tanh", "sigmoid", "relu", "identity")  # the keys of network.ACTIVATIONS
+OPTIMIZER_KINDS = ("sgd", "adam")
+DEV_METRICS = ("accuracy", "f1")
 POSTPROCESS_VARIANTS = ("none", "to_outside", "to_begin", "am")
+
+# the rules a field may declare, each with the test a value must pass
+RULES = {
+    ">= 1": lambda value: value >= 1,
+    ">= 0": lambda value: value >= 0,
+    "> 0": lambda value: value > 0,
+    "finite": math.isfinite,
+    "in [0, 1)": lambda value: 0 <= value < 1,
+    "in (0, 1]": lambda value: 0 < value <= 1,
+}
+
+
+def rule(*names: str, **kwargs):
+    """A dataclass field whose value, or each item of its list, must pass
+    the ``RULES`` ``names`` in order; ``kwargs`` go to ``field``."""
+    return field(metadata={"rules": names}, **kwargs)
+
+
+class _RuleError(ConfigError):
+    """A value breaks its field's rule; ``read`` puts its location first."""
+
+
+class Checked:
+    """Base of the config dataclasses: building one checks each field's
+    ``choices`` and ``rules`` on its value, or on each item of its list;
+    ``None`` is not checked. A class's own ``__post_init__`` calls this one
+    first, then checks the rules that span its fields."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not f.metadata or value is None:
+                continue
+            items = enumerate(value) if isinstance(value, list) else [(None, value)]
+            for i, item in items:
+                at = f.name if i is None else f"{f.name}[{i}]"
+                choices = f.metadata.get("choices")
+                if choices is not None and item not in choices:
+                    raise _RuleError(f"{at} must be one of {list(choices)}, got {item!r}")
+                for test in f.metadata.get("rules", ()):
+                    if not RULES[test](item):
+                        raise _RuleError(f"{at} must be {test}, got {item}")
 
 
 class Reader:
@@ -44,10 +91,10 @@ class Reader:
     def at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def take(self, key: str, kind, default=..., choices=None):
+    def take(self, key: str, kind, default=...):
         """``key``'s value checked against the annotation ``kind``, else ``default``."""
         if key in self.data:
-            return _converter(kind, choices)(self.data.pop(key), self.at(key))
+            return _converter(kind)(self.data.pop(key), self.at(key))
         if default is ...:
             raise ConfigError(f"missing required key {self.at(key)}")
         return default
@@ -69,8 +116,9 @@ class Reader:
 def read(cls, reader: Reader, **given):
     """Build the config dataclass ``cls`` from one key of ``reader`` per field
     not in ``given``; an absent key takes the field's default. A key that
-    belongs to no field is rejected before the class's own checks run, and
-    a ConfigError from those checks is prefixed with the reader's location."""
+    belongs to no field is rejected before the class's own checks run. A
+    field's rule error is named by its full key; any other ConfigError
+    from those checks is prefixed with the reader's location."""
     for name, required, convert in _schema(cls):
         if name in given:
             continue
@@ -81,6 +129,8 @@ def read(cls, reader: Reader, **given):
     reader.finish()
     try:
         return cls(**given)
+    except _RuleError as err:
+        raise ConfigError(reader.at(str(err))) from err
     except ConfigError as err:
         raise ConfigError(f"{reader.path or 'config'}: {err}") from err
 
@@ -93,24 +143,24 @@ def _schema(cls) -> tuple:
         (
             f.name,
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            _converter(hints[f.name], f.metadata.get("choices")),
+            _converter(hints[f.name]),
         )
         for f in dataclasses.fields(cls)
     )
 
 
 @functools.cache
-def _converter(kind, choices: tuple | None = None):
+def _converter(kind):
     """A function ``(value, location) -> value`` checking a value against
     the annotation ``kind``: a scalar, ``X | None``, ``list[X]`` or a config
-    dataclass. ``choices`` limits the scalars; an int passes as a float."""
+    dataclass; an int passes as a float."""
     args = typing.get_args(kind)
     if type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        convert_inner = _converter(inner, choices)
+        convert_inner = _converter(inner)
         return lambda value, at: None if value is None else convert_inner(value, at)
     if typing.get_origin(kind) is list:
-        check_list, convert_item = _converter(list), _converter(args[0], choices)
+        check_list, convert_item = _converter(list), _converter(args[0])
         return lambda value, at: [
             convert_item(item, f"{at}[{i}]") for i, item in enumerate(check_list(value, at))
         ]
@@ -123,31 +173,141 @@ def _converter(kind, choices: tuple | None = None):
                 value = float(value)
             elif not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{at}: expected {kind.__name__}, got {type(value).__name__}")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{at}: must be one of {list(choices)}, got {value!r}")
         return value
 
     return convert
 
 
 @dataclass
-class TaskFiles:
+class CharConfig(Checked):
+    enabled: bool = False
+    embedding_dim: int = rule(">= 1", default=8)
+    hidden: int = rule(">= 1", default=8)
+
+
+@dataclass
+class DropoutConfig(Checked):
+    word: float = rule("in [0, 1)", default=0.0)
+    rnn_input: float = rule("in [0, 1)", default=0.0)
+    rnn_state: float = rule("in [0, 1)", default=0.0)
+    rnn_output: float = rule("in [0, 1)", default=0.0)
+    variational: bool = True
+
+
+@dataclass
+class PrivateLayerSpec(Checked):
+    units: int = rule(">= 1")
+    activation: str = field(default="tanh", metadata={"choices": ACTIVATION_KINDS})
+
+
+@dataclass
+class TaskSpec(Checked):
+    name: str
+    labels: list[str]
+    termination_layer: int = 1
+    head: str = field(default="softmax", metadata={"choices": HEAD_KINDS})
+    private_layers: list[PrivateLayerSpec] = field(default_factory=list)
+    dropout: float = rule("in [0, 1)", default=0.0)
+
+
+@dataclass
+class NetworkConfig(Checked):
+    cell: str = field(default="lstm", metadata={"choices": CELL_KINDS})
+    shared_layers: list[int] = rule(">= 1", default_factory=lambda: [32])
+    use_shortcuts: bool = False
+    char: CharConfig = field(default_factory=CharConfig)
+    dropout: DropoutConfig = field(default_factory=DropoutConfig)
+    tasks: list[TaskSpec] = field(default_factory=list)
+    word_dim: int = rule(">= 1", default=16)
+    fine_tune_embeddings: bool = True
+
+    def __post_init__(self):
+        """The layer count, the termination layers and the task names;
+        ``Model`` checks the label inventories, filled in from the data."""
+        super().__post_init__()
+        layers = len(self.shared_layers)
+        if not layers:
+            raise ConfigError("at least one shared layer is required")
+        if not self.tasks:
+            raise ConfigError("at least one task is required")
+        names = [t.name for t in self.tasks]
+        if len(set(names)) != len(names):
+            raise ConfigError("duplicate task names")
+        for task in self.tasks:
+            if not 1 <= task.termination_layer <= layers:
+                raise ConfigError(
+                    f"task {task.name!r} terminates at layer {task.termination_layer}, "
+                    f"but there are {layers} shared layers"
+                )
+        top = max(t.termination_layer for t in self.tasks)
+        if top != layers:
+            raise ConfigError(
+                f"{layers} shared layers configured but the highest "
+                f"termination layer is {top}; they must be equal"
+            )
+
+    def task(self, name: str) -> TaskSpec:
+        for task in self.tasks:
+            if task.name == name:
+                return task
+        raise ConfigError(f"unknown task {name!r}")
+
+    def to_json(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "NetworkConfig":
+        """Read a checkpoint's config echo with the checks of a config file."""
+        return read(cls, Reader(payload, "config"))
+
+
+@dataclass
+class OptimizerConfig(Checked):
+    kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
+    learning_rate: float = rule("> 0", "finite", default=0.001)
+    beta1: float = rule("in [0, 1)", default=0.9)
+    beta2: float = rule("in [0, 1)", default=0.999)
+    epsilon: float = rule("> 0", default=1e-8)
+
+
+@dataclass
+class EarlyStoppingConfig(Checked):
+    task: str
+    metric: str = field(default="accuracy", metadata={"choices": DEV_METRICS})
+    patience: int = rule(">= 1", default=5)
+
+
+@dataclass
+class TrainConfig(Checked):
+    epochs: int = rule(">= 1", default=20)
+    batch_size: int = rule(">= 1", default=8)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    clip_norm: float | None = rule("> 0", default=None)
+    early_stopping: EarlyStoppingConfig | None = None
+    main_task: str = ""
+    seed: int = rule(">= 0", default=0)
+
+
+@dataclass
+class TaskFiles(Checked):
     name: str
     train: str | None = None
     dev: str | None = None
     test: str | None = None
-    token_column: int = 0
-    label_column: int = 1
-    train_fraction: float = 1.0
+    token_column: int = rule(">= 0", default=0)
+    label_column: int = rule(">= 0", default=1)
+    train_fraction: float = rule("in (0, 1]", default=1.0)
 
 
 @dataclass
-class EmbeddingsConfig:
+class EmbeddingsConfig(Checked):
     files: list[str] = field(default_factory=list)
+    word_dim: int = rule(">= 1", default=16)  # used when ``files`` is empty
+    fine_tune: bool = True
 
 
 @dataclass
-class EvalConfig:
+class EvalConfig(Checked):
     metrics: list[str] = field(
         default_factory=lambda: ["accuracy", "f1"], metadata={"choices": tuple(METRICS)}
     )
@@ -157,13 +317,24 @@ class EvalConfig:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Checked):
     network: NetworkConfig
     training: TrainConfig
     task_files: list[TaskFiles]
     embeddings: EmbeddingsConfig
     evaluation: EvalConfig
     output_dir: str = "runs"
+
+    def __post_init__(self):
+        """Names the first task the main one by default; checks both tasks."""
+        super().__post_init__()
+        names = [t.name for t in self.network.tasks]
+        self.training.main_task = self.training.main_task or names[0]
+        if self.training.main_task not in names:
+            raise ConfigError(f"main task {self.training.main_task!r} is not a declared task")
+        es = self.training.early_stopping
+        if es is not None and es.task not in names:
+            raise ConfigError(f"early stopping task {es.task!r} is not declared")
 
 
 def load_yaml(path: str | Path) -> dict:
@@ -195,20 +366,16 @@ def build_run_config(raw: Mapping) -> RunConfig:
     regularization = root.section("regularization")
     dropout = read(DropoutConfig, regularization.section("dropout"))
     regularization.finish()
-    embeddings_reader = root.section("embeddings")
+    embeddings = read(EmbeddingsConfig, root.section("embeddings"))
     network = read(
         NetworkConfig,
         root.section("architecture"),
         dropout=dropout,
         tasks=task_specs,
-        word_dim=embeddings_reader.take("word_dim", int, NetworkConfig.word_dim),
-        fine_tune_embeddings=embeddings_reader.take(
-            "fine_tune", bool, NetworkConfig.fine_tune_embeddings
-        ),
+        word_dim=embeddings.word_dim,
+        fine_tune_embeddings=embeddings.fine_tune,
     )
-    embeddings = read(EmbeddingsConfig, embeddings_reader)
     training = read(TrainConfig, Reader(root.take("training", dict), "training"))
-    training.main_task = training.main_task or task_specs[0].name
 
     evaluation_reader = root.section("evaluation")
     symbols = evaluation_reader.section("special_symbols")
@@ -223,26 +390,7 @@ def build_run_config(raw: Mapping) -> RunConfig:
     output_dir = output.take("dir", str, RunConfig.output_dir)
     output.finish()
     root.finish()
-
-    # label inventories and the final network validation happen once the
-    # data is loaded; validate what is checkable now
-    dropout.validate()
-    training.validate([t.name for t in task_specs])
-    for tf in task_files:
-        if not 0.0 < tf.train_fraction <= 1.0:
-            raise ConfigError(f"tasks: train_fraction of {tf.name!r} must be in (0, 1]")
-        for key, column in (("token_column", tf.token_column), ("label_column", tf.label_column)):
-            if column < 0:
-                raise ConfigError(f"tasks: {key} of {tf.name!r} must be >= 0, got {column}")
-
-    return RunConfig(
-        network=network,
-        training=training,
-        task_files=task_files,
-        embeddings=embeddings,
-        evaluation=evaluation,
-        output_dir=output_dir,
-    )
+    return RunConfig(network, training, task_files, embeddings, evaluation, output_dir)
 
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:

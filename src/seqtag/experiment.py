@@ -94,12 +94,11 @@ class ExperimentData:
 
     def configure(self, config: RunConfig) -> None:
         """Write the embedding dimension and each task's label inventory
-        into ``config``, then validate its network."""
+        into ``config``."""
         if self.word_matrix is not None:
             config.network.word_dim = self.word_matrix.shape[1]
         for task in config.network.tasks:
             task.labels = self.vocab.labels_of(task.name)
-        config.network.validate()
 
 
 def build_model(config: RunConfig, data: ExperimentData, rng: np.random.Generator) -> Model:

@@ -21,17 +21,18 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from seqtag.config import Reader, read
+from seqtag.config import Checked, Reader, read, rule
 from seqtag.exceptions import ConfigError
 
 _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
 
 
 @dataclass
-class ListInterval:
+class ListInterval(Checked):
     values: list
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.values:
             raise ConfigError("list interval needs at least one value")
 
@@ -40,11 +41,12 @@ class ListInterval:
 
 
 @dataclass
-class DiscreteInterval:
+class DiscreteInterval(Checked):
     start: int
     end: int  # inclusive
 
     def __post_init__(self):
+        super().__post_init__()
         if self.start > self.end:
             raise ConfigError(f"discrete interval [{self.start}..{self.end}] is empty")
         if self.start < -(2**63) or self.end > 2**63 - 1:  # the sampler draws int64
@@ -55,11 +57,12 @@ class DiscreteInterval:
 
 
 @dataclass
-class ContinuousInterval:
+class ContinuousInterval(Checked):
     start: float
     end: float  # exclusive
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.start < self.end:
             raise ConfigError(f"continuous interval [{self.start}, {self.end}) is empty")
         if not math.isfinite(self.end - self.start):  # the sampler needs a finite width
@@ -79,36 +82,38 @@ INTERVAL_KINDS = {
 }
 
 
+@dataclass
+class _IntervalKind(Checked):
+    kind: str = field(metadata={"choices": tuple(INTERVAL_KINDS)})
+
+
 def parse_interval(spec: Mapping, path: str = "interval") -> Interval:
     """Read one variable's interval like a config section; ``path``
     locates it in error messages."""
     reader = Reader(spec, path)
-    kind = reader.take("kind", str, choices=tuple(INTERVAL_KINDS))
+    kind = read(_IntervalKind, reader.split(_IntervalKind)).kind
     return read(INTERVAL_KINDS[kind], reader)
 
 
 @dataclass
-class SearchConfig:
+class SearchConfig(Checked):
     """The ``search`` section of a config template."""
 
     variables: dict[str, Interval]  # read by ``split_search_section``
-    trials: int = 10
-    seeds_per_trial: int = 3
-    final_seeds: int = 0
-    master_seed: int = 0
+    trials: int = rule(">= 1", default=10)
+    seeds_per_trial: int = rule(">= 1", default=3)
+    final_seeds: int = rule(">= 0", default=0)
+    master_seed: int = rule(">= 0", default=0)
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.variables:
             raise ConfigError("empty search space")
-        least = {"trials": 1, "seeds_per_trial": 1, "final_seeds": 0, "master_seed": 0}
-        for key, bound in least.items():
-            if getattr(self, key) < bound:
-                raise ConfigError(f"{key} must be >= {bound}, got {getattr(self, key)}")
 
 
 def split_search_section(raw: Mapping) -> tuple[SearchConfig, dict]:
     """The ``search`` section of ``raw``, read and checked, and the config
-    template: the rest of ``raw``."""
+    template: the rest of ``raw``, each of whose placeholders names a variable."""
     if "search" not in raw:
         raise ConfigError("config has no 'search' section")
     reader = Reader(raw["search"], "search")
@@ -116,8 +121,10 @@ def split_search_section(raw: Mapping) -> tuple[SearchConfig, dict]:
         name: parse_interval(spec, f"search.variables.{name}")
         for name, spec in reader.take("variables", dict).items()
     }
+    search = read(SearchConfig, reader, variables=variables)
     template = {key: value for key, value in raw.items() if key != "search"}
-    return read(SearchConfig, reader, variables=variables), template
+    render_template(template, dict.fromkeys(variables))  # raises on an unbound placeholder
+    return search, template
 
 
 def sample_trial(search: SearchConfig, rng: np.random.Generator) -> dict:

@@ -28,10 +28,9 @@ tape records it, for its backward pass.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,130 +38,12 @@ import numpy as np
 from seqtag import autodiff as ad
 from seqtag import crf
 from seqtag.autodiff import Tensor
+from seqtag.config import DropoutConfig, NetworkConfig, TaskSpec
 from seqtag.corpus import PAD_INDEX, UNK_INDEX, Sentence, Vocabulary
 from seqtag.exceptions import ConfigError, ShapeError
 
-CELL_KINDS = ("simple", "lstm", "gru")
-HEAD_KINDS = ("softmax", "crf")
-ACTIVATIONS = {
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "relu": ad.relu,
-    "identity": lambda t: t,
-}
-
-
-@dataclass
-class CharConfig:
-    enabled: bool = False
-    embedding_dim: int = 8
-    hidden: int = 8
-
-
-@dataclass
-class DropoutConfig:
-    word: float = 0.0
-    rnn_input: float = 0.0
-    rnn_state: float = 0.0
-    rnn_output: float = 0.0
-    variational: bool = True
-
-    def validate(self) -> None:
-        for name in ("word", "rnn_input", "rnn_state", "rnn_output"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"regularization.dropout.{name} must be in [0, 1)")
-
-
-@dataclass
-class PrivateLayerSpec:
-    units: int
-    activation: str = "tanh"
-
-
-@dataclass
-class TaskSpec:
-    name: str
-    labels: list[str]
-    termination_layer: int = 1
-    head: str = field(default="softmax", metadata={"choices": HEAD_KINDS})
-    private_layers: list[PrivateLayerSpec] = field(default_factory=list)
-    dropout: float = 0.0
-
-
-@dataclass
-class NetworkConfig:
-    cell: str = field(default="lstm", metadata={"choices": CELL_KINDS})
-    shared_layers: list[int] = field(default_factory=lambda: [32])
-    use_shortcuts: bool = False
-    char: CharConfig = field(default_factory=CharConfig)
-    dropout: DropoutConfig = field(default_factory=DropoutConfig)
-    tasks: list[TaskSpec] = field(default_factory=list)
-    word_dim: int = 16
-    fine_tune_embeddings: bool = True
-
-    def validate(self) -> None:
-        if self.cell not in CELL_KINDS:
-            raise ConfigError(f"unknown cell kind {self.cell!r}")
-        if not self.shared_layers:
-            raise ConfigError("at least one shared layer is required")
-        if any(h < 1 for h in self.shared_layers):
-            raise ConfigError("shared layer sizes must be positive")
-        for key, size in (
-            ("embeddings.word_dim", self.word_dim),
-            ("architecture.char.embedding_dim", self.char.embedding_dim),
-            ("architecture.char.hidden", self.char.hidden),
-        ):
-            if size < 1:
-                raise ConfigError(f"{key} must be >= 1, got {size}")
-        if not self.tasks:
-            raise ConfigError("at least one task is required")
-        names = [t.name for t in self.tasks]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate task names")
-        for task in self.tasks:
-            if not task.labels:
-                raise ConfigError(f"task {task.name!r} has an empty label inventory")
-            if not 1 <= task.termination_layer <= len(self.shared_layers):
-                raise ConfigError(
-                    f"task {task.name!r} terminates at layer {task.termination_layer}, "
-                    f"but there are {len(self.shared_layers)} shared layers"
-                )
-            if task.head not in HEAD_KINDS:
-                raise ConfigError(f"task {task.name!r}: unknown head {task.head!r}")
-            if not 0.0 <= task.dropout < 1.0:
-                raise ConfigError(f"task {task.name!r}: dropout must be in [0, 1)")
-            for layer in task.private_layers:
-                if layer.units < 1:
-                    raise ConfigError(f"task {task.name!r}: private layer units must be >= 1")
-                if layer.activation not in ACTIVATIONS:
-                    raise ConfigError(
-                        f"task {task.name!r}: unknown activation {layer.activation!r}"
-                    )
-        top = max(t.termination_layer for t in self.tasks)
-        if top != len(self.shared_layers):
-            raise ConfigError(
-                f"{len(self.shared_layers)} shared layers configured but the highest "
-                f"termination layer is {top}; they must be equal"
-            )
-        self.dropout.validate()
-
-    def task(self, name: str) -> TaskSpec:
-        for task in self.tasks:
-            if task.name == name:
-                return task
-        raise ConfigError(f"unknown task {name!r}")
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "NetworkConfig":
-        """Read a checkpoint's config echo with the checks of a config file."""
-        from seqtag.config import Reader, read  # config imports this module
-
-        config = read(cls, Reader(payload, "config"))
-        config.validate()
-        return config
+# keyed by config.ACTIVATION_KINDS
+ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu, "identity": lambda t: t}
 
 
 # -- recurrent cells --------------------------------------------------------------
@@ -711,7 +592,9 @@ class Model:
         rng: np.random.Generator | None,
         word_vectors: np.ndarray | None = None,
     ):
-        config.validate()
+        for task in config.tasks:  # filled from the data after the config was checked
+            if not task.labels:
+                raise ConfigError(f"task {task.name!r} has an empty label inventory")
         self.config = config
         self.vocab = vocab
         self.params: dict[str, Tensor] = {}

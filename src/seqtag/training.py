@@ -17,80 +17,17 @@ makes whole runs bit-for-bit reproducible from the seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from seqtag import checkpoint as ckpt
+from seqtag.config import OptimizerConfig, TrainConfig
 from seqtag.corpus import Corpus
 from seqtag.exceptions import ConfigError, NumericError
 from seqtag.metrics import SentenceResult, token_prf
 from seqtag.network import Model
-
-DEV_METRICS = ("accuracy", "f1")
-OPTIMIZER_KINDS = ("sgd", "adam")
-
-
-@dataclass
-class OptimizerConfig:
-    kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-
-@dataclass
-class EarlyStoppingConfig:
-    task: str
-    metric: str = field(default="accuracy", metadata={"choices": DEV_METRICS})
-    patience: int = 5
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 8
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    clip_norm: float | None = None
-    early_stopping: EarlyStoppingConfig | None = None
-    main_task: str = ""
-    seed: int = 0
-
-    def validate(self, task_names: Sequence[str]) -> None:
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        opt = self.optimizer
-        if opt.kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer {opt.kind!r}")
-        for key, ok, rule in (
-            ("learning_rate", opt.learning_rate > 0, "> 0"),
-            ("learning_rate", np.isfinite(opt.learning_rate), "finite"),
-            ("beta1", 0.0 <= opt.beta1 < 1.0, "in [0, 1)"),
-            ("beta2", 0.0 <= opt.beta2 < 1.0, "in [0, 1)"),
-            ("epsilon", opt.epsilon > 0, "> 0"),
-        ):
-            if not ok:
-                raise ConfigError(
-                    f"training.optimizer.{key} must be {rule}, got {getattr(opt, key)}"
-                )
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError("clip threshold must be positive")
-        if self.seed < 0:
-            raise ConfigError("training seed must be >= 0")
-        if self.main_task and self.main_task not in task_names:
-            raise ConfigError(f"main task {self.main_task!r} is not a declared task")
-        if self.early_stopping is not None:
-            es = self.early_stopping
-            if es.patience < 1:
-                raise ConfigError("early stopping patience must be >= 1")
-            if es.metric not in DEV_METRICS:
-                raise ConfigError(f"unknown early stopping metric {es.metric!r}")
-            if es.task not in task_names:
-                raise ConfigError(f"early stopping task {es.task!r} is not declared")
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -107,8 +44,6 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 def clip_global_norm(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
     """Rescale all gradients when their joint norm exceeds the
     threshold; below it the same dict is returned."""
-    if threshold <= 0:
-        raise ConfigError("clip threshold must be positive")
     norm = global_norm(grads)
     scale = threshold / max(threshold, norm)
     if scale == 1.0:
@@ -157,9 +92,7 @@ class AdamOptimizer:
 def make_optimizer(config: OptimizerConfig):
     if config.kind == "sgd":
         return SgdOptimizer(config.learning_rate)
-    if config.kind == "adam":
-        return AdamOptimizer(config.learning_rate, config.beta1, config.beta2, config.epsilon)
-    raise ConfigError(f"unknown optimizer {config.kind!r}")
+    return AdamOptimizer(config.learning_rate, config.beta1, config.beta2, config.epsilon)
 
 
 # -- evaluation helpers ----------------------------------------------------------------
@@ -250,11 +183,12 @@ def train(
     every epoch and the final parameters are returned.
     """
     task_names = [t.name for t in model.config.tasks]
-    config.validate(task_names)
     for name in task_names:
         if name not in train_data or len(train_data[name]) == 0:
             raise ConfigError(f"task {name!r} has no training data")
     es = config.early_stopping
+    if es is not None and es.task not in task_names:
+        raise ConfigError(f"early stopping task {es.task!r} is not declared")
     if es is not None and es.task not in dev_data:
         raise ConfigError(f"early stopping task {es.task!r} has no dev data")
 

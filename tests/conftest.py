@@ -9,7 +9,8 @@ import pytest
 
 from seqtag.checkpoint import load_model
 from seqtag.corpus import Corpus, Token, Vocabulary, build_char_index, build_label_index
-from seqtag.network import CharConfig, DropoutConfig, Model, NetworkConfig, TaskSpec
+from seqtag.config import CharConfig, DropoutConfig, NetworkConfig, TaskSpec
+from seqtag.network import Model
 
 # word -> BIO class; labels are a pure function of the surface so a
 # small model can reach perfect training accuracy

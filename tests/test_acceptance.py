@@ -36,18 +36,18 @@ from seqtag.metrics import (
     token_prf,
     word_accuracy,
 )
-from seqtag.network import (
+from seqtag.config import (
     CharConfig,
     DropoutConfig,
-    Model,
+    EarlyStoppingConfig,
     NetworkConfig,
+    OptimizerConfig,
     PrivateLayerSpec,
     TaskSpec,
-)
-from seqtag.training import (
-    EarlyStoppingConfig,
-    OptimizerConfig,
     TrainConfig,
+)
+from seqtag.network import Model
+from seqtag.training import (
     clip_global_norm,
     dev_score,
     global_norm,

@@ -9,15 +9,17 @@ import pytest
 from seqtag import autodiff as ad
 from seqtag import crf, network
 from seqtag.corpus import PAD_INDEX
-from seqtag.network import (
+from seqtag.config import (
     CharConfig,
     DropoutConfig,
-    Model,
     NetworkConfig,
+    OptimizerConfig,
     PrivateLayerSpec,
     TaskSpec,
+    TrainConfig,
 )
-from seqtag.training import OptimizerConfig, TrainConfig, train
+from seqtag.network import Model
+from seqtag.training import train
 
 from conftest import derive_acs_corpus, synthetic_bio_corpus, tensor_digest, vocab_for
 

@@ -10,11 +10,11 @@ import yaml
 from seqtag import cli
 from seqtag.checkpoint import save_model
 from seqtag.cli import main
-from seqtag.config import apply_overrides, build_run_config, load_yaml
+from seqtag.config import NetworkConfig, TaskSpec, apply_overrides, build_run_config, load_yaml
 from seqtag.corpus import corpus_to_conll, parse_conll, parse_conll_file
 from seqtag.exceptions import ConfigError
 from seqtag.hyperopt import split_search_section
-from seqtag.network import Model, NetworkConfig, TaskSpec
+from seqtag.network import Model
 
 from conftest import (
     reframe_checkpoint,
@@ -163,12 +163,13 @@ _REJECTED = [
     (("training", "batch_size"), 2.5, r"^training\.batch_size: expected int"),
     (("training", "clip_norm"), "high", r"^training\.clip_norm: expected float"),
     (("training", "seed"), None, r"^training\.seed: expected int"),
-    (("training", "optimizer", "kind"), "rmsprop", r"^training\.optimizer\.kind: must be one of"),
+    (("training", "optimizer", "kind"), "rmsprop",
+     r"^training\.optimizer\.kind must be one of \['sgd', 'adam'\], got 'rmsprop'$"),
     (("training", "optimizer", "beta1"), True, r"^training\.optimizer\.beta1: expected float"),
     (("training", "optimizer", "momentum"), 0.9, r"^unknown key training\.optimizer\.momentum"),
     (("training", "optimizer"), [], r"^training\.optimizer: expected"),
     (("training", "early_stopping", "metric"), "bleu",
-     r"^training\.early_stopping\.metric: must be one of"),
+     r"^training\.early_stopping\.metric must be one of \['accuracy', 'f1'\], got 'bleu'$"),
     (("training", "early_stopping", "task"), _DROP,
      r"^missing required key training\.early_stopping\.task"),
     (("training", "early_stopping", "patience"), 0, r"patience must be >= 1"),
@@ -181,11 +182,13 @@ _REJECTED = [
     (("tasks",), {"name": "tag"}, r"^tasks: expected list"),
     (("tasks", 0), "tag", r"^tasks\[0\]: expected"),
     (("tasks", 0, "name"), _DROP, r"^missing required key tasks\[0\]\.name"),
-    (("tasks", 0, "head"), "hmm", r"^tasks\[0\]\.head: must be one of"),
+    (("tasks", 0, "head"), "hmm",
+     r"^tasks\[0\]\.head must be one of \['softmax', 'crf'\], got 'hmm'$"),
     (("tasks", 0, "termination_layer"), "1", r"^tasks\[0\]\.termination_layer: expected int"),
     (("tasks", 0, "dropout"), "none", r"^tasks\[0\]\.dropout: expected float"),
     (("tasks", 0, "label_column"), False, r"^tasks\[0\]\.label_column: expected int"),
-    (("tasks", 0, "train_fraction"), 0.0, r"^tasks: train_fraction of 'tag'"),
+    (("tasks", 0, "train_fraction"), 0.0,
+     r"^tasks\[0\]\.train_fraction must be in \(0, 1\], got 0\.0$"),
     (("tasks", 0, "labels"), ["O"], r"^unknown key tasks\[0\]\.labels"),
     (("tasks", 0, "trian"), "x.conll", r"^unknown key tasks\[0\]\.trian$"),
     (("tasks", 0, "private_layers"), [5], r"^tasks\[0\]\.private_layers\[0\]: expected"),
@@ -193,7 +196,8 @@ _REJECTED = [
      r"^missing required key tasks\[0\]\.private_layers\[0\]\.units"),
     (("tasks", 0, "private_layers", 0, "size"), 4,
      r"^unknown key tasks\[0\]\.private_layers\[0\]\.size"),
-    (("architecture", "cell"), "transformer", r"^architecture\.cell: must be one of"),
+    (("architecture", "cell"), "transformer",
+     r"^architecture\.cell must be one of \['simple', 'lstm', 'gru'\], got 'transformer'$"),
     (("architecture", "shared_layers"), 6, r"^architecture\.shared_layers: expected"),
     (("architecture", "shared_layers"), [6, True], r"^architecture\.shared_layers"),
     (("architecture", "shared_layers"), ["6"], r"^architecture\.shared_layers"),
@@ -213,7 +217,9 @@ _REJECTED = [
     (("embeddings", "files"), "glove.txt", r"^embeddings\.files: expected list"),
     (("embeddings", "fine_tune"), "yes", r"^embeddings\.fine_tune: expected bool"),
     (("evaluation", "metrics"), ["accuracy", "bogus"], r"^evaluation\.metrics.*'bogus'"),
-    (("evaluation", "postprocess"), "fix", r"^evaluation\.postprocess: must be one of"),
+    (("evaluation", "postprocess"), "fix",
+     r"^evaluation\.postprocess must be one of \['none', 'to_outside', 'to_begin', 'am'\], "
+     r"got 'fix'$"),
     (("evaluation", "special_symbols", "empty"), 1,
      r"^evaluation\.special_symbols\.empty: expected str"),
     (("evaluation", "special_symbols", "pad"), "#",
@@ -450,9 +456,9 @@ def test_cli_train_checks_its_checkpoint_target_before_training(workspace, capsy
 @pytest.mark.parametrize(
     "search, message",
     [
-        ({"trials": 0}, "search: trials must be >= 1, got 0"),
-        ({"seeds_per_trial": 0}, "search: seeds_per_trial must be >= 1, got 0"),
-        ({"final_seeds": -1}, "search: final_seeds must be >= 0, got -1"),
+        ({"trials": 0}, "search.trials must be >= 1, got 0"),
+        ({"seeds_per_trial": 0}, "search.seeds_per_trial must be >= 1, got 0"),
+        ({"final_seeds": -1}, "search.final_seeds must be >= 0, got -1"),
         ({"variables": {}}, "search: empty search space"),
         (
             {"variables": {"u": {"kind": "discrete", "start": 2, "end": 10**20}}},
@@ -503,6 +509,25 @@ def test_cli_search_config_error_exits_1_and_leaves_no_output(
     assert main(["search", str(path), "--output", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out_dir.exists()
+
+
+def test_cli_search_unbound_placeholder_exits_1_and_leaves_no_output(workspace, capsys):
+    """A placeholder that names no search variable ends the search in one
+    line before the output directory is made."""
+    tmp_path, _, config = workspace
+    config["architecture"]["shared_layers"] = ["${unitz}"]
+    config["search"] = {
+        "trials": 1,
+        "seeds_per_trial": 1,
+        "variables": {"units": {"kind": "discrete", "start": 2, "end": 3}},
+    }
+    path = tmp_path / "search.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    out_dir = tmp_path / "searchout"
+    capsys.readouterr()
+    assert main(["search", str(path), "--output", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: unbound template variable ${unitz}\n"
     assert not out_dir.exists()
 
 
@@ -638,7 +663,7 @@ def test_cli_negative_column_in_config_exits_1_with_one_line(workspace, capsys, 
     bad.write_text(yaml.safe_dump(config), encoding="utf-8")
     assert main(["train", str(bad), "--quiet"]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == [f"error: tasks: {key} of 'tag' must be >= 0, got -1"]
+    assert lines == [f"error: tasks[0].{key} must be >= 0, got -1"]
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 

@@ -10,13 +10,9 @@ from seqtag.checkpoint import load_model, save_model
 from seqtag.cli import main
 from seqtag.corpus import Token, Vocabulary, parse_conll
 from seqtag.exceptions import ConfigError
+from seqtag.config import CharConfig, DropoutConfig, NetworkConfig, PrivateLayerSpec, TaskSpec
 from seqtag.network import (
-    CharConfig,
-    DropoutConfig,
     Model,
-    NetworkConfig,
-    PrivateLayerSpec,
-    TaskSpec,
     bidirectional_layer,
     char_features,
     embed_sentence,
@@ -77,21 +73,18 @@ def tiny_config(**kw):
 
 
 def test_layer_count_must_match_max_termination():
-    config = tiny_config(shared_layers=[3, 3])
     with pytest.raises(ConfigError):
-        config.validate()
+        tiny_config(shared_layers=[3, 3])
 
 
 def test_termination_beyond_stack_rejected():
-    config = tiny_config(tasks=[TaskSpec(name="t", labels=["A"], termination_layer=2)])
     with pytest.raises(ConfigError):
-        config.validate()
+        tiny_config(tasks=[TaskSpec(name="t", labels=["A"], termination_layer=2)])
 
 
 def test_dropout_probability_range_rejected():
-    config = tiny_config(dropout=DropoutConfig(word=1.0))
     with pytest.raises(ConfigError):
-        config.validate()
+        tiny_config(dropout=DropoutConfig(word=1.0))
 
 
 def test_config_json_roundtrip():
@@ -114,7 +107,7 @@ def test_config_json_roundtrip():
     "key,value,pattern",
     [
         ("cell", 5, r"^config\.cell: expected str"),
-        ("cell", "tree", r"^config\.cell: must be one of"),
+        ("cell", "tree", r"^config\.cell must be one of \['simple', 'lstm', 'gru'\], got 'tree'$"),
         ("shared_layers", [4.5], r"^config\.shared_layers\[0\]: expected int"),
         ("hidden", 8, r"^unknown key config\.hidden"),
     ],

@@ -15,20 +15,20 @@ from seqtag.cli import main
 from seqtag.corpus import Corpus, Token
 from seqtag.exceptions import ConfigError
 from seqtag import network
-from seqtag.network import (
+from seqtag.config import (
     CharConfig,
     DropoutConfig,
-    Model,
+    EarlyStoppingConfig,
     NetworkConfig,
+    OptimizerConfig,
     PrivateLayerSpec,
     TaskSpec,
+    TrainConfig,
 )
+from seqtag.network import Model
 from seqtag.training import (
     AdamOptimizer,
-    EarlyStoppingConfig,
-    OptimizerConfig,
     SgdOptimizer,
-    TrainConfig,
     clip_global_norm,
     dev_score,
     global_norm,
@@ -374,6 +374,23 @@ def test_missing_train_data_is_config_error():
     config = TrainConfig(epochs=1, main_task="tag")
     with pytest.raises(ConfigError):
         train(model, {}, {}, config, rng)
+
+
+@pytest.mark.parametrize(
+    "task, dev, message",
+    [
+        ("other", {}, "early stopping task 'other' is not declared"),
+        ("tag", {}, "early stopping task 'tag' has no dev data"),
+    ],
+)
+def test_train_rejects_an_early_stopping_task_it_cannot_score(task, dev, message):
+    """``train`` checks its early-stopping task against the model's tasks
+    and the dev data it is given, before the first batch."""
+    corpus = synthetic_bio_corpus(n_sentences=3)
+    model, rng = small_model(corpus)
+    config = TrainConfig(epochs=1, early_stopping=EarlyStoppingConfig(task=task))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        train(model, {"tag": corpus}, dev, config, rng)
 
 
 def test_subsample_takes_fraction():
