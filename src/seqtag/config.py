@@ -29,6 +29,8 @@ from seqtag.corpus import read_text
 from seqtag.exceptions import ConfigError
 from seqtag.metrics import METRICS
 
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
+
 CELL_KINDS = ("simple", "lstm", "gru")
 HEAD_KINDS = ("softmax", "crf")
 ACTIVATION_KINDS = ("tanh", "sigmoid", "relu", "identity")  # the keys of network.ACTIVATIONS
@@ -64,19 +66,25 @@ class Checked:
     first, then checks the rules that span its fields."""
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not f.metadata or value is None:
+        for name, metadata in _ruled_fields(type(self)):
+            value = getattr(self, name)
+            if value is None:
                 continue
             items = enumerate(value) if isinstance(value, list) else [(None, value)]
             for i, item in items:
-                at = f.name if i is None else f"{f.name}[{i}]"
-                choices = f.metadata.get("choices")
+                at = name if i is None else f"{name}[{i}]"
+                choices = metadata.get("choices")
                 if choices is not None and item not in choices:
                     raise _RuleError(f"{at} must be one of {list(choices)}, got {item!r}")
-                for test in f.metadata.get("rules", ()):
+                for test in metadata.get("rules", ()):
                     if not RULES[test](item):
                         raise _RuleError(f"{at} must be {test}, got {item}")
+
+
+@functools.cache
+def _ruled_fields(cls) -> tuple:
+    """(name, metadata) of each field of ``cls`` that declares a rule."""
+    return tuple((f.name, f.metadata) for f in dataclasses.fields(cls) if f.metadata)
 
 
 class Reader:
@@ -267,7 +275,7 @@ class OptimizerConfig(Checked):
     learning_rate: float = rule("> 0", "finite", default=0.001)
     beta1: float = rule("in [0, 1)", default=0.9)
     beta2: float = rule("in [0, 1)", default=0.999)
-    epsilon: float = rule("> 0", default=1e-8)
+    epsilon: float = rule("> 0", "finite", default=1e-8)
 
 
 @dataclass
@@ -341,10 +349,7 @@ def load_yaml(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        data = yaml.safe_load(read_text(path))
-    except yaml.YAMLError as err:
-        raise ConfigError(f"cannot parse {path}: {err}") from err
+    data = _parse_yaml(read_text(path), str(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return data
@@ -411,6 +416,17 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             raise ConfigError(f"override path {path!r} does not exist in the config")
         if isinstance(node[leaf], (dict, list)):
             raise ConfigError(f"override path {path!r} is not a scalar leaf")
-        node[leaf] = yaml.safe_load(text)
+        node[leaf] = _parse_yaml(text, f"override {assignment!r}")
     return result
 
+
+def _parse_yaml(text: str, what: str):
+    """``text`` parsed as YAML; a syntax error is one line naming ``what``
+    and, when the parser gives one, the line and column."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        problem = getattr(err, "problem", None) or str(err).splitlines()[0]
+        raise ConfigError(f"cannot parse {what}: {where}{problem}") from err

@@ -9,8 +9,11 @@ Multiple consecutive blank lines collapse to a single boundary.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from seqtag.exceptions import ConfigError, DataError
@@ -54,16 +57,16 @@ class Corpus:
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
 
+    def tokens(self) -> Iterator[Token]:
+        """Every token, in corpus order."""
+        return itertools.chain.from_iterable(self.sentences)
+
     def label_counts(self, task: str) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for sentence in self.sentences:
-            for token in sentence:
-                label = token.labels[task]
-                counts[label] = counts.get(label, 0) + 1
-        return counts
+        """Each label's token count, in order of first occurrence."""
+        return dict(Counter(map(itemgetter(task), map(attrgetter("labels"), self.tokens()))))
 
     def surfaces(self) -> set[str]:
-        return {token.surface for sentence in self.sentences for token in sentence}
+        return set(map(attrgetter("surface"), self.tokens()))
 
 
 def parse_conll(text: str, token_col: int, label_cols: Mapping[str, int]) -> Corpus:
@@ -81,19 +84,28 @@ def parse_conll(text: str, token_col: int, label_cols: Mapping[str, int]) -> Cor
     needed = max([token_col, *label_cols.values()]) + 1 if label_cols else token_col + 1
     tasks = tuple(label_cols.keys())
 
-    sentences: list[Sentence] = []
+    surfaces, rows, lengths = [], [], []
     for first, block in conll_blocks(text.splitlines()):
-        sentence = []
         for lineno, line in enumerate(block, start=first):
             cols = line.split()
             if len(cols) < needed:
                 raise ConllParseError(
                     f"line {lineno}: expected at least {needed} columns, found {len(cols)}"
                 )
-            labels = {task: cols[idx] for task, idx in label_cols.items()}
-            sentence.append(Token(surface=cols[token_col], labels=labels))
-        sentences.append(tuple(sentence))
-    return Corpus(sentences=tuple(sentences), tasks=tasks)
+            surfaces.append(cols[token_col])
+            rows.append(tuple(map(cols.__getitem__, label_cols.values())))
+        lengths.append(len(block))
+    return _corpus(lengths, surfaces, tasks, rows)
+
+
+def _corpus(lengths: list[int], surfaces: list[str], tasks: tuple, rows: list[tuple]) -> Corpus:
+    """Sentences of ``lengths`` tokens from the tokens' surfaces and label
+    rows, one label per task; tokens with equal rows share one read-only map."""
+    maps = {row: MappingProxyType(dict(zip(tasks, row))) for row in set(rows)}
+    pairs = zip(surfaces, map(maps.__getitem__, rows))
+    tokens = map(tuple.__new__, itertools.repeat(Token), pairs)  # Token(surface, labels)
+    sentences = tuple(tuple(itertools.islice(tokens, n)) for n in lengths)
+    return Corpus(sentences=sentences, tasks=tasks)
 
 
 def conll_blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -233,10 +245,7 @@ def build_label_index(corpora: Iterable[Corpus], task: str) -> dict[str, int]:
 
 
 def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
-    chars: set[str] = set()
-    for corpus in corpora:
-        for surface in corpus.surfaces():
-            chars.update(surface)
+    chars = set("".join(set().union(*(corpus.surfaces() for corpus in corpora))))
     index = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
     for char in sorted(chars):
         index[char] = len(index)
@@ -253,7 +262,7 @@ def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
 
 
 def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> None:
-    tokens = [token for sentence in corpus.sentences for token in sentence]
+    tokens = list(corpus.tokens())
     header = {
         "source": source_meta,
         "lengths": [len(sentence) for sentence in corpus.sentences],
@@ -272,11 +281,8 @@ def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
         if values.size or len(sizes) > 1:
             raise ValueError(f"{values.size} values and columns of {sorted(sizes)} tokens")
         tasks = tuple(columns)
-        rows = zip(*columns.values()) if tasks else itertools.repeat(())
-        labels = map(dict, map(zip, itertools.repeat(tasks), rows))
-        tokens = map(Token, surfaces, labels)
-        sentences = [tuple(itertools.islice(tokens, n)) for n in lengths]
-        return Corpus(sentences=tuple(sentences), tasks=tasks), header["source"]
+        rows = list(zip(*columns.values())) if tasks else [()] * len(surfaces)
+        return _corpus(lengths, surfaces, tasks, rows), header["source"]
     except (ValueError, LookupError, TypeError, AttributeError) as err:
         raise DataError(f"corrupt corpus cache {path}: {err!r}") from err
 

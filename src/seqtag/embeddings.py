@@ -11,6 +11,7 @@ binary cache (``<name>.<hash>.emb``) while its content is unchanged.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,14 +199,12 @@ def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingS
     Lookup normalization applies: a token reaches its exact-match entry
     and its lowercase entry, mirroring how the network resolves words.
     """
-    reachable: set[str] = set()
-    for corpus in corpora:
-        for surface in corpus.surfaces():
-            reachable.add(surface)
-            reachable.add(surface.lower())
-    kept = [i for i, word in enumerate(emb.words) if word in reachable]
+    surfaces = set().union(*(corpus.surfaces() for corpus in corpora))
+    reachable = surfaces.union(map(str.lower, surfaces))
+    keep = list(map(reachable.__contains__, emb.words))
+    kept = list(itertools.compress(range(len(keep)), keep))
     # indexing with a list copies, so the kept rows do not hold on to a whole file's matrix
-    return EmbeddingSet([emb.words[i] for i in kept], emb.matrix[kept])
+    return EmbeddingSet(list(itertools.compress(emb.words, keep)), emb.matrix[kept])
 
 
 def save_embedding_file(emb: EmbeddingSet, path: str | Path) -> None:

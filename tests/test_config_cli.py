@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,34 @@ def test_cli_non_utf8_config_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(bad) in err and "byte offset 30" in err
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [("training: [2, 4\nseed: 3\n", 2, 5), ("training:\n\tepochs: 2\n", 2, 1)],
+    ids=["unclosed flow sequence", "tab indent"],
+)
+def test_cli_yaml_syntax_error_exits_1_with_one_located_line(tmp_path, capsys, text, line, column):
+    """The parser's own wording is not pinned; the path, line and column are."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["train", str(bad), "--quiet"]) == 1
+    where = re.escape(f"error: cannot parse {bad}: line {line}, column {column}: ")
+    assert re.fullmatch(where + r"[^\n]+\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "search"])
+def test_cli_unparsable_override_exits_1_with_one_line(workspace, capsys, command):
+    tmp_path, config_path, config = workspace
+    if command == "search":
+        config["architecture"]["shared_layers"] = ["${u}"]
+        config["search"] = {"trials": 1, "variables": {"u": {"kind": "list", "values": [2]}}}
+        config_path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    argv = [command, str(config_path), "--set", "training.epochs=[1"]
+    assert main(argv + ["--output", str(tmp_path / "o")]) == 1
+    where = re.escape("error: cannot parse override 'training.epochs=[1': ")
+    assert re.fullmatch(where + r"line \d+, column \d+: [^\n]+\n", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

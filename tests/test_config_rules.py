@@ -160,6 +160,8 @@ RULE_TABLE = [
      "training.optimizer.beta2 must be in [0, 1), got -0.5"),
     ("OptimizerConfig.epsilon", "> 0", "train", "training.optimizer.epsilon", 0.0,
      "training.optimizer.epsilon must be > 0, got 0.0"),
+    ("OptimizerConfig.epsilon", "finite", "train", "training.optimizer.epsilon", math.inf,
+     "training.optimizer.epsilon must be finite, got inf"),
     ("EarlyStoppingConfig.metric", "choices", "train", "training.early_stopping.metric", "bleu",
      f"training.early_stopping.metric {ONE_OF} ['accuracy', 'f1'], got 'bleu'"),
     ("EarlyStoppingConfig.patience", ">= 1", "train", "training.early_stopping.patience", 0,
@@ -355,15 +357,11 @@ def leaves(node, path=()):
             yield (*path, key)
 
 
-def test_config_fuzz_ends_in_an_exit_code_and_at_most_one_line(rich_config, capsys):
-    """Seeded mutations: one leaf of the config replaced by an atom or
-    deleted, then ``seqtag train``. Every run exits 0, 1, 2 or 3, and a run
-    that fails says why in exactly one stderr line."""
-    tmp_path, base = rich_config
+def mutations(base: dict):
+    """The fuzz's seeded mutations of ``base``, as (description, config):
+    one leaf replaced by an atom or deleted."""
     rng = random.Random(25)
     paths = list(leaves(base))
-    started = time.perf_counter()
-    codes, bad = {}, []
     for i in range(MUTATIONS):
         config = copy.deepcopy(base)
         *parents, leaf = rng.choice(paths)
@@ -378,6 +376,17 @@ def test_config_fuzz_ends_in_an_exit_code_and_at_most_one_line(rich_config, caps
         what = f"mutation {i}: {'.'.join(map(str, (*parents, leaf)))} = " + (
             "<deleted>" if atom is DELETE else repr(atom)
         )
+        yield what, config
+
+
+def test_config_fuzz_ends_in_an_exit_code_and_at_most_one_line(rich_config, capsys):
+    """Seeded mutations: one leaf of the config replaced by an atom or
+    deleted, then ``seqtag train``. Every run exits 0, 1, 2 or 3, and a run
+    that fails says why in exactly one stderr line."""
+    tmp_path, base = rich_config
+    started = time.perf_counter()
+    codes, bad = {}, []
+    for what, config in mutations(base):
         try:
             code, err = run_cli(tmp_path, capsys, "train", config)
         except Exception as exc:  # deliberate: a traceback is the defect being looked for

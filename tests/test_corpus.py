@@ -6,6 +6,7 @@ import pytest
 
 from seqtag.corpus import (
     ConllParseError,
+    Token,
     Vocabulary,
     UNK_INDEX,
     build_char_index,
@@ -146,6 +147,8 @@ def test_cache_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("label_cols", [{}, {"t": 1, "u": 2}])
 def test_cache_roundtrip_with_no_or_two_tasks(tmp_path, label_cols):
+    """A decoded cache equals a parse of its source, a one-token sentence
+    and a repeated label row included, and holds plain tokens."""
     corpus = parse_conll("a\tX\tP\nb\tY\tQ\n\nc\tX\tP\n", 0, label_cols)
     cache = tmp_path / "c.cache"
     write_corpus_cache(cache, corpus, {"size": 1})
@@ -153,6 +156,26 @@ def test_cache_roundtrip_with_no_or_two_tasks(tmp_path, label_cols):
     assert loaded.sentences == corpus.sentences
     assert [len(s) for s in loaded.sentences] == [2, 1]
     assert loaded.tasks == corpus.tasks
+    columns = {"t": "XYX", "u": "PQP"}
+    assert [(t.surface, dict(t.labels)) for t in loaded.tokens()] == [
+        (surface, {task: columns[task][i] for task in label_cols})
+        for i, surface in enumerate("abc")
+    ]
+    assert all(type(t) is Token for t in loaded.tokens())
+
+
+def test_tokens_with_equal_label_rows_share_one_read_only_map(tmp_path):
+    parsed = parse_conll("a\tX\tP\nb\tX\tP\nc\tX\tQ\n\nd\tX\tP\n", 0, {"t": 1, "u": 2})
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, parsed, {"size": 1})
+    decoded, _ = read_corpus_cache(cache)
+    for corpus in (parsed, decoded):
+        a, b, c, d = corpus.tokens()
+        assert a.labels is b.labels is d.labels and a.labels is not c.labels
+        assert a.labels == {"t": "X", "u": "P"} and c.labels == {"t": "X", "u": "Q"}
+        with pytest.raises(TypeError):
+            a.labels["t"] = "Y"
+        assert b.labels["t"] == "X"
 
 
 def test_cache_rejects_bad_magic(tmp_path):

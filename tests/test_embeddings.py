@@ -96,6 +96,16 @@ def test_prune_keeps_only_used_words(tmp_path):
     assert set(pruned.words) == {"a", "c"}
 
 
+def test_prune_keeps_the_order_and_row_of_each_reached_word():
+    words = ["the", "Fox", "fox", "dog", "cat", "jumps", "Cat"]
+    emb = EmbeddingSet(words, np.arange(14.0).reshape(7, 2))
+    corpora = [parse_conll("The\tX\nfox\tX\n", 0, {"t": 1}), parse_conll("Cat\n", 0, {})]
+    pruned = prune_embeddings(emb, corpora)
+    assert pruned.words == ["the", "fox", "cat", "Cat"]
+    assert pruned.matrix.tolist() == emb.matrix[[0, 2, 4, 6]].tolist()
+    assert not np.shares_memory(pruned.matrix, emb.matrix)
+
+
 def test_prune_empty_corpus_gives_empty_set():
     emb = make_set({"a": np.array([1.0])})
     corpus = parse_conll("", 0, {"t": 1})
