@@ -31,7 +31,7 @@ from seqtag.config import (
     load_yaml,
     read,
 )
-from seqtag.corpus import Token, conll_blocks, conll_text, parse_conll_file, read_text
+from seqtag.corpus import conll_blocks, conll_text, parse_conll_file, read_text
 from seqtag.exceptions import ConfigError, DataError, SeqtagError
 from seqtag.files import check_target, write_atomic
 from seqtag.hyperopt import run_search, split_search_section
@@ -120,13 +120,12 @@ def cmd_predict(args) -> int:
     lines = read_text(in_path).splitlines()
     out_lines = [""] * len(lines)  # blank and whitespace-only lines come out empty
     for first, block in conll_blocks(lines):
-        tokens = []
+        sentence = []
         for line in block:
             cols = line.split()
             if len(cols) <= args.token_column:
                 raise DataError(f"line {line!r} has no column {args.token_column}")
-            tokens.append(Token(cols[args.token_column], {}))
-        sentence = tuple(tokens)
+            sentence.append(cols[args.token_column])
         shared = []  # the sentence's mask, embedding and shared layers, for every task
         columns = [
             experiment.postprocess_labels(
@@ -162,12 +161,8 @@ def cmd_evaluate(args) -> int:
             args.token_column,
             {"gold": args.label_column, "pred": args.pred_column},
         )
-        results = [
-            SentenceResult(
-                [t.labels["gold"] for t in sentence], [t.labels["pred"] for t in sentence]
-            )
-            for sentence in corpus
-        ]
+        columns = corpus.labels["gold"], corpus.labels["pred"]
+        results = [SentenceResult(list(gold), list(pred)) for gold, pred in zip(*columns)]
         results = experiment.postprocess_results(results, args.postprocess)
         report = experiment.metric_report(results, evaluation, labels=None)
     else:
@@ -273,24 +268,22 @@ def cmd_derive_subtasks(args) -> int:
             raise ConfigError(f"unknown subtask kind {kind!r} (known: {list(SUBTASK_KINDS)})")
     corpus = parse_conll_file(args.input, args.token_column, {"am": args.label_column})
 
-    def rows(sentence):
-        labels = [t.labels["am"] for t in sentence]
+    def rows(sentence, labels):
         seq = parse_am_sequence(labels)
         derived = [derive_subtask(seq, kind) for kind in kinds]
-        return zip([t.surface for t in sentence], labels, *derived)
+        return zip(sentence, labels, *derived)
 
-    _write_text(conll_text(map(rows, corpus)) or "\n", args.output)
+    _write_text(conll_text(map(rows, corpus.sentences, corpus.labels["am"])) or "\n", args.output)
     return 0
 
 
 def cmd_postprocess(args) -> int:
     corpus = parse_conll_file(args.input, args.token_column, {"t": args.label_column})
 
-    def rows(sentence):
-        fixed = experiment.postprocess_labels([t.labels["t"] for t in sentence], args.variant)
-        return zip([t.surface for t in sentence], fixed)
+    def rows(sentence, labels):
+        return zip(sentence, experiment.postprocess_labels(labels, args.variant))
 
-    _write_text(conll_text(map(rows, corpus)) or "\n", args.output)
+    _write_text(conll_text(map(rows, corpus.sentences, corpus.labels["t"])) or "\n", args.output)
     return 0
 
 

@@ -24,12 +24,32 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
+from yaml.constructor import ConstructorError
 
 from seqtag.corpus import read_text
 from seqtag.exceptions import ConfigError
 from seqtag.metrics import METRICS
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
+
+
+class _UniqueKeys:
+    """A loader mix-in that rejects a key given twice in one mapping; a
+    key may still override one merged in with ``<<``."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)  # flattens the merged keys in
+        seen = set()
+        for k in keys:
+            key = self.construct_object(k, deep=deep)
+            if key in seen:
+                raise ConstructorError(None, None, f"found duplicate key {key!r}", k.start_mark)
+            seen.add(key)
+        return mapping
+
+
+_CONFIG_LOADER = type("ConfigLoader", (_UniqueKeys, _YAML_LOADER), {})
 
 CELL_KINDS = ("simple", "lstm", "gru")
 HEAD_KINDS = ("softmax", "crf")
@@ -290,7 +310,7 @@ class TrainConfig(Checked):
     epochs: int = rule(">= 1", default=20)
     batch_size: int = rule(">= 1", default=8)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    clip_norm: float | None = rule("> 0", default=None)
+    clip_norm: float | None = rule("> 0", "finite", default=None)
     early_stopping: EarlyStoppingConfig | None = None
     main_task: str = ""
     seed: int = rule(">= 0", default=0)
@@ -424,7 +444,7 @@ def _parse_yaml(text: str, what: str):
     """``text`` parsed as YAML; a syntax error is one line naming ``what``
     and, when the parser gives one, the line and column."""
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_CONFIG_LOADER)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""

@@ -8,13 +8,13 @@ Multiple consecutive blank lines collapse to a single boundary.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.files import cache_path, file_fingerprint, read_cache, through_cache, write_cache
@@ -32,41 +32,38 @@ class ConllParseError(DataError):
     pass
 
 
-class Token(NamedTuple):
-    surface: str
-    labels: Mapping[str, str]
-
-
-Sentence = tuple[Token, ...]
+Sentence = tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered, immutable collection of sentences."""
+    """An ordered, immutable collection of sentences, held as columns:
+    each sentence's surfaces, and per task one tuple of labels for each
+    sentence, aligned with its surfaces."""
 
     sentences: tuple[Sentence, ...]
-    tasks: tuple[str, ...] = ()
+    labels: Mapping[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def __iter__(self):
-        return iter(self.sentences)
+    @property
+    def tasks(self) -> tuple[str, ...]:
+        return tuple(self.labels)
 
     @property
     def token_count(self) -> int:
-        return sum(len(s) for s in self.sentences)
-
-    def tokens(self) -> Iterator[Token]:
-        """Every token, in corpus order."""
-        return itertools.chain.from_iterable(self.sentences)
+        return sum(map(len, self.sentences))
 
     def label_counts(self, task: str) -> dict[str, int]:
         """Each label's token count, in order of first occurrence."""
-        return dict(Counter(map(itemgetter(task), map(attrgetter("labels"), self.tokens()))))
+        return dict(Counter(chain.from_iterable(self.labels[task])))
 
     def surfaces(self) -> set[str]:
-        return set(map(attrgetter("surface"), self.tokens()))
+        return set(chain.from_iterable(self.sentences))
 
 
 def parse_conll(text: str, token_col: int, label_cols: Mapping[str, int]) -> Corpus:
@@ -81,31 +78,21 @@ def parse_conll(text: str, token_col: int, label_cols: Mapping[str, int]) -> Cor
     for col in (token_col, *label_cols.values()):
         if col < 0:
             raise ConfigError(f"column indices count from 0, got {col}")
-    needed = max([token_col, *label_cols.values()]) + 1 if label_cols else token_col + 1
-    tasks = tuple(label_cols.keys())
+    needed = max([token_col, *label_cols.values()]) + 1
 
-    surfaces, rows, lengths = [], [], []
+    sentences = []
+    columns = {task: [] for task in label_cols}
     for first, block in conll_blocks(text.splitlines()):
-        for lineno, line in enumerate(block, start=first):
-            cols = line.split()
-            if len(cols) < needed:
-                raise ConllParseError(
-                    f"line {lineno}: expected at least {needed} columns, found {len(cols)}"
-                )
-            surfaces.append(cols[token_col])
-            rows.append(tuple(map(cols.__getitem__, label_cols.values())))
-        lengths.append(len(block))
-    return _corpus(lengths, surfaces, tasks, rows)
-
-
-def _corpus(lengths: list[int], surfaces: list[str], tasks: tuple, rows: list[tuple]) -> Corpus:
-    """Sentences of ``lengths`` tokens from the tokens' surfaces and label
-    rows, one label per task; tokens with equal rows share one read-only map."""
-    maps = {row: MappingProxyType(dict(zip(tasks, row))) for row in set(rows)}
-    pairs = zip(surfaces, map(maps.__getitem__, rows))
-    tokens = map(tuple.__new__, itertools.repeat(Token), pairs)  # Token(surface, labels)
-    sentences = tuple(tuple(itertools.islice(tokens, n)) for n in lengths)
-    return Corpus(sentences=sentences, tasks=tasks)
+        rows = [line.split() for line in block]
+        if min(map(len, rows)) < needed:
+            lineno, cols = next((n, c) for n, c in enumerate(rows, first) if len(c) < needed)
+            raise ConllParseError(
+                f"line {lineno}: expected at least {needed} columns, found {len(cols)}"
+            )
+        sentences.append(tuple(map(itemgetter(token_col), rows)))
+        for task, col in label_cols.items():
+            columns[task].append(tuple(map(itemgetter(col), rows)))
+    return Corpus(tuple(sentences), {task: tuple(column) for task, column in columns.items()})
 
 
 def conll_blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -155,10 +142,8 @@ def conll_text(sentences: Iterable[Iterable[Sequence[str]]]) -> str:
 def corpus_to_conll(corpus: Corpus, tasks: Iterable[str] | None = None) -> str:
     """Render a corpus as normalized tab-separated CoNLL text."""
     tasks = tuple(tasks) if tasks is not None else corpus.tasks
-    return conll_text(
-        ((token.surface, *(token.labels[t] for t in tasks)) for token in sentence)
-        for sentence in corpus.sentences
-    )
+    columns = zip(corpus.sentences, *(corpus.labels[t] for t in tasks))
+    return conll_text(zip(*sentence) for sentence in columns)
 
 
 # -- vocabulary ----------------------------------------------------------------
@@ -262,12 +247,11 @@ def build_char_index(corpora: Iterable[Corpus]) -> dict[str, int]:
 
 
 def write_corpus_cache(path: str | Path, corpus: Corpus, source_meta: dict) -> None:
-    tokens = list(corpus.tokens())
     header = {
         "source": source_meta,
-        "lengths": [len(sentence) for sentence in corpus.sentences],
-        "surfaces": [token.surface for token in tokens],
-        "labels": {task: [token.labels[task] for token in tokens] for task in corpus.tasks},
+        "lengths": list(map(len, corpus.sentences)),
+        "surfaces": list(chain.from_iterable(corpus.sentences)),
+        "labels": {task: list(chain.from_iterable(col)) for task, col in corpus.labels.items()},
     }
     write_cache(Path(path), _CACHE_MAGIC, _CACHE_VERSION, header)
 
@@ -280,9 +264,13 @@ def read_corpus_cache(path: str | Path) -> tuple[Corpus, dict]:
         sizes = {sum(lengths), len(surfaces), *map(len, columns.values())}
         if values.size or len(sizes) > 1:
             raise ValueError(f"{values.size} values and columns of {sorted(sizes)} tokens")
-        tasks = tuple(columns)
-        rows = list(zip(*columns.values())) if tasks else [()] * len(surfaces)
-        return _corpus(lengths, surfaces, tasks, rows), header["source"]
+        if min(lengths, default=0) < 0:
+            raise ValueError(f"a sentence of {min(lengths)} tokens")
+        ends = list(accumulate(lengths))
+        cuts = list(map(slice, [0, *ends], ends))  # each sentence's tokens in a column
+        sentences = tuple(map(tuple(surfaces).__getitem__, cuts))
+        labels = {task: tuple(map(tuple(col).__getitem__, cuts)) for task, col in columns.items()}
+        return Corpus(sentences, labels), header["source"]
     except (ValueError, LookupError, TypeError, AttributeError) as err:
         raise DataError(f"corrupt corpus cache {path}: {err!r}") from err
 

@@ -692,14 +692,14 @@ class Model:
     # -- encoding ------------------------------------------------------------------
 
     def encode_sentence(self, sentence: Sentence) -> tuple[list[int], list[list[int]]]:
-        word_ids = [self.vocab.lookup_word(tok.surface) for tok in sentence]
+        word_ids = [self.vocab.lookup_word(surface) for surface in sentence]
         if not self.config.char.enabled:
             return word_ids, [[] for _ in sentence]
-        return word_ids, [self.vocab.char_ids(tok.surface) for tok in sentence]
+        return word_ids, [self.vocab.char_ids(surface) for surface in sentence]
 
-    def gold_ids(self, task_name: str, sentence: Sentence) -> list[int]:
+    def gold_ids(self, task_name: str, labels: Sequence[str]) -> list[int]:
         index = self.vocab.label_index[task_name]
-        return [index[tok.labels[task_name]] for tok in sentence]
+        return [index[label] for label in labels]
 
     # -- forward -------------------------------------------------------------------
 

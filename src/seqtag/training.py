@@ -25,7 +25,7 @@ import numpy as np
 from seqtag import checkpoint as ckpt
 from seqtag.config import OptimizerConfig, TrainConfig
 from seqtag.corpus import Corpus
-from seqtag.exceptions import ConfigError, NumericError
+from seqtag.exceptions import ConfigError, DataError, NumericError
 from seqtag.metrics import SentenceResult, token_prf
 from seqtag.network import Model
 
@@ -99,11 +99,11 @@ def make_optimizer(config: OptimizerConfig):
 
 
 def predict_results(model: Model, task: str, corpus: Corpus) -> list[SentenceResult]:
+    if task not in corpus.labels:
+        raise DataError(f"the corpus has no gold labels of task {task!r}")
     return [
-        SentenceResult(
-            [tok.labels.get(task, "") for tok in sentence], model.predict_labels(task, sentence)
-        )
-        for sentence in corpus
+        SentenceResult(list(gold), model.predict_labels(task, sentence))
+        for sentence, gold in zip(corpus.sentences, corpus.labels[task])
     ]
 
 
@@ -142,10 +142,9 @@ def subsample(corpus: Corpus, fraction: float, rng: np.random.Generator) -> Corp
         return corpus
     n = len(corpus.sentences)
     keep = int(np.ceil(fraction * n))
-    order = rng.permutation(n)[:keep]
-    return Corpus(
-        sentences=tuple(corpus.sentences[i] for i in order), tasks=corpus.tasks
-    )
+    order = rng.permutation(n)[:keep].tolist()
+    labels = {task: tuple(map(col.__getitem__, order)) for task, col in corpus.labels.items()}
+    return Corpus(tuple(map(corpus.sentences.__getitem__, order)), labels)
 
 
 def plan_batches(
@@ -192,10 +191,10 @@ def train(
     if es is not None and es.task not in dev_data:
         raise ConfigError(f"early stopping task {es.task!r} has no dev data")
 
-    encoded = {
-        name: [(*model.encode_sentence(s), model.gold_ids(name, s)) for s in train_data[name]]
-        for name in task_names
-    }
+    encoded = {}
+    for name in task_names:
+        columns = zip(train_data[name].sentences, train_data[name].labels[name])
+        encoded[name] = [(*model.encode_sentence(s), model.gold_ids(name, g)) for s, g in columns]
 
     lengths = {name: [len(word_ids) for word_ids, *_ in encoded[name]] for name in task_names}
     optimizer = make_optimizer(config.optimizer)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from seqtag.checkpoint import load_model
-from seqtag.corpus import Corpus, Token, Vocabulary, build_char_index, build_label_index
+from seqtag.corpus import Corpus, Vocabulary, build_char_index, build_label_index
 from seqtag.config import CharConfig, DropoutConfig, NetworkConfig, TaskSpec
 from seqtag.network import Model
 
@@ -28,9 +28,9 @@ def synthetic_bio_corpus(n_sentences=50, seed=13, task="tag"):
     """Sentences of filler words and 1-3 token entity segments."""
     rng = np.random.default_rng(seed)
     entities = list(ENTITY_WORDS.keys())
-    sentences = []
+    sentences, labels = [], []
     for _ in range(n_sentences):
-        tokens = []
+        tokens = []  # (surface, label) pairs
         length = int(rng.integers(4, 9))
         while len(tokens) < length:
             if rng.random() < 0.45:
@@ -39,28 +39,28 @@ def synthetic_bio_corpus(n_sentences=50, seed=13, task="tag"):
                 cls = ENTITY_WORDS[word]
                 for i in range(run):
                     prefix = "B" if i == 0 else "I"
-                    tokens.append(Token(word, {task: f"{prefix}-{cls}"}))
+                    tokens.append((word, f"{prefix}-{cls}"))
             else:
                 word = FILLER_WORDS[rng.integers(0, len(FILLER_WORDS))]
-                tokens.append(Token(word, {task: "O"}))
-        sentences.append(tuple(tokens[:length]) if len(tokens) > length else tuple(tokens))
-    return Corpus(sentences=tuple(sentences), tasks=(task,))
+                tokens.append((word, "O"))
+        surfaces, sentence_labels = zip(*tokens[:length])
+        sentences.append(surfaces)
+        labels.append(sentence_labels)
+    return Corpus(tuple(sentences), {task: tuple(labels)})
+
+
+def relabel(corpus, source_task, target_task, derive):
+    """``corpus``'s sentences, labeled for ``target_task`` with ``derive``
+    of each ``source_task`` label."""
+    column = corpus.labels[source_task]
+    return Corpus(corpus.sentences, {target_task: tuple(tuple(map(derive, s)) for s in column)})
 
 
 def derive_acs_corpus(corpus, source_task="tag", target_task="seg"):
     """Collapse classes: B-*/I-* become B-Arg/I-Arg."""
-    sentences = []
-    for sentence in corpus:
-        tokens = []
-        for tok in sentence:
-            label = tok.labels[source_task]
-            if label == "O":
-                derived = "O"
-            else:
-                derived = f"{label[0]}-Arg"
-            tokens.append(Token(tok.surface, {target_task: derived}))
-        sentences.append(tuple(tokens))
-    return Corpus(sentences=tuple(sentences), tasks=(target_task,))
+    return relabel(
+        corpus, source_task, target_task, lambda label: "O" if label == "O" else f"{label[0]}-Arg"
+    )
 
 
 def vocab_for(corpora, tasks):

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from seqtag.corpus import Corpus, Token, Vocabulary
+from seqtag.corpus import Corpus, Vocabulary
 from seqtag.hyperopt import DiscreteInterval, ContinuousInterval, SearchConfig, run_search
 from seqtag.labels import (
     BioLabel,
@@ -54,7 +54,7 @@ from seqtag.training import (
     train,
 )
 
-from conftest import synthetic_bio_corpus, vocab_for
+from conftest import derive_acs_corpus, relabel, synthetic_bio_corpus, vocab_for
 from test_crf import brute_force_argmax, brute_force_log_z, brute_force_paths, path_score, random_instance
 from test_labels import assert_valid_am_structure, random_am_label
 from test_metrics import oracle_f1, random_structure, render_document
@@ -395,29 +395,11 @@ def test_criterion_6_postprocess_totality():
 
 def _three_label_corpus(n_sentences=50, seed=13, task="tag") -> Corpus:
     base = synthetic_bio_corpus(n_sentences=n_sentences, seed=seed, task=task)
-    sentences = []
-    for sentence in base:
-        tokens = []
-        for tok in sentence:
-            label = tok.labels[task]
-            tokens.append(
-                Token(tok.surface, {task: "O" if label == "O" else f"{label[0]}-X"})
-            )
-        sentences.append(tuple(tokens))
-    return Corpus(sentences=tuple(sentences), tasks=(task,))
+    return relabel(base, task, task, lambda label: "O" if label == "O" else f"{label[0]}-X")
 
 
 def _seg_corpus(corpus: Corpus, task="tag", target="seg") -> Corpus:
-    sentences = []
-    for sentence in corpus:
-        tokens = []
-        for tok in sentence:
-            label = tok.labels[task]
-            tokens.append(
-                Token(tok.surface, {target: "O" if label == "O" else f"{label[0]}-Arg"})
-            )
-        sentences.append(tuple(tokens))
-    return Corpus(sentences=tuple(sentences), tasks=(target,))
+    return derive_acs_corpus(corpus, task, target)
 
 
 def _stl_train(corpus, tmp_path, tag, seed=7):

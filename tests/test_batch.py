@@ -64,7 +64,7 @@ def batch_model(
 
 def encoded_batch(model, corpus, task, indices):
     return [
-        (*model.encode_sentence(corpus.sentences[i]), model.gold_ids(task, corpus.sentences[i]))
+        (*model.encode_sentence(corpus.sentences[i]), model.gold_ids(task, corpus.labels[task][i]))
         for i in indices
     ]
 

@@ -339,6 +339,34 @@ def test_cli_yaml_syntax_error_exits_1_with_one_located_line(tmp_path, capsys, t
     assert re.fullmatch(where + r"[^\n]+\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("source", ["file", "override"])
+@pytest.mark.parametrize("command", ["train", "search"])
+def test_cli_duplicate_key_exits_1_with_one_located_line(workspace, capsys, command, source):
+    """A key given twice in one mapping is an error, not a silent last
+    value, in a config file and in a ``--set`` value alike."""
+    tmp_path, config_path, config = workspace
+    if command == "search":
+        config["architecture"]["shared_layers"] = ["${u}"]
+        config["search"] = {"trials": 1, "variables": {"u": {"kind": "list", "values": [2]}}}
+    text = yaml.safe_dump(config, sort_keys=False)
+    assert text.startswith("training:\n  epochs: 2\n")
+    argv = [command, str(config_path), "--output", str(tmp_path / "o")]
+    if source == "file":
+        text = text.replace("  epochs: 2\n", "  epochs: 2\n  epochs: 50\n", 1)
+        expected = f"error: cannot parse {config_path}: line 3, column 3: "
+        expected += "found duplicate key 'epochs'\n"
+    else:
+        argv += ["--set", "training.seed={a: 1, a: 2}"]
+        expected = (
+            "error: cannot parse override 'training.seed={a: 1, a: 2}': "
+            "line 1, column 8: found duplicate key 'a'\n"
+        )
+    config_path.write_text(text, encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "search"])
 def test_cli_unparsable_override_exits_1_with_one_line(workspace, capsys, command):
     tmp_path, config_path, config = workspace

@@ -172,6 +172,8 @@ RULE_TABLE = [
      "training.batch_size must be >= 1, got -1"),
     ("TrainConfig.clip_norm", "> 0", "train", "training.clip_norm", 0.0,
      "training.clip_norm must be > 0, got 0.0"),
+    ("TrainConfig.clip_norm", "finite", "train", "training.clip_norm", math.inf,
+     "training.clip_norm must be finite, got inf"),
     ("TrainConfig.seed", ">= 0", "train", "training.seed", -1,
      "training.seed must be >= 0, got -1"),
     ("TaskFiles.token_column", ">= 0", "train", "tasks.0.token_column", -1,

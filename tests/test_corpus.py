@@ -2,11 +2,11 @@ import hashlib
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqtag.corpus import (
     ConllParseError,
-    Token,
     Vocabulary,
     UNK_INDEX,
     build_char_index,
@@ -21,6 +21,7 @@ from seqtag.corpus import (
 )
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.files import read_cache, write_cache
+from seqtag.training import subsample
 
 
 def cache_name(src, token_col=0, label_cols=None):
@@ -37,8 +38,8 @@ def test_parse_two_token_sentence():
     corpus = parse_conll("The\tB-NP\nfox\tI-NP\n\n", 0, {"chunk": 1})
     assert len(corpus) == 1
     (sentence,) = corpus.sentences
-    assert [t.surface for t in sentence] == ["The", "fox"]
-    assert [t.labels["chunk"] for t in sentence] == ["B-NP", "I-NP"]
+    assert list(sentence) == ["The", "fox"]
+    assert list(corpus.labels["chunk"][0]) == ["B-NP", "I-NP"]
 
 
 @pytest.mark.parametrize("token_col, label_cols", [(0, {"t": -2}), (-1, {"t": 1}), (-1, {})])
@@ -61,13 +62,13 @@ def test_consecutive_blank_lines_collapse():
 
 def test_space_separated_columns():
     corpus = parse_conll("a X\nb Y\n", 0, {"t": 1})
-    assert corpus.sentences[0][1].labels["t"] == "Y"
+    assert corpus.labels["t"][0][1] == "Y"
 
 
 def test_multi_task_columns():
     corpus = parse_conll("w\tA\tB\n", 0, {"pos": 1, "ner": 2})
-    token = corpus.sentences[0][0]
-    assert token.labels == {"pos": "A", "ner": "B"}
+    first = {task: column[0][0] for task, column in corpus.labels.items()}
+    assert first == {"pos": "A", "ner": "B"}
 
 
 def test_short_line_reports_line_number():
@@ -86,7 +87,7 @@ def test_conll_blocks_number_each_run_of_token_lines_from_its_first_line():
 def test_unlabeled_parse():
     corpus = parse_conll("a\nb\n\nc\n", 0, {})
     assert len(corpus) == 2
-    assert corpus.sentences[0][0].labels == {}
+    assert corpus.labels == {}
 
 
 def test_roundtrip_is_fixed_point():
@@ -148,7 +149,7 @@ def test_cache_roundtrip(tmp_path):
 @pytest.mark.parametrize("label_cols", [{}, {"t": 1, "u": 2}])
 def test_cache_roundtrip_with_no_or_two_tasks(tmp_path, label_cols):
     """A decoded cache equals a parse of its source, a one-token sentence
-    and a repeated label row included, and holds plain tokens."""
+    and a repeated label row included, and holds tuples of strings."""
     corpus = parse_conll("a\tX\tP\nb\tY\tQ\n\nc\tX\tP\n", 0, label_cols)
     cache = tmp_path / "c.cache"
     write_corpus_cache(cache, corpus, {"size": 1})
@@ -157,25 +158,97 @@ def test_cache_roundtrip_with_no_or_two_tasks(tmp_path, label_cols):
     assert [len(s) for s in loaded.sentences] == [2, 1]
     assert loaded.tasks == corpus.tasks
     columns = {"t": "XYX", "u": "PQP"}
-    assert [(t.surface, dict(t.labels)) for t in loaded.tokens()] == [
-        (surface, {task: columns[task][i] for task in label_cols})
-        for i, surface in enumerate("abc")
-    ]
-    assert all(type(t) is Token for t in loaded.tokens())
+    assert loaded.sentences == (("a", "b"), ("c",))
+    assert {task: "".join(sum(column, ())) for task, column in loaded.labels.items()} == {
+        task: columns[task] for task in label_cols
+    }
+    for column in (loaded.sentences, *loaded.labels.values()):
+        assert type(column) is tuple and all(type(s) is tuple for s in column)
+        assert all(type(item) is str for s in column for item in s)
 
 
-def test_tokens_with_equal_label_rows_share_one_read_only_map(tmp_path):
+def test_parsed_and_decoded_label_columns_are_read_only_tuples(tmp_path):
     parsed = parse_conll("a\tX\tP\nb\tX\tP\nc\tX\tQ\n\nd\tX\tP\n", 0, {"t": 1, "u": 2})
     cache = tmp_path / "c.cache"
     write_corpus_cache(cache, parsed, {"size": 1})
     decoded, _ = read_corpus_cache(cache)
     for corpus in (parsed, decoded):
-        a, b, c, d = corpus.tokens()
-        assert a.labels is b.labels is d.labels and a.labels is not c.labels
-        assert a.labels == {"t": "X", "u": "P"} and c.labels == {"t": "X", "u": "Q"}
+        assert corpus.labels == {"t": (("X", "X", "X"), ("X",)), "u": (("P", "P", "Q"), ("P",))}
         with pytest.raises(TypeError):
-            a.labels["t"] = "Y"
-        assert b.labels["t"] == "X"
+            corpus.labels["t"] = (("Y", "Y", "Y"), ("Y",))
+        with pytest.raises(TypeError):
+            del corpus.labels["u"]
+        assert type(corpus.sentences) is tuple
+        assert all(type(column) is tuple for column in corpus.labels.values())
+        assert corpus.tasks == ("t", "u")
+
+
+ALIGNED_LENGTHS = [3, 1, 4, 1, 5, 2, 6]
+
+
+def assert_aligned(corpus):
+    """Each task's labels of sentence i are as many as its surfaces, and
+    are the ones its own surfaces were written with."""
+    assert corpus.tasks == ("t", "u")
+    for task in corpus.tasks:
+        column = corpus.labels[task]
+        assert len(column) == len(corpus.sentences)
+        for sentence, labels in zip(corpus.sentences, column):
+            assert len(labels) == len(sentence)
+            assert labels == tuple(f"{task}{surface}" for surface in sentence)
+
+
+def test_parse_decode_and_subsample_keep_labels_with_their_sentence(tmp_path):
+    text = "\n".join(
+        "".join(f"{i}.{j}\tt{i}.{j}\tu{i}.{j}\n" for j in range(n))
+        for i, n in enumerate(ALIGNED_LENGTHS)
+    )
+    parsed = parse_conll(text, 0, {"t": 1, "u": 2})
+    assert list(map(len, parsed.sentences)) == ALIGNED_LENGTHS
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, parsed, {"size": 1})
+    decoded, _ = read_corpus_cache(cache)
+    assert decoded == parsed
+    sampled = subsample(parsed, 0.6, np.random.default_rng(3))
+    assert len(sampled) == 5 and set(sampled.sentences) < set(parsed.sentences)
+    assert sampled.sentences != parsed.sentences[:5]  # shuffled, not a prefix
+    for corpus in (parsed, decoded, sampled):
+        assert_aligned(corpus)
+
+
+@pytest.mark.parametrize(
+    "text, label_cols, size, digest",
+    [
+        ("a\nbb\tZ\nc\n\n\nd\n\n  \ne\tf\n", {}, 119,
+         "3c93922d57fbf20118af493c8d67880e228a8cafb2259430794f13627ce2c163"),
+        ("Ä\tB-X\tp\n\nb\tI-X\tq\nc\tO\tq\nd\tO\tp\n\ne\tB-Y\tq\nf\tO\tp\n",
+         {"t": 1, "u": 2}, 206,
+         "5380ceb31e9998fbacea3efdb2a3302d410258dea92a7b6318ec350375ba53ae"),
+        ("x y\n", {"t": 1}, 102,
+         "e8a933592d3dac8017e31cd970872b417785c79105c955b3b274c86aa7390578"),
+        ("\n\n", {"t": 1}, 95,
+         "1a6ed0098ac6ce239896dc9bc231052bfef4cdeed857f2656322f09a2dbfc453"),
+    ],
+    ids=["unlabeled", "two-tasks", "one-token", "empty"],
+)
+def test_written_cache_bytes_are_pinned(tmp_path, text, label_cols, size, digest):
+    """The bytes ``write_corpus_cache`` gives for a parsed corpus, as the
+    version-3 format wrote them when sentences were held token by token:
+    no labels, two tasks, one token and no sentence at all."""
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, parse_conll(text, 0, label_cols), {"size": 1})
+    blob = cache.read_bytes()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)
+
+
+def test_cache_with_a_negative_sentence_length_is_data_error(tmp_path):
+    cache = tmp_path / "c.cache"
+    write_corpus_cache(cache, parse_conll("a\tX\nb\tY\nc\tZ\n", 0, {"t": 1}), {"size": 1})
+    header, _ = read_cache(cache, b"SQTC", 3, "corpus cache")
+    header["lengths"] = [3, -1, 1]  # adds up to the token count
+    write_cache(cache, b"SQTC", 3, header)
+    with pytest.raises(DataError, match="corrupt corpus cache"):
+        read_corpus_cache(cache)
 
 
 def test_cache_rejects_bad_magic(tmp_path):
@@ -197,7 +270,7 @@ def test_load_corpus_cached_invalidates_on_change(tmp_path):
 
     src.write_text("b\tY\n")
     changed = load_corpus_cached(src, 0, {"t": 1}, cache_dir)
-    assert changed.sentences[0][0].surface == "b"
+    assert changed.sentences[0][0] == "b"
 
 
 def test_same_named_files_keep_separate_caches(tmp_path, monkeypatch):
@@ -220,7 +293,7 @@ def test_same_named_files_keep_separate_caches(tmp_path, monkeypatch):
     for _ in range(2):
         for src, word in zip(sources, ("x", "y")):
             corpus = load_corpus_cached(src, 0, {"t": 1}, cache_dir)
-            assert corpus.sentences[0][0].surface == word
+            assert corpus.sentences[0][0] == word
     assert parses == sources
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(map(cache_name, sources))
 
@@ -242,7 +315,7 @@ def test_one_file_with_two_label_columns_keeps_two_caches(tmp_path, monkeypatch)
     for _ in range(3):
         for col, labels in ((1, ["X", "Y"]), (2, ["P", "Q"])):
             corpus = load_corpus_cached(src, 0, {"t": col}, cache_dir)
-            assert [tok.labels["t"] for tok in corpus.sentences[0]] == labels
+            assert list(corpus.labels["t"][0]) == labels
     assert parses == [src, src]
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
         cache_name(src, 0, {"t": col}) for col in (1, 2)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from seqtag.config import EvalConfig, build_run_config
-from seqtag.corpus import corpus_to_conll
+from seqtag.corpus import corpus_to_conll, parse_conll
+from seqtag.exceptions import DataError
 from seqtag.experiment import (
     ExperimentData,
     evaluate_model,
@@ -12,7 +13,7 @@ from seqtag.experiment import (
 )
 from seqtag.metrics import SentenceResult
 
-from conftest import synthetic_bio_corpus
+from conftest import synthetic_bio_corpus, two_task_model
 
 
 def am_conll():
@@ -156,6 +157,17 @@ def test_evaluate_model_am_metrics_on_fixture(tmp_path):
     report = evaluate_model(model, corpus, "am", config.evaluation)
     assert set(report.keys()) == {"c_f1_50", "r_f1_100"}
     assert 0.0 <= report["c_f1_50"] <= 1.0
+
+
+def test_evaluate_model_on_a_corpus_without_the_task_labels_is_data_error():
+    """A corpus read without the task's label column has no gold labels
+    to score against: a DataError naming the task, not a score of 0."""
+    model, corpus = two_task_model()
+    unlabeled = parse_conll(corpus_to_conll(corpus, tasks=()), 0, {})
+    assert len(unlabeled) == len(corpus)
+    for task, data in (("tag", unlabeled), ("seg", corpus)):
+        with pytest.raises(DataError, match=f"no gold labels of task '{task}'"):
+            evaluate_model(model, data, task, EvalConfig(metrics=["accuracy"]))
 
 
 def test_search_score_requires_dev_data(embedded_workspace):

@@ -8,7 +8,7 @@ from seqtag import autodiff as ad
 from seqtag.autodiff import Tensor
 from seqtag.checkpoint import load_model, save_model
 from seqtag.cli import main
-from seqtag.corpus import Token, Vocabulary, parse_conll
+from seqtag.corpus import Vocabulary, parse_conll
 from seqtag.exceptions import ConfigError
 from seqtag.config import CharConfig, DropoutConfig, NetworkConfig, PrivateLayerSpec, TaskSpec
 from seqtag.network import (
@@ -481,7 +481,7 @@ def test_nonfinite_recurrent_weight_raises_numeric_error():
     config = tiny_config(shared_layers=[3], cell="lstm")
     model = Model(config, small_vocab(), np.random.default_rng(35))
     model.params["shared/1/fwd/U"].data[0, 0] = np.nan
-    sentence = (Token("a", {}), Token("b", {}))
+    sentence = ("a", "b")
     assert model.encode_sentence(sentence) == ([2, 3], [[], []])
     with pytest.raises(NumericError, match="rnn/lstm' in 'shared/1'"):
         model.sentence_loss("t", [2, 3], [[], []], [0, 1], training=False)
@@ -1005,7 +1005,7 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
     monkeypatch.setattr(
         network, "bidirectional_layer", lambda *a, **kw: layer_calls.append(1) or layer(*a, **kw)
     )
-    sentence = tuple(Token(w, {}) for w in "abc")
+    sentence = tuple("abc")
     assert model.encode_sentence(sentence) == (word_ids, char_idss)
     for task, layers in (("low", 1), ("top", 2)):
         layer_calls.clear()
@@ -1033,9 +1033,10 @@ def test_predict_runs_each_shared_layer_once_per_sentence(
     checkpoint = tmp_path / "model.ckpt"
     save_model(model, checkpoint)
     model = load_model(checkpoint)
-    unseen = tuple(Token(w, {}) for w in ("Zeta", "alpha", "qu!x", "the"))
+    unseen = ("Zeta", "alpha", "qu!x", "the")
     sentences = [*corpus.sentences, unseen]
-    blocks = [[f"{tok.surface}\t{tok.labels.get('tag', '_')}" for tok in s] for s in sentences]
+    tags = [*corpus.labels["tag"], ("_",) * len(unseen)]
+    blocks = [[f"{w}\t{t}" for w, t in zip(s, labels)] for s, labels in zip(sentences, tags)]
     data = tmp_path / "in.conll"
     data.write_text("\n\n".join("\n".join(b) for b in blocks) + "\n", encoding="utf-8")
 

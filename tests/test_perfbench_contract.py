@@ -60,7 +60,7 @@ def test_predict_records_one_latency_sample_per_sentence_and_task(tmp_path):
     save_model(model, checkpoint)
     sentences = corpus.sentences[:3]
     data = tmp_path / "in.conll"
-    data.write_text("\n\n".join("\n".join(t.surface for t in s) for s in sentences) + "\n")
+    data.write_text("\n\n".join("\n".join(s) for s in sentences) + "\n")
     probe, patches = workloads.Probe(), Patches()
     try:
         probe.install(patches)

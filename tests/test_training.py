@@ -12,7 +12,7 @@ from seqtag import autodiff as ad
 from seqtag import files
 from seqtag.checkpoint import MAGIC, VERSION, CheckpointError, load_model, save_model
 from seqtag.cli import main
-from seqtag.corpus import Corpus, Token
+from seqtag.corpus import Corpus
 from seqtag.exceptions import ConfigError
 from seqtag import network
 from seqtag.config import (
@@ -545,10 +545,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, bio_corpus):
     rng = np.random.default_rng(1)
     for _ in range(100):
         n = int(rng.integers(1, 7))
-        sentence = tuple(
-            Token(surface=["alpha", "the", "beta", "on"][rng.integers(0, 4)], labels={})
-            for _ in range(n)
-        )
+        sentence = tuple(["alpha", "the", "beta", "on"][rng.integers(0, 4)] for _ in range(n))
         assert model.predict_labels("tag", sentence) == loaded.predict_labels("tag", sentence)
 
 
@@ -750,8 +747,7 @@ def test_checkpoint_truncations_and_bit_flips_are_rejected(tmp_path, capsys):
     one line on a case of each message. The CRC leaves no flip that
     loads, not even one in a word or char key of the vocabulary, which
     only renames an entry."""
-    sentence = (Token("the", {"tag": "O"}), Token("Fox", {"tag": "B-X"}))
-    corpus = Corpus(sentences=(sentence,), tasks=("tag",))
+    corpus = Corpus(sentences=(("the", "Fox"),), labels={"tag": (("O", "B-X"),)})
     vocab = vocab_for([corpus], {"tag": [corpus]})
     config = NetworkConfig(
         cell="simple",
@@ -814,7 +810,7 @@ def test_version_1_checkpoint_loads_bit_identically():
     assert tensor_digest(V1_CHECKPOINT) == (
         "00909d3b4e7de6759d2c8fe3f76b13fe0c5db60a19dc11f759b2f07a4ff282cd"
     )
-    sentences = [tuple(Token(w, {}) for w in line.split()) for line in V1_SENTENCES]
+    sentences = [tuple(line.split()) for line in V1_SENTENCES]
     logits = hashlib.sha256()
     for task in ("tag", "seg"):
         for sentence in sentences:

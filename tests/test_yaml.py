@@ -32,9 +32,33 @@ def test_the_libyaml_loader_is_used_when_pyyaml_has_it():
 
 
 def parse_alike(text: str) -> None:
-    """Both loaders give the same value; ``repr`` compares key order and
-    types too, and equates the NaNs the config fuzz writes."""
-    assert repr(yaml.load(text, Loader=LOADER)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    """Both loaders, and the config loader built on the chosen one, give
+    the same value; ``repr`` compares key order and types too, and
+    equates the NaNs the config fuzz writes."""
+    expected = repr(yaml.load(text, Loader=yaml.SafeLoader))
+    assert repr(yaml.load(text, Loader=LOADER)) == expected
+    assert repr(config_module._parse_yaml(text, "config")) == expected
+
+
+@pytest.mark.parametrize("base", [yaml.SafeLoader, LOADER], ids=["python", "chosen"])
+def test_both_loaders_reject_a_key_given_twice_in_one_mapping(base):
+    """Each loader class, with the config loader's duplicate-key check,
+    rejects a repeated key at the repeat, in block and flow mappings and
+    at any depth, and still lets a key override one merged in."""
+    loader = type("Loader", (config_module._UniqueKeys, base), {})
+    for text, line, column, key in [
+        ("a: 1\nb: 2\na: 3\n", 3, 1, "a"),
+        ("training: {epochs: 2, epochs: 50}\n", 1, 23, "epochs"),
+        ("tasks:\n- name: x\n  head: crf\n  name: y\n", 4, 3, "name"),
+    ]:
+        with pytest.raises(yaml.constructor.ConstructorError) as caught:
+            yaml.load(text, Loader=loader)
+        mark = caught.value.problem_mark
+        assert (mark.line + 1, mark.column + 1) == (line, column)
+        assert caught.value.problem == f"found duplicate key {key!r}"
+    merged = "base: &b {x: 1, y: 2}\nrun: {<<: *b, x: 3}\n"
+    assert yaml.load(merged, Loader=loader) == yaml.load(merged, Loader=base)
+    assert yaml.load(merged, Loader=loader)["run"] == {"x": 3, "y": 2}
 
 
 def test_loaders_agree_on_every_config_the_config_tests_write(rich_config, workspace):
