@@ -185,6 +185,15 @@ class TrialRecord:
         return sum(self.seed_scores) / len(self.seed_scores)
 
 
+# free text in a report cell, kept to one line and one column: a backslash,
+# tab, newline or carriage return becomes \\, \t, \n or \r
+_CELL_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def _tsv_cell(text: str) -> str:
+    return text.translate(_CELL_ESCAPES)
+
+
 @dataclass
 class SearchReport:
     trials: list[TrialRecord]
@@ -201,13 +210,13 @@ class SearchReport:
         lines = ["trial\tstatus\tmean\tseed_scores\tassignment\tseed_std"]
         for trial in self.trials:
             if trial.error is not None:
-                status, mean, scores, spread = "failed", "-", trial.error, "-"
+                status, mean, scores, spread = "failed", "-", _tsv_cell(trial.error), "-"
             else:
                 status = "ok"
                 mean = f"{trial.mean:.6f}"
                 scores = ",".join(f"{s:.6f}" for s in trial.seed_scores)
                 spread = f"{statistics.pstdev(trial.seed_scores):.6f}"
-            assignment = ",".join(f"{k}={v}" for k, v in trial.assignment.items())
+            assignment = _tsv_cell(",".join(f"{k}={v}" for k, v in trial.assignment.items()))
             lines.append(f"{trial.index}\t{status}\t{mean}\t{scores}\t{assignment}\t{spread}")
         if self.winner is not None:
             lines.append(f"winner\t{self.winner}")

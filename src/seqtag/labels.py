@@ -275,28 +275,16 @@ class ComponentSpan:
     distance: int | None = None
     target: int | None = None
 
-    @property
-    def token_range(self) -> range:
-        return range(self.start, self.end + 1)
-
     def __len__(self) -> int:
         return self.end - self.start + 1
 
 
 def components_from_labels(seq: Sequence[AMLabel]) -> list[ComponentSpan]:
     """Extract component spans from a valid, homogeneous label sequence."""
-    if validate_bio(_bio_of(seq)):
+    runs = _component_runs(seq)
+    if any(seq[start].b == "I" for start, _ in runs):
         raise AmStructureError("invalid BIO structure; run am_postprocess first")
-
-    return [_close_span(seq, start, end) for start, end in _component_runs(seq)]
-
-
-_B_ELEMENTS = {"O": BioLabel("O"), "B": BioLabel("B", "Arg"), "I": BioLabel("I", "Arg")}
-
-
-def _bio_of(seq: Sequence[AMLabel]) -> list[BioLabel]:
-    """The b-elements as BIO labels of one class."""
-    return [_B_ELEMENTS[label.b] for label in seq]
+    return [_close_span(seq, start, end) for start, end in runs]
 
 
 def _close_span(seq: Sequence[AMLabel], start: int, end: int) -> ComponentSpan:
@@ -343,32 +331,25 @@ def abs_to_rel_links(components: Sequence[ComponentSpan]) -> list[ComponentSpan]
 def am_postprocess(seq: Sequence[AMLabel]) -> list[AMLabel]:
     """Make a raw predicted label sequence structurally valid.
 
-    Three repair steps: 1) fix the BIO structure on the b-element with
-    the to-begin variant; 2) replace each component's type, distance,
-    and stance with the per-field majority over its tokens; 3) clamp
-    links whose absolute target leaves [1, #components] to the nearest
-    permissible component, stepping off to the nearest other component
-    (preferring the preceding one) when the clamp would self-target.
-    The operation is total and idempotent.
+    Three repair steps: 1) find the components on the b-element, where
+    an I- that opens one counts as its B- (the to-begin repair); 2)
+    replace each component's type, distance, and stance with the
+    per-field majority over its tokens; 3) clamp links whose absolute
+    target leaves [1, #components] to the nearest permissible component,
+    stepping off to the nearest other component (preferring the
+    preceding one) when the clamp would self-target. The operation is
+    total and idempotent.
     """
-    if not seq:
-        return []
-
-    # step 1: prefix-only BIO repair; heterogeneity is step 2's job
-    fixed = correct_bio(_bio_of(seq), TO_BEGIN)
-    repaired = [
-        label if label.b == bio.prefix else replace(label, b=bio.prefix)
-        for label, bio in zip(seq, fixed)
-    ]
+    # step 1: the component bounds; heterogeneity is step 2's job
+    runs = _component_runs(seq)
 
     # step 2: per-field majority within each component
-    runs = _component_runs(repaired)
-    resolved = [_majority_fields(repaired[start : end + 1]) for start, end in runs]
+    resolved = [_majority_fields(seq[start : end + 1]) for start, end in runs]
 
     # step 3: clamp link targets, then give each component one B and one I
     # label, shared by its tokens (AMLabel is frozen)
     n = len(runs)
-    out = [_OUTSIDE] * len(repaired)
+    out = [_OUTSIDE] * len(seq)
     for k, ((start, end), (t, d, s)) in enumerate(zip(runs, resolved), start=1):
         if t == "P":
             target = k + d
@@ -387,17 +368,17 @@ def am_postprocess(seq: Sequence[AMLabel]) -> list[AMLabel]:
 
 
 def _component_runs(seq: Sequence[AMLabel]) -> list[tuple[int, int]]:
+    """The inclusive (start, end) bounds of each component. A B- opens
+    one, and so does an I- at the start or right after an O, as the
+    to-begin repair of the b-element would make it."""
     runs = []
     start = None
     for i, label in enumerate(seq):
-        if label.b == "B":
-            if start is not None:
-                runs.append((start, i - 1))
-            start = i
-        elif label.b == "O":
-            if start is not None:
-                runs.append((start, i - 1))
+        if start is not None and label.b != "I":
+            runs.append((start, i - 1))
             start = None
+        if start is None and label.b != "O":
+            start = i
     if start is not None:
         runs.append((start, len(seq) - 1))
     return runs

@@ -106,18 +106,16 @@ def token_prf(
 # -- argumentation metrics -----------------------------------------------------------
 
 LEVEL_APPROX = "approx"  # >= half of the gold tokens shared
-LEVEL_EXACT = "exact"  # identical token sets
+LEVEL_EXACT = "exact"  # identical bounds
 
 
 def am_match(gold: ComponentSpan, pred: ComponentSpan, level: str) -> bool:
     """Span-level match; label equality is the caller's concern."""
-    gold_tokens = set(gold.token_range)
-    pred_tokens = set(pred.token_range)
     if level == LEVEL_EXACT:
-        return gold_tokens == pred_tokens
+        return gold.start == pred.start and gold.end == pred.end
     if level == LEVEL_APPROX:
-        shared = len(gold_tokens & pred_tokens)
-        return 2 * shared >= len(gold_tokens)
+        shared = min(gold.end, pred.end) - max(gold.start, pred.start) + 1  # < 0 when apart
+        return 2 * shared >= len(gold)
     raise MetricError(f"unknown match level {level!r}")
 
 
@@ -126,19 +124,9 @@ def _document_components(labels: Sequence[str]) -> list[ComponentSpan]:
     return rel_to_abs_links(components_from_labels(seq))
 
 
-@dataclass
-class _Relation:
-    source: ComponentSpan
-    target: ComponentSpan
-    stance: str
-
-
-def _relations(components: Sequence[ComponentSpan]) -> list[_Relation]:
-    return [
-        _Relation(source=c, target=components[c.target - 1], stance=c.stance)
-        for c in components
-        if c.target is not None
-    ]
+def _relations(components: Sequence[ComponentSpan]) -> list[tuple[ComponentSpan, ComponentSpan]]:
+    """A (source, target) pair for each component with an outgoing link."""
+    return [(c, components[c.target - 1]) for c in components if c.target is not None]
 
 
 def am_f1(
@@ -159,13 +147,11 @@ def am_f1(
     def component_match(g: ComponentSpan, p: ComponentSpan) -> bool:
         return p.ctype == g.ctype and am_match(g, p, level)
 
-    def relation_match(g: _Relation, p: _Relation) -> bool:
+    def relation_match(g: tuple, p: tuple) -> bool:
         return (
-            p.source.ctype == g.source.ctype
-            and p.stance == g.stance
-            and p.target.ctype == g.target.ctype
-            and am_match(g.source, p.source, level)
-            and am_match(g.target, p.target, level)
+            p[0].stance == g[0].stance
+            and component_match(g[0], p[0])
+            and component_match(g[1], p[1])
         )
 
     counts = MatchCounts()

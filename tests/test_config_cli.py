@@ -1072,6 +1072,60 @@ def test_cli_usage_error_exits_1():
     assert main(["predict", "--model"]) == 1
 
 
+# (argv, exit code, the message after "error: "); {tmp} is the workspace,
+# {config} its run config and {model} a checkpoint trained from it
+ONE_LINE_ERRORS = [
+    (["train", "nope.yaml"], 1, "config file not found: nope.yaml"),
+    (["train", "{tmp}/list.yaml"], 1, "{tmp}/list.yaml: top level must be a mapping"),
+    (["train", "{config}", "--set", "training.epochs"], 1,
+     "override 'training.epochs' is not of the form path=value"),
+    (["train", "{config}", "--set", "training.nope=3"], 1,
+     "override path 'training.nope' does not exist in the config"),
+    (["train", "{config}", "--set", "architecture.shared_layers=3"], 1,
+     "override path 'architecture.shared_layers' is not a scalar leaf"),
+    (["evaluate", "--model", "{tmp}/any.ckpt"], 1, "--model needs --input with gold labels"),
+    (["evaluate"], 1, "evaluate needs either --model or --predictions"),
+    (["evaluate", "--model", "{model}", "--input", "{tmp}/test.conll",
+      "--overlap-profile", "{tmp}/profile.csv"], 1, "--overlap-profile needs --predictions input"),
+    (["derive-subtasks", "--input", "{tmp}/am.conll", "--kinds", "ACS,xyz"], 1,
+     "unknown subtask kind 'XYZ' (known: ['ACS', 'ACI', 'ARS', 'ARI'])"),
+    (["train", "{tmp}/no_files.yaml"], 1, "no input files configured"),
+    (["train", "{tmp}/seg.yaml"], 1, "task 'seg' has no input files"),
+    (["predict", "--model", "nope.ckpt", "--input", "{tmp}/test.conll"], 2,
+     "checkpoint not found: nope.ckpt"),
+    (["train", "{tmp}/embedded.yaml"], 2, "{tmp}/vectors.txt, line 2: no vector components"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    ONE_LINE_ERRORS,
+    ids=[m.replace("{tmp}/", "").split(":")[0] for _, _, m in ONE_LINE_ERRORS],
+)
+def test_cli_error_exits_with_its_code_and_one_line(
+    workspace, capsys, monkeypatch, argv, code, message
+):
+    tmp_path, config_path, config = workspace
+    monkeypatch.chdir(tmp_path)  # the relative nope.* paths do not exist there
+    (tmp_path / "list.yaml").write_text("- train\n- predict\n", encoding="utf-8")
+    (tmp_path / "am.conll").write_text(am_fixture_text(), encoding="utf-8")
+    (tmp_path / "vectors.txt").write_text("the 0.1 0.2\nfox\n", encoding="utf-8")
+    variants = {
+        "no_files.yaml": {**config, "tasks": [{"name": "tag"}]},
+        "seg.yaml": {**config, "tasks": [*config["tasks"], {"name": "seg"}]},
+        "embedded.yaml": {**config, "embeddings": {"files": [str(tmp_path / "vectors.txt")]}},
+    }
+    for name, variant in variants.items():
+        (tmp_path / name).write_text(yaml.safe_dump(variant, sort_keys=False), encoding="utf-8")
+    model = tmp_path / "out" / "model.ckpt"
+    if "{model}" in argv:
+        assert main(["train", str(config_path), "--quiet"]) == 0
+    fill = {"tmp": tmp_path, "config": config_path, "model": model}
+    capsys.readouterr()
+    assert main([arg.format(**fill) for arg in argv]) == code
+    assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+
+
 def am_fixture_text():
     rows = [
         ("Since", "O"),
@@ -1358,6 +1412,35 @@ def test_search_trial_with_missing_corpus_fails_alone(search_setup):
     # failed trial tries its own
     assert len([d for d in builds if hasattr(d, "snapshot")]) == 1
     assert len(builds) == 1 + len(failed)
+
+
+def test_search_report_escapes_tabs_and_newlines_in_its_cells(search_setup):
+    """A failed trial's error and its assignment name a path holding a tab
+    and a newline; report.tsv still parses back into one line per trial
+    with six fields, and each escaped cell decodes to the raw text."""
+    tmp_path, config, _, run = search_setup
+    missing = str(tmp_path / "no\tsuch\nfile\\x.conll")
+    config["tasks"][0]["train"] = "${corpus}"
+    config["search"]["trials"] = 4
+    config["search"]["variables"]["corpus"] = {
+        "kind": "list", "values": [config["tasks"][0]["dev"], missing]
+    }
+    out_dir, _ = run()
+    lines = (out_dir / "report.tsv").read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == "" and lines[5].startswith("winner\t")
+    rows = [line.split("\t") for line in lines[:5]]
+    assert [len(r) for r in rows] == [6] * 5
+    assert [r[0] for r in rows] == ["trial", "0", "1", "2", "3"]
+
+    def unescape(cell):
+        return re.sub(r"\\(.)", lambda m: {"t": "\t", "n": "\n", "r": "\r"}.get(m[1], m[1]), cell)
+
+    failed = [r for r in rows[1:] if r[1] == "failed"]
+    assert failed
+    for trial, _, _, error, assignment, _ in failed:
+        assert unescape(assignment).endswith(f",corpus={missing}")
+        raw = (out_dir / f"trial_{int(trial):03d}" / "FAILED").read_text(encoding="utf-8")
+        assert missing in raw and unescape(error) + "\n" == raw
 
 
 def test_search_run_equals_run_with_its_own_data(search_setup, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,45 @@ def test_postprocess_totality_and_idempotence_fuzz():
         fixed = am_postprocess(seq)
         assert_valid_am_structure(fixed)
         assert am_postprocess(fixed) == fixed
+
+
+ONE_CLASS = {"O": BioLabel("O"), "B": BioLabel("B", "Arg"), "I": BioLabel("I", "Arg")}
+
+
+def bio_runs(seq):
+    """Oracle: the (start, end) bounds of each B-I run of valid BIO labels."""
+    runs = []
+    for i, label in enumerate(seq):
+        if label.prefix == "B":
+            runs.append([i, i])
+        elif label.prefix == "I":
+            runs[-1][1] = i
+    return [tuple(run) for run in runs]
+
+
+def test_component_bounds_follow_the_to_begin_repair_of_the_b_elements():
+    """Against plain BIO on the b-elements, as one class: extraction fails
+    exactly where ``validate_bio`` flags a position, and post-processing
+    keeps the runs that ``correct_bio(..., TO_BEGIN)`` makes."""
+    rng = np.random.default_rng(29)
+    flagged = 0
+    for _ in range(2000):
+        seq = [random_am_label(rng) for _ in range(rng.integers(0, 15))]
+        bio = [ONE_CLASS[label.b] for label in seq]
+        # every component token takes the first one's fields, so only the
+        # BIO structure can make extraction fail
+        head = next((label for label in seq if label.b != "O"), None)
+        uniform = [label if label.b == "O" else replace(head, b=label.b) for label in seq]
+        if validate_bio(bio):
+            flagged += 1
+            with pytest.raises(AmStructureError, match="invalid BIO structure"):
+                components_from_labels(uniform)
+        else:
+            spans = [(c.start, c.end) for c in components_from_labels(uniform)]
+            assert spans == bio_runs(bio)
+        # the repaired b-elements, and with them every component's bounds
+        assert [ONE_CLASS[label.b] for label in am_postprocess(seq)] == correct_bio(bio, TO_BEGIN)
+    assert 0 < flagged < 2000
 
 
 # -- alignment symbols ----------------------------------------------------------------

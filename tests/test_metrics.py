@@ -144,6 +144,24 @@ def test_two_of_five_tokens_no_match():
     assert not am_match(gold, pred, LEVEL_EXACT)
 
 
+@pytest.mark.parametrize(
+    "gold, pred, approx",
+    [
+        (span(0, 3), span(6, 9), False),  # disjoint
+        (span(6, 9), span(0, 3), False),  # disjoint, prediction first
+        (span(0, 3), span(4, 7), False),  # adjacent
+        (span(4, 7), span(0, 3), False),  # adjacent, prediction first
+        (span(0, 3), span(2, 9), True),  # 2 of 4 gold tokens: 2 * shared == len(gold)
+        (span(2, 5), span(0, 3), True),  # 2 of 4, from the other side
+        (span(0, 0), span(0, 5), True),  # a one-token gold inside a longer prediction
+        (span(2, 5), span(2, 6), True),  # same start, one token longer
+    ],
+)
+def test_span_match_at_the_edges_of_overlap(gold, pred, approx):
+    assert am_match(gold, pred, LEVEL_APPROX) == approx
+    assert not am_match(gold, pred, LEVEL_EXACT)
+
+
 # ---------------------------------------------------------------------------
 # AM F1 on the essay fixture
 # ---------------------------------------------------------------------------
