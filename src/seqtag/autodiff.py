@@ -18,6 +18,9 @@ Conventions:
   * ``recorded`` is the one recording rule (grad enabled and a parent
     requiring grad); a node no tape records keeps no backward closure,
     so its op may skip keeping what only a backward pass would read;
+  * one body per op kind: ``_elementwise`` for the activations and
+    ``_broadcasting`` for ``add``/``mul``; ``getitem`` has one scatter
+    rule, ``np.add.at`` for every key, so repeated indices add one by one;
   * parameters are leaf tensors created with ``parameter()``; their
     ``grad`` persists across graphs and must be reset by the caller;
     ``backward()`` keeps only the leaves' adjoints and frees each
@@ -216,36 +219,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic --------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _broadcasting(a, b, forward: Callable, adjoint: Callable, op: str) -> Tensor:
+    # `adjoint(g, other)` is an operand's adjoint before unbroadcasting,
+    # given the other operand's values.
     a, b = as_tensor(a), as_tensor(b)
     try:
-        data = a.data + b.data
+        data = forward(a.data, b.data)
     except ValueError as err:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from err
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from err
 
     def backward(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
+            a._accum(_unbroadcast(adjoint(g, b.data), a.data.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+            b._accum(_unbroadcast(adjoint(g, a.data), b.data.shape))
 
-    return make_node(data, (a, b), backward, "add")
+    return make_node(data, (a, b), backward, op)
+
+
+def add(a, b) -> Tensor:
+    return _broadcasting(a, b, np.add, lambda g, other: g, "add")
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as err:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from err
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    return make_node(data, (a, b), backward, "mul")
+    return _broadcasting(a, b, np.multiply, lambda g, other: g * other, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -268,38 +265,30 @@ def matmul(a, b) -> Tensor:
 # -- elementwise nonlinearities ----------------------------------------------
 
 
-def sigmoid(a) -> Tensor:
+def _elementwise(a, forward: Callable, adjoint: Callable, op: str) -> Tensor:
+    # `adjoint(g, x, y)` is the input's adjoint, given the input x and output y.
     a = as_tensor(a)
-    # tanh-based form saturates instead of overflowing exp()
-    data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    data = forward(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * data * (1.0 - data))
+        a._accum(adjoint(g, a.data, data))
 
-    return make_node(data, (a,), backward, "sigmoid")
+    return make_node(data, (a,), backward, op)
+
+
+def sigmoid(a) -> Tensor:
+    # tanh-based form saturates instead of overflowing exp()
+    return _elementwise(
+        a, lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)), lambda g, x, y: g * y * (1.0 - y), "sigmoid"
+    )
 
 
 def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - data * data))
-
-    return make_node(data, (a,), backward, "tanh")
+    return _elementwise(a, np.tanh, lambda g, x, y: g * (1.0 - y * y), "tanh")
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * (a.data > 0.0))
-
-    return make_node(data, (a,), backward, "relu")
+    return _elementwise(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0), "relu")
 
 
 # -- structural ops -----------------------------------------------------------
@@ -313,32 +302,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    if isinstance(key, tuple):
-        key = tuple(np.asarray(k) if isinstance(k, (list, np.ndarray)) else k for k in key)
-    elif isinstance(key, (list, np.ndarray)):
-        key = np.asarray(key)
-    data = a.data[key]
-    advanced = _has_index_arrays(key)
-
     def backward(g):
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        if advanced:
-            np.add.at(a.grad, key, g)
-        else:
-            a.grad[key] += g
+        np.add.at(a.grad, key, g)  # repeated indices add up, one by one
 
-    return make_node(np.array(data, dtype=np.float64), (a,), backward, "getitem")
-
-
-def _has_index_arrays(key) -> bool:
-    if isinstance(key, np.ndarray):
-        return True
-    if isinstance(key, tuple):
-        return any(isinstance(k, np.ndarray) for k in key)
-    return False
+    return make_node(np.array(a.data[key], dtype=np.float64), (a,), backward, "getitem")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -143,6 +143,8 @@ def am_f1(
     """
     if target not in ("component", "relation"):
         raise MetricError(f"unknown AM metric target {target!r}")
+    if level not in (LEVEL_EXACT, LEVEL_APPROX):
+        raise MetricError(f"unknown match level {level!r}")
 
     def component_match(g: ComponentSpan, p: ComponentSpan) -> bool:
         return p.ctype == g.ctype and am_match(g, p, level)

@@ -190,6 +190,14 @@ def test_getitem_basic_and_advanced_gradients():
 
     assert check_gradients(build_advanced, [w]) <= 1e-6
 
+    keys = [
+        [2, 0, 2, 2],  # a list with repeats
+        (slice(1, 3), np.array([3, 0, 3])),  # a slice and a repeated index array
+        w.data > 0.4,  # a boolean mask
+    ]
+    for key in keys:
+        assert check_gradients(lambda: tsum(ad.tanh(w[key])), [w]) <= 1e-6
+
 
 def test_gather_repeated_rows_accumulate():
     w = ad.parameter(np.ones((3, 2)))
@@ -225,6 +233,26 @@ def test_broadcast_add_gradient():
     w = ad.parameter(np.random.default_rng(9).normal(size=(1, 4)))
     x = ad.Tensor(np.random.default_rng(10).normal(size=(3, 4)))
     assert check_gradients(lambda: tsum(ad.tanh(x + w)), [w]) <= 1e-6
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_broadcast_of_a_lower_rank_operand_sums_over_the_broadcast_axis(op):
+    rng = np.random.default_rng(14)
+    matrix = ad.parameter(rng.normal(size=(3, 2)))
+    row = ad.parameter(rng.normal(size=(2,)))
+    for a, b in ((matrix, row), (row, matrix)):
+        assert check_gradients(lambda: tsum(ad.tanh(op(a, b))), [matrix, row]) <= 1e-6
+    assert row.grad.shape == (2,)
+
+
+def test_backward_overflow_raises_at_the_first_non_finite_adjoint():
+    # every forward value is finite (zero), but the parameter's adjoint is 1e400
+    w = ad.parameter(np.zeros(2))
+    loss = tsum(w * 1e200 * 1e200)
+    assert float(loss.data) == 0.0
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=r"^non-finite adjoint at op 'param'$"):
+            loss.backward()
 
 
 def test_mean_gradient():

@@ -14,6 +14,7 @@ from seqtag.cli import main
 from seqtag.config import NetworkConfig, TaskSpec, apply_overrides, build_run_config, load_yaml
 from seqtag.corpus import corpus_to_conll, parse_conll, parse_conll_file
 from seqtag.exceptions import ConfigError
+from seqtag.files import write_cache
 from seqtag.hyperopt import split_search_section
 from seqtag.network import Model
 
@@ -303,6 +304,16 @@ def test_cli_train_predict_evaluate_roundtrip(workspace, capsys):
         ["evaluate", "--predictions", str(pred_path), "--label-column", "1",
          "--pred-column", "2", "--metrics", "accuracy"]
     ) == 0
+
+
+def test_cli_train_without_quiet_prints_the_log_lines_then_the_checkpoint(workspace, capsys):
+    tmp_path, config_path, _ = workspace
+    capsys.readouterr()
+    assert main(["train", str(config_path)]) == 0
+    out_dir = tmp_path / "out"
+    log_text = (out_dir / "train.log").read_text(encoding="utf-8")
+    assert len(log_text.splitlines()) == 2  # one per epoch
+    assert capsys.readouterr().out == f"{log_text}checkpoint\t{out_dir / 'model.ckpt'}\n"
 
 
 def test_cli_rerun_same_seed_is_deterministic(workspace, capsys):
@@ -1094,6 +1105,17 @@ ONE_LINE_ERRORS = [
     (["predict", "--model", "nope.ckpt", "--input", "{tmp}/test.conll"], 2,
      "checkpoint not found: nope.ckpt"),
     (["train", "{tmp}/embedded.yaml"], 2, "{tmp}/vectors.txt, line 2: no vector components"),
+    (["predict", "--model", "{model}", "--input", "missing.conll"], 2,
+     "input file not found: missing.conll"),
+    (["stats", "missing.conll"], 2, "input file not found: missing.conll"),
+    (["train", "{tmp}/no_vectors.yaml"], 2, "embedding file not found: {tmp}/missing.txt"),
+    (["evaluate", "--predictions", "{tmp}/empty.conll"], 2, "empty result list"),
+    (["derive-subtasks", "--input", "{tmp}/outside.conll"], 2,
+     "position 0: 'O:P:1:Supp': outside tokens must have no type, distance, or stance"),
+    (["predict", "--model", "{tmp}/list.ckpt", "--input", "{tmp}/test.conll"], 2,
+     "corrupt checkpoint manifest in {tmp}/list.ckpt: not a JSON object"),
+    (["predict", "--model", "{tmp}/short_v1.ckpt", "--input", "{tmp}/test.conll"], 2,
+     "checkpoint {tmp}/short_v1.ckpt has 761 values, not 762"),
 ]
 
 
@@ -1110,10 +1132,16 @@ def test_cli_error_exits_with_its_code_and_one_line(
     (tmp_path / "list.yaml").write_text("- train\n- predict\n", encoding="utf-8")
     (tmp_path / "am.conll").write_text(am_fixture_text(), encoding="utf-8")
     (tmp_path / "vectors.txt").write_text("the 0.1 0.2\nfox\n", encoding="utf-8")
+    (tmp_path / "empty.conll").write_text("", encoding="utf-8")
+    (tmp_path / "outside.conll").write_text("Since\tO:P:1:Supp\n", encoding="utf-8")
+    write_cache(tmp_path / "list.ckpt", b"SQTG", 2, [1, 2], np.zeros(3))  # its CRC is valid
+    v1 = (Path(__file__).parent / "data" / "checkpoint_v1.ckpt").read_bytes()
+    (tmp_path / "short_v1.ckpt").write_bytes(v1[:-8])  # version 1 has no CRC
     variants = {
         "no_files.yaml": {**config, "tasks": [{"name": "tag"}]},
         "seg.yaml": {**config, "tasks": [*config["tasks"], {"name": "seg"}]},
         "embedded.yaml": {**config, "embeddings": {"files": [str(tmp_path / "vectors.txt")]}},
+        "no_vectors.yaml": {**config, "embeddings": {"files": [str(tmp_path / "missing.txt")]}},
     }
     for name, variant in variants.items():
         (tmp_path / name).write_text(yaml.safe_dump(variant, sort_keys=False), encoding="utf-8")

@@ -216,6 +216,15 @@ def test_invalid_structure_directs_to_postprocess():
         am_f1(results, "component", LEVEL_APPROX)
 
 
+@pytest.mark.parametrize("target", ["component", "relation"])
+@pytest.mark.parametrize("predicted", ["B:C:⊥:For", "B:MC:⊥:⊥"])
+def test_am_f1_rejects_an_unknown_level_whatever_the_types(target, predicted):
+    # when the types differ, no span comparison ever reads the level
+    results = [SentenceResult(["B:C:⊥:For"], [predicted])]
+    with pytest.raises(MetricError, match=r"^unknown match level 'bogus'$"):
+        am_f1(results, target, "bogus")
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force matcher oracle
 # ---------------------------------------------------------------------------

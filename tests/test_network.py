@@ -21,7 +21,7 @@ from seqtag.network import (
     softmax_nll,
 )
 from seqtag import network
-from seqtag.exceptions import NumericError
+from seqtag.exceptions import NumericError, ShapeError
 
 from conftest import two_task_model
 from gradcheck import check_gradients, power, softmax, tsum
@@ -475,6 +475,17 @@ def test_fused_recurrent_op_gradients(kind):
             return tsum(ad.tanh(out))
 
         assert check_gradients(build, params) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["simple", "lstm", "gru"])
+def test_recurrent_rejects_an_input_width_other_than_its_cells(kind):
+    rng = np.random.default_rng(37)
+    cells = [random_cell(kind, 3, 2, rng), random_cell(kind, 4, 2, rng)]
+    x = Tensor(rng.normal(size=(2, 5, 3)))
+    with pytest.raises(ShapeError, match=r"^cell input dim 3 != weight dim 4$"):
+        recurrent(x, cells, [False, True])
+    with pytest.raises(ShapeError, match=r"^cell input dim 4 != weight dim 3$"):
+        recurrent(Tensor(rng.normal(size=(2, 5, 4))), cells[:1], [False])
 
 
 def test_nonfinite_recurrent_weight_raises_numeric_error():
