@@ -119,17 +119,19 @@ def cmd_predict(args) -> int:
 
     lines = read_text(in_path).splitlines()
     out_lines = [""] * len(lines)  # blank and whitespace-only lines come out empty
-    for first, block in conll_blocks(lines):
-        sentence = []
+    blocks = [(first, block, []) for first, block in conll_blocks(lines)]
+    for _, block, sentence in blocks:
         for line in block:
             cols = line.split()
             if len(cols) <= args.token_column:
                 raise DataError(f"line {line!r} has no column {args.token_column}")
             sentence.append(cols[args.token_column])
+    chars = model.char_rows(sentence for _, _, sentence in blocks)
+    for first, block, sentence in blocks:
         shared = []  # the sentence's mask, embedding and shared layers, for every task
         columns = [
             experiment.postprocess_labels(
-                model.predict_labels(task, sentence, shared), args.postprocess
+                model.predict_labels(task, sentence, shared, chars), args.postprocess
             )
             for task in tasks
         ]
@@ -150,11 +152,12 @@ def cmd_evaluate(args) -> int:
     if args.model:
         if not args.input:
             raise ConfigError("--model needs --input with gold labels")
+        if args.overlap_profile:
+            raise ConfigError("--overlap-profile needs --predictions input")
         model = ckpt.load_model(args.model)
         task = model.config.task(args.task).name if args.task else model.config.tasks[0].name
         corpus = parse_conll_file(args.input, args.token_column, {task: args.label_column})
         report = experiment.evaluate_model(model, corpus, task, evaluation)
-        results = None
     elif args.predictions:
         corpus = parse_conll_file(
             args.predictions,
@@ -165,16 +168,13 @@ def cmd_evaluate(args) -> int:
         results = [SentenceResult(list(gold), list(pred)) for gold, pred in zip(*columns)]
         results = experiment.postprocess_results(results, args.postprocess)
         report = experiment.metric_report(results, evaluation, labels=None)
+        if args.overlap_profile:  # written before any metric is printed: it may fail
+            _write_overlap_profile(results, args.overlap_profile)
     else:
         raise ConfigError("evaluate needs either --model or --predictions")
 
     for name in evaluation.metrics:
         print(f"{name}\t{report[name]:.6f}")
-
-    if args.overlap_profile:
-        if results is None:
-            raise ConfigError("--overlap-profile needs --predictions input")
-        _write_overlap_profile(results, args.overlap_profile)
     return 0
 
 
@@ -191,7 +191,7 @@ def _write_overlap_profile(results: list[SentenceResult], path: str) -> None:
 
 
 def cmd_stats(args) -> int:
-    print("file\tdocs\ttokens\tlabels\tentropy\tkurtosis")
+    rows = ["file\tdocs\ttokens\tlabels\tentropy\tkurtosis"]  # printed once every file is read
     for path in args.inputs:
         corpus = parse_conll_file(path, args.token_column, {"t": args.label_column})
         counts = corpus.label_counts("t")
@@ -201,10 +201,11 @@ def cmd_stats(args) -> int:
             kurt = f"{label_kurtosis(dist):.6f}"
         except StatsError as err:
             kurt = f"undefined ({err})"
-        print(
+        rows.append(
             f"{path}\t{len(corpus)}\t{corpus.token_count}\t{len(counts)}"
             f"\t{entropy:.6f}\t{kurt}"
         )
+    print("\n".join(rows))
     return 0
 
 

@@ -18,8 +18,9 @@ BiLSTM is one node that runs all words of the batch, and the head reads
 the real tokens' rows; it steps the shared stack itself, into a store
 that the tasks of a batch may share. Training adds one loss node over
 those rows (``softmax_nll`` here, ``crf.crf_nll`` for a CRF head);
-evaluation runs each sentence as a batch of one
-(``Model.predict_labels``). Finite checks happen once per fused node,
+evaluation runs each sentence as a batch of one (``Model.predict_labels``)
+with its char BiLSTM rows read from one lookup per evaluation pass
+(``Model.char_rows``). Finite checks happen once per fused node,
 on its stacked gate pre-activations and on its output, and per adjoint
 in the backward pass; the remaining elementary ops check their own
 outputs. A recurrent node keeps its per-step activations only when the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from seqtag.exceptions import ConfigError, ShapeError
 
 # keyed by config.ACTIVATION_KINDS
 ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu, "identity": lambda t: t}
+CHAR_PASS_CHARS = 1024  # padded characters (words x longest) in a pass of Model.char_rows
 
 
 # -- recurrent cells --------------------------------------------------------------
@@ -752,13 +754,39 @@ class Model:
         """The loss of one sentence: a batch of one."""
         return self.batch_loss(task_name, [(word_ids, char_idss, gold)], training, rng)
 
-    def predict_labels(self, task_name: str, sentence: Sentence, shared=None) -> list[str]:
+    def char_rows(self, sentences: Iterable[Sentence]) -> dict[str, np.ndarray]:
+        """No-grad char BiLSTM rows of the distinct words, by surface ({}
+        without chars). Sorted by (length, surface), they run longest first
+        in passes of at most ``CHAR_PASS_CHARS`` padded characters."""
+        if not self.config.char.enabled:
+            return {}
+        words = sorted({w for sentence in sentences for w in sentence}, key=lambda w: (len(w), w))
+        rows, table, (fwd, bwd) = {}, self.params["embed/char"], self._char_cells
+        with ad.no_grad():
+            while words:
+                n = max(1, CHAR_PASS_CHARS // max(1, len(words[-1])))  # a longer word alone
+                chunk, words = words[-n:], words[:-n]
+                feats = char_features([self.vocab.char_ids(w) for w in chunk], table, fwd, bwd)
+                rows.update(zip(chunk, feats.data))
+        return rows
+
+    def predict_labels(
+        self, task_name: str, sentence: Sentence, shared=None, chars=None
+    ) -> list[str]:
         """Labels of one task for one sentence, a batch of one: Viterbi
         for a CRF head, else the best label per token. ``shared`` as in
-        :meth:`forward`; the sentence is encoded only while it is empty."""
-        batch = None if shared else [self.encode_sentence(sentence)]
+        :meth:`forward`; while it is empty the sentence is embedded with
+        the char rows in ``chars`` (:meth:`char_rows`, its own if None)."""
+        shared = [] if shared is None else shared
         with ad.no_grad():
-            logits = self.forward(task_name, batch, False, shared=shared).data
+            if not shared:
+                word_ids = [[self.vocab.lookup_word(surface) for surface in sentence]]
+                emb = embed_sentence(word_ids, self.params["embed/word"], 0.0, False)
+                if self.config.char.enabled:
+                    chars = self.char_rows([sentence]) if chars is None else chars
+                    emb = ad.concat([emb, np.array([[chars[w] for w in sentence]])], axis=-1)
+                shared += [None, emb]
+            logits = self.forward(task_name, None, False, shared=shared).data
         task = self._tasks[task_name]
         if task.spec.head == "crf":
             ids = crf.crf_viterbi(logits, task.transitions.data, task.begin.data, task.end.data)

@@ -101,8 +101,9 @@ def make_optimizer(config: OptimizerConfig):
 def predict_results(model: Model, task: str, corpus: Corpus) -> list[SentenceResult]:
     if task not in corpus.labels:
         raise DataError(f"the corpus has no gold labels of task {task!r}")
+    chars = model.char_rows(corpus.sentences)  # built per call: after the latest step
     return [
-        SentenceResult(list(gold), model.predict_labels(task, sentence))
+        SentenceResult(list(gold), model.predict_labels(task, sentence, chars=chars))
         for sentence, gold in zip(corpus.sentences, corpus.labels[task])
     ]
 

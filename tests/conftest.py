@@ -49,6 +49,17 @@ def synthetic_bio_corpus(n_sentences=50, seed=13, task="tag"):
     return Corpus(tuple(sentences), {task: tuple(labels)})
 
 
+def random_word_corpus(n_words=240, seed=11, tasks=("tag", "seg")):
+    """Sentences of six random words of 1-15 letters from the synthetic
+    corpus's alphabet, gold "O" for every task: too many distinct words
+    for one char BiLSTM pass (``network.CHAR_PASS_CHARS``)."""
+    rng = np.random.default_rng(seed)
+    letters = list("abdeghilmnopt")
+    words = ["".join(rng.choice(letters, int(n))) for n in rng.integers(1, 16, n_words)]
+    sentences = tuple(tuple(words[i : i + 6]) for i in range(0, n_words, 6))
+    return Corpus(sentences, {task: tuple(("O",) * len(s) for s in sentences) for task in tasks})
+
+
 def relabel(corpus, source_task, target_task, derive):
     """``corpus``'s sentences, labeled for ``target_task`` with ``derive``
     of each ``source_task`` label."""

@@ -1110,6 +1110,9 @@ ONE_LINE_ERRORS = [
     (["stats", "missing.conll"], 2, "input file not found: missing.conll"),
     (["train", "{tmp}/no_vectors.yaml"], 2, "embedding file not found: {tmp}/missing.txt"),
     (["evaluate", "--predictions", "{tmp}/empty.conll"], 2, "empty result list"),
+    (["evaluate", "--predictions", "{tmp}/bio.conll", "--pred-column", "1",
+      "--overlap-profile", "{tmp}/profile.csv"], 2,
+     "position 1: expected 4 colon-separated fields or 'O', got 'B-X'"),
     (["derive-subtasks", "--input", "{tmp}/outside.conll"], 2,
      "position 0: 'O:P:1:Supp': outside tokens must have no type, distance, or stance"),
     (["predict", "--model", "{tmp}/list.ckpt", "--input", "{tmp}/test.conll"], 2,
@@ -1133,6 +1136,7 @@ def test_cli_error_exits_with_its_code_and_one_line(
     (tmp_path / "am.conll").write_text(am_fixture_text(), encoding="utf-8")
     (tmp_path / "vectors.txt").write_text("the 0.1 0.2\nfox\n", encoding="utf-8")
     (tmp_path / "empty.conll").write_text("", encoding="utf-8")
+    (tmp_path / "bio.conll").write_text("a\tO\nb\tB-X\n", encoding="utf-8")
     (tmp_path / "outside.conll").write_text("Since\tO:P:1:Supp\n", encoding="utf-8")
     write_cache(tmp_path / "list.ckpt", b"SQTG", 2, [1, 2], np.zeros(3))  # its CRC is valid
     v1 = (Path(__file__).parent / "data" / "checkpoint_v1.ckpt").read_bytes()
@@ -1151,7 +1155,9 @@ def test_cli_error_exits_with_its_code_and_one_line(
     fill = {"tmp": tmp_path, "config": config_path, "model": model}
     capsys.readouterr()
     assert main([arg.format(**fill) for arg in argv]) == code
-    assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+    out, err = capsys.readouterr()
+    assert err == f"error: {message.format(**fill)}\n"
+    assert out == ""  # a failing command prints no result first
 
 
 def am_fixture_text():

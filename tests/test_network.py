@@ -1,5 +1,10 @@
 import contextlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from seqtag.network import (
 from seqtag import network
 from seqtag.exceptions import NumericError, ShapeError
 
-from conftest import two_task_model
+from conftest import random_word_corpus, two_task_model
 from gradcheck import check_gradients, power, softmax, tsum
 from reference_rnn import (
     bidirectional_reference,
@@ -1074,7 +1079,70 @@ def test_predict_runs_each_shared_layer_once_per_sentence(
         assert out.read_bytes() == (expected + "\n").encode("utf-8")
         top = max(model.config.task(t).termination_layer for t in names)
         assert calls["bidirectional_layer"] == top * len(sentences)
-        assert calls["char_features"] == (len(sentences) if char else 0)
+        # one char pass: the input's distinct words fit in one pass's padded characters
+        words = {w for s in sentences for w in s}
+        assert len(words) * max(map(len, words)) <= network.CHAR_PASS_CHARS
+        assert calls["char_features"] == (1 if char else 0)
+
+
+CHAR_PASSES = """
+import json
+from conftest import random_word_corpus, two_task_model
+from seqtag import network
+from seqtag.config import CharConfig
+
+model, _ = two_task_model(char=CharConfig(enabled=True, embedding_dim=4, hidden=3))
+sentences = [*random_word_corpus().sentences, ("a", "t" * 1100)]
+passes, char_features = [], network.char_features
+
+def spy(char_idss, *args):
+    passes.append((len(char_idss), max(map(len, char_idss))))
+    return char_features(char_idss, *args)
+
+network.char_features = spy
+print(json.dumps([passes, list(model.char_rows(sentences))]))
+"""
+
+
+def test_char_rows_run_capped_passes_in_one_order_whatever_the_hash_seed():
+    """Model.char_rows runs the distinct words sorted by (length,
+    surface), not in set order, longest first in passes of at most
+    CHAR_PASS_CHARS padded characters; a longer word runs alone."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", CHAR_PASSES],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    passes, order = runs[0]
+    assert len(set(order)) == len(order) == sum(rows for rows, _ in passes)
+    assert passes[0] == [1, 1100]
+    assert 3 <= len(passes) < len(order) // 10
+    assert all(rows * width <= network.CHAR_PASS_CHARS for rows, width in passes[1:])
+    widths = [width for _, width in passes]
+    assert widths == sorted(widths, reverse=True)
+
+
+def test_a_model_without_chars_builds_no_char_rows(monkeypatch):
+    model, corpus = two_task_model()
+    monkeypatch.setattr(network, "char_features", None)  # never called
+
+    def unread():
+        raise AssertionError("the sentences were read")
+        yield
+
+    assert model.char_rows(unread()) == {}
+    sentence = corpus.sentences[0]
+    assert len(model.predict_labels("tag", sentence, chars={})) == len(sentence)
 
 
 def test_shared_store_is_reused_and_extended_in_place():

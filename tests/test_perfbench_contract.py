@@ -17,9 +17,10 @@ from perfbench import layers, workloads  # noqa: E402
 from perfbench.trace import Patches, Tracer  # noqa: E402
 
 from seqtag import autodiff as ad  # noqa: E402
-from seqtag import crf, experiment  # noqa: E402
+from seqtag import crf, experiment, training  # noqa: E402
 from seqtag.checkpoint import save_model  # noqa: E402
 from seqtag.cli import main  # noqa: E402
+from seqtag.config import CharConfig  # noqa: E402
 from seqtag.corpus import parse_conll  # noqa: E402
 from seqtag.embeddings import EmbeddingSet  # noqa: E402
 
@@ -70,6 +71,20 @@ def test_predict_records_one_latency_sample_per_sentence_and_task(tmp_path):
         patches.restore()
     assert len(probe.predictions) == len(sentences) * len(model.config.tasks)
     assert len(probe.loads) == 1
+
+
+def test_dev_score_with_chars_records_one_latency_sample_per_dev_sentence():
+    """On the train workloads the sentence_ms_* samples are dev_score's
+    Model.predict_labels calls: with the char BiLSTM on, still one per
+    dev sentence, though the char rows are built once per call."""
+    model, corpus = two_task_model(char=CharConfig(enabled=True, embedding_dim=4, hidden=3))
+    probe, patches = workloads.Probe(), Patches()
+    try:
+        probe.install(patches)
+        training.dev_score(model, "tag", corpus, "accuracy")
+    finally:
+        patches.restore()
+    assert len(probe.predictions) == len(corpus.sentences)
 
 
 def test_the_benchmark_suite_passes():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
+from seqtag import crf, experiment, training
 from seqtag import files
 from seqtag.checkpoint import MAGIC, VERSION, CheckpointError, load_model, save_model
 from seqtag.cli import main
@@ -19,6 +20,7 @@ from seqtag.config import (
     CharConfig,
     DropoutConfig,
     EarlyStoppingConfig,
+    EvalConfig,
     NetworkConfig,
     OptimizerConfig,
     PrivateLayerSpec,
@@ -40,6 +42,7 @@ from seqtag.training import (
 from conftest import (
     DiskFullFile,
     derive_acs_corpus,
+    random_word_corpus,
     reframe_checkpoint,
     small_model,
     synthetic_bio_corpus,
@@ -850,3 +853,79 @@ def test_dev_score_uses_requested_metric(bio_corpus):
     f1 = dev_score(model, "tag", bio_corpus, "f1")
     assert 0.0 <= acc <= 1.0
     assert 0.0 <= f1 <= 1.0
+
+
+def per_sentence_labels(model, task, corpus):
+    """One untaped batch-of-one ``forward`` per sentence, which runs the
+    sentence's own char BiLSTM batch, decoded as ``predict_labels`` does."""
+    head = model._tasks[task]
+    labels = []
+    with ad.no_grad():
+        for sentence in corpus.sentences:
+            logits = model.forward(task, [model.encode_sentence(sentence)], training=False).data
+            if head.spec.head == "crf":
+                trans, begin, end = head.transitions.data, head.begin.data, head.end.data
+                ids = crf.crf_viterbi(logits, trans, begin, end)
+            else:
+                ids = np.argmax(logits, axis=1).tolist()
+            labels.append([head.spec.labels[i] for i in ids])
+    return labels
+
+
+def scored_labels(monkeypatch, score):
+    """The predicted labels that ``score()`` hands to its metrics, and
+    the number of char BiLSTM passes it ran."""
+    seen, passes = [], []
+    token_prf, metric_report, char_features = (
+        training.token_prf, experiment.metric_report, network.char_features
+    )
+
+    def keep(metric):
+        def spy(results, *args, **kwargs):
+            seen.append([r.predicted for r in results])
+            return metric(results, *args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(training, "token_prf", keep(token_prf))
+    monkeypatch.setattr(experiment, "metric_report", keep(metric_report))
+    monkeypatch.setattr(
+        network, "char_features", lambda *args: passes.append(1) or char_features(*args)
+    )
+    score()
+    monkeypatch.undo()
+    (labels,) = seen
+    return labels, len(passes)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru", "simple"])
+def test_dev_scoring_with_chars_labels_as_one_forward_per_sentence(monkeypatch, cell):
+    """dev_score and evaluate_model read each word's char row from one
+    lookup built in capped passes; their labels are those of a separate
+    batch-of-one forward per sentence, for a CRF and a softmax task."""
+    model, _ = two_task_model(cell=cell, char=CharConfig(enabled=True, embedding_dim=8, hidden=8))
+    corpus = random_word_corpus()
+    for task in ("tag", "seg"):
+        expected = per_sentence_labels(model, task, corpus)
+        assert len({label for labels in expected for label in labels}) > 1
+        for score in (
+            lambda: dev_score(model, task, corpus, "accuracy"),
+            lambda: experiment.evaluate_model(model, corpus, task, EvalConfig()),
+        ):
+            labels, passes = scored_labels(monkeypatch, score)
+            assert labels == expected
+            assert passes >= 2
+
+
+def test_dev_score_rebuilds_the_char_rows_after_a_parameter_change(monkeypatch):
+    """No char row outlives its dev_score call: after an optimizer-like
+    change of the char table, the next call labels as a fresh
+    per-sentence pass does."""
+    model, _ = two_task_model(char=CharConfig(enabled=True, embedding_dim=4, hidden=3))
+    corpus = random_word_corpus(n_words=60)
+    before, _ = scored_labels(monkeypatch, lambda: dev_score(model, "seg", corpus, "accuracy"))
+    table = model.params["embed/char"]
+    table.data = np.random.default_rng(4).normal(size=table.data.shape)
+    after, _ = scored_labels(monkeypatch, lambda: dev_score(model, "seg", corpus, "accuracy"))
+    assert after == per_sentence_labels(model, "seg", corpus)
+    assert after != before
