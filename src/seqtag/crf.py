@@ -142,11 +142,11 @@ def crf_viterbi(
     Ties break toward the smallest label index at every backtrack step
     (np.argmax picks the first maximum), so decoding is deterministic.
     Each step's best score is ``scores.max``, the very element that
-    ``argmax`` picks.
+    ``argmax`` picks. No tokens have the empty path.
     """
     T, L = logits.shape
     if T < 1:
-        raise ShapeError("CRF needs at least one token")
+        return []
     delta = logits[0] + begin
     back = np.zeros((T, L), dtype=np.intp)
     for b, lg in zip(back[1:], logits[1:]):

@@ -11,20 +11,21 @@ Each bidirectional layer is one fused tape node (``recurrent``) whose
 directions step together in one loop, with the layer's RNN dropout
 masks applied inside; each direction reads a row from its own first or
 last real step, so padded steps come last and no real step reads one
-(none is masked). ``Model.forward`` is the one forward graph: a
-batch's sentences run each shared layer together as a padded (B, T, k)
-batch with a length mask (None when no row is padded), the character
-BiLSTM is one node that runs all words of the batch, and the head reads
-the real tokens' rows; it steps the shared stack itself, into a store
-that the tasks of a batch may share. Training adds one loss node over
-those rows (``softmax_nll`` here, ``crf.crf_nll`` for a CRF head);
-evaluation runs each sentence as a batch of one (``Model.predict_labels``)
-with its char BiLSTM rows read from one lookup per evaluation pass
-(``Model.char_rows``). Finite checks happen once per fused node,
-on its stacked gate pre-activations and on its output, and per adjoint
-in the backward pass; the remaining elementary ops check their own
-outputs. A recurrent node keeps its per-step activations only when the
-tape records it, for its backward pass.
+(none is masked). ``Model.forward`` is the one forward graph, for
+training and evaluation: it looks up a batch's sentences of surfaces and
+runs each shared layer over them as one padded (B, T, k) batch with a
+length mask (None when no row is padded), into a store that the tasks
+of a batch may share and that only it writes; the character BiLSTM is
+one node over all words, or its rows come from one lookup per
+evaluation pass (``Model.char_rows``). Training adds one loss node over
+the real tokens' rows (``softmax_nll`` here, ``crf.crf_nll`` for a CRF
+head); evaluation runs each sentence as a batch of one
+(``Model.predict_labels``: ``forward`` and a decode). Finite checks
+happen once per fused node, on its stacked gate pre-activations and on
+its output, and per adjoint in the backward pass; the remaining
+elementary ops check their own outputs. A recurrent node keeps its
+per-step activations only when the tape records it, for its backward
+pass.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def recurrent(
     if kind != "simple":
         ACT = np.empty((n, G // H, D, B, H))  # gate activations, gate-major
         # Z and ACT as (D, B, gates, H): tanh reads Z and writes ACT's gate blocks
-        Zg, ACTg = Z.reshape(T, D, B, -1, H), ACT.transpose(0, 2, 3, 1, 4)
+        Zg, ACTg = Z.reshape(T, D, B, G // H, H), ACT.transpose(0, 2, 3, 1, 4)
     if kind == "lstm":
         C = np.empty((n, D, B, H))  # cell states
         TC = np.empty_like(C)  # tanh of the new cell state
@@ -569,7 +570,7 @@ def unpack(x: Tensor, mask: np.ndarray | None, shape: tuple[int, int]) -> Tensor
     """(N, k) rows in sentence order as a padded batch of ``shape`` (B,
     T) with zeros at the steps ``mask`` leaves out; inverse of ``pack``."""
     if mask is None:
-        return ad.reshape(x, (*shape, -1))
+        return ad.reshape(x, (*shape, x.shape[-1]))
     out = np.zeros((*shape, x.shape[-1]))
     out[mask] = x.data
     return ad.make_node(out, (x,), lambda g: x._accum(g[mask]), "unpack")
@@ -691,43 +692,40 @@ class Model:
                 )
             self._tasks[task.name] = params
 
-    # -- encoding ------------------------------------------------------------------
-
-    def encode_sentence(self, sentence: Sentence) -> tuple[list[int], list[list[int]]]:
-        word_ids = [self.vocab.lookup_word(surface) for surface in sentence]
-        if not self.config.char.enabled:
-            return word_ids, [[] for _ in sentence]
-        return word_ids, [self.vocab.char_ids(surface) for surface in sentence]
-
-    def gold_ids(self, task_name: str, labels: Sequence[str]) -> list[int]:
-        index = self.vocab.label_index[task_name]
-        return [index[label] for label in labels]
-
     # -- forward -------------------------------------------------------------------
 
-    def forward(self, task_name: str, batch, training: bool, rng=None, shared=None) -> Tensor:
-        """Logits of one task for a batch of ``(word_ids, char_idss, ...)``
-        sentences, one row per real token in sentence order: one lookup
-        of the padded (B, T) word ids, one character BiLSTM over all
-        words, each shared layer up to the task's termination layer once
-        over (B, T, k) with the length mask (None when no row is padded;
-        with shortcuts, each layer above the first also reads the word
-        representations), and the task head. ``shared`` is an optional
-        store for the batch that the caller owns, ``[mask, embedded,
-        layer 1 output, ...]``: a call reuses what it holds (``batch`` is
-        read only while it is empty) and appends the layers it lacks, so
-        the tasks of a batch embed it and run each shared layer once."""
+    def forward(
+        self, task_name: str, sentences, training: bool, rng=None, shared=None, chars=None
+    ) -> Tensor:
+        """Logits of one task for a batch of sentences of surfaces, one row
+        per real token in sentence order: the padded (B, T) word ids
+        (``Vocabulary.lookup_word``) and character features (one BiLSTM
+        node over all words, or the rows of a :meth:`char_rows` lookup
+        ``chars`` as one constant array), each shared layer up to the
+        task's termination layer once over (B, T, k) with the length mask
+        (None when no row is padded; with shortcuts, layers above the first
+        also read the word representations), and the task head. ``shared``
+        is an optional store for the batch that the caller owns, ``[mask,
+        embedded, layer 1 output, ...]``: a call reuses what it holds
+        (reading ``sentences`` and ``chars`` only while it is empty) and
+        appends the layers it lacks, so the tasks of a batch embed it and
+        run each shared layer once."""
         task = self._tasks[task_name]
         shared = [] if shared is None else shared
         if not shared:
-            ids, mask = pad_ids([word_ids for word_ids, *_ in batch])
+            ids, mask = pad_ids([[self.vocab.lookup_word(w) for w in s] for s in sentences])
             word = self.params["embed/word"]
             emb = embed_sentence(ids, word, self.config.dropout.word, training, rng, mask)
             if self.config.char.enabled:
-                fwd, bwd = self._char_cells
-                words = [chars for _, char_idss, *_ in batch for chars in char_idss]
-                feats = char_features(words, self.params["embed/char"], fwd, bwd)
-                emb = ad.concat([emb, unpack(feats, mask, ids.shape)], axis=-1)
+                if chars is None:
+                    words = [self.vocab.char_ids(w) for s in sentences for w in s]
+                    feats = char_features(words, self.params["embed/char"], *self._char_cells)
+                    feats = unpack(feats, mask, ids.shape)
+                else:  # rows of a char_rows lookup as one constant array, zeros at the pads
+                    pads = [np.zeros(2 * self.config.char.hidden)] * ids.shape[1]
+                    rows = [[chars[w] for w in s] + pads[len(s) :] for s in sentences]
+                    feats = np.array(rows).reshape(*ids.shape, 2 * self.config.char.hidden)
+                emb = ad.concat([emb, feats], axis=-1)
             shared += [mask, emb]
         mask, embedded = shared[0], shared[1]
         for fwd, bwd in self._cells[len(shared) - 2 : task.spec.termination_layer]:
@@ -739,20 +737,17 @@ class Model:
             )
         return task_head_forward(shared[2:], task, training, rng, mask=mask)
 
-    def batch_loss(self, task_name: str, batch, training=True, rng=None) -> Tensor:
-        """Mean loss of one task over a batch of ``(word_ids, char_idss,
-        gold)`` sentences: one loss node on top of :meth:`forward`."""
+    def batch_loss(self, task_name: str, sentences, labels, training=True, rng=None) -> Tensor:
+        """Mean loss of one task over a batch of sentences and their gold
+        labels, as the corpus holds them: one loss node on :meth:`forward`."""
         task = self._tasks[task_name]
-        logits = self.forward(task_name, batch, training, rng)
-        lengths = [len(word_ids) for word_ids, _, _ in batch]
-        gold = [label for _, _, labels in batch for label in labels]
+        logits = self.forward(task_name, sentences, training, rng)
+        index = {label: i for i, label in enumerate(task.spec.labels)}
+        gold = [index[label] for tags in labels for label in tags]
+        lengths = [len(s) for s in sentences]
         if task.spec.head == "crf":
             return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold, lengths)
         return softmax_nll(logits, gold, lengths)
-
-    def sentence_loss(self, task_name: str, word_ids, char_idss, gold, training=True, rng=None):
-        """The loss of one sentence: a batch of one."""
-        return self.batch_loss(task_name, [(word_ids, char_idss, gold)], training, rng)
 
     def char_rows(self, sentences: Iterable[Sentence]) -> dict[str, np.ndarray]:
         """No-grad char BiLSTM rows of the distinct words, by surface ({}
@@ -774,26 +769,16 @@ class Model:
         self, task_name: str, sentence: Sentence, shared=None, chars=None
     ) -> list[str]:
         """Labels of one task for one sentence, a batch of one: Viterbi
-        for a CRF head, else the best label per token. ``shared`` as in
-        :meth:`forward`; while it is empty the sentence is embedded with
-        the char rows in ``chars`` (:meth:`char_rows`, its own if None)."""
-        shared = [] if shared is None else shared
+        for a CRF head, else the best label per token. ``shared`` and
+        ``chars`` as in :meth:`forward`."""
         with ad.no_grad():
-            if not shared:
-                word_ids = [[self.vocab.lookup_word(surface) for surface in sentence]]
-                emb = embed_sentence(word_ids, self.params["embed/word"], 0.0, False)
-                if self.config.char.enabled:
-                    chars = self.char_rows([sentence]) if chars is None else chars
-                    emb = ad.concat([emb, np.array([[chars[w] for w in sentence]])], axis=-1)
-                shared += [None, emb]
-            logits = self.forward(task_name, None, False, shared=shared).data
+            logits = self.forward(task_name, [sentence], False, shared=shared, chars=chars).data
         task = self._tasks[task_name]
         if task.spec.head == "crf":
             ids = crf.crf_viterbi(logits, task.transitions.data, task.begin.data, task.end.data)
         else:
             ids = np.argmax(logits, axis=1).tolist()
-        labels = task.spec.labels  # the vocabulary's order, by label id
-        return [labels[i] for i in ids]
+        return [task.spec.labels[i] for i in ids]  # the vocabulary's order, by label id
 
     # -- parameter bookkeeping --------------------------------------------------------
 

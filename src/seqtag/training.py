@@ -8,10 +8,10 @@ more than one sentence, so that a batch's padded graph runs few steps
 and processed sequentially. A batch backpropagates only its own
 task's loss, and a batch updates the parameters its graph reached: the
 shared layers up to the task's termination layer and the task's own
-head. A batch is one padded graph (``Model.batch_loss``) whose loss
-is the mean of its sentences' losses. The run is driven by a single
-PRNG stream (also used for parameter init and dropout masks), which
-makes whole runs bit-for-bit reproducible from the seed.
+head. A batch is one padded graph (``Model.batch_loss``) over its
+sentences and gold labels; its loss is their mean loss. One PRNG
+stream (also used for parameter init and dropout masks) drives the
+run, which makes it bit-for-bit reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -186,18 +186,16 @@ def train(
     for name in task_names:
         if name not in train_data or len(train_data[name]) == 0:
             raise ConfigError(f"task {name!r} has no training data")
+        if name not in train_data[name].labels:
+            raise DataError(f"the training corpus has no gold labels of task {name!r}")
     es = config.early_stopping
     if es is not None and es.task not in task_names:
         raise ConfigError(f"early stopping task {es.task!r} is not declared")
     if es is not None and es.task not in dev_data:
         raise ConfigError(f"early stopping task {es.task!r} has no dev data")
 
-    encoded = {}
-    for name in task_names:
-        columns = zip(train_data[name].sentences, train_data[name].labels[name])
-        encoded[name] = [(*model.encode_sentence(s), model.gold_ids(name, g)) for s, g in columns]
-
-    lengths = {name: [len(word_ids) for word_ids, *_ in encoded[name]] for name in task_names}
+    columns = {n: (train_data[n].sentences, train_data[n].labels[n]) for n in task_names}
+    lengths = {name: list(map(len, sentences)) for name, (sentences, _) in columns.items()}
     optimizer = make_optimizer(config.optimizer)
     records: list[EpochRecord] = []
     best_metric: float | None = None
@@ -212,8 +210,8 @@ def train(
         plan = plan_batches(lengths, config.batch_size, rng)
         for b, (task_name, sentence_ids) in enumerate(plan):
             try:
-                batch = [encoded[task_name][j] for j in sentence_ids]
-                loss = model.batch_loss(task_name, batch, training=True, rng=rng)
+                sentences, labels = ([col[j] for j in sentence_ids] for col in columns[task_name])
+                loss = model.batch_loss(task_name, sentences, labels, training=True, rng=rng)
                 loss.backward()
             except NumericError as err:
                 raise NumericError(

@@ -76,9 +76,8 @@ _GRAD_CONFIGS = [
     ("gru", False, True, True, "softmax", 2),
     ("gru", True, False, False, "crf", 1),
 ]
-_GRAD_WORDS = [2, 3, 4]
-_GRAD_CHARS = [[2, 3], [3, 4], [4, 2]]
-_GRAD_GOLD = [0, 2, 1]
+_GRAD_SENTENCE = ("ab", "bc", "ca")
+_GRAD_GOLD = ("A", "O", "B")
 _SWEEP_CACHE = {}
 
 
@@ -122,18 +121,14 @@ def _gradient_sweep():
     rows = []  # (rel_err, abs_analytic, abs_diff)
     for spec in _GRAD_CONFIGS:
         config = _grad_config(*spec)
-        with_char = spec[1]
         for seed in range(10):
             model = Model(config, _grad_vocab(), np.random.default_rng(seed))
             redraw = np.random.default_rng(1000 + seed)
             for tensor in model.params.values():
                 tensor.data = redraw.uniform(-0.7, 0.7, size=tensor.data.shape)
-            char_idss = _GRAD_CHARS if with_char else [[] for _ in _GRAD_WORDS]
 
             def build():
-                return model.sentence_loss(
-                    "t", _GRAD_WORDS, char_idss, _GRAD_GOLD, training=False
-                )
+                return model.batch_loss("t", [_GRAD_SENTENCE], [_GRAD_GOLD], training=False)
 
             for p in model.trainable().values():
                 p.grad = None

@@ -62,11 +62,9 @@ def batch_model(
     return model, {"tag": tag, "seg": seg}
 
 
-def encoded_batch(model, corpus, task, indices):
-    return [
-        (*model.encode_sentence(corpus.sentences[i]), model.gold_ids(task, corpus.labels[task][i]))
-        for i in indices
-    ]
+def batch_of(corpus, task, indices):
+    """The sentences of ``indices`` and their gold labels of ``task``."""
+    return [corpus.sentences[i] for i in indices], [corpus.labels[task][i] for i in indices]
 
 
 def loss_and_grads(model, build):
@@ -89,19 +87,21 @@ def test_padded_batch_equals_the_mean_of_its_sentences(cell, char, shortcuts, ta
     for tasks ending at layer 2 (`tag`) and layer 1 (`seg`)."""
     model, corpora = batch_model(cell=cell, char=char, shortcuts=shortcuts, head=head)
     # lengths 4 to 8 and one of a single token; the longest is not first
-    batch = encoded_batch(model, corpora[task], task, [2, 0, 5, 3])
-    batch.insert(1, tuple(column[:1] for column in batch[0]))
-    assert len({len(ids) for ids, _, _ in batch}) > 2
+    sentences, labels = batch_of(corpora[task], task, [2, 0, 5, 3])
+    sentences.insert(1, sentences[0][:1])
+    labels.insert(1, labels[0][:1])
+    assert len({len(s) for s in sentences}) > 2
 
-    loss, grads = loss_and_grads(model, lambda: model.batch_loss(task, batch, rng=None))
+    loss, grads = loss_and_grads(model, lambda: model.batch_loss(task, sentences, labels))
     per_sentence = [
-        loss_and_grads(model, lambda s=s: model.sentence_loss(task, *s, rng=None)) for s in batch
+        loss_and_grads(model, lambda s=s, g=g: model.batch_loss(task, [s], [g]))
+        for s, g in zip(sentences, labels)
     ]
-    mean_loss = sum(l for l, _ in per_sentence) / len(batch)
+    mean_loss = sum(l for l, _ in per_sentence) / len(sentences)
     assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
     assert set(grads) == set().union(*(g for _, g in per_sentence))
     for name, grad in grads.items():
-        mean = sum(g[name] for _, g in per_sentence if name in g) / len(batch)
+        mean = sum(g[name] for _, g in per_sentence if name in g) / len(sentences)
         assert np.max(np.abs(grad - mean)) <= 1e-12 * np.max(np.abs(mean)), name
 
 
@@ -121,22 +121,26 @@ def best_ids(model, task, logits):
 def test_one_forward_serves_a_padded_batch_and_a_batch_of_one(cell, char, shortcuts, head):
     """Each sentence's rows of a padded B = 3 forward equal its logits
     as a batch of one at 1e-12 relative and decode to the labels that
-    ``predict_labels`` gives it, for tasks ending at layer 2 and layer 1."""
+    ``predict_labels`` gives it, for tasks ending at layer 2 and layer 1.
+    The padded forward reading a ``char_rows`` lookup equals the one
+    running the char BiLSTM at 1e-12 relative."""
     model, corpora = batch_model(cell=cell, char=char, shortcuts=shortcuts, head=head)
     for task in ("tag", "seg"):
-        indices = [2, 0, 3]
-        batch = encoded_batch(model, corpora[task], task, indices)
+        sentences, _ = batch_of(corpora[task], task, [2, 0, 3])
         labels = model.config.task(task).labels
-        lengths = [len(ids) for ids, _, _ in batch]
+        lengths = [len(s) for s in sentences]
         assert len(set(lengths)) == 3 and lengths[0] < max(lengths)
         with ad.no_grad():
-            padded = model.forward(task, batch, training=False).data
+            padded = model.forward(task, sentences, training=False).data
+            chars = model.char_rows(sentences)
+            looked_up = model.forward(task, sentences, training=False, chars=chars).data
         assert padded.shape[0] == sum(lengths)
-        for i, sentence, rows in zip(indices, batch, np.split(padded, np.cumsum(lengths)[:-1])):
+        assert np.max(np.abs(looked_up - padded)) <= 1e-12 * np.max(np.abs(padded))
+        for sentence, rows in zip(sentences, np.split(padded, np.cumsum(lengths)[:-1])):
             with ad.no_grad():
                 alone = model.forward(task, [sentence], training=False).data
             assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
-            predicted = model.predict_labels(task, corpora[task].sentences[i])
+            predicted = model.predict_labels(task, sentence)
             assert [labels[k] for k in best_ids(model, task, rows)] == predicted
 
 
@@ -149,15 +153,15 @@ def test_unpadded_batch_without_a_mask_equals_an_all_true_mask(monkeypatch, cell
     model, corpora = batch_model(
         cell=cell, char=char, dropout=DropoutConfig(**ALL_DROPOUT), head_dropout=0.1
     )
-    batch = encoded_batch(model, corpora["tag"], "tag", [3, 5, 7])
-    assert {len(ids) for ids, _, _ in batch} == {4}
-    assert network.pad_ids([ids for ids, _, _ in batch])[1] is None
+    sentences, labels = batch_of(corpora["tag"], "tag", [3, 5, 7])
+    assert {len(s) for s in sentences} == {4}
+    assert network.pad_ids([[model.vocab.lookup_word(w) for w in s] for s in sentences])[1] is None
 
     def run():
         with ad.no_grad():
-            logits = model.forward("tag", batch, training=False).data
+            logits = model.forward("tag", sentences, training=False).data
         loss, grads = loss_and_grads(
-            model, lambda: model.batch_loss("tag", batch, rng=np.random.default_rng(3))
+            model, lambda: model.batch_loss("tag", sentences, labels, rng=np.random.default_rng(3))
         )
         return logits.tobytes(), loss, {n: g.tobytes() for n, g in grads.items()}
 
@@ -174,7 +178,7 @@ def test_unpadded_batch_without_a_mask_equals_an_all_true_mask(monkeypatch, cell
 
 def test_batch_runs_each_layer_and_the_char_bilstm_once(monkeypatch):
     model, corpora = batch_model(char=True)
-    batch = encoded_batch(model, corpora["tag"], "tag", [0, 1, 2, 3])
+    sentences, labels = batch_of(corpora["tag"], "tag", [0, 1, 2, 3])
     calls = {"bidirectional_layer": 0, "char_features": 0, "task_head_forward": 0}
     for name in calls:
         def spy(*args, _fn=getattr(network, name), _name=name, **kwargs):
@@ -182,7 +186,7 @@ def test_batch_runs_each_layer_and_the_char_bilstm_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(network, name, spy)
-    model.batch_loss("tag", batch, rng=np.random.default_rng(1)).backward()
+    model.batch_loss("tag", sentences, labels, rng=np.random.default_rng(1)).backward()
     assert calls == {"bidirectional_layer": 2, "char_features": 1, "task_head_forward": 1}
 
 
@@ -193,9 +197,9 @@ def test_pad_rows_get_exactly_zero_gradient(variational):
     )
     model.params["embed/word"].data[PAD_INDEX] = 0.0
     model.params["embed/char"].data[PAD_INDEX] = 0.0
-    batch = encoded_batch(model, corpora["tag"], "tag", [0, 1, 2, 3])
+    sentences, labels = batch_of(corpora["tag"], "tag", [0, 1, 2, 3])
     _, grads = loss_and_grads(
-        model, lambda: model.batch_loss("tag", batch, rng=np.random.default_rng(2))
+        model, lambda: model.batch_loss("tag", sentences, labels, rng=np.random.default_rng(2))
     )
     for table in ("embed/word", "embed/char"):
         assert np.any(grads[table] != 0.0)

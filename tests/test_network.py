@@ -498,9 +498,8 @@ def test_nonfinite_recurrent_weight_raises_numeric_error():
     model = Model(config, small_vocab(), np.random.default_rng(35))
     model.params["shared/1/fwd/U"].data[0, 0] = np.nan
     sentence = ("a", "b")
-    assert model.encode_sentence(sentence) == ([2, 3], [[], []])
     with pytest.raises(NumericError, match="rnn/lstm' in 'shared/1'"):
-        model.sentence_loss("t", [2, 3], [[], []], [0, 1], training=False)
+        model.batch_loss("t", [sentence], [("A", "B")], training=False)
     with pytest.raises(NumericError, match="rnn/lstm' in 'shared/1'"):
         model.predict_labels("t", sentence)
 
@@ -793,8 +792,8 @@ def test_each_layer_and_char_bilstm_is_one_tape_node():
         tasks=[TaskSpec(name="t", labels=["A", "B", "O"], termination_layer=2)],
     )
     model = Model(config, small_vocab(("ab", "bca", "c")), np.random.default_rng(48))
-    loss = model.sentence_loss(
-        "t", [2, 3, 4], [[2, 3], [3, 4, 2], [4]], [0, 1, 2], rng=np.random.default_rng(49)
+    loss = model.batch_loss(
+        "t", [("ab", "bca", "c")], [("A", "B", "O")], rng=np.random.default_rng(49)
     )
     nodes, stack, seen = [], [loss], set()
     while stack:
@@ -946,7 +945,7 @@ def test_model_uniform_distribution_with_zero_projection():
     config = tiny_config()
     model = Model(config, small_vocab(), np.random.default_rng(18))
     model.params["task/t/proj/W"].data[...] = 0.0
-    logits = model.forward("t", [([2, 3], [[], []])], training=False)
+    logits = model.forward("t", [("a", "b")], training=False)
     probs = softmax(logits, axis=1).data
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
@@ -973,8 +972,8 @@ def test_private_identity_layer_matches_no_private_head():
     for name, tensor in base.params.items():
         if name.startswith("task/t/proj"):
             with_private.params[name].data[...] = tensor.data
-    a = base.forward("t", [([2, 3], [[], []])], training=False)
-    b = with_private.forward("t", [([2, 3], [[], []])], training=False)
+    a = base.forward("t", [("a", "b")], training=False)
+    b = with_private.forward("t", [("a", "b")], training=False)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -984,10 +983,41 @@ def test_private_identity_layer_matches_no_private_head():
 def test_model_train_eval_coincide_without_dropout():
     model = Model(tiny_config(), small_vocab(), np.random.default_rng(20))
     rng = np.random.default_rng(0)
-    batch = [([2, 3, 4], [[], [], []])]
+    batch = [("a", "b", "c")]
     train_logits = model.forward("t", batch, training=True, rng=rng)
     eval_logits = model.forward("t", batch, training=False)
     assert np.array_equal(train_logits.data, eval_logits.data)
+
+
+def test_forward_looks_up_a_surface_then_its_lowercase_then_unk():
+    """With chars off, a surface the vocabulary lacks reads its
+    lowercase form's row, and failing that the ``<unk>`` row."""
+    model = Model(tiny_config(), small_vocab(("the", "a")), np.random.default_rng(22))
+    assert "The" not in model.vocab.word_index and "qqq" not in model.vocab.word_index
+    with ad.no_grad():
+        looked_up = model.forward("t", [("The", "qqq")], training=False).data
+        plain = model.forward("t", [("the", "<unk>")], training=False).data
+        other = model.forward("t", [("a", "<unk>")], training=False).data
+    assert looked_up.tobytes() == plain.tobytes()
+    assert other.tobytes() != plain.tobytes()
+
+
+@pytest.mark.parametrize("head", ["softmax", "crf"])
+@pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])
+def test_an_empty_sentence_has_no_labels(char, head):
+    """An empty sentence runs the network over zero steps, with its own
+    char BiLSTM node or a char_rows lookup, and decodes to no labels."""
+    config = tiny_config(
+        shared_layers=[3, 2],
+        use_shortcuts=True,
+        char=CharConfig(enabled=char, embedding_dim=3, hidden=2),
+        tasks=[TaskSpec(name="t", labels=["A", "B", "O"], termination_layer=2, head=head)],
+    )
+    model = Model(config, small_vocab(), np.random.default_rng(23))
+    assert model.predict_labels("t", ()) == []
+    assert model.predict_labels("t", (), chars=model.char_rows([()])) == []
+    with ad.no_grad():
+        assert model.forward("t", [()], training=False).shape == (0, 3)
 
 
 def test_model_predicts_known_labels():
@@ -1010,9 +1040,9 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
         ],
     )
     model = Model(config, small_vocab(), np.random.default_rng(24))
-    word_ids, char_idss = [2, 3, 4], [[], [], []]
+    sentence = tuple("abc")
     full = []  # the store of the whole stack: [mask, embedded, layer 1, layer 2]
-    model.forward("top", [(word_ids, char_idss)], training=False, shared=full)
+    model.forward("top", [sentence], training=False, shared=full)
     assert len(full) == 4
     read_from_full = network.task_head_forward(full[2:], model._tasks["low"], False, mask=full[0])
 
@@ -1021,17 +1051,16 @@ def test_task_runs_the_stack_only_up_to_its_termination_layer(monkeypatch):
     monkeypatch.setattr(
         network, "bidirectional_layer", lambda *a, **kw: layer_calls.append(1) or layer(*a, **kw)
     )
-    sentence = tuple("abc")
-    assert model.encode_sentence(sentence) == (word_ids, char_idss)
     for task, layers in (("low", 1), ("top", 2)):
         layer_calls.clear()
         model.predict_labels(task, sentence)
         assert len(layer_calls) == layers
         layer_calls.clear()
-        gold = [0, 1, 0]
-        model.sentence_loss(task, word_ids, char_idss, gold, rng=np.random.default_rng(25))
+        labels = model.config.task(task).labels
+        gold = [labels[i] for i in (0, 1, 0)]
+        model.batch_loss(task, [sentence], [gold], rng=np.random.default_rng(25))
         assert len(layer_calls) == layers
-    logits = model.forward("low", [(word_ids, char_idss)], training=False)
+    logits = model.forward("low", [sentence], training=False)
     assert np.array_equal(logits.data, read_from_full.data)
 
 
@@ -1155,9 +1184,11 @@ def test_shared_store_is_reused_and_extended_in_place():
     assert mask is None
     assert model.predict_labels("tag", sentence, shared) == model.predict_labels("tag", sentence)
     assert len(shared) == 4 and shared[1] is embedded and shared[2] is first
-    plain = model.forward("tag", [model.encode_sentence(sentence)], training=False)
+    # a filled store: the head alone runs, and the sentence is not read
+    assert model.predict_labels("tag", None, shared) == model.predict_labels("tag", sentence)
+    plain = model.forward("tag", [sentence], training=False)
     held = list(shared)
-    logits = model.forward("tag", None, training=False, shared=shared)  # the batch is not read
+    logits = model.forward("tag", None, training=False, shared=shared)  # sentences are not read
     assert len(shared) == 4 and all(now is then for now, then in zip(shared, held))
     assert logits.data.tobytes() == plain.data.tobytes()
 

@@ -14,7 +14,7 @@ from seqtag import files
 from seqtag.checkpoint import MAGIC, VERSION, CheckpointError, load_model, save_model
 from seqtag.cli import main
 from seqtag.corpus import Corpus
-from seqtag.exceptions import ConfigError
+from seqtag.exceptions import ConfigError, DataError
 from seqtag import network
 from seqtag.config import (
     CharConfig,
@@ -379,6 +379,18 @@ def test_missing_train_data_is_config_error():
         train(model, {}, {}, config, rng)
 
 
+def test_train_rejects_a_training_corpus_without_its_task_labels(monkeypatch):
+    """A training corpus without its task's label column is a
+    ``DataError`` raised before the first batch runs."""
+    corpus = synthetic_bio_corpus(n_sentences=3)
+    model, rng = small_model(corpus)
+    monkeypatch.setattr(Model, "batch_loss", None)  # never called
+    config = TrainConfig(epochs=1, main_task="tag")
+    unlabelled = Corpus(corpus.sentences, {"seg": corpus.labels["tag"]})
+    with pytest.raises(DataError, match=r"^the training corpus has no gold labels of task 'tag'$"):
+        train(model, {"tag": unlabelled}, {}, config, rng)
+
+
 @pytest.mark.parametrize(
     "task, dev, message",
     [
@@ -524,9 +536,9 @@ def test_training_batches_follow_the_plan(monkeypatch):
     seen = []
     batch_loss = Model.batch_loss
 
-    def record(self, task, batch, *args, **kwargs):
-        seen.append([len(word_ids) for word_ids, *_ in batch])
-        return batch_loss(self, task, batch, *args, **kwargs)
+    def record(self, task, sentences, labels, *args, **kwargs):
+        seen.append([len(s) for s in sentences])
+        return batch_loss(self, task, sentences, labels, *args, **kwargs)
 
     monkeypatch.setattr(Model, "batch_loss", record)
     train(model, {"tag": corpus}, {}, TrainConfig(epochs=2, batch_size=4, main_task="tag"), rng)
@@ -817,7 +829,7 @@ def test_version_1_checkpoint_loads_bit_identically():
     logits = hashlib.sha256()
     for task in ("tag", "seg"):
         for sentence in sentences:
-            logits.update(model.forward(task, [model.encode_sentence(sentence)], False).data)
+            logits.update(model.forward(task, [sentence], False).data)
         assert [model.predict_labels(task, s) for s in sentences] == V1_LABELS[task]
     assert logits.hexdigest() == "3a0ddf3490f275a4d1cf08873eb8f80863231b5cc27da0a18b61311f0e56c380"
 
@@ -862,7 +874,7 @@ def per_sentence_labels(model, task, corpus):
     labels = []
     with ad.no_grad():
         for sentence in corpus.sentences:
-            logits = model.forward(task, [model.encode_sentence(sentence)], training=False).data
+            logits = model.forward(task, [sentence], training=False).data
             if head.spec.head == "crf":
                 trans, begin, end = head.transitions.data, head.begin.data, head.end.data
                 ids = crf.crf_viterbi(logits, trans, begin, end)
