@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from seqtag import autodiff as ad
 from seqtag import checkpoint as ckpt
 from seqtag import experiment
 from seqtag.config import (
@@ -126,7 +127,8 @@ def cmd_predict(args) -> int:
             if len(cols) <= args.token_column:
                 raise DataError(f"line {line!r} has no column {args.token_column}")
             sentence.append(cols[args.token_column])
-    chars = model.char_rows(sentence for _, _, sentence in blocks)
+    with ad.no_grad():
+        chars = model.char_rows(sentence for _, _, sentence in blocks)
     for first, block, sentence in blocks:
         shared = []  # the sentence's mask, embedding and shared layers, for every task
         columns = [

@@ -15,17 +15,17 @@ last real step, so padded steps come last and no real step reads one
 training and evaluation: it looks up a batch's sentences of surfaces and
 runs each shared layer over them as one padded (B, T, k) batch with a
 length mask (None when no row is padded), into a store that the tasks
-of a batch may share and that only it writes; the character BiLSTM is
-one node over all words, or its rows come from one lookup per
-evaluation pass (``Model.char_rows``). Training adds one loss node over
-the real tokens' rows (``softmax_nll`` here, ``crf.crf_nll`` for a CRF
-head); evaluation runs each sentence as a batch of one
-(``Model.predict_labels``: ``forward`` and a decode). Finite checks
-happen once per fused node, on its stacked gate pre-activations and on
-its output, and per adjoint in the backward pass; the remaining
-elementary ops check their own outputs. A recurrent node keeps its
-per-step activations only when the tape records it, for its backward
-pass.
+of a batch may share and that only it writes. Each token gathers its
+char BiLSTM row from one run over the distinct words (``Model.char_rows``),
+so a repeated word's adjoint is summed before its one BPTT pass.
+Training adds one loss node over the real tokens' rows (``softmax_nll``
+here, ``crf.crf_nll`` for a CRF head); evaluation runs each sentence as
+a batch of one (``Model.predict_labels``: ``forward`` and a decode).
+Finite checks happen once per fused node, on its stacked gate
+pre-activations and on its output, and per adjoint in the backward pass;
+the remaining elementary ops check their own outputs. A recurrent node
+keeps its per-step activations only when the tape records it, for its
+backward pass.
 """
 
 from __future__ import annotations
@@ -531,6 +531,8 @@ def softmax_nll(
     if n != logits.shape[0]:
         raise ShapeError(f"{n} gold labels for {logits.shape[0]} tokens")
     lengths = [n] if lengths is None else lengths
+    if min(lengths, default=0) < 1:
+        raise ShapeError("softmax needs at least one token per sequence")
     x = logits.data
     rows = np.arange(n)
     m = x.max(axis=1, keepdims=True)
@@ -564,16 +566,6 @@ def pack(x: Tensor, mask: np.ndarray | None) -> Tensor:
         x._accum(grad)
 
     return ad.make_node(x.data[mask], (x,), backward, "pack")
-
-
-def unpack(x: Tensor, mask: np.ndarray | None, shape: tuple[int, int]) -> Tensor:
-    """(N, k) rows in sentence order as a padded batch of ``shape`` (B,
-    T) with zeros at the steps ``mask`` leaves out; inverse of ``pack``."""
-    if mask is None:
-        return ad.reshape(x, (*shape, x.shape[-1]))
-    out = np.zeros((*shape, x.shape[-1]))
-    out[mask] = x.data
-    return ad.make_node(out, (x,), lambda g: x._accum(g[mask]), "unpack")
 
 
 # -- the assembled model -------------------------------------------------------------
@@ -699,12 +691,12 @@ class Model:
     ) -> Tensor:
         """Logits of one task for a batch of sentences of surfaces, one row
         per real token in sentence order: the padded (B, T) word ids
-        (``Vocabulary.lookup_word``) and character features (one BiLSTM
-        node over all words, or the rows of a :meth:`char_rows` lookup
-        ``chars`` as one constant array), each shared layer up to the
-        task's termination layer once over (B, T, k) with the length mask
-        (None when no row is padded; with shortcuts, layers above the first
-        also read the word representations), and the task head. ``shared``
+        (``Vocabulary.lookup_word``) and character features (one gather
+        from a :meth:`char_rows` lookup, ``chars`` or else the batch's own),
+        each shared layer up to the task's termination layer once over (B,
+        T, k) with the length mask (None when no row is padded; with
+        shortcuts, layers above the first also read the word
+        representations), and the task head. ``shared``
         is an optional store for the batch that the caller owns, ``[mask,
         embedded, layer 1 output, ...]``: a call reuses what it holds
         (reading ``sentences`` and ``chars`` only while it is empty) and
@@ -717,15 +709,9 @@ class Model:
             word = self.params["embed/word"]
             emb = embed_sentence(ids, word, self.config.dropout.word, training, rng, mask)
             if self.config.char.enabled:
-                if chars is None:
-                    words = [self.vocab.char_ids(w) for s in sentences for w in s]
-                    feats = char_features(words, self.params["embed/char"], *self._char_cells)
-                    feats = unpack(feats, mask, ids.shape)
-                else:  # rows of a char_rows lookup as one constant array, zeros at the pads
-                    pads = [np.zeros(2 * self.config.char.hidden)] * ids.shape[1]
-                    rows = [[chars[w] for w in s] + pads[len(s) :] for s in sentences]
-                    feats = np.array(rows).reshape(*ids.shape, 2 * self.config.char.hidden)
-                emb = ad.concat([emb, feats], axis=-1)
+                index, rows = self.char_rows(sentences) if chars is None else chars
+                at, _ = pad_ids([[index[w] for w in s] for s in sentences])  # pads read row 0
+                emb = ad.concat([emb, rows[at]], axis=-1)
             shared += [mask, emb]
         mask, embedded = shared[0], shared[1]
         for fwd, bwd in self._cells[len(shared) - 2 : task.spec.termination_layer]:
@@ -749,21 +735,22 @@ class Model:
             return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold, lengths)
         return softmax_nll(logits, gold, lengths)
 
-    def char_rows(self, sentences: Iterable[Sentence]) -> dict[str, np.ndarray]:
-        """No-grad char BiLSTM rows of the distinct words, by surface ({}
-        without chars). Sorted by (length, surface), they run longest first
-        in passes of at most ``CHAR_PASS_CHARS`` padded characters."""
+    def char_rows(self, sentences: Iterable[Sentence]) -> tuple[dict[str, int], Tensor | None]:
+        """Each distinct word's row index, and its char BiLSTM rows (taped
+        as any op) after a zero row ``PAD_INDEX`` = 0 as one tensor ({} and
+        None without chars). Sorted by (length, surface), the words run
+        longest first in passes of at most ``CHAR_PASS_CHARS`` padded chars."""
         if not self.config.char.enabled:
-            return {}
+            return {}, None
         words = sorted({w for sentence in sentences for w in sentence}, key=lambda w: (len(w), w))
-        rows, table, (fwd, bwd) = {}, self.params["embed/char"], self._char_cells
-        with ad.no_grad():
-            while words:
-                n = max(1, CHAR_PASS_CHARS // max(1, len(words[-1])))  # a longer word alone
-                chunk, words = words[-n:], words[:-n]
-                feats = char_features([self.vocab.char_ids(w) for w in chunk], table, fwd, bwd)
-                rows.update(zip(chunk, feats.data))
-        return rows
+        table, (fwd, bwd) = self.params["embed/char"], self._char_cells
+        order, passes = [], [Tensor(np.zeros((1, 2 * fwd.hidden)))]
+        while words:
+            n = max(1, CHAR_PASS_CHARS // max(1, len(words[-1])))  # a longer word alone
+            chunk, words = words[-n:], words[:-n]
+            passes.append(char_features([self.vocab.char_ids(w) for w in chunk], table, fwd, bwd))
+            order += chunk
+        return {w: i for i, w in enumerate(order, start=1)}, ad.concat(passes)
 
     def predict_labels(
         self, task_name: str, sentence: Sentence, shared=None, chars=None

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from seqtag import autodiff as ad
 from seqtag import checkpoint as ckpt
 from seqtag.config import OptimizerConfig, TrainConfig
 from seqtag.corpus import Corpus
@@ -101,7 +102,8 @@ def make_optimizer(config: OptimizerConfig):
 def predict_results(model: Model, task: str, corpus: Corpus) -> list[SentenceResult]:
     if task not in corpus.labels:
         raise DataError(f"the corpus has no gold labels of task {task!r}")
-    chars = model.char_rows(corpus.sentences)  # built per call: after the latest step
+    with ad.no_grad():
+        chars = model.char_rows(corpus.sentences)  # built per call: after the latest step
     return [
         SentenceResult(list(gold), model.predict_labels(task, sentence, chars=chars))
         for sentence, gold in zip(corpus.sentences, corpus.labels[task])
@@ -188,6 +190,8 @@ def train(
             raise ConfigError(f"task {name!r} has no training data")
         if name not in train_data[name].labels:
             raise DataError(f"the training corpus has no gold labels of task {name!r}")
+        if () in (sentences := train_data[name].sentences):
+            raise DataError(f"training sentence {sentences.index(())} of task {name!r} is empty")
     es = config.early_stopping
     if es is not None and es.task not in task_names:
         raise ConfigError(f"early stopping task {es.task!r} is not declared")

@@ -1006,7 +1006,9 @@ def test_forward_looks_up_a_surface_then_its_lowercase_then_unk():
 @pytest.mark.parametrize("char", [False, True], ids=["words", "chars"])
 def test_an_empty_sentence_has_no_labels(char, head):
     """An empty sentence runs the network over zero steps, with its own
-    char BiLSTM node or a char_rows lookup, and decodes to no labels."""
+    char BiLSTM node or a char_rows lookup, and decodes to no labels; the
+    loss of a batch that holds one, alone or next to a real sentence, is
+    a ``ShapeError``."""
     config = tiny_config(
         shared_layers=[3, 2],
         use_shortcuts=True,
@@ -1018,6 +1020,9 @@ def test_an_empty_sentence_has_no_labels(char, head):
     assert model.predict_labels("t", (), chars=model.char_rows([()])) == []
     with ad.no_grad():
         assert model.forward("t", [()], training=False).shape == (0, 3)
+    for sentences, labels in (([()], [()]), ([(), ("a",)], [(), ("A",)])):
+        with pytest.raises(ShapeError, match="needs at least one token per sequence$"):
+            model.batch_loss("t", sentences, labels)
 
 
 def test_model_predicts_known_labels():
@@ -1129,14 +1134,16 @@ def spy(char_idss, *args):
     return char_features(char_idss, *args)
 
 network.char_features = spy
-print(json.dumps([passes, list(model.char_rows(sentences))]))
+index, rows = model.char_rows(sentences)
+print(json.dumps([passes, list(index), list(index.values()), rows.data[0].tolist(), rows.shape]))
 """
 
 
 def test_char_rows_run_capped_passes_in_one_order_whatever_the_hash_seed():
     """Model.char_rows runs the distinct words sorted by (length,
     surface), not in set order, longest first in passes of at most
-    CHAR_PASS_CHARS padded characters; a longer word runs alone."""
+    CHAR_PASS_CHARS padded characters; a longer word runs alone. The
+    words index rows 1, 2, ... in pass order, after a zero row 0."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
     runs = []
@@ -1152,8 +1159,10 @@ def test_char_rows_run_capped_passes_in_one_order_whatever_the_hash_seed():
         assert done.returncode == 0, done.stderr
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    passes, order = runs[0]
+    passes, order, at, zero_row, shape = runs[0]
     assert len(set(order)) == len(order) == sum(rows for rows, _ in passes)
+    assert at == list(range(1, len(order) + 1)) and shape == [len(order) + 1, 6]
+    assert zero_row == [0.0] * 6
     assert passes[0] == [1, 1100]
     assert 3 <= len(passes) < len(order) // 10
     assert all(rows * width <= network.CHAR_PASS_CHARS for rows, width in passes[1:])
@@ -1169,9 +1178,9 @@ def test_a_model_without_chars_builds_no_char_rows(monkeypatch):
         raise AssertionError("the sentences were read")
         yield
 
-    assert model.char_rows(unread()) == {}
+    assert model.char_rows(unread()) == ({}, None)
     sentence = corpus.sentences[0]
-    assert len(model.predict_labels("tag", sentence, chars={})) == len(sentence)
+    assert len(model.predict_labels("tag", sentence, chars=({}, None))) == len(sentence)
 
 
 def test_shared_store_is_reused_and_extended_in_place():
@@ -1218,6 +1227,39 @@ def _layer_gradcheck_at_resolution(build_loss, params, eps=1e-5):
             assert abs(a - numeric) <= 1e-9
             if abs(a) >= 1e-4:
                 assert abs(a - numeric) / max(abs(a), abs(numeric)) <= 1e-6
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru", "simple"])
+def test_repeated_words_char_gradients_match_central_differences(cell):
+    """A padded B = 3 batch with chars on and dropout off, where "ab"
+    repeats inside a sentence and "c" across two: each token reads its
+    word's char BiLSTM row (the reference runs word by word) and the pads
+    read zeros, and the char table's and both char cells' gradients,
+    with each repeated word's adjoint summed over its tokens, match
+    central differences within _layer_gradcheck_at_resolution's bounds."""
+    config = tiny_config(
+        cell=cell, use_shortcuts=True, char=CharConfig(enabled=True, embedding_dim=2, hidden=2)
+    )
+    rng = np.random.default_rng(26)
+    model = Model(config, small_vocab(("ab", "c", "ba", "abc")), rng)
+    for tensor in model.params.values():
+        tensor.data = rng.normal(scale=0.5, size=tensor.data.shape)
+    sentences = [("ab", "c", "ab"), ("ba", "abc"), ("c",)]
+    labels = [("A", "B", "O"), ("B", "A"), ("O",)]
+    table, cells = model.params["embed/char"], model._char_cells
+
+    shared = []
+    with ad.no_grad():
+        model.forward("t", sentences, training=False, shared=shared)
+        chars = shared[1].data[..., config.word_dim :]
+        for b, sentence in enumerate(sentences):
+            words = [model.vocab.char_ids(w) for w in sentence]
+            reference = char_features_reference(words, table, *cells).data
+            gap = np.max(np.abs(chars[b, : len(sentence)] - reference))
+            assert gap <= 1e-12 * np.max(np.abs(reference))
+            assert np.all(chars[b, len(sentence) :] == 0.0)
+    params = [table] + [t for c in cells for _, t in c.tensors()]
+    _layer_gradcheck_at_resolution(lambda: model.batch_loss("t", sentences, labels), params)
 
 
 def test_composite_op_gradients_ten_seeds():

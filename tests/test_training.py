@@ -391,6 +391,20 @@ def test_train_rejects_a_training_corpus_without_its_task_labels(monkeypatch):
         train(model, {"tag": unlabelled}, {}, config, rng)
 
 
+@pytest.mark.parametrize("head", ["softmax", "crf"])
+def test_train_rejects_a_training_corpus_with_an_empty_sentence(monkeypatch, head):
+    """An empty training sentence is a ``DataError`` naming its task and
+    index, raised before the first batch runs."""
+    corpus = synthetic_bio_corpus(n_sentences=3)
+    model, rng = small_model(corpus, head=head)
+    monkeypatch.setattr(Model, "batch_loss", None)  # never called
+    config = TrainConfig(epochs=1, main_task="tag")
+    sentences, labels = ((*c[:2], (), c[2]) for c in (corpus.sentences, corpus.labels["tag"]))
+    with_empty = Corpus(sentences, {"tag": labels})
+    with pytest.raises(DataError, match=r"^training sentence 2 of task 'tag' is empty$"):
+        train(model, {"tag": with_empty}, {}, config, rng)
+
+
 @pytest.mark.parametrize(
     "task, dev, message",
     [
