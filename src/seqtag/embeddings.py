@@ -6,16 +6,21 @@ vocabularies and concatenating the per-word vectors, so the combined
 dimension is the sum of the source dimensions. A pruned set restricted
 to the words of the task corpora is what actually feeds the network.
 Given a cache directory, each file is parsed once and read back from a
-binary cache (``<name>.<hash>.emb``) while its content is unchanged.
+binary cache (``<name>.<hash>.emb``) while its content is unchanged; a
+pruned set, from a derived cache (``<name>.<hash>.pruned``) while its
+files and the words its corpora reach are unchanged.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -193,15 +198,34 @@ def build_embedding_set(
     return EmbeddingSet(words, np.hstack(blocks))
 
 
+def reachable_words(corpora: Iterable[Corpus]) -> set[str]:
+    """Every corpus surface and its lowercase form."""
+    surfaces = set().union(*(corpus.surfaces() for corpus in corpora))
+    return surfaces.union(map(str.lower, surfaces))
+
+
+def load_pruned_cached(
+    files: list, corpora: list[Corpus], cache_dir: str | Path | None, build: Callable
+) -> EmbeddingSet:
+    """``build()``, the pruned set of ``files`` for ``corpora``, through a
+    derived cache named after the files' absolute paths, used while their
+    sizes and sha256s and the sha256 of the sorted reachable words match."""
+    paths = [Path(p) for p in files]
+    if not paths or cache_dir is None or not all(map(Path.exists, paths)):
+        return build()  # a missing file is reported by the build
+    reachable = hashlib.sha256(json.dumps(sorted(reachable_words(corpora))).encode("utf-8"))
+    meta = {"files": [file_fingerprint(p) for p in paths], "reachable": reachable.hexdigest()}
+    cache = cache_path(cache_dir, paths[0], ".pruned", "\0".join(map(os.path.abspath, paths)))
+    return through_cache(cache, meta, read_embedding_cache, build, write_embedding_cache)
+
+
 def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingSet:
     """Keep only words that can be reached from any corpus token.
 
     Lookup normalization applies: a token reaches its exact-match entry
     and its lowercase entry, mirroring how the network resolves words.
     """
-    surfaces = set().union(*(corpus.surfaces() for corpus in corpora))
-    reachable = surfaces.union(map(str.lower, surfaces))
-    keep = list(map(reachable.__contains__, emb.words))
+    keep = list(map(reachable_words(corpora).__contains__, emb.words))
     kept = list(itertools.compress(range(len(keep)), keep))
     # indexing with a list copies, so the kept rows do not hold on to a whole file's matrix
     return EmbeddingSet(list(itertools.compress(emb.words, keep)), emb.matrix[kept])

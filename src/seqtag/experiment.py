@@ -21,7 +21,12 @@ from seqtag.corpus import (
     build_label_index,
     load_corpus_cached,
 )
-from seqtag.embeddings import build_embedding_set, prune_embeddings, save_embedding_file
+from seqtag.embeddings import (
+    build_embedding_set,
+    load_pruned_cached,
+    prune_embeddings,
+    save_embedding_file,
+)
 from seqtag.exceptions import ConfigError, DataError
 from seqtag.labels import (
     TO_BEGIN,
@@ -71,9 +76,15 @@ class ExperimentData:
             raise ConfigError("no input files configured")
         self.vocab = Vocabulary()
         self.word_matrix: np.ndarray | None = None
+        self.pruned_rebuilt = False  # pruned here, not read back from the derived cache
         if config.embeddings.files:
-            emb = build_embedding_set(config.embeddings.files, cache_dir)
-            emb = prune_embeddings(emb, all_corpora)
+
+            def prune():
+                self.pruned_rebuilt = True
+                emb = build_embedding_set(config.embeddings.files, cache_dir)
+                return prune_embeddings(emb, all_corpora)
+
+            emb = load_pruned_cached(config.embeddings.files, all_corpora, cache_dir, prune)
             rows = [self.vocab.add_word(word) for word in emb.words]
             self.word_matrix = np.zeros((self.vocab.word_count, emb.dim))
             self.word_matrix[rows] = emb.matrix
@@ -124,7 +135,9 @@ def run_training(
     else:
         data.configure(config)
     if cache_dir is not None and data.pruned_embeddings is not None:
-        save_embedding_file(data.pruned_embeddings, Path(cache_dir) / "embeddings.pruned.txt")
+        pruned = Path(cache_dir) / "embeddings.pruned.txt"
+        if data.pruned_rebuilt or not pruned.exists():
+            save_embedding_file(data.pruned_embeddings, pruned)
     rng = np.random.default_rng(config.training.seed)
     model = build_model(config, data, rng)
     train_corpora = {}

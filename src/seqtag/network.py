@@ -42,7 +42,7 @@ from seqtag import crf
 from seqtag.autodiff import Tensor
 from seqtag.config import DropoutConfig, NetworkConfig, TaskSpec
 from seqtag.corpus import PAD_INDEX, UNK_INDEX, Sentence, Vocabulary
-from seqtag.exceptions import ConfigError, ShapeError
+from seqtag.exceptions import ConfigError, DataError, ShapeError
 
 # keyed by config.ACTIVATION_KINDS
 ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu, "identity": lambda t: t}
@@ -710,7 +710,10 @@ class Model:
             emb = embed_sentence(ids, word, self.config.dropout.word, training, rng, mask)
             if self.config.char.enabled:
                 index, rows = self.char_rows(sentences) if chars is None else chars
-                at, _ = pad_ids([[index[w] for w in s] for s in sentences])  # pads read row 0
+                try:
+                    at, _ = pad_ids([[index[w] for w in s] for s in sentences])  # pads read row 0
+                except KeyError as err:
+                    raise DataError(f"the chars lookup has no word {err.args[0]!r}") from None
                 emb = ad.concat([emb, rows[at]], axis=-1)
             shared += [mask, emb]
         mask, embedded = shared[0], shared[1]
@@ -727,9 +730,12 @@ class Model:
         """Mean loss of one task over a batch of sentences and their gold
         labels, as the corpus holds them: one loss node on :meth:`forward`."""
         task = self._tasks[task_name]
-        logits = self.forward(task_name, sentences, training, rng)
         index = {label: i for i, label in enumerate(task.spec.labels)}
-        gold = [index[label] for tags in labels for label in tags]
+        try:
+            gold = [index[label] for tags in labels for label in tags]
+        except KeyError as err:
+            raise DataError(f"task {task_name!r} has no label {err.args[0]!r}") from None
+        logits = self.forward(task_name, sentences, training, rng)
         lengths = [len(s) for s in sentences]
         if task.spec.head == "crf":
             return crf.crf_nll(logits, task.transitions, task.begin, task.end, gold, lengths)

@@ -13,7 +13,9 @@ from seqtag.checkpoint import save_model
 from seqtag.cli import main
 from seqtag.config import NetworkConfig, TaskSpec, apply_overrides, build_run_config, load_yaml
 from seqtag.corpus import corpus_to_conll, parse_conll, parse_conll_file
+from seqtag.embeddings import save_embedding_file
 from seqtag.exceptions import ConfigError
+from seqtag.experiment import ExperimentData
 from seqtag.files import write_cache
 from seqtag.hyperopt import split_search_section
 from seqtag.network import Model
@@ -1579,6 +1581,34 @@ def test_cli_train_cold_and_warm_embedding_cache_write_one_checkpoint(workspace,
     (cache,) = (tmp_path / "out" / "cache").glob("*.emb")
     assert cache.name.startswith(vectors.name + ".")
     assert checkpoints[0] == checkpoints[1]
+
+
+def test_cli_train_writes_the_pruned_file_only_when_the_pruned_set_was_rebuilt(workspace):
+    """``embeddings.pruned.txt`` is written on a miss of the derived cache
+    or when it is missing, with the bytes of the pruned set; an identical
+    second run leaves it alone."""
+    tmp_path, config_path, config = workspace
+    _with_vectors(workspace, tail=["unused 1 2 3"])
+    pruned = tmp_path / "out" / "cache" / "embeddings.pruned.txt"
+    old = 1_000_000_000 * 10**9  # an mtime no write can leave behind
+
+    def train_and_expect(corpus_config):
+        assert main(["train", str(config_path), "--quiet"]) == 0
+        expected = tmp_path / "expected.txt"
+        data = ExperimentData(build_run_config(corpus_config))
+        save_embedding_file(data.pruned_embeddings, expected)
+        assert pruned.read_bytes() == expected.read_bytes()
+
+    train_and_expect(load_yaml(config_path))
+    os.utime(pruned, ns=(old, old))
+    train_and_expect(load_yaml(config_path))
+    assert pruned.stat().st_mtime_ns == old
+    pruned.unlink()
+    train_and_expect(load_yaml(config_path))
+    os.utime(pruned, ns=(old, old))
+    write_corpus(Path(config["tasks"][0]["train"]), synthetic_bio_corpus(n_sentences=3, seed=7))
+    train_and_expect(load_yaml(config_path))
+    assert pruned.stat().st_mtime_ns != old
 
 
 def test_search_cold_and_warm_embedding_cache_write_identical_outputs(search_setup, monkeypatch):

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from seqtag import experiment
 from seqtag.config import EvalConfig, build_run_config
 from seqtag.corpus import corpus_to_conll, parse_conll
 from seqtag.exceptions import DataError
@@ -84,6 +91,125 @@ def test_frozen_embedding_rows_unchanged_after_training(embedded_workspace, tmp_
     after = model.params["embed/word"].data
     # unk row is redrawn at init; all proper word rows stay put
     assert np.array_equal(after[2:], before[2:])
+
+
+# -- the derived cache of the pruned set --------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The names of the embedding builds that run, in order: a miss of the
+    derived cache calls them as module attributes of ``experiment``."""
+    calls = []
+    for name in ("build_embedding_set", "prune_embeddings"):
+
+        def spy(*args, _fn=getattr(experiment, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(experiment, name, spy)
+    return calls
+
+
+REBUILD = ["build_embedding_set", "prune_embeddings"]
+
+
+def snapshot(data):
+    emb = data.pruned_embeddings
+    return emb.words, emb.matrix.tobytes(), data.word_matrix.tobytes(), data.vocab.word_index
+
+
+@pytest.mark.parametrize("n_files", [1, 2], ids=["one_file", "two_files"])
+def test_a_warm_build_reads_the_pruned_set_back_bit_for_bit(embedded_workspace, builds, n_files):
+    tmp_path, raw = embedded_workspace
+    raw["embeddings"]["files"] = raw["embeddings"]["files"][:n_files]
+    plain = snapshot(ExperimentData(build_run_config(raw)))
+    cache = tmp_path / "cache"
+    builds.clear()
+    cold = ExperimentData(build_run_config(raw), cache_dir=str(cache))
+    assert builds == REBUILD and cold.pruned_rebuilt
+    builds.clear()
+    warm = ExperimentData(build_run_config(raw), cache_dir=str(cache))
+    assert builds == [] and not warm.pruned_rebuilt
+    assert snapshot(cold) == snapshot(warm) == plain
+    assert "extra" not in warm.pruned_embeddings.words
+    (derived,) = cache.glob("*.pruned")  # one derived file per file list
+    assert derived.name.startswith("e1.txt.")
+    assert len(list(cache.glob("*.emb"))) == n_files
+
+
+def _edit_an_embedding_file_to_the_same_size(tmp_path):
+    e1 = tmp_path / "e1.txt"
+    text = e1.read_text(encoding="utf-8")
+    e1.write_text(text.replace(" 0.2\n", " 0.3\n", 1), encoding="utf-8")
+    assert len(e1.read_text(encoding="utf-8")) == len(text)
+
+
+def _keep_the_first_training_sentence(tmp_path):
+    train = tmp_path / "train.conll"
+    train.write_text(train.read_text(encoding="utf-8").split("\n\n")[0] + "\n", encoding="utf-8")
+
+
+def _flip_a_bit_of_the_derived_file(tmp_path):
+    (derived,) = (tmp_path / "cache").glob("*.pruned")
+    blob = bytearray(derived.read_bytes())
+    blob[-1] ^= 0x01
+    derived.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _edit_an_embedding_file_to_the_same_size,
+        _keep_the_first_training_sentence,
+        _flip_a_bit_of_the_derived_file,
+    ],
+    ids=["embedding_file_of_equal_size", "corpus", "derived_file_crc"],
+)
+def test_the_derived_cache_is_rebuilt_when_what_it_was_made_from_changes(
+    embedded_workspace, builds, change
+):
+    tmp_path, raw = embedded_workspace
+    cache = str(tmp_path / "cache")
+    before = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    change(tmp_path)
+    builds.clear()
+    rebuilt = ExperimentData(build_run_config(raw), cache_dir=cache)
+    assert builds == REBUILD and rebuilt.pruned_rebuilt
+    assert snapshot(rebuilt) == snapshot(ExperimentData(build_run_config(raw)))
+    assert (snapshot(rebuilt) == before) == (change is _flip_a_bit_of_the_derived_file)
+    builds.clear()
+    assert snapshot(ExperimentData(build_run_config(raw), cache_dir=cache)) == snapshot(rebuilt)
+    assert builds == []
+
+
+WARM_BUILD = """
+import json, sys
+from seqtag.config import build_run_config
+from seqtag.experiment import ExperimentData
+data = ExperimentData(build_run_config(json.loads(sys.argv[1])), cache_dir=sys.argv[2])
+print(json.dumps([data.pruned_rebuilt, data.pruned_embeddings.words]))
+"""
+
+
+def test_builds_at_different_hash_seeds_share_one_derived_file(embedded_workspace):
+    tmp_path, raw = embedded_workspace
+    path = str(Path(__file__).resolve().parents[1] / "src")
+    cache = tmp_path / "cache"
+    runs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", WARM_BUILD, json.dumps(raw), str(cache)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert [rebuilt for rebuilt, _ in runs] == [True, False]
+    assert runs[0][1] == runs[1][1] == ExperimentData(build_run_config(raw)).pruned_embeddings.words
+    assert len(list(cache.glob("*.pruned"))) == 1
 
 
 def test_postprocess_labels_variants():

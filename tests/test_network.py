@@ -26,7 +26,7 @@ from seqtag.network import (
     softmax_nll,
 )
 from seqtag import network
-from seqtag.exceptions import NumericError, ShapeError
+from seqtag.exceptions import DataError, NumericError, ShapeError
 
 from conftest import random_word_corpus, two_task_model
 from gradcheck import check_gradients, power, softmax, tsum
@@ -1023,6 +1023,28 @@ def test_an_empty_sentence_has_no_labels(char, head):
     for sentences, labels in (([()], [()]), ([(), ("a",)], [(), ("A",)])):
         with pytest.raises(ShapeError, match="needs at least one token per sequence$"):
             model.batch_loss("t", sentences, labels)
+
+
+def test_a_chars_lookup_without_a_word_of_the_batch_is_data_error():
+    model, corpus = two_task_model(char=CharConfig(enabled=True, embedding_dim=3, hidden=2))
+    chars = model.char_rows([corpus.sentences[0]])
+    assert "zzz" not in chars[0]
+    with pytest.raises(DataError, match=r"^the chars lookup has no word 'zzz'$"):
+        model.predict_labels("tag", ("zzz",), chars=chars)
+    with pytest.raises(DataError, match=r"^the chars lookup has no word 'zzz'$"):
+        model.forward("seg", [corpus.sentences[0], ("zzz",)], training=False, chars=chars)
+
+
+@pytest.mark.parametrize("task", ["tag", "seg"])
+def test_a_gold_label_outside_the_task_inventory_is_data_error(task):
+    model, corpus = two_task_model()
+    sentence = corpus.sentences[0]
+    known = model.vocab.labels_of(task)[0]
+    labels = [(known,) * (len(sentence) - 1) + ("NOPE",)]
+    assert "NOPE" not in model.vocab.labels_of(task)
+    message = rf"^task '{task}' has no label 'NOPE'$"
+    with pytest.raises(DataError, match=message):
+        model.batch_loss(task, [sentence], labels, rng=np.random.default_rng(0))
 
 
 def test_model_predicts_known_labels():

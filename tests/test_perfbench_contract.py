@@ -20,7 +20,7 @@ from seqtag import autodiff as ad  # noqa: E402
 from seqtag import crf, experiment, training  # noqa: E402
 from seqtag.checkpoint import save_model  # noqa: E402
 from seqtag.cli import main  # noqa: E402
-from seqtag.config import CharConfig  # noqa: E402
+from seqtag.config import CharConfig, build_run_config  # noqa: E402
 from seqtag.corpus import parse_conll  # noqa: E402
 from seqtag.embeddings import EmbeddingSet  # noqa: E402
 
@@ -51,6 +51,40 @@ def test_benchmark_wrappers_install_and_restore():
     assert (tracer.counters["embeddings.offered"], tracer.counters["embeddings.kept"]) == (2, 1)
     for owner, attr, fn in originals.values():
         assert getattr(owner, attr) is fn, attr
+
+
+def test_a_cold_build_loads_and_prunes_through_the_wrapped_names_and_a_warm_one_does_not(
+    tmp_path,
+):
+    """embeddings.load_s, embeddings.prune_s and embeddings.kept_ratio
+    come from the experiment module's build_embedding_set and
+    prune_embeddings: a miss of the derived cache of the pruned set calls
+    both once, and a hit neither, inside the experiment.data span."""
+    train = tmp_path / "train.conll"
+    train.write_text("Fox\tX\njumps\tO\n", encoding="utf-8")
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("fox 1 2\nzebra 3 4\n", encoding="utf-8")
+    config = build_run_config(
+        {
+            "training": {"main_task": "t"},
+            "tasks": [{"name": "t", "train": str(train)}],
+            "embeddings": {"files": [str(vectors)]},
+            "architecture": {"cell": "simple", "shared_layers": [2]},
+        }
+    )
+    counts = []
+    for _ in range(2):
+        patches, tracer = Patches(), Tracer()
+        try:
+            layers.install(tracer, patches)
+            experiment.ExperimentData(config, cache_dir=str(tmp_path / "cache"))
+        finally:
+            patches.restore()
+        names = [s.name for s in tracer.spans]
+        assert names.count("experiment.data") == 1
+        spans = [names.count(n) for n in ("embeddings.load", "embeddings.prune")]
+        counts.append((*spans, tracer.counters["embeddings.kept"]))
+    assert counts == [(1, 1, 1), (0, 0, 0)]  # the one kept word is "fox"
 
 
 def test_predict_records_one_latency_sample_per_sentence_and_task(tmp_path):
