@@ -6,9 +6,8 @@ vocabularies and concatenating the per-word vectors, so the combined
 dimension is the sum of the source dimensions. A pruned set restricted
 to the words of the task corpora is what actually feeds the network.
 Given a cache directory, each file is parsed once and read back from a
-binary cache (``<name>.<hash>.emb``) while its content is unchanged; a
-pruned set, from a derived cache (``<name>.<hash>.pruned``) while its
-files and the words its corpora reach are unchanged.
+binary cache (``<name>.<hash>.emb``) while its content is unchanged, and
+a pruned set from ``<name>.<hash>.pruned`` while the words reached are too.
 """
 
 from __future__ import annotations
@@ -152,20 +151,21 @@ def read_embedding_cache(path: str | Path) -> tuple[EmbeddingSet, dict]:
 
 
 def load_embedding_file_cached(
-    path: str | Path, cache_dir: str | Path | None = None
+    path: str | Path, cache_dir: str | Path | None = None, fingerprint: dict | None = None
 ) -> EmbeddingSet:
     """``load_embedding_file`` through a binary cache in ``cache_dir``.
 
     The cache is named after the file and a hash of its absolute path,
-    and is used only while the file's size and sha256 match the ones it
-    recorded; a stale or damaged cache is parsed again and rewritten.
+    and is used only while the file's size and sha256 (``fingerprint``, if
+    known) match the ones it recorded; a stale or damaged cache is parsed
+    again and rewritten.
     """
     path = Path(path)
     if cache_dir is None or not path.exists():
         return load_embedding_file(path)
     return through_cache(
         cache_path(cache_dir, path, ".emb"),
-        file_fingerprint(path),
+        fingerprint or file_fingerprint(path),
         read_embedding_cache,
         lambda: load_embedding_file(path),
         write_embedding_cache,
@@ -173,13 +173,16 @@ def load_embedding_file_cached(
 
 
 def build_embedding_set(
-    files: Iterable[str | Path], cache_dir: str | Path | None = None
+    files: Iterable[str | Path],
+    cache_dir: str | Path | None = None,
+    fingerprints: list[dict] | None = None,
 ) -> EmbeddingSet:
     """Concatenate embedding files over the intersection of their words."""
     paths = [Path(p) for p in files]
     if not paths:
         raise DataError("no embedding files given")
-    sets = [load_embedding_file_cached(p, cache_dir) for p in paths]
+    known = fingerprints or [None] * len(paths)
+    sets = [load_embedding_file_cached(p, cache_dir, f) for p, f in zip(paths, known)]
     if len(sets) == 1:
         return sets[0]
 
@@ -207,16 +210,18 @@ def reachable_words(corpora: Iterable[Corpus]) -> set[str]:
 def load_pruned_cached(
     files: list, corpora: list[Corpus], cache_dir: str | Path | None, build: Callable
 ) -> EmbeddingSet:
-    """``build()``, the pruned set of ``files`` for ``corpora``, through a
-    derived cache named after the files' absolute paths, used while their
-    sizes and sha256s and the sha256 of the sorted reachable words match."""
+    """``build(fingerprints)``, the pruned set of ``files`` for ``corpora``, through a
+    derived cache named after the files' absolute paths and keyed by their fingerprints
+    and the sha256 of the sorted reachable words; ``build(None)`` without a cache."""
     paths = [Path(p) for p in files]
     if not paths or cache_dir is None or not all(map(Path.exists, paths)):
-        return build()  # a missing file is reported by the build
+        return build(None)  # a missing file is reported by the build
     reachable = hashlib.sha256(json.dumps(sorted(reachable_words(corpora))).encode("utf-8"))
     meta = {"files": [file_fingerprint(p) for p in paths], "reachable": reachable.hexdigest()}
     cache = cache_path(cache_dir, paths[0], ".pruned", "\0".join(map(os.path.abspath, paths)))
-    return through_cache(cache, meta, read_embedding_cache, build, write_embedding_cache)
+    return through_cache(
+        cache, meta, read_embedding_cache, lambda: build(meta["files"]), write_embedding_cache
+    )
 
 
 def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingSet:

@@ -76,12 +76,10 @@ class ExperimentData:
             raise ConfigError("no input files configured")
         self.vocab = Vocabulary()
         self.word_matrix: np.ndarray | None = None
-        self.pruned_rebuilt = False  # pruned here, not read back from the derived cache
         if config.embeddings.files:
 
-            def prune():
-                self.pruned_rebuilt = True
-                emb = build_embedding_set(config.embeddings.files, cache_dir)
+            def prune(fingerprints):
+                emb = build_embedding_set(config.embeddings.files, cache_dir, fingerprints)
                 return prune_embeddings(emb, all_corpora)
 
             emb = load_pruned_cached(config.embeddings.files, all_corpora, cache_dir, prune)
@@ -135,9 +133,7 @@ def run_training(
     else:
         data.configure(config)
     if cache_dir is not None and data.pruned_embeddings is not None:
-        pruned = Path(cache_dir) / "embeddings.pruned.txt"
-        if data.pruned_rebuilt or not pruned.exists():
-            save_embedding_file(data.pruned_embeddings, pruned)
+        save_embedding_file(data.pruned_embeddings, Path(cache_dir) / "embeddings.pruned.txt")
     rng = np.random.default_rng(config.training.seed)
     model = build_model(config, data, rng)
     train_corpora = {}

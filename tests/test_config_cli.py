@@ -1583,32 +1583,23 @@ def test_cli_train_cold_and_warm_embedding_cache_write_one_checkpoint(workspace,
     assert checkpoints[0] == checkpoints[1]
 
 
-def test_cli_train_writes_the_pruned_file_only_when_the_pruned_set_was_rebuilt(workspace):
-    """``embeddings.pruned.txt`` is written on a miss of the derived cache
-    or when it is missing, with the bytes of the pruned set; an identical
-    second run leaves it alone."""
+def test_cli_train_writes_the_pruned_file_of_its_own_embedding_files(workspace):
+    """Every ``seqtag train`` with a cache writes ``embeddings.pruned.txt``
+    from the set it used, also when that set was read back from the
+    pruned-set cache of an earlier run with the same files."""
     tmp_path, config_path, config = workspace
-    _with_vectors(workspace, tail=["unused 1 2 3"])
+    vectors, _ = _with_vectors(workspace)
+    other = tmp_path / "other.txt"
+    other.write_text(vectors.read_text(encoding="utf-8").replace(" -0.5 ", " 0.25 "), "utf-8")
     pruned = tmp_path / "out" / "cache" / "embeddings.pruned.txt"
-    old = 1_000_000_000 * 10**9  # an mtime no write can leave behind
-
-    def train_and_expect(corpus_config):
+    for files in ([vectors], [other], [vectors]):
+        config["embeddings"] = {"files": [str(f) for f in files]}
+        config_path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
         assert main(["train", str(config_path), "--quiet"]) == 0
         expected = tmp_path / "expected.txt"
-        data = ExperimentData(build_run_config(corpus_config))
-        save_embedding_file(data.pruned_embeddings, expected)
+        save_embedding_file(ExperimentData(build_run_config(config)).pruned_embeddings, expected)
         assert pruned.read_bytes() == expected.read_bytes()
-
-    train_and_expect(load_yaml(config_path))
-    os.utime(pruned, ns=(old, old))
-    train_and_expect(load_yaml(config_path))
-    assert pruned.stat().st_mtime_ns == old
-    pruned.unlink()
-    train_and_expect(load_yaml(config_path))
-    os.utime(pruned, ns=(old, old))
-    write_corpus(Path(config["tasks"][0]["train"]), synthetic_bio_corpus(n_sentences=3, seed=7))
-    train_and_expect(load_yaml(config_path))
-    assert pruned.stat().st_mtime_ns != old
+    assert " -0.5 " in pruned.read_text(encoding="utf-8")
 
 
 def test_search_cold_and_warm_embedding_cache_write_identical_outputs(search_setup, monkeypatch):

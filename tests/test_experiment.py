@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtag import experiment
+from seqtag import embeddings, experiment
 from seqtag.config import EvalConfig, build_run_config
 from seqtag.corpus import corpus_to_conll, parse_conll
 from seqtag.exceptions import DataError
@@ -103,9 +103,9 @@ def builds(monkeypatch):
     calls = []
     for name in ("build_embedding_set", "prune_embeddings"):
 
-        def spy(*args, _fn=getattr(experiment, name), _name=name):
+        def spy(*args, _fn=getattr(experiment, name), _name=name, **kwargs):
             calls.append(_name)
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(experiment, name, spy)
     return calls
@@ -127,15 +127,32 @@ def test_a_warm_build_reads_the_pruned_set_back_bit_for_bit(embedded_workspace, 
     cache = tmp_path / "cache"
     builds.clear()
     cold = ExperimentData(build_run_config(raw), cache_dir=str(cache))
-    assert builds == REBUILD and cold.pruned_rebuilt
+    assert builds == REBUILD
     builds.clear()
     warm = ExperimentData(build_run_config(raw), cache_dir=str(cache))
-    assert builds == [] and not warm.pruned_rebuilt
+    assert builds == []
     assert snapshot(cold) == snapshot(warm) == plain
     assert "extra" not in warm.pruned_embeddings.words
     (derived,) = cache.glob("*.pruned")  # one derived file per file list
     assert derived.name.startswith("e1.txt.")
     assert len(list(cache.glob("*.emb"))) == n_files
+
+
+def test_a_miss_of_the_derived_cache_hashes_each_file_once(embedded_workspace, monkeypatch):
+    """The fingerprints that key the derived cache also key the per-file caches."""
+    tmp_path, raw = embedded_workspace
+    hashed = []
+    fingerprint = embeddings.file_fingerprint
+    monkeypatch.setattr(embeddings, "file_fingerprint", lambda p: hashed.append(p) or fingerprint(p))
+    cache = str(tmp_path / "cache")
+    cold = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    assert [p.name for p in hashed] == ["e1.txt", "e2.txt"]
+    _keep_the_first_training_sentence(tmp_path)  # a miss with warm .emb caches
+    hashed.clear()
+    miss = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    assert [p.name for p in hashed] == ["e1.txt", "e2.txt"]
+    assert miss == snapshot(ExperimentData(build_run_config(raw)))
+    assert cold != miss
 
 
 def _edit_an_embedding_file_to_the_same_size(tmp_path):
@@ -175,7 +192,7 @@ def test_the_derived_cache_is_rebuilt_when_what_it_was_made_from_changes(
     change(tmp_path)
     builds.clear()
     rebuilt = ExperimentData(build_run_config(raw), cache_dir=cache)
-    assert builds == REBUILD and rebuilt.pruned_rebuilt
+    assert builds == REBUILD
     assert snapshot(rebuilt) == snapshot(ExperimentData(build_run_config(raw)))
     assert (snapshot(rebuilt) == before) == (change is _flip_a_bit_of_the_derived_file)
     builds.clear()
@@ -185,10 +202,12 @@ def test_the_derived_cache_is_rebuilt_when_what_it_was_made_from_changes(
 
 WARM_BUILD = """
 import json, sys
+from seqtag import experiment
 from seqtag.config import build_run_config
-from seqtag.experiment import ExperimentData
-data = ExperimentData(build_run_config(json.loads(sys.argv[1])), cache_dir=sys.argv[2])
-print(json.dumps([data.pruned_rebuilt, data.pruned_embeddings.words]))
+pruned, prune = [], experiment.prune_embeddings
+experiment.prune_embeddings = lambda *args: pruned.append(1) or prune(*args)
+data = experiment.ExperimentData(build_run_config(json.loads(sys.argv[1])), cache_dir=sys.argv[2])
+print(json.dumps([bool(pruned), data.pruned_embeddings.words]))
 """
 
 
