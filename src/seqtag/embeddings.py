@@ -8,10 +8,13 @@ to the words of the task corpora is what actually feeds the network.
 Given a cache directory, each file is parsed once and read back from a
 binary cache (``<name>.<hash>.emb``) while its content is unchanged, and
 a pruned set from ``<name>.<hash>.pruned`` while the words reached are too.
+Only the pruned-set cache skips a file's hash: while the file's stat
+equals the settled stat record it keeps (git's racy-clean rule).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -19,6 +22,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from time import time_ns
 from typing import Callable, Iterable
 
 import numpy as np
@@ -207,21 +211,53 @@ def reachable_words(corpora: Iterable[Corpus]) -> set[str]:
     return surfaces.union(map(str.lower, surfaces))
 
 
+# A stat record is settled when its file's mtime and ctime are older than its check time by
+# this window, so that a later edit changes one of them (git's racy-clean rule); FAT's 2 s.
+RACY_WINDOW_NS = 2_000_000_000
+
+
+def _settled(record: dict) -> bool:
+    return max(record["stat"][1:3]) < record["checked_ns"] - RACY_WINDOW_NS
+
+
 def load_pruned_cached(
     files: list, corpora: list[Corpus], cache_dir: str | Path | None, build: Callable
 ) -> EmbeddingSet:
     """``build(fingerprints)``, the pruned set of ``files`` for ``corpora``, through a
     derived cache named after the files' absolute paths and keyed by their fingerprints
-    and the sha256 of the sorted reachable words; ``build(None)`` without a cache."""
+    and the sha256 of the sorted reachable words; ``build(None)`` without a cache. A file
+    whose stat equals its settled record there keeps the recorded fingerprint unhashed."""
     paths = [Path(p) for p in files]
-    if not paths or cache_dir is None or not all(map(Path.exists, paths)):
+    if not paths or cache_dir is None:
+        return build(None)
+    now = time_ns()  # taken before the stats, so a file changed after them is not settled
+    try:
+        records = [
+            {"stat": [s.st_size, s.st_mtime_ns, s.st_ctime_ns, s.st_ino], "checked_ns": now}
+            for s in map(os.stat, paths)
+        ]
+    except OSError:
         return build(None)  # a missing file is reported by the build
-    reachable = hashlib.sha256(json.dumps(sorted(reachable_words(corpora))).encode("utf-8"))
-    meta = {"files": [file_fingerprint(p) for p in paths], "reachable": reachable.hexdigest()}
     cache = cache_path(cache_dir, paths[0], ".pruned", "\0".join(map(os.path.abspath, paths)))
-    return through_cache(
-        cache, meta, read_embedding_cache, lambda: build(meta["files"]), write_embedding_cache
-    )
+    emb, key, trusted = None, None, {}
+    # no cache, a damaged one, or a header without valid records: the files are hashed
+    with contextlib.suppress(OSError, DataError, LookupError, TypeError, AttributeError):
+        emb, key = read_embedding_cache(cache)
+        for i, (old, new) in enumerate(zip(key.pop("stat"), records)):
+            if old["stat"] == new["stat"] and _settled(old):
+                trusted[i], records[i] = key["files"][i], old
+    fingerprints = [trusted.get(i) or file_fingerprint(p) for i, p in enumerate(paths)]
+    reachable = hashlib.sha256(json.dumps(sorted(reachable_words(corpora))).encode("utf-8"))
+    meta = {"files": fingerprints, "reachable": reachable.hexdigest()}
+    if key == meta:
+        # a hit that hashed a file now settled records it once, so later builds trust it
+        if any(_settled(r) for i, r in enumerate(records) if i not in trusted):
+            with contextlib.suppress(OSError):  # e.g. a read-only cache directory
+                write_embedding_cache(cache, emb, {**meta, "stat": records})
+        return emb
+    emb = build(fingerprints)
+    write_embedding_cache(cache, emb, {**meta, "stat": records})
+    return emb
 
 
 def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingSet:
@@ -238,8 +274,6 @@ def prune_embeddings(emb: EmbeddingSet, corpora: Iterable[Corpus]) -> EmbeddingS
 
 def save_embedding_file(emb: EmbeddingSet, path: str | Path) -> None:
     """Persist an (optimized) embedding set in the plain text format."""
-    lines = (
-        word + "".join(f" {float(v)!r}" for v in vec) + "\n"
-        for word, vec in zip(emb.words, emb.matrix)
-    )
+    rows = zip(emb.words, emb.matrix.tolist())
+    lines = (word + " " + " ".join(map(repr, row)) + "\n" for word, row in rows)
     write_atomic(path, "".join(lines).encode("utf-8"))

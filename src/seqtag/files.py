@@ -6,11 +6,11 @@ rest of the file, a u64 byte length and that many bytes of UTF-8 JSON
 header, then float64 values up to the end. This module alone writes,
 reads and checks that layout, and encodes and decodes the header. The
 CRC catches any damaged run of up to 32 bits. A cache is named after its
-source file and a hash of the source's absolute path, and it records
-the source's size and sha256, so a changed source invalidates it.
-Every file is written through a temporary file and ``os.replace``: a
-reader never sees a half-written file, and a failed write leaves the
-previous file as it was.
+source file and a hash of the source's absolute path, and it records the
+source's size and sha256, so a changed source invalidates it (the pruned
+set's cache may reuse a sha256 while a stat record holds). Every file is
+written through a temporary file and ``os.replace``: a reader never sees
+a half-written file, and a failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations

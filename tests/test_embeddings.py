@@ -150,6 +150,12 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_saved_text_is_the_repr_of_each_value(tmp_path):
+    path = tmp_path / "out.txt"
+    save_embedding_file(make_set({"a": [-0.0, 5e-324, 1e-300], "b": [0.1, 1e16, 1.0]}), path)
+    assert path.read_bytes() == b"a -0.0 5e-324 1e-300\nb 0.1 1e+16 1.0\n"
+
+
 def test_save_load_roundtrip(tmp_path):
     emb = make_set({"a": np.array([0.1, -0.25])})
     path = tmp_path / "out.txt"

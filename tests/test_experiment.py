@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -198,6 +199,170 @@ def test_the_derived_cache_is_rebuilt_when_what_it_was_made_from_changes(
     builds.clear()
     assert snapshot(ExperimentData(build_run_config(raw), cache_dir=cache)) == snapshot(rebuilt)
     assert builds == []
+
+
+# -- the stat records that stand in for hashing -------------------------------------
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The names of the embedding files hashed for the derived cache, in order."""
+    names, fingerprint = [], embeddings.file_fingerprint
+    monkeypatch.setattr(
+        embeddings, "file_fingerprint", lambda p: names.append(p.name) or fingerprint(p)
+    )
+    return names
+
+
+@pytest.fixture
+def pruned_writes(monkeypatch):
+    """The writes of the derived file, one entry each."""
+    writes, write = [], embeddings.write_embedding_cache
+
+    def spy(path, *args):
+        if path.suffix == ".pruned":
+            writes.append(path.name)
+        return write(path, *args)
+
+    monkeypatch.setattr(embeddings, "write_embedding_cache", spy)
+    return writes
+
+
+def _set_the_clock(monkeypatch, tmp_path, seconds):
+    """The derived cache's clock reads ``seconds`` after the embedding files' last change."""
+    stats = [p.stat() for p in tmp_path.glob("e*.txt")]
+    last = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
+    monkeypatch.setattr(embeddings, "time_ns", lambda: last + int(seconds * 1e9))
+
+
+def test_a_warm_build_with_settled_records_hashes_no_file(
+    embedded_workspace, builds, hashed, monkeypatch
+):
+    monkeypatch.setattr(embeddings, "RACY_WINDOW_NS", 0)
+    tmp_path, raw = embedded_workspace
+    cache = tmp_path / "cache"
+    cold = snapshot(ExperimentData(build_run_config(raw), cache_dir=str(cache)))
+    (derived,) = cache.glob("*.pruned")
+    _, source = embeddings.read_embedding_cache(derived)
+    st = (tmp_path / "e2.txt").stat()
+    assert source["stat"][1]["stat"] == [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+    hashed.clear()
+    builds.clear()
+    warm = snapshot(ExperimentData(build_run_config(raw), cache_dir=str(cache)))
+    assert hashed == [] and builds == []
+    assert warm == cold == snapshot(ExperimentData(build_run_config(raw)))
+
+
+def _edit_in_place_and_restore_the_mtime(tmp_path):
+    e1 = tmp_path / "e1.txt"
+    before = e1.stat()
+    _edit_an_embedding_file_to_the_same_size(tmp_path)
+    os.utime(e1, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = e1.stat()
+    assert [after.st_size, after.st_mtime_ns, after.st_ino] == [
+        before.st_size,
+        before.st_mtime_ns,
+        before.st_ino,
+    ]
+    assert after.st_ctime_ns != before.st_ctime_ns
+
+
+def _replace_by_a_new_file_of_the_same_size_and_mtime(tmp_path):
+    e1, new = tmp_path / "e1.txt", tmp_path / "new.txt"
+    before = e1.stat()
+    new.write_text(e1.read_text(encoding="utf-8").replace(" 0.2\n", " 0.3\n", 1), encoding="utf-8")
+    os.utime(new, ns=(before.st_atime_ns, before.st_mtime_ns))
+    os.replace(new, e1)
+    after = e1.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert after.st_ino != before.st_ino
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_edit_in_place_and_restore_the_mtime, _replace_by_a_new_file_of_the_same_size_and_mtime],
+    ids=["new_ctime", "new_inode"],
+)
+def test_a_settled_record_is_not_trusted_once_the_stat_differs(
+    embedded_workspace, builds, hashed, monkeypatch, change
+):
+    monkeypatch.setattr(embeddings, "RACY_WINDOW_NS", 0)
+    tmp_path, raw = embedded_workspace
+    cache = str(tmp_path / "cache")
+    before = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    change(tmp_path)
+    hashed.clear()
+    builds.clear()
+    rebuilt = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    assert hashed == ["e1.txt"] and builds == REBUILD
+    assert before != rebuilt == snapshot(ExperimentData(build_run_config(raw)))
+
+
+def _drop_the_stat_records(cache):
+    (derived,) = cache.glob("*.pruned")
+    emb, source = embeddings.read_embedding_cache(derived)
+    del source["stat"]
+    embeddings.write_embedding_cache(derived, emb, source)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [lambda cache: None, _drop_the_stat_records],
+    ids=["racy_record", "header_without_records"],
+)
+def test_a_record_is_hashed_until_a_build_after_the_window_renews_it(
+    embedded_workspace, builds, hashed, pruned_writes, monkeypatch, record
+):
+    tmp_path, raw = embedded_workspace
+    cache = tmp_path / "cache"
+    _set_the_clock(monkeypatch, tmp_path, 0.01)
+    cold = snapshot(ExperimentData(build_run_config(raw), cache_dir=str(cache)))
+    record(cache)
+    seen = []
+    for seconds in (1, 3, 3):  # the window is 2 s
+        _set_the_clock(monkeypatch, tmp_path, seconds)
+        hashed.clear()
+        pruned_writes.clear()
+        assert snapshot(ExperimentData(build_run_config(raw), cache_dir=str(cache))) == cold
+        seen.append((list(hashed), len(pruned_writes)))
+    both = ["e1.txt", "e2.txt"]
+    assert seen == [(both, 0), (both, 1), ([], 0)]
+    assert builds == REBUILD  # the cold build's only
+
+
+def test_a_failed_rewrite_still_returns_the_hit(embedded_workspace, builds, monkeypatch):
+    tmp_path, raw = embedded_workspace
+    cache = str(tmp_path / "cache")
+    _set_the_clock(monkeypatch, tmp_path, 0.01)
+    cold = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    tried = []
+
+    def read_only(path, *args):
+        tried.append(path.suffix)
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(embeddings, "write_embedding_cache", read_only)
+    _set_the_clock(monkeypatch, tmp_path, 3)
+    builds.clear()
+    assert snapshot(ExperimentData(build_run_config(raw), cache_dir=cache)) == cold
+    assert builds == [] and tried == [".pruned"]
+
+
+def test_a_miss_with_settled_records_hashes_and_parses_no_embedding_file(
+    embedded_workspace, builds, hashed, monkeypatch
+):
+    monkeypatch.setattr(embeddings, "RACY_WINDOW_NS", 0)
+    tmp_path, raw = embedded_workspace
+    cache = str(tmp_path / "cache")
+    ExperimentData(build_run_config(raw), cache_dir=cache)
+    _keep_the_first_training_sentence(tmp_path)
+    parsed, load = [], embeddings.load_embedding_file
+    monkeypatch.setattr(embeddings, "load_embedding_file", lambda p: parsed.append(p) or load(p))
+    hashed.clear()
+    builds.clear()
+    miss = snapshot(ExperimentData(build_run_config(raw), cache_dir=cache))
+    assert builds == REBUILD and hashed == [] and parsed == []
+    assert miss == snapshot(ExperimentData(build_run_config(raw)))
 
 
 WARM_BUILD = """
